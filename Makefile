@@ -1,13 +1,19 @@
 # Development targets for the Marsit reproduction.
 #
 #   make check             fmt + vet + build + test + collective-listing golden
-#                          (what CI runs)
+#                          + no-shims guard (what CI runs)
 #   make race              race-detector pass over the concurrency-bearing
 #                          packages
 #   make bench             engine benchmarks (sequential vs parallel speedup)
 #   make bench-json        perf record: seq-vs-par ns/op, B/op, allocs/op per
 #                          collective × fabric, written to BENCH_6.json
 #                          (see docs/performance.md for the format)
+#   make benchmark W=<w>   the repository's benchmark (BENCHMARK.json): one
+#                          workload of benchmark/run.sh — ring_marsit,
+#                          ring_rar, mix_shm, train_marsit or fleet_tcp —
+#                          with SEED, SECS and TRACE passed through; the
+#                          basis of every performance claim
+#                          (see docs/performance.md)
 #   make bench-smoke       every benchmark once (-benchtime=1x) so perf-path
 #                          code is compiled and executed on every PR
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
@@ -44,9 +50,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-smoke fuzz-smoke list-collectives tcp-demo shm-demo tree-demo trace-demo calib-demo service-demo
+.PHONY: check fmt vet build test race bench bench-json benchmark bench-smoke fuzz-smoke list-collectives no-shims tcp-demo shm-demo tree-demo trace-demo calib-demo service-demo
 
-check: fmt vet build test list-collectives
+check: fmt vet build test list-collectives no-shims
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -90,6 +96,17 @@ bench-json:
 	$(GO) run ./cmd/marsit-bench -json $(BENCH_JSON) -label "PR 10" -benchtime 1s \
 		-bench-collectives rar,tar,marsit,signsum,ssdm,cascading,ps,ps-sign,ps-ssdm,ps-scaledsign,gossip,tree,onebit-tree,powersgd,hier
 
+# benchmark runs one workload of the repository's benchmark exactly as
+# the PR driver does (benchmark/run.sh builds what it runs under
+# .bench_build/ and prints the metrics BENCHMARK.json declares).
+W ?= ring_marsit
+SEED ?= 1
+SECS ?= 15
+TRACE ?= 0
+
+benchmark:
+	bash benchmark/run.sh --workload $(W) --seed $(SEED) --seconds $(SECS) --trace $(TRACE)
+
 # bench-smoke runs every benchmark exactly once: cheap enough for CI,
 # and it proves the perf-path code (engine benches, chunk-pipelined
 # hops, word-parallel kernels) still compiles and executes.
@@ -121,6 +138,17 @@ list-collectives:
 		|| { echo "list-collectives: registry listing drifted from docs/collectives.golden"; \
 		     echo "  (regenerate with: ./bin/marsit-node -list-collectives > docs/collectives.golden)"; exit 1; }
 	@echo "list-collectives: listing matches docs/collectives.golden"
+
+# no-shims keeps a retired API retired: a "Deprecated:" marker in
+# non-test Go means a compatibility layer is growing back beside the
+# registry dispatch path (Engine.Open/Run) instead of its callers being
+# ported.
+no-shims:
+	@out="$$(grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . || true)"; \
+	if [ -n "$$out" ]; then \
+		echo "no-shims: Deprecated: markers in non-test Go:"; echo "$$out"; exit 1; \
+	fi
+	@echo "no-shims: no Deprecated: markers"
 
 # tcp-demo launches one marsit-node process per rank on fixed local
 # ports; rank 0 gathers every rank's result, wire bytes and virtual

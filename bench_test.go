@@ -106,19 +106,19 @@ func BenchmarkSyncOneBit(b *testing.B) {
 //
 // Payload-buffer pooling (transport.GetBuffer/PutBuffer): the ring hops
 // recycle their encode/receive buffers through a shared sync.Pool, which
-// on this machine cuts BenchmarkEngineRAR/M=4/D=100000 from ~4.92 MB/op
+// on this machine cut the M=4, D=1e5 full-precision ring from ~4.92 MB/op
 // to ~42 KB/op (~99% fewer payload bytes allocated; D=1e6 drops 48.2 MB
 // → 0.40 MB) and ~30% ns/op. The one-bit path's B/op barely moves — its
 // payloads are D/8 bytes, so per-hop bitvec scratch dominates there.
 //
 // Float-codec fast path (internal/runtime/codec_fast.go): profiling the
-// loopback hot path (-cpuprofile over BenchmarkEngineRAR) showed the
+// loopback hot path (-cpuprofile over the rar benchmark) showed the
 // per-element binary.LittleEndian + math.Float64bits round trips as the
 // top cost — encodeFloats alone was ~29% of samples, copyFloats ~17%,
 // while the loopback channel ops never registered. On little-endian
 // machines the payload is the in-memory []float64 representation, so
 // the codecs now reinterpret instead of re-encoding: on this machine
-// BenchmarkEngineRAR/M=4/D=100000 drops 1.81 ms/op → 0.86 ms/op (2.1×)
+// the M=4, D=1e5 ring dropped 1.81 ms/op → 0.86 ms/op (2.1×)
 // and D=1e6 drops 20.3 ms → 15.3 ms, single-core, bit-identical
 // payloads (the equivalence matrix holds unchanged).
 
@@ -138,36 +138,6 @@ func baselineIters(n int) int {
 		return 5
 	}
 	return n
-}
-
-func benchEngineRAR(b *testing.B, workers, dim int) {
-	r := rng.New(17)
-	base := make([]Vec, workers)
-	for w := range base {
-		base[w] = r.NormVec(make(Vec, dim), 0, 1)
-	}
-	work := make([]Vec, workers)
-	for w := range work {
-		work[w] = tensor.Clone(base[w])
-	}
-	cluster := NewCluster(workers)
-	eng := NewEngine(workers)
-	defer eng.Close()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.RingAllReduce(cluster, work)
-	}
-	b.StopTimer()
-
-	iters := baselineIters(b.N)
-	seqCluster := NewCluster(workers)
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		collective.RingAllReduce(seqCluster, work)
-	}
-	reportSeqBaseline(b, time.Since(start), iters)
 }
 
 func benchEngineMarsit(b *testing.B, workers, dim int) {
@@ -197,27 +167,7 @@ func benchEngineMarsit(b *testing.B, workers, dim int) {
 	reportSeqBaseline(b, time.Since(start), iters)
 }
 
-// BenchmarkEngineRAR measures full-precision ring all-reduce on the
-// concurrent engine against the sequential collective, M ∈ {4, 8} and
-// D ∈ {1e5, 1e6}.
-func BenchmarkEngineRAR(b *testing.B) {
-	for _, workers := range []int{4, 8} {
-		for _, dim := range []int{100_000, 1_000_000} {
-			b.Run(fmt.Sprintf("M=%d/D=%d", workers, dim), func(b *testing.B) {
-				benchEngineRAR(b, workers, dim)
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Compressed-path engine benchmarks (sign-sum, cascading SSDM, PS hub):
-// the parallel engine over loopback and TCP against the sequential
-// collective at M=4, D=1e5, so the perf trajectory tracks the
-// compressed paths alongside the full-precision ones.
-
-// benchTransports are the fabric backends the compressed benchmarks
-// cover.
+// benchTransports are the fabric backends the engine benchmarks cover.
 var benchTransports = []string{"loopback", "tcp", "shm"}
 
 // newBenchEngine builds a concurrent engine over the named fabric.
@@ -240,117 +190,57 @@ func newBenchEngine(b *testing.B, transport string, workers int) *Engine {
 	return NewEngine(workers)
 }
 
-// benchSignScaleInputs builds deterministic signSGD inputs.
-func benchSignScaleInputs(seed uint64, workers, dim int) ([][]float64, []float64) {
-	r := rng.New(seed)
-	signs := make([][]float64, workers)
-	scales := make([]float64, workers)
-	for w := range signs {
-		v := r.NormVec(make(Vec, dim), 0, 1)
-		signs[w] = make([]float64, dim)
-		tensor.SignVec(signs[w], v)
-		scales[w] = tensor.Norm1(v) / float64(dim)
-	}
-	return signs, scales
-}
-
-// BenchmarkEngineSignSum measures the bit-width-expansion sign-sum ring
-// (the SSDM/signSGD transport) on the concurrent engine, loopback and
-// TCP, against the sequential collective.
-func BenchmarkEngineSignSum(b *testing.B) {
+// BenchmarkEngine measures one collective per family on the concurrent
+// engine — full-precision ring (rar), the sign-sum ring with its signSGD
+// compression and majority decode (signsum), cascading SSDM with its
+// per-hop decompress–add–recompress (cascading) and the parameter-server
+// push–pull through the rank-0 hub actor (ps) — over every fabric at
+// M=4, D=1e5, against the same descriptor's sequential leg. Both legs
+// come from the registry, so a collective joins the perf trajectory by
+// adding its name here.
+func BenchmarkEngine(b *testing.B) {
 	const workers, dim = 4, 100_000
-	for _, tr := range benchTransports {
-		b.Run(fmt.Sprintf("M=%d/D=%d/%s", workers, dim, tr), func(b *testing.B) {
-			signs, scales := benchSignScaleInputs(31, workers, dim)
-			cluster := NewCluster(workers)
-			eng := newBenchEngine(b, tr, workers)
-			defer eng.Close()
+	for _, name := range []string{"rar", "signsum", "cascading", "ps"} {
+		desc, err := registry.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tr := range benchTransports {
+			b.Run(name+"/"+tr, func(b *testing.B) {
+				r := rng.New(37)
+				work := make([]Vec, workers)
+				for w := range work {
+					work[w] = r.NormVec(make(Vec, dim), 0, 1)
+				}
+				opts := func() *registry.Opts { return &registry.Opts{Workers: workers, Dim: dim, Seed: 41} }
+				cluster := NewCluster(workers)
+				eng := newBenchEngine(b, tr, workers)
+				defer eng.Close()
+				cl, err := eng.Open(desc, opts())
+				if err != nil {
+					b.Fatal(err)
+				}
 
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.SignSumRing(cluster, signs, scales, false)
-			}
-			b.StopTimer()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cl.Run(cluster, work)
+				}
+				b.StopTimer()
 
-			iters := baselineIters(b.N)
-			seqCluster := NewCluster(workers)
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				collective.SignSumRing(seqCluster, signs, scales, false)
-			}
-			reportSeqBaseline(b, time.Since(start), iters)
-		})
-	}
-}
-
-// BenchmarkEngineCascading measures the cascading SSDM ring (per-hop
-// decompress–add–recompress) on the concurrent engine against the
-// sequential collective.
-func BenchmarkEngineCascading(b *testing.B) {
-	const workers, dim = 4, 100_000
-	for _, tr := range benchTransports {
-		b.Run(fmt.Sprintf("M=%d/D=%d/%s", workers, dim, tr), func(b *testing.B) {
-			r := rng.New(37)
-			work := make([]Vec, workers)
-			for w := range work {
-				work[w] = r.NormVec(make(Vec, dim), 0, 1)
-			}
-			parRNGs := rng.Streams(41, workers)
-			cluster := NewCluster(workers)
-			eng := newBenchEngine(b, tr, workers)
-			defer eng.Close()
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.CascadingRing(cluster, work, parRNGs)
-			}
-			b.StopTimer()
-
-			iters := baselineIters(b.N)
-			seqRNGs := rng.Streams(41, workers)
-			seqCluster := NewCluster(workers)
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				collective.CascadingRing(seqCluster, work, seqRNGs)
-			}
-			reportSeqBaseline(b, time.Since(start), iters)
-		})
-	}
-}
-
-// BenchmarkEnginePS measures the full-precision parameter-server
-// push–pull through the rank-0-hosted hub actor against the sequential
-// virtual hub.
-func BenchmarkEnginePS(b *testing.B) {
-	const workers, dim = 4, 100_000
-	for _, tr := range benchTransports {
-		b.Run(fmt.Sprintf("M=%d/D=%d/%s", workers, dim, tr), func(b *testing.B) {
-			r := rng.New(43)
-			work := make([]Vec, workers)
-			for w := range work {
-				work[w] = r.NormVec(make(Vec, dim), 0, 1)
-			}
-			cluster := NewCluster(workers)
-			eng := newBenchEngine(b, tr, workers)
-			defer eng.Close()
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.PSAllReduce(cluster, work)
-			}
-			b.StopTimer()
-
-			iters := baselineIters(b.N)
-			seqCluster := NewCluster(workers)
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				collective.PSAllReduce(seqCluster, work)
-			}
-			reportSeqBaseline(b, time.Since(start), iters)
-		})
+				iters := baselineIters(b.N)
+				seq, err := desc.Seq(opts())
+				if err != nil {
+					b.Fatal(err)
+				}
+				seqCluster := NewCluster(workers)
+				start := time.Now()
+				for i := 0; i < iters; i++ {
+					seq(seqCluster, work)
+				}
+				reportSeqBaseline(b, time.Since(start), iters)
+			})
+		}
 	}
 }
 
@@ -424,7 +314,13 @@ func TestEngineFacade(t *testing.T) {
 	collective.RingAllReduce(seqC, seqV)
 	eng := NewEngine(workers)
 	defer eng.Close()
-	eng.RingAllReduce(parC, parV)
+	rar, err := registry.Get("rar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(parC, rar, &registry.Opts{}, parV); err != nil {
+		t.Fatal(err)
+	}
 	for w := range seqV {
 		for i := range seqV[w] {
 			if seqV[w][i] != parV[w][i] {

@@ -20,11 +20,18 @@
 //     resets the compensation and bounds error accumulation
 //     (Theorem 1's K(K+1)/T term).
 //
-// Sync executes Algorithm 1 for all workers of a simulated cluster in
-// lock step, charging wire bytes and simulated time to the netsim
-// substrate. Because compression and reception overlap by design
-// (Section 4.1.1), a one-bit round charges only the initial sign
-// packing and the final unpacking as compression time.
+// Algorithm 1 is stated once per engine. Marsit.Sync executes it for all
+// workers of a simulated cluster in lock step — the form the paper's
+// figures use, and the oracle the equivalence tests compare against.
+// RankSync.Sync is the per-rank form: one rank's share over a transport
+// endpoint, run by the concurrent engine's worker goroutines in-process
+// and by one marsit-node process per rank across machines. A Marsit
+// with Config.Parallel set holds no second copy of the algorithm: it
+// opens one RankSync per worker on an engine and drives them. Both forms
+// charge wire bytes and simulated time to the netsim substrate
+// identically; because compression and reception overlap by design
+// (Section 4.1.1), a one-bit round charges only the initial sign packing
+// and the final unpacking as compression time.
 package core
 
 import (
@@ -32,6 +39,7 @@ import (
 
 	"marsit/internal/bitvec"
 	"marsit/internal/collective"
+	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
 	"marsit/internal/runtime"
@@ -95,6 +103,31 @@ func NewParallelEngine(workers int, kind Transport) (*runtime.Engine, error) {
 	}
 }
 
+// OpenCollective builds the runner of a collective on the chosen
+// execution engine — the one place marsit.Run, train.Run and a Parallel
+// Marsit pick between the two. Sequentially that is desc's lock-step
+// leg. In parallel it is a concurrent engine over the fabric kind with
+// desc opened on it, one per-rank runner per worker goroutine, whose
+// Run has the sequential runner's shape. Either way one runner drives a
+// whole multi-round job, and release frees what it holds (nothing,
+// sequentially).
+func OpenCollective(desc *registry.Descriptor, o *registry.Opts, parallel bool, kind Transport) (run registry.SeqRunner, release func() error, err error) {
+	if !parallel {
+		run, err = desc.Seq(o)
+		return run, func() error { return nil }, err
+	}
+	eng, err := NewParallelEngine(o.Workers, kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	cl, err := eng.Open(desc, o)
+	if err != nil {
+		eng.Close()
+		return nil, nil, err
+	}
+	return cl.Run, eng.Close, nil
+}
+
 // MergeSigns merges two one-bit sign aggregates in place: agg covers
 // aWeight workers, local covers bWeight workers. Bits that agree pass
 // through; each disagreeing bit resolves to the local bit with
@@ -146,18 +179,41 @@ type Config struct {
 	// aggregation still runs, but c_t stays zero.
 	DisableCompensation bool
 	// Parallel selects the concurrent execution engine
-	// (internal/runtime): every Sync runs one goroutine per worker,
-	// exchanging messages over a pluggable transport, instead of the
-	// single-threaded lock-step loop. Results, wire bytes and simulated
-	// clocks are bit-identical to the sequential path for a fixed Seed.
-	// Call Close when the instance is no longer needed to release the
-	// worker goroutines.
+	// (internal/runtime): every Sync runs one RankSync per worker on its
+	// own goroutine, exchanging messages over a pluggable transport,
+	// instead of the single-threaded lock-step loop. Results, wire bytes
+	// and simulated clocks are bit-identical to the sequential path for
+	// a fixed Seed. Call Close when the instance is no longer needed to
+	// release the worker goroutines.
 	Parallel bool
 	// Transport selects the parallel engine's fabric backend
 	// (TransportLoopback, TransportTCP, TransportSHM or
 	// TransportHybrid; "" means loopback). Ignored unless Parallel is
 	// set.
 	Transport Transport
+}
+
+// validate checks the fields every form of the algorithm shares.
+func (cfg Config) validate() error {
+	if cfg.Workers < 1 {
+		return fmt.Errorf("core: Workers = %d, need >= 1", cfg.Workers)
+	}
+	if cfg.Dim < 1 {
+		return fmt.Errorf("core: Dim = %d, need >= 1", cfg.Dim)
+	}
+	if cfg.GlobalLR <= 0 {
+		return fmt.Errorf("core: GlobalLR = %v, need > 0", cfg.GlobalLR)
+	}
+	if cfg.Torus != nil && cfg.Torus.Size() != cfg.Workers {
+		return fmt.Errorf("core: torus size %d != workers %d", cfg.Torus.Size(), cfg.Workers)
+	}
+	return nil
+}
+
+// fullPrecision reports whether round t runs at full precision
+// (Algorithm 1's mod(t, K) == 0 branch).
+func (cfg Config) fullPrecision(t int) bool {
+	return cfg.K > 0 && t%cfg.K == 0
 }
 
 // Marsit holds the per-worker compensation state of Algorithm 1 and
@@ -167,43 +223,48 @@ type Marsit struct {
 	comp  []tensor.Vec // c^(m)_t per worker
 	round int
 	rngs  []*rng.PCG // one stream per worker (transient draws)
-	// engine is the concurrent execution engine; nil in sequential mode.
-	// Each rank's goroutine owns rngs[rank] exclusively during a
-	// collective, so the per-worker streams advance exactly as in the
-	// sequential schedule.
-	engine *runtime.Engine
+	// A Parallel instance drives ranks[w], worker w's RankSync, through
+	// run on the engine that release frees; all three are nil
+	// sequentially. The per-rank state is the only state: comp[w]
+	// aliases ranks[w]'s compensation vector, and round and rngs stay
+	// unused.
+	ranks   []*RankSync
+	run     registry.SeqRunner
+	release func() error
 }
 
 // New validates cfg and returns a fresh Marsit with zero compensation
 // (Algorithm 2, line 1).
 func New(cfg Config) (*Marsit, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("core: Workers = %d, need >= 1", cfg.Workers)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.Dim < 1 {
-		return nil, fmt.Errorf("core: Dim = %d, need >= 1", cfg.Dim)
-	}
-	if cfg.GlobalLR <= 0 {
-		return nil, fmt.Errorf("core: GlobalLR = %v, need > 0", cfg.GlobalLR)
-	}
-	if cfg.Torus != nil && cfg.Torus.Size() != cfg.Workers {
-		return nil, fmt.Errorf("core: torus size %d != workers %d", cfg.Torus.Size(), cfg.Workers)
-	}
-	m := &Marsit{
-		cfg:  cfg,
-		comp: make([]tensor.Vec, cfg.Workers),
-		rngs: make([]*rng.PCG, cfg.Workers),
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		m.comp[w] = tensor.New(cfg.Dim)
-		m.rngs[w] = rng.NewStream(cfg.Seed, uint64(w)+1)
-	}
+	m := &Marsit{cfg: cfg, comp: make([]tensor.Vec, cfg.Workers)}
 	if cfg.Parallel {
-		eng, err := NewParallelEngine(cfg.Workers, cfg.Transport)
+		// The registered per-rank leg, built from the whole Config (the
+		// registry's Opts do not carry the ablation flag) and kept
+		// reachable for the state accessors.
+		m.ranks = make([]*RankSync, cfg.Workers)
+		desc := marsitDescriptor()
+		desc.NewRank = func(_ *registry.Opts, rank int) (registry.RankRunner, error) {
+			rs, err := NewRankSync(cfg, rank)
+			if err != nil {
+				return nil, err
+			}
+			m.ranks[rank], m.comp[rank] = rs, rs.comp
+			return rs.Sync, nil
+		}
+		var err error
+		m.run, m.release, err = OpenCollective(&desc, cfg.opts(), true, cfg.Transport)
 		if err != nil {
 			return nil, err
 		}
-		m.engine = eng
+		return m, nil
+	}
+	m.rngs = make([]*rng.PCG, cfg.Workers)
+	for w := 0; w < cfg.Workers; w++ {
+		m.comp[w] = tensor.New(cfg.Dim)
+		m.rngs[w] = rng.NewStream(cfg.Seed, uint64(w)+1)
 	}
 	return m, nil
 }
@@ -211,10 +272,10 @@ func New(cfg Config) (*Marsit, error) {
 // Close releases the worker goroutines of a Parallel instance; it is a
 // no-op in sequential mode. The Marsit must not be used afterwards.
 func (m *Marsit) Close() error {
-	if m.engine != nil {
-		return m.engine.Close()
+	if m.ranks == nil {
+		return nil
 	}
-	return nil
+	return m.release()
 }
 
 // MustNew is New that panics on configuration errors; convenient in
@@ -228,7 +289,12 @@ func MustNew(cfg Config) *Marsit {
 }
 
 // Round returns the number of completed synchronizations t.
-func (m *Marsit) Round() int { return m.round }
+func (m *Marsit) Round() int {
+	if m.ranks != nil {
+		return m.ranks[0].round
+	}
+	return m.round
+}
 
 // Compensation returns a copy of worker w's compensation vector.
 func (m *Marsit) Compensation(w int) tensor.Vec {
@@ -250,7 +316,7 @@ func (m *Marsit) MeanCompensation() tensor.Vec {
 // precision (Algorithm 1's mod(t, K) == 0 branch). Trainers use it to
 // schedule the paper's learning-rate decay at full-precision rounds.
 func (m *Marsit) FullPrecisionNext() bool {
-	return m.cfg.K > 0 && m.round%m.cfg.K == 0
+	return m.cfg.fullPrecision(m.Round())
 }
 
 // Sync executes Algorithm 1 for one round. grads[w] must hold worker
@@ -268,12 +334,19 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 	if len(grads) != n {
 		panic(fmt.Sprintf("core: %d gradients for %d workers", len(grads), n))
 	}
+	for w, g := range grads {
+		if len(g) != d {
+			panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", w, len(g), d))
+		}
+	}
+	if m.ranks != nil {
+		// Every worker goroutine runs RankSync.Sync on its own gradient;
+		// the update is a consensus, so rank 0's stands for all.
+		return m.run(c, grads)[0]
+	}
 	// Line 1: u_w = η_l·g_w + c_w.
 	u := make([]tensor.Vec, n)
 	for w := 0; w < n; w++ {
-		if len(grads[w]) != d {
-			panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", w, len(grads[w]), d))
-		}
 		u[w] = tensor.Clone(grads[w])
 		tensor.Add(u[w], m.comp[w])
 	}
@@ -283,14 +356,9 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 
 	if full {
 		// Lines 11–13: full-precision MAR; g_t = mean(u); c ← 0.
-		switch {
-		case m.engine != nil && m.cfg.Torus != nil:
-			m.engine.TorusAllReduce(c, m.cfg.Torus, u)
-		case m.engine != nil:
-			m.engine.RingAllReduce(c, u)
-		case m.cfg.Torus != nil:
+		if m.cfg.Torus != nil {
 			collective.TorusAllReduce(c, m.cfg.Torus, u)
-		default:
+		} else {
 			collective.RingAllReduce(c, u)
 		}
 		for w := 0; w < n; w++ {
@@ -326,9 +394,6 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 // worker). Reception and merging overlap (Section 4.1.1), so only the
 // initial sign packing is charged as compression.
 func (m *Marsit) oneBitAllReduce(c *netsim.Cluster, u []tensor.Vec) *bitvec.Vec {
-	if m.engine != nil {
-		return m.oneBitAllReduceParallel(c, u)
-	}
 	n := m.cfg.Workers
 	bits := make([]*bitvec.Vec, n)
 	for w := 0; w < n; w++ {
@@ -343,32 +408,6 @@ func (m *Marsit) oneBitAllReduce(c *netsim.Cluster, u []tensor.Vec) *bitvec.Vec 
 		m.oneBitRingGroups(c, bits, torusColGroups(m.cfg.Torus), m.cfg.Torus.Cols())
 	} else {
 		m.oneBitRingGroups(c, bits, [][]int{ranks(n)}, 1)
-	}
-	return bits[0]
-}
-
-// oneBitAllReduceParallel is oneBitAllReduce on the concurrent engine:
-// sign packing and the ⊙-merge ring run one goroutine per worker, with
-// each rank's merges drawing from its own stream in the sequential
-// order, so the returned consensus bits are identical to the
-// single-threaded schedule's.
-func (m *Marsit) oneBitAllReduceParallel(c *netsim.Cluster, u []tensor.Vec) *bitvec.Vec {
-	n := m.cfg.Workers
-	bits := make([]*bitvec.Vec, n)
-	m.engine.ParallelFor(func(w int) {
-		bits[w] = bitvec.FromSigns(u[w])
-		c.AddCompress(w, m.cfg.Dim)
-	})
-	if n == 1 {
-		return bits[0]
-	}
-	merge := func(rank int, agg, local *bitvec.Vec, aggWeight, localWeight int) {
-		MergeSigns(agg, local, aggWeight, localWeight, m.rngs[rank])
-	}
-	if m.cfg.Torus != nil {
-		m.engine.OneBitTorusAllReduce(c, m.cfg.Torus, bits, merge)
-	} else {
-		m.engine.OneBitRingAllReduce(c, bits, merge)
 	}
 	return bits[0]
 }

@@ -74,6 +74,36 @@ func TestParallelSyncEquivalenceTCP(t *testing.T) {
 	}
 }
 
+// TestParallelSyncEquivalenceSharedMemory covers the two fabrics with
+// shared-memory links — all-shm, and the hybrid shm/TCP split — with and
+// without the compensation ablation.
+func TestParallelSyncEquivalenceSharedMemory(t *testing.T) {
+	for _, tr := range []Transport{TransportSHM, TransportHybrid} {
+		for _, noComp := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s_nocomp=%v", tr, noComp), func(t *testing.T) {
+				runEngines(t, Config{
+					Workers: 4, Dim: 203, K: 3, GlobalLR: 0.05, Seed: 231,
+					Transport: tr, DisableCompensation: noComp,
+				}, 7)
+			})
+		}
+	}
+}
+
+// TestParallelSyncEquivalenceNoCompensation drives the compensation
+// ablation on both engines over the ring and a full torus: the parallel
+// engine reaches it only through the shared Config of its RankSyncs.
+func TestParallelSyncEquivalenceNoCompensation(t *testing.T) {
+	for _, tor := range []*topology.Torus{nil, topology.NewTorus(2, 2)} {
+		t.Run(fmt.Sprintf("torus=%v", tor != nil), func(t *testing.T) {
+			runEngines(t, Config{
+				Workers: 4, Dim: 157, K: 3, GlobalLR: 0.02, Torus: tor, Seed: 91,
+				DisableCompensation: true,
+			}, 7)
+		})
+	}
+}
+
 // TestParallelUnknownTransportRejected checks fabric-kind validation.
 func TestParallelUnknownTransportRejected(t *testing.T) {
 	_, err := New(Config{Workers: 2, Dim: 8, GlobalLR: 0.1, Parallel: true, Transport: "rdma"})

@@ -11,18 +11,20 @@ import (
 	"marsit/internal/transport"
 )
 
-// RankSync executes Algorithm 1 for a single rank of a distributed
-// fabric — the per-rank counterpart of Marsit.Sync, used by processes
-// that host one rank each (cmd/marsit-node). It keeps the rank's
-// compensation vector and transient stream, and runs each round's
-// collective through the per-rank entry points of internal/runtime, so
-// a fleet of RankSyncs over one transport is bit-identical — updates,
-// compensation, wire bytes and virtual clocks — to a Marsit driving the
-// whole cluster (the fleet equivalence tests pin this).
+// RankSync executes Algorithm 1 for a single rank of a fabric — the
+// per-rank statement of the algorithm, and the only one the concurrent
+// engine runs: the registered "marsit" collective's per-rank leg, a
+// Parallel Marsit's workers and the processes that host one rank each
+// (cmd/marsit-node) are all RankSyncs. It keeps the rank's compensation
+// vector and transient stream, and runs each round's collective through
+// the per-rank entry points of internal/runtime.
 //
-// It lives next to Marsit.Sync on purpose: the two must mirror each
-// other mechanism for mechanism (charge order, merge-stream derivation,
-// K-period condition, barrier placement). Change them together.
+// A fleet of RankSyncs over one transport is bit-identical — updates,
+// compensation, wire bytes and virtual clocks — to the sequential
+// Marsit.Sync driving the whole cluster in lock step (the equivalence
+// tests pin this), so the two must mirror each other mechanism for
+// mechanism: charge order, merge-stream derivation, K-period condition,
+// barrier placement. Change them together.
 type RankSync struct {
 	cfg   Config
 	rank  int
@@ -37,17 +39,8 @@ type RankSync struct {
 // schedule (TAR full-precision rounds, row-then-column one-bit rings),
 // mirroring Marsit.Sync's topology switch.
 func NewRankSync(cfg Config, rank int) (*RankSync, error) {
-	if cfg.Torus != nil && cfg.Torus.Size() != cfg.Workers {
-		return nil, fmt.Errorf("core: torus size %d != workers %d", cfg.Torus.Size(), cfg.Workers)
-	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("core: Workers = %d, need >= 1", cfg.Workers)
-	}
-	if cfg.Dim < 1 {
-		return nil, fmt.Errorf("core: Dim = %d, need >= 1", cfg.Dim)
-	}
-	if cfg.GlobalLR <= 0 {
-		return nil, fmt.Errorf("core: GlobalLR = %v, need > 0", cfg.GlobalLR)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if rank < 0 || rank >= cfg.Workers {
 		return nil, fmt.Errorf("core: rank %d out of range [0,%d)", rank, cfg.Workers)
@@ -70,7 +63,7 @@ func (r *RankSync) Compensation() tensor.Vec { return tensor.Clone(r.comp) }
 
 // FullPrecisionNext mirrors Marsit.FullPrecisionNext for this rank.
 func (r *RankSync) FullPrecisionNext() bool {
-	return r.cfg.K > 0 && r.round%r.cfg.K == 0
+	return r.cfg.fullPrecision(r.round)
 }
 
 // Sync executes one round of Algorithm 1 for this rank: grad is the
@@ -98,9 +91,9 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 	if full {
 		// Lines 11–13: full-precision all-reduce (RAR or TAR); c ← 0.
 		if r.cfg.Torus != nil {
-			runtime.TorusAllReduceRank(c, ep, r.cfg.Torus, u)
+			runtime.TorusAllReduceRank(c, ep, r.cfg.Torus, u, 1)
 		} else {
-			runtime.RingAllReduceRank(c, ep, u)
+			runtime.RingAllReduceRank(c, ep, u, 1)
 		}
 		tensor.Zero(r.comp)
 		runtime.ClockBarrier(c, ep)

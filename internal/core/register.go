@@ -15,10 +15,27 @@ import (
 // It lives here rather than in internal/runtime because both legs own
 // per-round state (compensation vectors, merge streams, the K-period
 // counter) that this package implements: the sequential leg is a
-// Marsit instance, the per-rank leg a RankSync. The two are maintained
-// side by side (see rank.go) so the registered legs cannot drift.
-func init() {
-	registry.Register(registry.Descriptor{
+// Marsit instance, the per-rank leg a RankSync.
+
+// opts is the registry's view of cfg — the fields the "marsit"
+// descriptor reads — and configOf its inverse.
+func (cfg Config) opts() *registry.Opts {
+	return &registry.Opts{
+		Workers: cfg.Workers, Dim: cfg.Dim, K: cfg.K,
+		GlobalLR: cfg.GlobalLR, Torus: cfg.Torus, Seed: cfg.Seed,
+	}
+}
+
+func configOf(o *registry.Opts) Config {
+	return Config{
+		Workers: o.Workers, Dim: o.Dim, K: o.K,
+		GlobalLR: o.GlobalLR, Torus: o.Torus, Seed: o.Seed,
+	}
+}
+
+// marsitDescriptor is the "marsit" registry entry.
+func marsitDescriptor() registry.Descriptor {
+	return registry.Descriptor{
 		Name:     "marsit",
 		Summary:  "one-bit Marsit all-reduce with global compensation (K-periodic full precision)",
 		Topology: registry.Ring,
@@ -28,10 +45,7 @@ func init() {
 		// the one-bit path in the generated equivalence matrix.
 		EquivRounds: 3,
 		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			m, err := New(Config{
-				Workers: o.Workers, Dim: o.Dim, K: o.K,
-				GlobalLR: o.GlobalLR, Torus: o.Torus, Seed: o.Seed,
-			})
+			m, err := New(configOf(o))
 			if err != nil {
 				return nil, err
 			}
@@ -45,18 +59,17 @@ func init() {
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			rs, err := NewRankSync(Config{
-				Workers: o.Workers, Dim: o.Dim, K: o.K,
-				GlobalLR: o.GlobalLR, Torus: o.Torus, Seed: o.Seed,
-			}, rank)
+			rs, err := NewRankSync(configOf(o), rank)
 			if err != nil {
 				return nil, err
 			}
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-				return rs.Sync(c, ep, grad)
-			}, nil
+			return rs.Sync, nil
 		},
-	})
+	}
+}
+
+func init() {
+	registry.Register(marsitDescriptor())
 
 	registry.Register(registry.Descriptor{
 		Name:     "onebit-tree",

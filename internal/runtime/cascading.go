@@ -63,16 +63,11 @@ func cascadeChunkBody(data []byte, n int, withNorm bool) (norm float64, body []b
 	return norm, data[head:]
 }
 
-// CascadingRingRank executes one rank's share of the cascading SSDM
+// cascadingRingRank executes one rank's share of the cascading SSDM
 // ring. vec is replaced by the (error-laden) estimate of the mean; r
-// must be the rank's own SSDM stream. The caller owns the closing
-// barrier (sequential collective.CascadingRing ends in c.Barrier()).
-func CascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG) {
-	cascadingRingRank(c, ep, vec, r, 1)
-}
-
-// cascadingRingRank is CascadingRingRank with a hop-pipelining degree
-// (the registry leg passes Opts.Chunks).
+// must be the rank's own SSDM stream. chunks is the hop-pipelining
+// degree (Opts.Chunks). The caller owns the closing barrier
+// (sequential collective.CascadingRing ends in c.Barrier()).
 func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG, chunks int) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
@@ -175,6 +170,3 @@ func writeCascadeSegment(dst []float64, norm float64, signs []float64, fn float6
 		dst[i] = norm * signs[i] / fn
 	}
 }
-
-// The Engine wrapper (CascadingRing) lives in deprecated.go; new code
-// goes through the registry dispatcher (Engine.Run).

@@ -45,16 +45,11 @@ func ringAllGather(rk *rankCtx, next, prev, p, m int, vec tensor.Vec, segs []ten
 // 2D-torus all-reduce (the hierarchical TAR of collective.TorusAllReduce):
 // ring reduce-scatter along the rank's row, ring all-reduce along its
 // column restricted to the owned segment, ring all-gather along the row,
-// then the 1/M scaling. vec holds the element-wise mean on return. The
-// caller owns the closing barrier (the Engine uses the coordinator's
-// c.Barrier(); distributed ranks use ClockBarrier).
-func TorusAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, vec tensor.Vec) {
-	torusAllReduceRank(c, ep, tor, vec, 1)
-}
-
-// torusAllReduceRank is TorusAllReduceRank with a hop-pipelining degree
-// (the registry leg passes Opts.Chunks).
-func torusAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, vec tensor.Vec, chunks int) {
+// then the 1/M scaling. vec holds the element-wise mean on return.
+// chunks is the hop-pipelining degree (the registry leg passes
+// Opts.Chunks; 1 means one frame per hop). The caller owns the closing
+// barrier (ClockBarrier).
+func TorusAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, vec tensor.Vec, chunks int) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if tor.Size() != n {

@@ -10,12 +10,11 @@ import (
 	"marsit/internal/transport"
 )
 
-// This file is the generic collective dispatcher: one entry point runs
-// any registered collective on the engine, replacing the per-collective
-// wrapper zoo (now thin shims in deprecated.go). Open prepares the
-// per-rank runners once — stateful collectives (Marsit's compensation,
-// SSDM streams) carry their state across rounds — and Run drives one
-// round on every worker goroutine.
+// This file is the collective dispatcher: the one entry point that runs
+// a collective on the engine. Open prepares the per-rank runners once —
+// stateful collectives (Marsit's compensation, SSDM streams) carry
+// their state across rounds — and Run drives one round on every worker
+// goroutine.
 
 // Collective is a registered collective opened on an engine: one
 // prepared per-rank runner per worker goroutine. Stateful runners

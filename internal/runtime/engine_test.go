@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"marsit/internal/bitvec"
+	"marsit/internal/collective/registry"
 	"marsit/internal/core"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
@@ -13,6 +14,7 @@ import (
 	"marsit/internal/runtime/equivtest"
 	"marsit/internal/tensor"
 	"marsit/internal/topology"
+	"marsit/internal/transport"
 )
 
 // The cross-engine matrix for the collectives with a sequential
@@ -29,6 +31,35 @@ func mergeWithStreams(seed uint64, n int) runtime.MergeFunc {
 	return func(rank int, agg, local *bitvec.Vec, aw, bw int) {
 		core.MergeSigns(agg, local, aw, bw, streams[rank])
 	}
+}
+
+// oneBitAllReduce runs the per-rank one-bit entry points with a custom
+// merge on every worker of eng, through an ad-hoc descriptor opened like
+// any registered one (core.RankSync takes the same route with
+// core.MergeSigns): the ring, or the row-then-column torus schedule when
+// tor is non-nil. bits[rank] is reduced in place.
+func oneBitAllReduce(t testing.TB, eng *runtime.Engine, c *netsim.Cluster, tor *topology.Torus, bits []*bitvec.Vec, merge runtime.MergeFunc) {
+	t.Helper()
+	desc := &registry.Descriptor{
+		Name:     "onebit-custom-merge",
+		Topology: registry.Ring,
+		Caps:     registry.Caps{Torus: true},
+		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
+			return func(c *netsim.Cluster, ep transport.Endpoint, _ tensor.Vec) tensor.Vec {
+				if o.Torus != nil {
+					runtime.OneBitTorusAllReduceRank(c, ep, o.Torus, bits[rank], merge)
+				} else {
+					runtime.OneBitRingAllReduceRank(c, ep, bits[rank], merge)
+				}
+				return nil
+			}, nil
+		},
+	}
+	cl, err := eng.Open(desc, &registry.Opts{Dim: bits[0].Len(), Torus: tor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(c, make([]tensor.Vec, len(bits)))
 }
 
 func modPos(i, m int) int { return ((i % m) + m) % m }
@@ -112,7 +143,7 @@ func TestOneBitRingEquivalence(t *testing.T) {
 		c := netsim.NewCluster(n, netsim.DefaultCostModel())
 		eng := runtime.New(n)
 		defer eng.Close()
-		eng.OneBitRingAllReduce(c, bits, mergeWithStreams(99, n))
+		oneBitAllReduce(t, eng, c, nil, bits, mergeWithStreams(99, n))
 		return bits, c
 	}
 	bits1, c1 := run()
@@ -174,7 +205,7 @@ func TestOneBitTorusEquivalence(t *testing.T) {
 				c := netsim.NewCluster(n, netsim.DefaultCostModel())
 				eng := runtime.New(n)
 				defer eng.Close()
-				eng.OneBitTorusAllReduce(c, tor, bits, mergeWithStreams(5, n))
+				oneBitAllReduce(t, eng, c, tor, bits, mergeWithStreams(5, n))
 				return bits
 			}
 			got := run()
@@ -252,7 +283,7 @@ func TestWorkerPanicMidCollectiveUnmasked(t *testing.T) {
 	}()
 	bits := randBits(3, n, d)
 	c := netsim.NewCluster(n, netsim.DefaultCostModel())
-	eng.OneBitRingAllReduce(c, bits, func(rank int, agg, local *bitvec.Vec, aw, bw int) {
+	oneBitAllReduce(t, eng, c, nil, bits, func(rank int, agg, local *bitvec.Vec, aw, bw int) {
 		if rank == 2 {
 			panic("merge exploded")
 		}

@@ -147,21 +147,3 @@ func (r *rankCtx) exchangeBits(next int, out *bitvec.Vec, prev int) *bitvec.Vec 
 	transport.PutBuffer(data)
 	return in
 }
-
-// checkBits validates one bit vector per rank, all of equal length, and
-// returns the length.
-func (e *Engine) checkBits(c *netsim.Cluster, bits []*bitvec.Vec) int {
-	if c.Size() != e.n {
-		panic(fmt.Sprintf("runtime: cluster size %d != engine workers %d", c.Size(), e.n))
-	}
-	if len(bits) != e.n {
-		panic(fmt.Sprintf("runtime: %d bit vectors for %d workers", len(bits), e.n))
-	}
-	d := bits[0].Len()
-	for w, b := range bits {
-		if b.Len() != d {
-			panic(fmt.Sprintf("runtime: worker %d has %d bits, want %d", w, b.Len(), d))
-		}
-	}
-	return d
-}

@@ -292,7 +292,3 @@ func decodeSignScale(data []byte, d int) (*bitvec.Vec, float64) {
 	transport.PutBuffer(data)
 	return bits, scale
 }
-
-// The Engine wrappers for the PS family (PSAllReduce, SignMajorityPS,
-// SSDMPS, ScaledSignPS) live in deprecated.go; new code goes through
-// the registry dispatcher (Engine.Run).

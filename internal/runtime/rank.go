@@ -29,16 +29,10 @@ func checkRankCluster(c *netsim.Cluster, ep transport.Endpoint) {
 // RingAllReduceRank executes one rank's share of the full-precision ring
 // all-reduce: reduce-scatter, all-gather, 1/M scaling and the virtual-
 // time write-back. vec is the rank's local vector and holds the
-// element-wise mean on return. The caller owns the closing barrier (the
-// Engine uses the coordinator's c.Barrier(); distributed ranks use
-// ClockBarrier).
-func RingAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec) {
-	ringAllReduceRank(c, ep, vec, 1)
-}
-
-// ringAllReduceRank is RingAllReduceRank with a hop-pipelining degree
-// (the registry leg passes Opts.Chunks).
-func ringAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, chunks int) {
+// element-wise mean on return. chunks is the hop-pipelining degree (the
+// registry leg passes Opts.Chunks; 1 means one frame per hop). The
+// caller owns the closing barrier (ClockBarrier).
+func RingAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, chunks int) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	rk := newRankCtxChunks(c, ep, rank, chunks)

@@ -4,7 +4,6 @@ import (
 	"marsit/internal/collective"
 	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
-	"marsit/internal/rng"
 	"marsit/internal/tensor"
 	"marsit/internal/topology"
 	"marsit/internal/transport"
@@ -36,7 +35,7 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-				ringAllReduceRank(c, ep, grad, o.Chunks)
+				RingAllReduceRank(c, ep, grad, o.Chunks)
 				ClockBarrier(c, ep)
 				return grad
 			}, nil
@@ -57,64 +56,20 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-				torusAllReduceRank(c, ep, o.Torus, grad, o.Chunks)
+				TorusAllReduceRank(c, ep, o.Torus, grad, o.Chunks)
 				ClockBarrier(c, ep)
 				return grad
 			}, nil
 		},
 	})
 
-	registry.Register(registry.Descriptor{
+	registry.Register(SignVote(registry.Descriptor{
 		Name:     "signsum",
 		Summary:  "majority-vote signSGD over the sign-sum ring or torus",
 		Topology: registry.Ring,
 		Wire:     "ceil(log2 m)+1 bits/elem, optionally Elias-coded",
 		Caps:     registry.Caps{Elias: true, Torus: true, Chunked: true},
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
-				n, d := len(grads), len(grads[0])
-				signs := make([][]float64, n)
-				scales := make([]float64, n)
-				for w, g := range grads {
-					signs[w], scales[w] = signScale(g)
-					c.AddCompress(w, d)
-				}
-				var sums []int64
-				var total float64
-				if o.Torus != nil {
-					sums, total = collective.SignSumTorus(c, o.Torus, signs, scales, o.Elias)
-				} else {
-					sums, total = collective.SignSumRing(c, signs, scales, o.Elias)
-				}
-				update := collective.MajorityDecode(sums, total, n)
-				outs := make([]tensor.Vec, n)
-				for w := 0; w < n; w++ {
-					outs[w] = update
-					c.AddDecompress(w, d)
-				}
-				c.Barrier()
-				return outs
-			}, nil
-		},
-		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-				d := len(grad)
-				signs, scale := signScale(grad)
-				c.AddCompress(rank, d)
-				var sums []int64
-				var total float64
-				if o.Torus != nil {
-					sums, total = signSumTorusRank(c, ep, o.Torus, signs, scale, o.Elias, o.Chunks)
-				} else {
-					sums, total = signSumRingRank(c, ep, signs, scale, o.Elias, o.Chunks)
-				}
-				update := collective.MajorityDecode(sums, total, ep.Size())
-				c.AddDecompress(rank, d)
-				ClockBarrier(c, ep)
-				return update
-			}, nil
-		},
-	})
+	}, false, false))
 
 	registry.Register(registry.Descriptor{
 		Name:     "ssdm",
@@ -315,48 +270,15 @@ func init() {
 		},
 	})
 
-	registry.Register(registry.Descriptor{
+	registry.Register(SignVote(registry.Descriptor{
 		Name:     "ps-scaledsign",
 		Summary:  "norm-weighted sign push-pull under PS (train-layer exchange)",
 		Topology: registry.PS,
 		Wire:     "1 bit/elem up, 4 B/elem down",
 		Caps:     registry.Caps{PSFamily: true},
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
-				n, d := len(grads), len(grads[0])
-				update := make(tensor.Vec, d)
-				for _, g := range grads {
-					signs, scale := signScale(g)
-					for i := 0; i < d; i++ {
-						update[i] += scale * signs[i]
-					}
-				}
-				tensor.Scale(update, 1/float64(n))
-				up := make([]int, n)
-				down := make([]int, n)
-				for w := range up {
-					up[w] = collective.SignWireBytes(d)
-					down[w] = collective.DenseWireBytes(d)
-				}
-				collective.HubPushPull(c, up, down)
-				outs := make([]tensor.Vec, n)
-				for w := range outs {
-					outs[w] = update
-				}
-				return outs
-			}, nil
-		},
-		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-				signs, scale := signScale(grad)
-				return ScaledSignPSRank(c, ep, signs, scale)
-			}, nil
-		},
-	})
+	}, false, false))
 }
 
-// signScale is the deterministic signSGD compression every sign
-// transport shares: the ±1 sign vector and the ℓ1/D magnitude.
 // powerRankOrDefault resolves Opts.PowerRank (0 means the canonical
 // PowerSGD rank 2).
 func powerRankOrDefault(o *registry.Opts) int {
@@ -364,18 +286,4 @@ func powerRankOrDefault(o *registry.Opts) int {
 		return o.PowerRank
 	}
 	return 2
-}
-
-func signScale(g tensor.Vec) ([]float64, float64) {
-	signs := make([]float64, len(g))
-	tensor.SignVec(signs, g)
-	return signs, tensor.Norm1(g) / float64(len(g))
-}
-
-// Streams derives n canonical per-rank compression streams for a seed —
-// a convenience re-export of the registry derivation for callers that
-// manage streams themselves.
-func Streams(seed uint64, n int) []*rng.PCG {
-	o := registry.Opts{Workers: n, Seed: seed}
-	return o.AllStreams()
 }

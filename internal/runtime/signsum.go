@@ -232,18 +232,13 @@ func signSumPhase(rk *rankCtx, next, prev, p, m int, sums []int64, baseCount int
 	return scalesByPos
 }
 
-// SignSumRingRank executes one rank's share of the sign-sum ring:
+// signSumRingRank executes one rank's share of the sign-sum ring:
 // signs holds the rank's ±1 vector, scale its scaling constant (ℓ2 norm
 // for SSDM, ℓ1/D for signSGD). It returns the consensus per-coordinate
 // sums and the total scale over all ranks, both identical on every rank
-// and bit-identical to collective.SignSumRing. The caller owns any
-// closing barrier.
-func SignSumRingRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64, scale float64, useElias bool) ([]int64, float64) {
-	return signSumRingRank(c, ep, signs, scale, useElias, 1)
-}
-
-// signSumRingRank is SignSumRingRank with a hop-pipelining degree (the
-// registry leg passes Opts.Chunks).
+// and bit-identical to collective.SignSumRing. chunks is the
+// hop-pipelining degree (Opts.Chunks). The caller owns any closing
+// barrier.
 func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64, scale float64, useElias bool, chunks int) ([]int64, float64) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
@@ -263,15 +258,9 @@ func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64, 
 	return sums, total
 }
 
-// SignSumTorusRank is SignSumRingRank over a 2D torus: a row-ring phase
+// signSumTorusRank is signSumRingRank over a 2D torus: a row-ring phase
 // first, then a column-ring phase whose payload width starts at the row
 // width — exactly the hierarchical schedule of collective.SignSumTorus.
-func SignSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, signs []float64, scale float64, useElias bool) ([]int64, float64) {
-	return signSumTorusRank(c, ep, tor, signs, scale, useElias, 1)
-}
-
-// signSumTorusRank is SignSumTorusRank with a hop-pipelining degree
-// (the registry leg passes Opts.Chunks).
 func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, signs []float64, scale float64, useElias bool, chunks int) ([]int64, float64) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
@@ -307,19 +296,13 @@ func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.To
 	return sums, total
 }
 
-// OverflowRingRank executes one rank's share of the "SSDM (Overflow)"
+// overflowRingRank executes one rank's share of the "SSDM (Overflow)"
 // baseline: SSDM-compress once, circulate integer sign sums with
 // bit-width expansion (± Elias), and decode with the mean norm standing
 // in for per-worker norms. vec is replaced by the decoded estimate. r
 // must be the rank's own SSDM stream, consumed exactly as the
 // sequential engine would. The caller owns the closing barrier
 // (sequential collective.OverflowRing ends in c.Barrier()).
-func OverflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG, useElias bool) {
-	overflowRingRank(c, ep, vec, r, useElias, 1)
-}
-
-// overflowRingRank is OverflowRingRank with a hop-pipelining degree
-// (the registry leg passes Opts.Chunks).
 func overflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG, useElias bool, chunks int) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
@@ -336,7 +319,3 @@ func overflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, 
 	}
 	c.AddDecompress(rank, d)
 }
-
-// The Engine wrappers for the sign-sum family (SignSumRing,
-// SignSumTorus, OverflowRing) live in deprecated.go; new code goes
-// through the registry dispatcher (Engine.Run).

@@ -1,0 +1,152 @@
+package runtime
+
+import (
+	"marsit/internal/collective"
+	"marsit/internal/collective/registry"
+	"marsit/internal/netsim"
+	"marsit/internal/tensor"
+	"marsit/internal/transport"
+)
+
+// This file states the sign-vote family once. signSGD, EF-signSGD and
+// SSDM over the ring, the torus or the parameter server all run the
+// same round —
+//
+//	rank-local compress → exchange → decode → barrier
+//
+// — and differ only in how a rank compresses and in which exchange
+// carries the signs. SignVote builds both execution legs of that round
+// for any member; the registered "signsum" and "ps-scaledsign"
+// collectives are its default (plain signSGD) members, and
+// internal/train derives ef-signsgd and ssdm from the same two bases.
+
+// SignVote returns base with both legs replaced by a sign-vote round.
+//
+// Compression is deterministic signSGD (±1 signs, ℓ1/D scale) or, with
+// stochastic set, SSDM (signs drawn from the rank's Opts stream, ℓ2-norm
+// scale). errorFeedback carries EF-signSGD's per-rank residual
+// e ← (g + e) − scale·signs across rounds and compresses g + e.
+//
+// The exchange follows base: a PS topology pushes signs and scale to
+// the rank-0 hub and pulls the dense norm-weighted mean; otherwise the
+// integer sign sums travel the bit-width-expansion ring (the torus when
+// Opts.Torus is set; ± Opts.Elias, Opts.Chunks) and decode by majority
+// vote — or linearly, mean scale × mean sign, once the signs are
+// stochastic or error-corrected. Every rank is charged the packing and
+// the decode, and the round ends in a barrier.
+func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry.Descriptor {
+	ps := base.Topology == registry.PS
+	decode := collective.MajorityDecode
+	if stochastic || errorFeedback {
+		decode = linearDecode
+	}
+	compressor := func(o *registry.Opts, rank int) func(tensor.Vec) ([]float64, float64) {
+		compress := signScale
+		if stochastic {
+			stream := o.Stream(rank)
+			compress = func(g tensor.Vec) ([]float64, float64) { return collective.SSDMSigns(g, stream) }
+		}
+		if !errorFeedback {
+			return compress
+		}
+		residual, corrected := tensor.New(o.Dim), tensor.New(o.Dim)
+		return func(g tensor.Vec) ([]float64, float64) {
+			copy(corrected, g)
+			tensor.Add(corrected, residual)
+			signs, scale := compress(corrected)
+			for i := range residual {
+				residual[i] = corrected[i] - scale*signs[i]
+			}
+			return signs, scale
+		}
+	}
+
+	base.NewSeq = func(o *registry.Opts) (registry.SeqRunner, error) {
+		n := o.Workers
+		compress := make([]func(tensor.Vec) ([]float64, float64), n)
+		for w := range compress {
+			compress[w] = compressor(o, w)
+		}
+		return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+			d := len(grads[0])
+			signs := make([][]float64, n)
+			scales := make([]float64, n)
+			for w, g := range grads {
+				signs[w], scales[w] = compress[w](g)
+				c.AddCompress(w, d)
+			}
+			var update tensor.Vec
+			switch {
+			case ps:
+				update = tensor.New(d)
+				for w := range signs {
+					for i := range update {
+						update[i] += scales[w] * signs[w][i]
+					}
+				}
+				tensor.Scale(update, 1/float64(n))
+				up, down := make([]int, n), make([]int, n)
+				for w := range up {
+					up[w], down[w] = collective.SignWireBytes(d), collective.DenseWireBytes(d)
+				}
+				collective.HubPushPull(c, up, down)
+			case o.Torus != nil:
+				sums, total := collective.SignSumTorus(c, o.Torus, signs, scales, o.Elias)
+				update = decode(sums, total, n)
+			default:
+				sums, total := collective.SignSumRing(c, signs, scales, o.Elias)
+				update = decode(sums, total, n)
+			}
+			outs := make([]tensor.Vec, n)
+			for w := range outs {
+				outs[w] = update
+				c.AddDecompress(w, d)
+			}
+			c.Barrier()
+			return outs
+		}, nil
+	}
+	base.NewRank = func(o *registry.Opts, rank int) (registry.RankRunner, error) {
+		compress := compressor(o, rank)
+		return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			d := len(grad)
+			signs, scale := compress(grad)
+			c.AddCompress(rank, d)
+			var update tensor.Vec
+			switch {
+			case ps:
+				update = ScaledSignPSRank(c, ep, signs, scale)
+			case o.Torus != nil:
+				sums, total := signSumTorusRank(c, ep, o.Torus, signs, scale, o.Elias, o.Chunks)
+				update = decode(sums, total, ep.Size())
+			default:
+				sums, total := signSumRingRank(c, ep, signs, scale, o.Elias, o.Chunks)
+				update = decode(sums, total, ep.Size())
+			}
+			c.AddDecompress(rank, d)
+			ClockBarrier(c, ep)
+			return update
+		}, nil
+	}
+	return base
+}
+
+// signScale is the deterministic signSGD compression every sign
+// transport shares: the ±1 sign vector and the ℓ1/D magnitude.
+func signScale(g tensor.Vec) ([]float64, float64) {
+	signs := make([]float64, len(g))
+	tensor.SignVec(signs, g)
+	return signs, tensor.Norm1(g) / float64(len(g))
+}
+
+// linearDecode is the decode of stochastic or error-corrected sign
+// sums, where a majority vote would discard the magnitudes the signs
+// encode: mean scale × mean sign, per coordinate.
+func linearDecode(sums []int64, totalScale float64, workers int) tensor.Vec {
+	meanScale := totalScale / float64(workers)
+	out := make(tensor.Vec, len(sums))
+	for i, s := range sums {
+		out[i] = meanScale * float64(s) / float64(workers)
+	}
+	return out
+}

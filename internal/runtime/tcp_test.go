@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"marsit/internal/bitvec"
+	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
 	"marsit/internal/runtime"
@@ -40,7 +41,7 @@ func TestTCPOneBitRingEquivalence(t *testing.T) {
 		defer eng.Close()
 		bits := randBits(7, n, d)
 		c := netsim.NewCluster(n, netsim.DefaultCostModel())
-		eng.OneBitRingAllReduce(c, bits, mergeWithStreams(99, n))
+		oneBitAllReduce(t, eng, c, nil, bits, mergeWithStreams(99, n))
 		return bits, c
 	}
 	tcpBits, tcpC := run(newTCPEngine(t, n))
@@ -70,13 +71,21 @@ func TestTCPEngineLargePayload(t *testing.T) {
 	loopC := netsim.NewCluster(n, netsim.DefaultCostModel())
 	tcpC := netsim.NewCluster(n, netsim.DefaultCostModel())
 
+	rar, err := registry.Get("rar")
+	if err != nil {
+		t.Fatal(err)
+	}
 	loop := runtime.New(n)
 	defer loop.Close()
-	loop.RingAllReduce(loopC, loopV)
+	if _, err := loop.Run(loopC, rar, &registry.Opts{}, loopV); err != nil {
+		t.Fatal(err)
+	}
 
 	eng := newTCPEngine(t, n)
 	defer eng.Close()
-	eng.RingAllReduce(tcpC, tcpV)
+	if _, err := eng.Run(tcpC, rar, &registry.Opts{}, tcpV); err != nil {
+		t.Fatal(err)
+	}
 
 	equivtest.RequireSameVecs(t, loopV, tcpV)
 	equivtest.RequireSameClusters(t, loopC, tcpC)

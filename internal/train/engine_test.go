@@ -1,35 +1,68 @@
 package train
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	gort "runtime"
 	"testing"
 )
 
-// TestEngineEquivalence trains every method on both execution engines —
-// including the compressed sign-sum transports, cascading SSDM and the
-// PS hub forms ported in this series — and asserts the recorded metric
-// series is identical point for point — loss, simulated time, wire
-// megabytes and matching rate — so the parallel engine changes
-// wall-clock behaviour only.
+// seriesHash digests a run's full metric series — every Point's loss,
+// simulated time, wire megabytes and matching rate, bit for bit, plus
+// the final accuracy — into one comparable token.
+func seriesHash(res *Result) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(x float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	for _, p := range res.Points {
+		put(float64(p.Round))
+		put(p.Loss)
+		put(p.SimTime)
+		put(p.MB)
+		put(p.MatchRate)
+	}
+	put(res.FinalAcc)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestEngineEquivalence trains every method the trainer supports on
+// both execution engines — the compressed sign-sum transports in all
+// their ring/torus/PS forms, cascading SSDM and the PS hub — and
+// asserts the recorded metric series is identical point for point —
+// loss, simulated time, wire megabytes and matching rate — so the
+// parallel engine changes wall-clock behaviour only. The golden column
+// pins the numbers themselves: it is the seriesHash of the sequential
+// run recorded before the sign-vote family and Marsit's parallel form
+// moved onto registry descriptors, and both engines must still
+// reproduce it.
 func TestEngineEquivalence(t *testing.T) {
 	cases := []struct {
 		method Method
 		topo   Topo
 		elias  bool
+		golden string
 	}{
-		{method: MethodPSGD, topo: TopoRing},
-		{method: MethodPSGD, topo: TopoTorus},
-		{method: MethodPSGD, topo: TopoPS},
-		{method: MethodMarsit, topo: TopoRing},
-		{method: MethodMarsit, topo: TopoTorus},
-		{method: MethodSignSGD, topo: TopoRing},
-		{method: MethodSignSGD, topo: TopoPS},
-		{method: MethodEFSignSGD, topo: TopoRing},
-		{method: MethodSSDM, topo: TopoRing},
-		{method: MethodSSDM, topo: TopoRing, elias: true},
-		{method: MethodSSDM, topo: TopoTorus},
-		{method: MethodSSDM, topo: TopoPS},
-		{method: MethodCascading, topo: TopoRing},
+		{method: MethodPSGD, topo: TopoRing, golden: "6ee0043c9261efef"},
+		{method: MethodPSGD, topo: TopoTorus, golden: "e1d43f48200c59d8"},
+		{method: MethodPSGD, topo: TopoPS, golden: "26be245e5da41e21"},
+		{method: MethodMarsit, topo: TopoRing, golden: "eb072f4bc8e62df9"},
+		{method: MethodMarsit, topo: TopoTorus, golden: "b239e7685e5bfec2"},
+		{method: MethodSignSGD, topo: TopoRing, golden: "5929256651f4627c"},
+		{method: MethodSignSGD, topo: TopoTorus, golden: "c7a24ef79feb40d8"},
+		{method: MethodSignSGD, topo: TopoPS, golden: "3dbf6bdc09ef20bd"},
+		{method: MethodEFSignSGD, topo: TopoRing, golden: "166c2d817e6fcfb8"},
+		{method: MethodEFSignSGD, topo: TopoTorus, golden: "dd9cdb65f60702fc"},
+		{method: MethodEFSignSGD, topo: TopoPS, golden: "82ccadce1cf53a6b"},
+		{method: MethodSSDM, topo: TopoRing, golden: "cb4d146002741cd3"},
+		{method: MethodSSDM, topo: TopoRing, elias: true, golden: "5810482312fbc127"},
+		{method: MethodSSDM, topo: TopoTorus, golden: "bdff5c36d773e713"},
+		{method: MethodSSDM, topo: TopoPS, golden: "1afd0df63fd6cc25"},
+		{method: MethodCascading, topo: TopoRing, golden: "826b9d6f1872f280"},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s_%s", tc.method, tc.topo)
@@ -67,6 +100,15 @@ func TestEngineEquivalence(t *testing.T) {
 			}
 			if seqRes.FinalAcc != parRes.FinalAcc {
 				t.Fatalf("final acc: seq %v, par %v", seqRes.FinalAcc, parRes.FinalAcc)
+			}
+			if gort.GOARCH != "amd64" {
+				return // the hashes pin float bits; other targets fuse multiply-adds
+			}
+			if got := seriesHash(seqRes); got != tc.golden {
+				t.Errorf("seq series hash %s, recorded %q", got, tc.golden)
+			}
+			if got := seriesHash(parRes); got != tc.golden {
+				t.Errorf("par series hash %s, recorded %q", got, tc.golden)
 			}
 		})
 	}

@@ -17,18 +17,22 @@
 // seconds, megabytes on the wire, matching rate, and the per-phase time
 // breakdown.
 //
-// Collectives execute on one of two engines (Config.Engine): the
-// single-threaded lock-step loop, or the concurrent engine of
-// internal/runtime with one goroutine per worker. Both produce
-// bit-identical metric series for the ported methods; see EngineSeq and
-// EnginePar.
+// Every method synchronizes through one path: Run resolves the method
+// to a registry descriptor (psgd, cascading and raw collectives map to
+// theirs one-to-one; the sign-vote family — signsgd, ef-signsgd, ssdm —
+// is runtime.SignVote around the topology's exchange collective) and
+// opens it once, on the engine Config.Engine names, through
+// core.OpenCollective: the single-threaded lock-step leg, or the
+// concurrent engine of internal/runtime with one goroutine per worker.
+// marsit runs the stateful core.Marsit, whose Parallel form opens its
+// per-rank legs through the same helper. Both engines produce
+// bit-identical metric series; see EngineSeq and EnginePar.
 package train
 
 import (
 	"fmt"
 	"math"
 
-	"marsit/internal/collective"
 	"marsit/internal/collective/registry"
 	"marsit/internal/core"
 	"marsit/internal/data"
@@ -209,10 +213,9 @@ func MethodNames() []Method {
 
 // CollectiveFor maps a paper method and topology to the registry
 // collective that carries its exchange — the single source the trainer
-// dispatches and validates from (and the conformance tests audit). The
-// sign-vote family layers compression and error feedback above its
-// exchange collective; psgd and cascading are their collectives
-// one-to-one.
+// dispatches and validates from (and the conformance tests audit).
+// psgd, cascading and signsgd are their collectives one-to-one;
+// ef-signsgd and ssdm re-compress around signsgd's (methodDescriptor).
 func CollectiveFor(m Method, t Topo) (string, bool) {
 	if t == "" {
 		t = TopoRing
@@ -227,21 +230,12 @@ func CollectiveFor(m Method, t Topo) (string, bool) {
 		case TopoPS:
 			return "ps", true
 		}
-	case MethodSignSGD, MethodEFSignSGD:
+	case MethodSignSGD, MethodEFSignSGD, MethodSSDM:
 		switch t {
 		case TopoRing, TopoTorus:
 			return "signsum", true
 		case TopoPS:
 			return "ps-scaledsign", true
-		}
-	case MethodSSDM:
-		switch t {
-		case TopoRing:
-			return "ssdm", true
-		case TopoTorus:
-			return "signsum", true
-		case TopoPS:
-			return "ps-ssdm", true
 		}
 	case MethodCascading:
 		if t == TopoRing {
@@ -275,18 +269,18 @@ func MethodHelp() string {
 	return names + ", or a raw collective: " + registry.FlagHelp()
 }
 
-// dispatchCollective reports the registry collective Run drives
-// generically for a method: psgd and cascading (one-to-one with their
-// collectives) and every raw registry method. The sign-vote family and
-// marsit return false — they layer compression state and schedule
-// decisions around their exchange collectives.
-func dispatchCollective(m Method, t Topo) (string, bool) {
-	switch m {
-	case MethodSignSGD, MethodEFSignSGD, MethodSSDM, MethodMarsit:
-		return "", false
-	default:
-		return CollectiveFor(m, t)
+// methodDescriptor resolves a validated non-marsit method to the
+// descriptor Run opens: the registered collective of CollectiveFor, with
+// runtime.SignVote re-building it around their own compression for the
+// two sign-vote methods that are not plain signSGD.
+func methodDescriptor(m Method, t Topo) (*registry.Descriptor, error) {
+	name, _ := CollectiveFor(m, t)
+	desc, err := registry.Get(name)
+	if err != nil || (m != MethodEFSignSGD && m != MethodSSDM) {
+		return desc, err
 	}
+	vote := runtime.SignVote(*desc, m == MethodSSDM, m == MethodEFSignSGD)
+	return &vote, nil
 }
 
 func (cfg *Config) validate() error {
@@ -416,53 +410,16 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	// One synchronizer for the whole run, opened up front so per-round
+	// state (compensation, SSDM streams, EF residuals) carries across
+	// rounds: it consumes private copies of the round's gradients and
+	// returns the update every worker applies. fullSyncNext reports a
+	// Marsit full-precision round ahead (the learning-rate schedule).
 	parallel := cfg.Engine == EnginePar
-
-	// The concurrent engine backs every non-Marsit method's collectives
-	// (Marsit owns its engine through core.Config.Parallel below).
-	var rtEngine *runtime.Engine
-	if parallel && cfg.Method != MethodMarsit {
-		rtEngine, err = core.NewParallelEngine(cfg.Workers, cfg.Transport)
-		if err != nil {
-			return nil, err
-		}
-		defer rtEngine.Close()
-	}
-
-	// psgd, cascading and raw registry methods dispatch through the
-	// collective registry: one runner opened up front carries any
-	// per-round state (SSDM streams, compensation) across rounds. The
-	// sign-vote family and marsit keep their layered paths below.
-	var collSeq registry.SeqRunner
-	var collPar *runtime.Collective
-	if name, ok := dispatchCollective(cfg.Method, cfg.Topo); ok {
-		desc, derr := registry.Get(name)
-		if derr != nil {
-			return nil, derr
-		}
-		o := &registry.Opts{
-			Workers: cfg.Workers, Dim: d, Seed: cfg.Seed,
-			K: cfg.K, GlobalLR: cfg.GlobalLR, Streams: ssdmRNGs,
-			// Elias applies only where the descriptor supports it, the
-			// trainer's historical leniency for full-precision methods.
-			Elias: cfg.UseElias && desc.Caps.Elias,
-		}
-		if cfg.Topo == TopoTorus {
-			o.Torus = tor
-		}
-		if rtEngine != nil {
-			collPar, err = rtEngine.Open(desc, o)
-		} else {
-			collSeq, err = desc.Seq(o)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var marsit *core.Marsit
+	var sync func(grads []tensor.Vec) tensor.Vec
+	fullSyncNext := func() bool { return false }
 	if cfg.Method == MethodMarsit {
-		marsit, err = core.New(core.Config{
+		marsit, err := core.New(core.Config{
 			Workers:             cfg.Workers,
 			Dim:                 d,
 			K:                   cfg.K,
@@ -477,13 +434,31 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		defer marsit.Close()
-	}
-	var efState []*compressEF
-	if cfg.Method == MethodEFSignSGD {
-		efState = make([]*compressEF, cfg.Workers)
-		for w := range efState {
-			efState[w] = newCompressEF(d)
+		fullSyncNext = marsit.FullPrecisionNext
+		sync = func(scaled []tensor.Vec) tensor.Vec {
+			for _, g := range scaled {
+				tensor.Scale(g, cfg.LocalLR)
+			}
+			return marsit.Sync(cluster, scaled)
 		}
+	} else {
+		desc, err := methodDescriptor(cfg.Method, cfg.Topo)
+		if err != nil {
+			return nil, err
+		}
+		o := &registry.Opts{
+			Workers: cfg.Workers, Dim: d, Seed: cfg.Seed,
+			K: cfg.K, GlobalLR: cfg.GlobalLR, Torus: tor, Streams: ssdmRNGs,
+			// Elias applies only where the descriptor supports it, the
+			// trainer's historical leniency for full-precision methods.
+			Elias: cfg.UseElias && desc.Caps.Elias,
+		}
+		run, release, err := core.OpenCollective(desc, o, parallel, cfg.Transport)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		sync = func(work []tensor.Vec) tensor.Vec { return run(cluster, work)[0] }
 	}
 
 	res := &Result{Config: cfg, Params: d}
@@ -526,35 +501,8 @@ func Run(cfg Config) (*Result, error) {
 		tensor.Scale(trueMean, 1/float64(cfg.Workers))
 
 		// Synchronize.
-		var update tensor.Vec
-		fullSync := false
-		switch cfg.Method {
-		case MethodSignSGD:
-			update = signVoteSync(cluster, cfg, tor, rtEngine, grads, ssdmRNGs, false, nil)
-		case MethodEFSignSGD:
-			update = signVoteSync(cluster, cfg, tor, rtEngine, grads, ssdmRNGs, false, efState)
-		case MethodSSDM:
-			update = signVoteSync(cluster, cfg, tor, rtEngine, grads, ssdmRNGs, true, nil)
-		case MethodMarsit:
-			fullSync = marsit.FullPrecisionNext()
-			scaled := make([]tensor.Vec, cfg.Workers)
-			for w := range scaled {
-				scaled[w] = tensor.Clone(grads[w])
-				tensor.Scale(scaled[w], cfg.LocalLR)
-			}
-			update = marsit.Sync(cluster, scaled)
-		default:
-			// psgd, cascading and raw registry methods: synchronize the
-			// cloned gradients through the opened collective.
-			work := cloneAll(grads)
-			var outs []tensor.Vec
-			if collPar != nil {
-				outs = collPar.Run(cluster, work)
-			} else {
-				outs = collSeq(cluster, work)
-			}
-			update = outs[0]
-		}
+		fullSync := fullSyncNext()
+		update := sync(cloneAll(grads))
 
 		match := tensor.MatchRate(update, trueMean)
 		opt.Step(model.Params(), update)
@@ -599,127 +547,6 @@ func Run(cfg Config) (*Result, error) {
 	res.TotalMB = float64(cluster.TotalBytes()) / 1e6
 	res.Breakdown = cluster.MeanBreakdown()
 	return res, nil
-}
-
-// signVoteSync implements the three sign-sum-transport baselines. With
-// ssdm true the signs are stochastic (SSDM); otherwise deterministic
-// signSGD, optionally with per-worker error feedback (efState non-nil).
-// Under MAR the sums travel with bit-width expansion; under PS the hub
-// push–pull carries 1-bit signs up and a dense mean down. A non-nil eng
-// runs the compression shard-local on the worker goroutines and the
-// exchange on the concurrent engine (sign-sum rings, or the rank-0
-// hub actor under PS) with bit-identical results and accounting.
-func signVoteSync(cluster *netsim.Cluster, cfg Config, tor *topology.Torus, eng *runtime.Engine, grads []tensor.Vec, rs []*rng.PCG, ssdm bool, efState []*compressEF) tensor.Vec {
-	n := cfg.Workers
-	d := len(grads[0])
-	signs := make([][]float64, n)
-	scales := make([]float64, n)
-	compress := func(w int) {
-		src := grads[w]
-		if efState != nil {
-			src = efState[w].corrected(grads[w])
-		}
-		if ssdm {
-			signs[w], scales[w] = collective.SSDMSigns(src, rs[w])
-		} else {
-			signs[w] = make([]float64, d)
-			tensor.SignVec(signs[w], src)
-			scales[w] = tensor.Norm1(src) / float64(d)
-		}
-		cluster.AddCompress(w, d)
-		if efState != nil {
-			efState[w].update(src, signs[w], scales[w])
-		}
-	}
-	if eng != nil {
-		// Shard-local: each worker touches only its own signs/scales
-		// entry, RNG stream, EF residual and cluster charges.
-		eng.ParallelFor(compress)
-	} else {
-		for w := 0; w < n; w++ {
-			compress(w)
-		}
-	}
-
-	var update tensor.Vec
-	if cfg.Topo == TopoPS {
-		// Hub aggregation: signs+scale up, dense mean down (majority
-		// semantics for deterministic signs, norm-weighted for SSDM).
-		if eng != nil {
-			update = eng.ScaledSignPS(cluster, signs, scales)
-		} else {
-			update = tensor.New(d)
-			for w := 0; w < n; w++ {
-				for i := 0; i < d; i++ {
-					update[i] += scales[w] * signs[w][i]
-				}
-			}
-			tensor.Scale(update, 1/float64(n))
-			up := make([]int, n)
-			down := make([]int, n)
-			for w := range up {
-				up[w] = collective.SignWireBytes(d)
-				down[w] = collective.DenseWireBytes(d)
-			}
-			collective.HubPushPull(cluster, up, down)
-		}
-	} else {
-		var sums []int64
-		var totalScale float64
-		switch {
-		case cfg.Topo == TopoTorus && eng != nil:
-			sums, totalScale = eng.SignSumTorus(cluster, tor, signs, scales, cfg.UseElias)
-		case cfg.Topo == TopoTorus:
-			sums, totalScale = collective.SignSumTorus(cluster, tor, signs, scales, cfg.UseElias)
-		case eng != nil:
-			sums, totalScale = eng.SignSumRing(cluster, signs, scales, cfg.UseElias)
-		default:
-			sums, totalScale = collective.SignSumRing(cluster, signs, scales, cfg.UseElias)
-		}
-		if ssdm || efState != nil {
-			// Linear decode: mean scale × mean sign sum.
-			update = tensor.New(d)
-			meanScale := totalScale / float64(n)
-			for i := 0; i < d; i++ {
-				update[i] = meanScale * float64(sums[i]) / float64(n)
-			}
-		} else {
-			// Majority vote: sign of the sum, scaled by the mean
-			// magnitude.
-			update = collective.MajorityDecode(sums, totalScale, n)
-		}
-	}
-	for w := 0; w < n; w++ {
-		cluster.AddDecompress(w, d)
-	}
-	cluster.Barrier()
-	return update
-}
-
-// compressEF carries the per-worker error-feedback residual of
-// EF-signSGD: e ← (g + e) − transmitted.
-type compressEF struct {
-	residual tensor.Vec
-	buf      tensor.Vec
-}
-
-func newCompressEF(d int) *compressEF {
-	return &compressEF{residual: tensor.New(d), buf: tensor.New(d)}
-}
-
-// corrected returns g + e (into an internal buffer; valid until the
-// next call).
-func (e *compressEF) corrected(g tensor.Vec) tensor.Vec {
-	copy(e.buf, g)
-	tensor.Add(e.buf, e.residual)
-	return e.buf
-}
-
-// update sets e ← corrected − scale·signs.
-func (e *compressEF) update(corrected tensor.Vec, signs []float64, scale float64) {
-	for i := range e.residual {
-		e.residual[i] = corrected[i] - scale*signs[i]
-	}
 }
 
 func cloneAll(vecs []tensor.Vec) []tensor.Vec {

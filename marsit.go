@@ -54,6 +54,15 @@
 //     (TransportHybrid); cmd/marsit-node stretches the wire fabrics
 //     across processes and machines.
 //
+// Either way a collective starts from its registry descriptor, and in
+// one place: the descriptor's sequential leg, or the descriptor opened
+// on an engine (Engine.Open, then Collective.Run every round) with one
+// per-rank runner per worker goroutine. Run and the trainer pick between
+// the two in a single helper, and a Marsit with Config.Parallel is the
+// same thing for Algorithm 1: one per-rank synchronizer per worker — the
+// form a marsit-node process hosts — driven on an engine, while the
+// sequential Marsit is the lock-step statement the figures use.
+//
 // The parallel engine charges the same α–β costs as the sequential one
 // (each packet carries the sender's virtual clock, reproducing netsim's
 // cut-through arithmetic), so synchronization results, wire bytes and
@@ -109,9 +118,10 @@ type CostModel = netsim.CostModel
 type Vec = tensor.Vec
 
 // Engine is the concurrent execution engine: one goroutine per worker,
-// exchanging messages over a pluggable transport. Engine.Run executes
+// exchanging messages over a pluggable transport. Engine.Open prepares
 // any registered collective (resolve a descriptor through
-// internal/collective/registry); ParallelFor runs shard-local work.
+// internal/collective/registry) for a multi-round job and Engine.Run
+// executes a single round; ParallelFor runs shard-local work.
 // Every collective reproduces the sequential engine's results, wire
 // bytes and α–β virtual clocks bit for bit over both fabric backends
 // (the generated matrix in internal/runtime/equivtest enforces this).
@@ -274,22 +284,16 @@ func Run(name string, grads []Vec, opts ...RunOption) ([]Vec, error) {
 		return nil, fmt.Errorf("marsit: cluster of %d workers for %d gradient vectors", c.Size(), n)
 	}
 	switch rc.engine {
-	case EngineSeq, "":
-		run, err := desc.Seq(o)
-		if err != nil {
-			return nil, err
-		}
-		return run(c, grads), nil
-	case EnginePar:
-		eng, err := core.NewParallelEngine(n, rc.transport)
-		if err != nil {
-			return nil, err
-		}
-		defer eng.Close()
-		return eng.Run(c, desc, o, grads)
+	case EngineSeq, EnginePar, "":
 	default:
 		return nil, fmt.Errorf("marsit: unknown engine %q", rc.engine)
 	}
+	run, release, err := core.OpenCollective(desc, o, rc.engine == EnginePar, rc.transport)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	return run(c, grads), nil
 }
 
 // CollectiveInfo describes one registered collective.
