@@ -4,18 +4,14 @@
 #                          + no-shims guard (what CI runs)
 #   make race              race-detector pass over the concurrency-bearing
 #                          packages
-#   make bench             engine benchmarks (sequential vs parallel speedup)
-#   make bench-json        perf record: seq-vs-par ns/op, B/op, allocs/op per
-#                          collective × fabric, written to BENCH_6.json
-#                          (see docs/performance.md for the format)
 #   make benchmark W=<w>   the repository's benchmark (BENCHMARK.json): one
 #                          workload of benchmark/run.sh — ring_marsit,
 #                          ring_rar, mix_shm, train_marsit or fleet_tcp —
 #                          with SEED, SECS and TRACE passed through; the
 #                          basis of every performance claim
 #                          (see docs/performance.md)
-#   make bench-smoke       every benchmark once (-benchtime=1x) so perf-path
-#                          code is compiled and executed on every PR
+#   make bench-smoke       the kernel micro-benchmarks once (-benchtime=1x) so
+#                          they are compiled and executed on every PR
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
 #                          word-parallel bitvec/Elias kernels vs their scalar
 #                          oracles, and the PowerSGD Gram–Schmidt
@@ -50,7 +46,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json benchmark bench-smoke fuzz-smoke list-collectives no-shims tcp-demo shm-demo tree-demo trace-demo calib-demo service-demo
+.PHONY: check fmt vet build test race benchmark bench-smoke fuzz-smoke list-collectives no-shims tcp-demo shm-demo tree-demo trace-demo calib-demo service-demo
 
 check: fmt vet build test list-collectives no-shims
 
@@ -74,27 +70,9 @@ test:
 # exactly the code the race detector must see.
 race:
 	$(GO) test -race . ./internal/runtime/... ./internal/transport/... \
-		./internal/transport/shm/... ./internal/transport/hybrid/... \
 		./internal/core/... ./internal/rng/... ./internal/train/... \
 		./internal/node/... ./internal/collective/registry/... \
 		./internal/obs/... ./internal/calib/... ./internal/service/...
-
-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine' -benchmem .
-
-# bench-json emits the machine-readable perf record every future perf PR
-# is judged against: wall-clock ns/op, B/op and allocs/op for the
-# sequential engine vs the parallel engine over loopback, TCP, shm and
-# hybrid, per collective, with the parallel outputs cross-checked bit
-# for bit against the sequential engine before timing. A failing
-# sub-run exits non-zero — it is never dropped from the record.
-BENCH_JSON ?= BENCH_10.json
-
-# 1s per case: the 300ms default shows ±10% run-to-run noise on this
-# container, enough to flip close fabric orderings (shm vs tcp).
-bench-json:
-	$(GO) run ./cmd/marsit-bench -json $(BENCH_JSON) -label "PR 10" -benchtime 1s \
-		-bench-collectives rar,tar,marsit,signsum,ssdm,cascading,ps,ps-sign,ps-ssdm,ps-scaledsign,gossip,tree,onebit-tree,powersgd,hier
 
 # benchmark runs one workload of the repository's benchmark exactly as
 # the PR driver does (benchmark/run.sh builds what it runs under
@@ -107,11 +85,10 @@ TRACE ?= 0
 benchmark:
 	bash benchmark/run.sh --workload $(W) --seed $(SEED) --seconds $(SECS) --trace $(TRACE)
 
-# bench-smoke runs every benchmark exactly once: cheap enough for CI,
-# and it proves the perf-path code (engine benches, chunk-pipelined
-# hops, word-parallel kernels) still compiles and executes.
+# bench-smoke runs the word-parallel kernels' micro-benchmarks (fast
+# path vs scalar oracle) exactly once: cheap enough for CI, and it
+# proves the tools for measuring while working still compile and run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x .
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress
 
 # fuzz-smoke gives the wire-facing Elias coder a short adversarial pass:
@@ -141,8 +118,8 @@ list-collectives:
 
 # no-shims keeps a retired API retired: a "Deprecated:" marker in
 # non-test Go means a compatibility layer is growing back beside the
-# registry dispatch path (Engine.Open/Run) instead of its callers being
-# ported.
+# registry dispatch path (Engine.Open + Collective.Run) instead of its
+# callers being ported.
 no-shims:
 	@out="$$(grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . || true)"; \
 	if [ -n "$$out" ]; then \

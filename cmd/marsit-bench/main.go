@@ -1,5 +1,4 @@
-// Command marsit-bench regenerates the paper's tables and figures, and
-// records the machine-readable performance trajectory of the hot paths.
+// Command marsit-bench regenerates the paper's tables and figures.
 //
 // Usage:
 //
@@ -11,11 +10,6 @@
 //	marsit-bench -exp fig3 -csv out.csv # also dump tables as CSV
 //	marsit-bench -exp fig5 -engine par  # concurrent execution engine
 //	marsit-bench -exp fig5 -engine par -transport tcp
-//
-//	marsit-bench -json BENCH_5.json     # perf record: seq-vs-par ns/op,
-//	                                    # B/op, allocs/op per collective
-//	                                    # × fabric (make bench-json)
-//	marsit-bench -json out.json -chunks 8 -benchtime 1s
 //	marsit-bench -exp fig5 -cpuprofile cpu.out -memprofile mem.out
 //
 // -engine selects the execution engine: seq is the single-threaded
@@ -30,19 +24,9 @@
 // loopback interface (the wire backend that cmd/marsit-node stretches
 // across machines). Results are bit-identical either way.
 //
-// -json runs the perfbench harness instead of an experiment: every
-// requested collective is timed on the sequential engine and on the
-// parallel engine over each fabric (after a bit-exactness cross-check),
-// and the JSON perf record is written to the given path. A failing
-// sub-run — a diverging result, a dead fabric, a panicking collective —
-// aborts the whole run with a non-zero exit; failures are never
-// silently dropped from the record. Schema marsit-bench/3 carries a
-// calibration block per case (predicted α–β seconds vs measured wall
-// clock per cost-model phase over the timed window), and the harness
-// prints one calibration table per fabric; large ratios are expected on
-// a single machine and never fail the run. -cpuprofile and -memprofile write
-// pprof profiles for any mode (see docs/performance.md for the
-// profiling recipe).
+// -cpuprofile and -memprofile write pprof profiles of the run (see
+// docs/performance.md for the profiling recipe). Performance numbers
+// come from the repository's benchmark (make benchmark), not from here.
 package main
 
 import (
@@ -52,13 +36,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
-	"marsit/internal/calib"
 	"marsit/internal/collective/registry"
 	"marsit/internal/experiments"
-	"marsit/internal/obs"
-	"marsit/internal/perfbench"
 	"marsit/internal/train"
 )
 
@@ -90,26 +70,10 @@ func run() error {
 		csvPath    = flag.String("csv", "", "write result tables as CSV to this file")
 		engine     = flag.String("engine", "seq", "execution engine: seq (single-threaded virtual time) | par (one goroutine per worker)")
 		transport  = flag.String("transport", "loopback", "parallel engine fabric: loopback (in-process channels) | tcp (real sockets) | shm (mmap'd rings) | hybrid (shm intra-host + tcp inter-host)")
-		jsonPath   = flag.String("json", "", "run the perf harness and write the BENCH_*.json record to this file")
-		benchColl  = flag.String("bench-collectives", "", "comma-separated registry names for -json (default: "+strings.Join(perfbench.DefaultCollectives, ",")+")")
-		benchDim   = flag.Int("bench-dim", 0, "gradient dimension for -json (default 100000)")
-		benchM     = flag.Int("bench-workers", 0, "worker count for -json (default 4)")
-		chunks     = flag.Int("chunks", 0, "pipelined frames per ring hop for -json (chunk-capable collectives; 0 = off)")
-		benchTime  = flag.Duration("benchtime", 0, "minimum measuring time per case for -json (default 300ms)")
-		label      = flag.String("label", "", "free-form label recorded in the -json report")
-		tracePath  = flag.String("trace", "", "with -json: write a Chrome trace_event timeline of the benchmarked hops to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		maxProcs   = flag.Int("gomaxprocs", 0, "set GOMAXPROCS for the run (0 = leave the runtime default; the -json header records the effective value)")
 	)
 	flag.Parse()
-
-	if *maxProcs < 0 {
-		return badUsage(fmt.Sprintf("bad -gomaxprocs %d (want a positive core count, or 0 for the default)", *maxProcs))
-	}
-	if *maxProcs > 0 {
-		runtime.GOMAXPROCS(*maxProcs)
-	}
 
 	if *listColl {
 		fmt.Print(registry.FormatList())
@@ -147,8 +111,6 @@ func run() error {
 		}()
 	}
 
-	// Flag validation runs before either mode so misuse always exits 2,
-	// json mode included.
 	switch *engine {
 	case "seq":
 		train.DefaultEngine = train.EngineSeq
@@ -170,31 +132,8 @@ func run() error {
 		return badUsage(fmt.Sprintf("unknown transport %q (want loopback, tcp, shm or hybrid)", *transport))
 	}
 
-	if *jsonPath != "" {
-		if *exp != "" {
-			return badUsage("-exp and -json are different modes; run them separately")
-		}
-		var colls []string
-		if *benchColl != "" {
-			for _, c := range strings.Split(*benchColl, ",") {
-				colls = append(colls, strings.TrimSpace(c))
-			}
-		}
-		return runBenchJSON(*jsonPath, *tracePath, perfbench.Config{
-			Collectives: colls,
-			Workers:     *benchM,
-			Dim:         *benchDim,
-			Chunks:      *chunks,
-			MinTime:     *benchTime,
-			Label:       *label,
-		})
-	}
-	if *tracePath != "" {
-		return badUsage("-trace needs -json (the perf harness is the traced run)")
-	}
-
 	if *exp == "" {
-		return badUsage("-exp is required (try -list), or -json for the perf harness")
+		return badUsage("-exp is required (try -list)")
 	}
 	var s experiments.Scale
 	switch *scale {
@@ -243,76 +182,4 @@ func run() error {
 // the deferred cleanups (profile writers) have run.
 func badUsage(msg string) error {
 	return usageErr(msg)
-}
-
-// runBenchJSON executes the perf harness and writes the record. Every
-// case is echoed to stderr as it completes so long runs show progress.
-// With tracePath the harness runs under an attached tracer and the
-// captured hop timeline is written as Chrome trace_event JSON.
-func runBenchJSON(path, tracePath string, cfg perfbench.Config) error {
-	start := time.Now()
-	cfg.Progress = func(r perfbench.Result) {
-		fmt.Fprintf(os.Stderr, "  %-10s %-8s seq %8.1fms  par %8.1fms  speedup %.2f  par B/op %.1fMB  allocs/op %d\n",
-			r.Collective, r.Fabric, r.Seq.NsOp/1e6, r.Par.NsOp/1e6, r.Speedup,
-			float64(r.Par.BOp)/1e6, r.Par.AllocsOp)
-	}
-	var tracer *obs.Tracer
-	if tracePath != "" {
-		workers := cfg.Workers
-		if workers == 0 {
-			workers = 4 // perfbench's default
-		}
-		tracer = obs.NewTracer(workers, 1<<16)
-		obs.Enable().AttachTracer(tracer)
-	}
-	rep, err := perfbench.Run(cfg)
-	if err != nil {
-		return err
-	}
-	// Render the calibration blocks (schema 3: predicted α–β seconds vs
-	// measured wall clock per phase) as one table per fabric. Error
-	// magnitude is informational only — it never fails the run.
-	byFabric := map[string][]calib.Entry{}
-	var fabrics []string
-	for _, r := range rep.Results {
-		if r.Calibration == nil {
-			continue
-		}
-		if _, seen := byFabric[r.Fabric]; !seen {
-			fabrics = append(fabrics, r.Fabric)
-		}
-		byFabric[r.Fabric] = append(byFabric[r.Fabric], *r.Calibration)
-	}
-	for _, fabric := range fabrics {
-		fmt.Print(calib.Table(fmt.Sprintf("Calibration — %s fabric (measured wall vs α–β prediction)", fabric), byFabric[fabric]))
-	}
-	if tracer != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteJSON(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing trace %s: %w", tracePath, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		var dropped int64
-		for rank := 0; rank < tracer.Ranks(); rank++ {
-			dropped += tracer.Dropped(rank)
-		}
-		fmt.Printf("trace (%d events, %d dropped) written to %s\n",
-			tracer.TotalEvents(), dropped, tracePath)
-	}
-	out, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return fmt.Errorf("writing %s: %w", path, err)
-	}
-	fmt.Printf("perf record (%d cases, %.1fs) written to %s\n",
-		len(rep.Results), time.Since(start).Seconds(), path)
-	return nil
 }

@@ -2,9 +2,9 @@
 // harness: it turns the raw per-rank accumulations of an
 // obs.CalibRecorder (predicted α–β virtual seconds next to measured
 // wall-clock nanoseconds, per collective and per cost-model phase)
-// into windowed diffs, per-collective summaries, JSON-embeddable
-// entries (the marsit-bench/3 calibration block) and rendered tables
-// (marsit-node -calibrate, marsit-bench).
+// into windowed diffs, per-collective summaries (the benchmark's
+// calib.* ladder rows) and the rendered per-rank table of
+// marsit-node -calibrate.
 //
 // The headline quantity is the Ratio: measured wall seconds per
 // predicted virtual second, per phase. On a single machine the
@@ -39,8 +39,7 @@ type PhaseCalib struct {
 }
 
 // Entry is one collective's calibration summary: per-phase pairs plus
-// run and total columns. Marshals as the calibration block of the
-// marsit-bench/3 JSON schema.
+// run and total columns.
 type Entry struct {
 	Collective       string       `json:"collective"`
 	Runs             int64        `json:"runs"`
@@ -60,8 +59,8 @@ func ratio(measured, predicted float64) float64 {
 
 // Diff windowizes recorder snapshots: it returns after − before,
 // dropping pairs that saw no new runs. Entries present only in after
-// pass through whole. The perfbench warm window uses this to exclude
-// warm-up runs from the reported calibration.
+// pass through whole. A timed window uses this to exclude warm-up runs
+// from the reported calibration.
 func Diff(before, after []obs.CalibEntry) []obs.CalibEntry {
 	type key struct {
 		rank       int
@@ -127,29 +126,6 @@ func Summarize(entries []obs.CalibEntry) []Entry {
 		en.Ratio = ratio(en.MeasuredSeconds, en.PredictedSeconds)
 	}
 	return out
-}
-
-// Table renders per-collective × per-phase predicted-vs-measured rows
-// (plus a total row per collective) as an aligned text table.
-func Table(title string, entries []Entry) string {
-	tb := report.NewTable(title, "collective", "runs", "phase",
-		"predicted s", "measured s", "wall/virtual")
-	for _, en := range entries {
-		for _, p := range en.Phases {
-			if p.PredictedSeconds == 0 && p.MeasuredSeconds == 0 {
-				continue
-			}
-			tb.AddRow(en.Collective, fmt.Sprint(en.Runs), p.Phase,
-				report.FormatFloat(p.PredictedSeconds),
-				report.FormatFloat(p.MeasuredSeconds),
-				report.FormatFloat(p.Ratio))
-		}
-		tb.AddRow(en.Collective, fmt.Sprint(en.Runs), "total",
-			report.FormatFloat(en.PredictedSeconds),
-			report.FormatFloat(en.MeasuredSeconds),
-			report.FormatFloat(en.Ratio))
-	}
-	return tb.Render()
 }
 
 // RankTable renders a per-rank × per-phase predicted-vs-measured table

@@ -96,23 +96,6 @@ func TestEntryJSONShape(t *testing.T) {
 	}
 }
 
-func TestTableRendering(t *testing.T) {
-	out := Summarize([]obs.CalibEntry{
-		entry(0, "rar", 2, 2_000_000, 1e-3),
-		entry(0, "ssdm", 1, 700_000, 2e-4),
-	})
-	s := Table("calibration", out)
-	for _, want := range []string{"calibration", "wall/virtual", "rar", "ssdm", "transmit", "total"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("table missing %q:\n%s", want, s)
-		}
-	}
-	// The zero compute phase is suppressed, the totals row is not.
-	if strings.Contains(s, "compute") {
-		t.Fatalf("zero compute phase rendered:\n%s", s)
-	}
-}
-
 func TestRankTable(t *testing.T) {
 	predicted := []netsim.Breakdown{
 		{0, 1e-4, 5e-4},

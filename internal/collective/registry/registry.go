@@ -8,7 +8,7 @@
 //
 // Everything downstream derives from the registry instead of
 // hand-maintained switches: the marsit facade's Run/Collectives, the
-// generic Engine.Run dispatcher of internal/runtime, marsit-node's
+// generic Engine.Open dispatcher of internal/runtime, marsit-node's
 // -collective flag, marsit-train's method resolution, the CLI help
 // text, and the cross-engine equivalence matrix of
 // internal/runtime/equivtest. Adding a collective is therefore a

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"testing"
 
 	"marsit/internal/collective/registry"
@@ -105,6 +106,46 @@ func TestCascadingSteadyStateAllocs(t *testing.T) {
 	for _, dim := range []int{1 << 12, 1 << 14} {
 		t.Run(fmt.Sprintf("D=%d", dim), func(t *testing.T) {
 			testSteadyStateAllocs(t, "cascading", dim)
+		})
+	}
+}
+
+// TestMarsitSteadyStateAllocs pins the paper's one-bit ring on its
+// worst round (with allocRun's K = 3 every third round is the cheaper
+// full-precision ring, so rounds are measured one by one): mallocs under
+// the same dimension-independent cap, and at most 1.1 × 2·8·D·M bytes.
+// Those bytes are not hop scratch. RankSync.Sync makes two fresh D-float
+// vectors per rank per round, u = tensor.Clone(grad) and g_t =
+// tensor.New(d) — 64 MB of the 66.3 MB/round that ring_marsit reports
+// at D=1e6 — and the remaining 3–5 % is bit vectors: FromSigns and
+// MergeSigns' per-hop transient. A change that pools u and g_t should
+// lower the byte cap with it.
+func TestMarsitSteadyStateAllocs(t *testing.T) {
+	const workers = 4
+	for _, dim := range []int{1 << 12, 1 << 14} {
+		t.Run(fmt.Sprintf("D=%d", dim), func(t *testing.T) {
+			run, done := allocRun(t, "marsit", "loopback", workers, dim)
+			defer done()
+			var before, after goruntime.MemStats
+			var allocs, bytes uint64
+			for round := 0; round < 6; round++ {
+				goruntime.ReadMemStats(&before)
+				run()
+				goruntime.ReadMemStats(&after)
+				allocs = max(allocs, after.Mallocs-before.Mallocs)
+				bytes = max(bytes, after.TotalAlloc-before.TotalAlloc)
+			}
+			maxBytes := uint64(1.1 * 2 * 8 * float64(dim*workers))
+			t.Logf("marsit/loopback M=%d D=%d: worst round %d allocs, %d bytes (cap %d)",
+				workers, dim, allocs, bytes, maxBytes)
+			if allocs > maxSteadyStateAllocs {
+				t.Fatalf("marsit allocates %d times in a round (cap %d): per-hop scratch scales with the dimension",
+					allocs, maxSteadyStateAllocs)
+			}
+			if bytes > maxBytes {
+				t.Fatalf("marsit allocates %d bytes in a round (cap %d = 1.1 × 2·8·D·M): more than u, g_t and the bit vectors",
+					bytes, maxBytes)
+			}
 		})
 	}
 }

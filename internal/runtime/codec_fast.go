@@ -14,9 +14,9 @@ import (
 // copies and the reduce-scatter combine to a vectorizable float add.
 // The portable codecs' per-element binary.LittleEndian +
 // math.Float64bits round trip was the top entry of the loopback CPU
-// profile (~29% in encodeFloats alone); see the profile note in
-// bench_test.go. Both variants produce byte-identical payloads — the
-// cross-engine equivalence matrix holds either way.
+// profile (~29% in encodeFloats alone); see docs/performance.md. Both
+// variants produce byte-identical payloads — the cross-engine
+// equivalence matrix holds either way.
 
 func encodeFloats(v []float64) []byte {
 	out := transport.GetBuffer(8 * len(v))

@@ -82,18 +82,3 @@ func (cl *Collective) Run(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 
 // Name returns the collective's registry name.
 func (cl *Collective) Name() string { return cl.desc.Name }
-
-// Run is the one-shot form of Open + Collective.Run: it executes a
-// single round of the registered collective desc over grads with the
-// given options. Multi-round callers should Open once and reuse the
-// Collective so stateful schedules keep their state.
-func (e *Engine) Run(c *netsim.Cluster, desc *registry.Descriptor, o *registry.Opts, grads []tensor.Vec) ([]tensor.Vec, error) {
-	if o.Dim == 0 && len(grads) > 0 {
-		o.Dim = len(grads[0])
-	}
-	cl, err := e.Open(desc, o)
-	if err != nil {
-		return nil, err
-	}
-	return cl.Run(c, grads), nil
-}

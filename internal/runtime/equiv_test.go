@@ -172,11 +172,11 @@ func TestCalibrationObservation(t *testing.T) {
 	c := netsim.NewCluster(workers, netsim.DefaultCostModel())
 	eng := runtime.New(workers)
 	defer eng.Close()
-	outs, err := eng.Run(c, d, &registry.Opts{Workers: workers, Dim: dim, Seed: 11}, equivtest.RandVecs(11, workers, dim))
+	cl, err := eng.Open(d, &registry.Opts{Workers: workers, Dim: dim, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != workers {
+	if outs := cl.Run(c, equivtest.RandVecs(11, workers, dim)); len(outs) != workers {
 		t.Fatalf("outputs = %d", len(outs))
 	}
 

@@ -25,6 +25,8 @@ package equivtest
 import (
 	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -134,15 +136,23 @@ func RunBackends(t *testing.T, specs []Spec, backends []string) {
 			dims = DefaultDims
 		}
 		t.Run(spec.Name, func(t *testing.T) {
+			var backendsDone sync.WaitGroup
+			defer backendsDone.Wait()
 			for _, backend := range backends {
-				t.Run(backend, func(t *testing.T) {
+				// A jittered case spends its time asleep in faultwrap, not
+				// computing, so one spec's jittered backends and cases all
+				// overlap.
+				overlap := strings.HasSuffix(backend, "-jitter")
+				runSub(t, &backendsDone, overlap, backend, func(t *testing.T) {
+					var casesDone sync.WaitGroup
+					defer casesDone.Wait()
 					caseDims := dims
 					if backend != "loopback" {
 						caseDims = dims[len(dims)-1:]
 					}
 					for _, sh := range shapes {
 						for _, d := range caseDims {
-							t.Run(fmt.Sprintf("%s_D=%d", sh.Name, d), func(t *testing.T) {
+							runSub(t, &casesDone, overlap, fmt.Sprintf("%s_D=%d", sh.Name, d), func(t *testing.T) {
 								runCase(t, spec, backend, sh, d)
 							})
 						}
@@ -151,6 +161,22 @@ func RunBackends(t *testing.T, specs []Spec, backends []string) {
 			}
 		})
 	}
+}
+
+// runSub runs f as subtest name of t: in line, or with overlap on its
+// own goroutine, in which case the caller must wait on done before it
+// returns. t.Run may be called from several goroutines at once and,
+// unlike t.Parallel, is not capped at GOMAXPROCS subtests in flight.
+func runSub(t *testing.T, done *sync.WaitGroup, overlap bool, name string, f func(t *testing.T)) {
+	if !overlap {
+		t.Run(name, f)
+		return
+	}
+	done.Add(1)
+	go func() {
+		defer done.Done()
+		t.Run(name, f)
+	}()
 }
 
 func runCase(t *testing.T, spec Spec, backend string, sh Shape, d int) {

@@ -153,12 +153,12 @@ func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, down
 	return down
 }
 
-// PSAllReduceRank executes one rank's share of the full-precision
+// psAllReduceRank executes one rank's share of the full-precision
 // parameter-server baseline (collective.PSAllReduce): the full gradient
 // up, the mean back down. vec holds the element-wise mean on return.
 // The sequential baseline has no closing barrier, and neither does
 // this.
-func PSAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec) {
+func psAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec) {
 	rank, n := ep.Rank(), ep.Size()
 	d := len(vec)
 	var mean tensor.Vec
@@ -175,11 +175,11 @@ func PSAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec) {
 	copyFloats(vec, down)
 }
 
-// SignMajorityPSRank executes one rank's share of signSGD with majority
+// signMajorityPSRank executes one rank's share of signSGD with majority
 // vote under PS (collective.SignMajorityPS): sign bits and the ℓ1/D
 // magnitude up, the coordinate-wise majority back down, the result
 // scaled by the mean magnitude.
-func SignMajorityPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec) {
+func signMajorityPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec) {
 	rank, n := ep.Rank(), ep.Size()
 	d := len(vec)
 	// The sequential engine charges both the sign packing and the
@@ -225,12 +225,12 @@ func SignMajorityPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec
 	}
 }
 
-// ScaledSignPSRank executes one rank's share of the norm-weighted
+// scaledSignPSRank executes one rank's share of the norm-weighted
 // sign push–pull under PS (the exchange of SSDM-PS and of the train
 // layer's PS sign transports): signs and scale up, the dense mean
 // (1/M)·Σ scale_m·sign_m back down. The caller owns the compression and
 // decode charges around it, mirroring the sequential layering.
-func ScaledSignPSRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64, scale float64) tensor.Vec {
+func scaledSignPSRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64, scale float64) tensor.Vec {
 	rank, n := ep.Rank(), ep.Size()
 	d := len(signs)
 	var mean tensor.Vec
@@ -254,16 +254,16 @@ func ScaledSignPSRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64,
 	return update
 }
 
-// SSDMPSRank executes one rank's share of SSDM under PS
+// ssdmPSRank executes one rank's share of SSDM under PS
 // (collective.SSDMPS): stochastic signs + norm up, the dense mean back
 // down. r must be the rank's own SSDM stream. The sequential baseline
 // charges only the compression (the dense downlink needs no decode).
-func SSDMPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG) {
+func ssdmPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG) {
 	rank := ep.Rank()
 	d := len(vec)
 	signs, norm := collective.SSDMSigns(vec, r)
 	c.AddCompress(rank, d)
-	copy(vec, ScaledSignPSRank(c, ep, signs, norm))
+	copy(vec, scaledSignPSRank(c, ep, signs, norm))
 }
 
 // encodeSignScale serializes a packed sign vector plus its scaling

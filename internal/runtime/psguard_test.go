@@ -27,6 +27,10 @@ func TestHubRejectsLinkOverridesParallel(t *testing.T) {
 	c.SetLinkCost(1, 0, netsim.LinkCost{Latency: base.Latency * 2, BytePeriod: base.BytePeriod})
 	eng := runtime.New(workers)
 	defer eng.Close()
+	cl, err := eng.Open(d, &registry.Opts{Workers: workers, Dim: dim, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -36,5 +40,5 @@ func TestHubRejectsLinkOverridesParallel(t *testing.T) {
 			t.Fatalf("unexpected panic payload %q", s)
 		}
 	}()
-	eng.Run(c, d, &registry.Opts{Workers: workers, Dim: dim, Seed: 3}, equivtest.RandVecs(3, workers, dim))
+	cl.Run(c, equivtest.RandVecs(3, workers, dim))
 }

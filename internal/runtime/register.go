@@ -16,7 +16,7 @@ import (
 // metadata. Adding a collective means implementing the two legs in its
 // own file and adding one registry.Register call here (the Marsit
 // one-bit schedule registers from internal/core, which owns its
-// sequential state). Everything else — Engine.Run dispatch, the marsit
+// sequential state). Everything else — Engine.Open dispatch, the marsit
 // facade, marsit-node, marsit-train's method resolution, CLI help text
 // and the cross-engine equivalence matrix — derives from these entries.
 
@@ -222,7 +222,7 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-				PSAllReduceRank(c, ep, grad)
+				psAllReduceRank(c, ep, grad)
 				return grad
 			}, nil
 		},
@@ -242,7 +242,7 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-				SignMajorityPSRank(c, ep, grad)
+				signMajorityPSRank(c, ep, grad)
 				return grad
 			}, nil
 		},
@@ -264,7 +264,7 @@ func init() {
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			stream := o.Stream(rank)
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-				SSDMPSRank(c, ep, grad, stream)
+				ssdmPSRank(c, ep, grad, stream)
 				return grad
 			}, nil
 		},

@@ -115,7 +115,7 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 			var update tensor.Vec
 			switch {
 			case ps:
-				update = ScaledSignPSRank(c, ep, signs, scale)
+				update = scaledSignPSRank(c, ep, signs, scale)
 			case o.Torus != nil:
 				sums, total := signSumTorusRank(c, ep, o.Torus, signs, scale, o.Elias, o.Chunks)
 				update = decode(sums, total, ep.Size())

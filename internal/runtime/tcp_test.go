@@ -77,15 +77,19 @@ func TestTCPEngineLargePayload(t *testing.T) {
 	}
 	loop := runtime.New(n)
 	defer loop.Close()
-	if _, err := loop.Run(loopC, rar, &registry.Opts{}, loopV); err != nil {
+	loopRAR, err := loop.Open(rar, &registry.Opts{Dim: d})
+	if err != nil {
 		t.Fatal(err)
 	}
+	loopRAR.Run(loopC, loopV)
 
 	eng := newTCPEngine(t, n)
 	defer eng.Close()
-	if _, err := eng.Run(tcpC, rar, &registry.Opts{}, tcpV); err != nil {
+	tcpRAR, err := eng.Open(rar, &registry.Opts{Dim: d})
+	if err != nil {
 		t.Fatal(err)
 	}
+	tcpRAR.Run(tcpC, tcpV)
 
 	equivtest.RequireSameVecs(t, loopV, tcpV)
 	equivtest.RequireSameClusters(t, loopC, tcpC)

@@ -120,8 +120,8 @@ type Vec = tensor.Vec
 // Engine is the concurrent execution engine: one goroutine per worker,
 // exchanging messages over a pluggable transport. Engine.Open prepares
 // any registered collective (resolve a descriptor through
-// internal/collective/registry) for a multi-round job and Engine.Run
-// executes a single round; ParallelFor runs shard-local work.
+// internal/collective/registry) and the returned Collective's Run
+// executes one round; ParallelFor runs shard-local work.
 // Every collective reproduces the sequential engine's results, wire
 // bytes and α–β virtual clocks bit for bit over both fabric backends
 // (the generated matrix in internal/runtime/equivtest enforces this).

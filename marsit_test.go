@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"marsit"
+	"marsit/internal/collective"
+	"marsit/internal/collective/registry"
+	"marsit/internal/experiments"
 	"marsit/internal/rng"
+	"marsit/internal/tensor"
 )
 
 func facadeGrads(seed uint64, n, d int) []marsit.Vec {
@@ -76,5 +80,120 @@ func TestFacadeNewCollectives(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineFacade exercises marsit.NewEngine through the public API and
+// cross-checks it against the sequential collective, plus the Parallel
+// facade configuration.
+func TestEngineFacade(t *testing.T) {
+	const workers, dim = 4, 513
+	r := rng.New(29)
+	base := make([]marsit.Vec, workers)
+	for w := range base {
+		base[w] = r.NormVec(make(marsit.Vec, dim), 0, 1)
+	}
+	seqV := make([]marsit.Vec, workers)
+	parV := make([]marsit.Vec, workers)
+	for w := range base {
+		seqV[w] = tensor.Clone(base[w])
+		parV[w] = tensor.Clone(base[w])
+	}
+	seqC, parC := marsit.NewCluster(workers), marsit.NewCluster(workers)
+	collective.RingAllReduce(seqC, seqV)
+	eng := marsit.NewEngine(workers)
+	defer eng.Close()
+	rar, err := registry.Get("rar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := eng.Open(rar, &registry.Opts{Dim: dim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Run(parC, parV)
+	for w := range seqV {
+		for i := range seqV[w] {
+			if seqV[w][i] != parV[w][i] {
+				t.Fatalf("worker %d elem %d: seq %v, par %v", w, i, seqV[w][i], parV[w][i])
+			}
+		}
+	}
+	if seqC.TotalBytes() != parC.TotalBytes() {
+		t.Fatalf("bytes: seq %d, par %d", seqC.TotalBytes(), parC.TotalBytes())
+	}
+
+	sync := marsit.MustNew(marsit.Config{Workers: workers, Dim: dim, K: 2, GlobalLR: 0.05, Seed: 4, Parallel: true})
+	defer sync.Close()
+	cluster := marsit.NewCluster(workers)
+	for round := 0; round < 4; round++ {
+		if gt := sync.Sync(cluster, base); len(gt) != dim {
+			t.Fatalf("round %d: g_t dim %d", round, len(gt))
+		}
+	}
+}
+
+// TestFacadeQuickstart exercises the public API end to end (the
+// example in the package documentation).
+func TestFacadeQuickstart(t *testing.T) {
+	const workers, dim = 4, 1000
+	sync := marsit.MustNew(marsit.Config{Workers: workers, Dim: dim, K: 3, GlobalLR: 0.05, Seed: 2})
+	cluster := marsit.NewCluster(workers)
+	r := rng.New(5)
+	for round := 0; round < 6; round++ {
+		grads := make([]marsit.Vec, workers)
+		for w := range grads {
+			grads[w] = r.NormVec(make(marsit.Vec, dim), 0, 1)
+		}
+		gt := sync.Sync(cluster, grads)
+		if len(gt) != dim {
+			t.Fatalf("round %d: g_t dim %d", round, len(gt))
+		}
+	}
+	if cluster.TotalBytes() <= 0 {
+		t.Fatal("no traffic accounted")
+	}
+	if tensor.Norm2(sync.MeanCompensation()) < 0 {
+		t.Fatal("unreachable")
+	}
+}
+
+// TestFacadeTorus exercises the TAR configuration via the facade.
+func TestFacadeTorus(t *testing.T) {
+	tor := marsit.SquareTorus(4)
+	if tor.Rows() != 2 || tor.Cols() != 2 {
+		t.Fatalf("SquareTorus(4) = %dx%d", tor.Rows(), tor.Cols())
+	}
+	sync := marsit.MustNew(marsit.Config{Workers: 4, Dim: 64, K: 0, GlobalLR: 0.01, Torus: tor, Seed: 3})
+	cluster := marsit.NewClusterWithModel(4, marsit.DefaultCostModel())
+	r := rng.New(7)
+	grads := make([]marsit.Vec, 4)
+	for w := range grads {
+		grads[w] = r.NormVec(make(marsit.Vec, 64), 0, 1)
+	}
+	gt := sync.Sync(cluster, grads)
+	for _, x := range gt {
+		if x != 0.01 && x != -0.01 {
+			t.Fatalf("non-one-bit update %v", x)
+		}
+	}
+}
+
+// TestExperimentOutputsRender pins the set of experiment ids
+// marsit-bench -exp serves: one per table and figure of the paper's
+// evaluation.
+func TestExperimentOutputsRender(t *testing.T) {
+	covered := map[string]bool{
+		"table1": true, "fig1a": true, "fig1b": true, "fig3": true,
+		"table2": true, "fig4a": true, "fig4b": true, "fig5": true,
+		"remark": true, "ablation": true,
+	}
+	for _, id := range experiments.IDs() {
+		if !covered[id] {
+			t.Fatalf("unexpected experiment id %q", id)
+		}
+	}
+	if len(experiments.IDs()) != len(covered) {
+		t.Fatalf("experiment list out of date: %s", strings.Join(experiments.IDs(), ","))
 	}
 }
