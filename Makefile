@@ -10,11 +10,18 @@
 #                          with SEED, SECS and TRACE passed through; the
 #                          basis of every performance claim
 #                          (see docs/performance.md)
+#   make ab A=<r> B=<r>    alternating parent/change pairs of that
+#                          benchmark on two commits (tools/ab.sh): W=<w>
+#                          as above or W=all for all five, PAIRS=10, SEED
+#                          the first pair's seed; prints medians, the
+#                          parent's spread, pairs won and a verdict per
+#                          workload × end-to-end metric
 #   make bench-smoke       the kernel micro-benchmarks once (-benchtime=1x) so
 #                          they are compiled and executed on every PR
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
-#                          word-parallel bitvec/Elias kernels vs their scalar
-#                          oracles, and the PowerSGD Gram–Schmidt
+#                          word-parallel bitvec/Elias kernels and the
+#                          word-at-a-time ⊙ merge vs their scalar oracles,
+#                          and the PowerSGD Gram–Schmidt
 #                          orthonormalization on degenerate inputs
 #   make list-collectives  golden check: the CLIs' collective listing must
 #                          match docs/collectives.golden, so help text cannot
@@ -46,7 +53,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark bench-smoke fuzz-smoke list-collectives no-shims tcp-demo shm-demo tree-demo trace-demo calib-demo service-demo
+.PHONY: check fmt vet build test race benchmark ab bench-smoke fuzz-smoke list-collectives no-shims tcp-demo shm-demo tree-demo trace-demo calib-demo service-demo
 
 check: fmt vet build test list-collectives no-shims
 
@@ -85,6 +92,18 @@ TRACE ?= 0
 benchmark:
 	bash benchmark/run.sh --workload $(W) --seed $(SEED) --seconds $(SECS) --trace $(TRACE)
 
+# ab measures commit B against commit A the way docs/performance.md
+# requires of a claim: PAIRS alternating runs of each ref's own
+# benchmark/run.sh with shared seeds SEED, SEED+1, …, on workload W or,
+# with W=all, on all five. SECS other than BENCHMARK.json's run_seconds is
+# for smoke-testing the script; the output says so.
+A ?= HEAD~1
+B ?= HEAD
+PAIRS ?= 10
+
+ab:
+	SEED=$(SEED) SECS=$(SECS) bash tools/ab.sh $(A) $(B) $(W) $(PAIRS)
+
 # bench-smoke runs the word-parallel kernels' micro-benchmarks (fast
 # path vs scalar oracle) exactly once: cheap enough for CI, and it
 # proves the tools for measuring while working still compile and run.
@@ -102,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasIntsIntoAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzPackUnpackSigns' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzExtractInsert' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz 'FuzzMergeSignsAgainstScalar' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzGramSchmidt' -fuzztime $(FUZZTIME) ./internal/collective
 
 # list-collectives pins the registry-generated discovery listing (the

@@ -12,6 +12,7 @@ package bitvec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"marsit/internal/rng"
@@ -141,14 +142,19 @@ func (v *Vec) Equal(o *Vec) bool {
 // drawing from r. This realizes the transient vector of Eq. (2).
 func (v *Vec) FillBernoulli(r *rng.PCG, p float64) {
 	for i := range v.words {
-		nbits := 64
-		if i == len(v.words)-1 {
-			if rem := v.n & 63; rem != 0 {
-				nbits = rem
-			}
-		}
-		v.words[i] = r.BernoulliWord(p, nbits)
+		v.words[i] = r.BernoulliWord(p, v.wordBits(i))
 	}
+}
+
+// wordBits returns how many bits of word i are in use: 64, except for a
+// partial last word.
+func (v *Vec) wordBits(i int) int {
+	if i == len(v.words)-1 {
+		if rem := v.n & 63; rem != 0 {
+			return rem
+		}
+	}
+	return 64
 }
 
 // FromSigns packs the signs of src (non-negative → 1) into a new Vec.
@@ -186,6 +192,57 @@ func packSignWords(words []uint64, src []float64) {
 			}
 		}
 		words[wi] = w
+	}
+}
+
+// PackSignsOfSum adds x into acc (acc[i] += x[i]) and packs the signs of
+// the sums into v in the same pass, under PackSigns' sign convention. It
+// is line 1 of Algorithm 1 fused with the sign packing: acc is the
+// compensation vector, x the scaled gradient, and the sum u stays in acc.
+func (v *Vec) PackSignsOfSum(acc, x []float64) {
+	if len(acc) != v.n || len(x) != v.n {
+		panic(fmt.Sprintf("bitvec: PackSignsOfSum lengths %d, %d != %d", len(acc), len(x), v.n))
+	}
+	for wi := range v.words {
+		lo := wi << 6
+		hi := min(lo+64, v.n)
+		a, b := acc[lo:hi], x[lo:hi]
+		var w uint64
+		for j := range a {
+			s := a[j] + b[j]
+			a[j] = s
+			// Signs enter at the top and shift down into index order: no
+			// variable shift in the loop.
+			var top uint64
+			if s >= 0 {
+				top = 1 << 63
+			}
+			w = w>>1 | top
+		}
+		v.words[wi] = w >> uint(64-len(a))
+	}
+}
+
+// UnpackScaledSub writes ±scale into dst (bit 1 → +scale, bit 0 → −scale)
+// and subtracts it from acc in the same pass (acc[i] −= dst[i]): lines 9
+// and 10 of Algorithm 1 fused, with acc holding u on entry and the next
+// compensation on return. scale must not be negative.
+func (v *Vec) UnpackScaledSub(dst, acc []float64, scale float64) {
+	if len(dst) != v.n || len(acc) != v.n {
+		panic(fmt.Sprintf("bitvec: UnpackScaledSub lengths %d, %d != %d", len(dst), len(acc), v.n))
+	}
+	pos := math.Float64bits(scale)
+	for wi, w := range v.words {
+		lo := wi << 6
+		hi := min(lo+64, v.n)
+		out, a := dst[lo:hi], acc[lo:hi]
+		for j := range out {
+			// A clear bit sets the IEEE sign: −scale without a branch.
+			g := math.Float64frombits(pos | (^w&1)<<63)
+			out[j] = g
+			a[j] -= g
+			w >>= 1
+		}
 	}
 }
 
@@ -304,6 +361,21 @@ func (v *Vec) Merge3(local, transient *Vec) {
 		a := v.words[i]
 		b := local.words[i]
 		v.words[i] = (a & b) | ((a ^ b) & transient.words[i])
+	}
+}
+
+// MergeBernoulli is Merge3 with the transient vector of Eq. (2) drawn
+// inside the loop and never stored: word by word, lane j of the transient
+// is one Float64-equivalent draw from r, in index order, set with the
+// threshold t1 where local's bit j is 1 and t0 where it is 0 (see
+// rng.BernoulliLanes; the last word draws only Len mod 64 lanes). The
+// stream advances by exactly Len draws.
+func (v *Vec) MergeBernoulli(local *Vec, r *rng.PCG, t0, t1 uint64) {
+	v.checkSame(local)
+	for i, b := range local.words {
+		a := v.words[i]
+		t := r.BernoulliLanes(b, t0, t1, v.wordBits(i))
+		v.words[i] = (a & b) | ((a ^ b) & t)
 	}
 }
 

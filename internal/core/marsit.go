@@ -6,7 +6,8 @@
 //
 //  1. Unbiased sign aggregation — the bit-wise operator
 //     v ⊙ v* = (v AND v*) OR ((v XOR v*) AND t), where the transient
-//     vector t is pre-drawn from the Bernoulli distribution of Eq. (2).
+//     vector t is drawn from the Bernoulli distribution of Eq. (2), a
+//     word of 64 elements at a time inside the merge.
 //     MergeSigns implements the weighted generalization: merging
 //     aggregates covering a and b workers resolves each disagreeing bit
 //     toward the local side with probability b/(a+b), so the merged bit
@@ -132,8 +133,10 @@ func OpenCollective(desc *registry.Descriptor, o *registry.Opts, parallel bool, 
 // aWeight workers, local covers bWeight workers. Bits that agree pass
 // through; each disagreeing bit resolves to the local bit with
 // probability bWeight/(aWeight+bWeight), drawn from r via the transient
-// vector of Eq. (2). After the call agg is an unbiased one-bit estimate
-// of the sign average over all aWeight+bWeight workers.
+// vector of Eq. (2): one draw per element in index order, agreeing bits
+// included, made 64 lanes at a time inside the merge loop so the
+// transient itself is never stored. After the call agg is an unbiased
+// one-bit estimate of the sign average over all aWeight+bWeight workers.
 func MergeSigns(agg, local *bitvec.Vec, aWeight, bWeight int, r *rng.PCG) {
 	if aWeight <= 0 || bWeight <= 0 {
 		panic("core: MergeSigns needs positive weights")
@@ -142,17 +145,9 @@ func MergeSigns(agg, local *bitvec.Vec, aWeight, bWeight int, r *rng.PCG) {
 		panic(fmt.Sprintf("core: MergeSigns length mismatch %d != %d", agg.Len(), local.Len()))
 	}
 	total := float64(aWeight + bWeight)
-	pLocal1 := float64(bWeight) / total // local bit 1 → transient 1 w.p. b/(a+b)
-	pLocal0 := float64(aWeight) / total // local bit 0 → transient 1 w.p. a/(a+b)
-	transient := bitvec.New(agg.Len())
-	for i := 0; i < agg.Len(); i++ {
-		p := pLocal0
-		if local.Get(i) {
-			p = pLocal1
-		}
-		transient.Set(i, r.Bernoulli(p))
-	}
-	agg.Merge3(local, transient)
+	tLocal1 := rng.BernoulliThreshold(float64(bWeight) / total) // local bit 1 → transient 1 w.p. b/(a+b)
+	tLocal0 := rng.BernoulliThreshold(float64(aWeight) / total) // local bit 0 → transient 1 w.p. a/(a+b)
+	agg.MergeBernoulli(local, r, tLocal0, tLocal1)
 }
 
 // Config parameterizes a Marsit instance.

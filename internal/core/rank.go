@@ -26,9 +26,12 @@ import (
 // mechanism: charge order, merge-stream derivation, K-period condition,
 // barrier placement. Change them together.
 type RankSync struct {
-	cfg   Config
-	rank  int
-	comp  tensor.Vec
+	cfg  Config
+	rank int
+	comp tensor.Vec
+	// bits carries a one-bit round's signs from packing to decoding; the
+	// RankSync owns it and reuses it every round.
+	bits  *bitvec.Vec
 	rng   *rng.PCG
 	round int
 }
@@ -49,6 +52,7 @@ func NewRankSync(cfg Config, rank int) (*RankSync, error) {
 		cfg:  cfg,
 		rank: rank,
 		comp: tensor.New(cfg.Dim),
+		bits: bitvec.New(cfg.Dim),
 		// The same per-worker stream derivation as New: stream w+1 of
 		// the shared seed.
 		rng: rng.NewStream(cfg.Seed, uint64(rank)+1),
@@ -68,10 +72,17 @@ func (r *RankSync) FullPrecisionNext() bool {
 
 // Sync executes one round of Algorithm 1 for this rank: grad is the
 // rank's locally scaled gradient η_l·g (not modified); the returned
-// vector is the consensus global update g_t. The endpoint must belong
-// to this rank on a fabric of cfg.Workers ranks; c is charged exactly
-// like the sequential engine, and the round ends in a ClockBarrier
-// (netsim's implicit lock step, over the wire).
+// vector is the consensus global update g_t, freshly allocated and the
+// caller's to keep. The endpoint must belong to this rank on a fabric of
+// cfg.Workers ranks; c is charged exactly like the sequential engine, and
+// the round ends in a ClockBarrier (netsim's implicit lock step, over the
+// wire).
+//
+// A one-bit round makes two passes over its D-float vectors and
+// allocates only g_t: u is never a vector of its own but lives in the
+// compensation vector between the passes. g_t is deliberately not
+// pooled — callers hold it across rounds (the benchmark's verification,
+// a trainer's optimiser step), and a reused one would alias them.
 func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
 	if ep.Rank() != r.rank || ep.Size() != r.cfg.Workers {
 		panic(fmt.Sprintf("core: endpoint %d/%d for RankSync %d/%d",
@@ -81,15 +92,14 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 	if len(grad) != d {
 		panic(fmt.Sprintf("core: rank %d gradient dim %d, want %d", r.rank, len(grad), d))
 	}
-	// Line 1: u = η_l·g + c.
-	u := tensor.Clone(grad)
-	tensor.Add(u, r.comp)
-
 	full := r.FullPrecisionNext()
 	r.round++
 
 	if full {
-		// Lines 11–13: full-precision all-reduce (RAR or TAR); c ← 0.
+		// Line 1: u = η_l·g + c. Lines 11–13: full-precision all-reduce
+		// (RAR or TAR) of u; c ← 0.
+		u := tensor.Clone(grad)
+		tensor.Add(u, r.comp)
 		if r.cfg.Torus != nil {
 			runtime.TorusAllReduceRank(c, ep, r.cfg.Torus, u, 1)
 		} else {
@@ -100,10 +110,22 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 		return u
 	}
 
+	// Pass one — line 1 and the sign packing together: c += η_l·g turns
+	// the compensation vector into u while its signs are packed. IEEE
+	// addition commutes, so this is bit for bit the sequential oracle's
+	// Clone(grad) + c (only the payload of a NaN + NaN sum may differ,
+	// and a NaN packs as −1 either way). Under the ablation c is zero and
+	// stays zero, so u's signs are grad's.
+	bits := r.bits
+	if r.cfg.DisableCompensation {
+		bits.PackSigns(grad)
+	} else {
+		bits.PackSignsOfSum(r.comp, grad)
+	}
+	c.AddCompress(r.rank, d)
+
 	// Lines 4–8: one-bit synchronization with the ⊙ merge drawing from
 	// this rank's stream in schedule order.
-	bits := bitvec.FromSigns(u)
-	c.AddCompress(r.rank, d)
 	merge := func(_ int, agg, local *bitvec.Vec, aw, bw int) {
 		MergeSigns(agg, local, aw, bw, r.rng)
 	}
@@ -120,17 +142,16 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 		runtime.OneBitRingAllReduceRank(c, ep, bits, merge)
 	}
 
-	// Line 9: g_t = η_s · signs.
+	// Pass two — lines 9 and 10 together: g_t = η_s · signs, written as
+	// ±η_s directly, and c_{t+1} = u − g_t in place where u sits.
 	gt := tensor.New(d)
-	bits.UnpackSigns(gt)
-	tensor.Scale(gt, r.cfg.GlobalLR)
-	c.AddDecompress(r.rank, d)
-
-	// Line 10: c_{t+1} = u − g_t.
-	if !r.cfg.DisableCompensation {
-		copy(r.comp, u)
-		tensor.Sub(r.comp, gt)
+	if r.cfg.DisableCompensation {
+		bits.UnpackSigns(gt)
+		tensor.Scale(gt, r.cfg.GlobalLR)
+	} else {
+		bits.UnpackScaledSub(gt, r.comp, r.cfg.GlobalLR)
 	}
+	c.AddDecompress(r.rank, d)
 	runtime.ClockBarrier(c, ep)
 	return gt
 }

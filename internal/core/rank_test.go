@@ -42,10 +42,13 @@ func TestRankSyncMatchesSequential(t *testing.T) {
 				defer fabric.Close()
 
 				r := rng.New(cfg.Seed ^ 0xfeed)
+				prevG := make([]tensor.Vec, workers)
 				for round := 0; round < rounds; round++ {
 					grads := make([]tensor.Vec, workers)
+					passed := make([]tensor.Vec, workers)
 					for w := range grads {
 						grads[w] = r.NormVec(make(tensor.Vec, cfg.Dim), 0, 1)
+						passed[w] = tensor.Clone(grads[w])
 					}
 					seqG := seqM.Sync(seqC, grads)
 
@@ -61,6 +64,21 @@ func TestRankSyncMatchesSequential(t *testing.T) {
 					wg.Wait()
 
 					for w := 0; w < workers; w++ {
+						// The caller's contract: grad comes back untouched, and
+						// the update is a vector of its own — not last round's,
+						// not the compensation state u lives in.
+						for i := range passed[w] {
+							if math.Float64bits(grads[w][i]) != math.Float64bits(passed[w][i]) {
+								t.Fatalf("round %d rank %d: Sync modified grad[%d]: %v, passed %v", round, w, i, grads[w][i], passed[w][i])
+							}
+						}
+						if prevG[w] != nil && &parG[w][0] == &prevG[w][0] {
+							t.Fatalf("round %d rank %d: update aliases the previous round's", round, w)
+						}
+						if &parG[w][0] == &rs[w].comp[0] {
+							t.Fatalf("round %d rank %d: update aliases the compensation vector", round, w)
+						}
+						prevG[w] = parG[w]
 						for i := range seqG {
 							if seqG[i] != parG[w][i] {
 								t.Fatalf("round %d rank %d elem %d: seq %v, rank-sync %v", round, w, i, seqG[i], parG[w][i])

@@ -21,7 +21,10 @@
 // stream ids (or the Streams convenience).
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // PCG is a permuted congruential generator (PCG-XSH-RR) with a 64-bit
 // state and a selectable stream. The zero value is NOT usable; construct
@@ -97,10 +100,14 @@ func (p *PCG) step() uint64 {
 
 // next32 produces the next 32-bit PCG-XSH-RR output.
 func (p *PCG) next32() uint32 {
-	old := p.step()
+	return pcgOutput(p.step())
+}
+
+// pcgOutput is the XSH-RR output permutation of a pre-advance state:
+// the xorshifted high bits rotated right by the top five.
+func pcgOutput(old uint64) uint32 {
 	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+	return bits.RotateLeft32(xorshifted, -int(old>>59))
 }
 
 // Uint64 returns a uniform 64-bit value.
@@ -207,10 +214,46 @@ func (p *PCG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
+// BernoulliThreshold returns T = ceil(prob·2⁵³) for prob in (0, 1): the
+// integer form of a Float64() < prob decision. Float64 is x/2⁵³ for the
+// 53-bit draw x = Uint64()>>11, and both x/2⁵³ and prob·2⁵³ are exact in
+// float64, so x/2⁵³ < prob ⟺ x < prob·2⁵³ ⟺ x < T for every x.
+func BernoulliThreshold(prob float64) uint64 {
+	return uint64(math.Ceil(prob * (1 << 53)))
+}
+
+// BernoulliLanes draws n Bernoulli lanes, 0 ≤ n ≤ 64, in index order, one
+// Float64-equivalent draw each, and returns them as the low n bits of a
+// word: lane j is 1 when its draw x = Uint64()>>11 is below t1 if bit j
+// of sel is set, below t0 otherwise (thresholds from BernoulliThreshold).
+// The stream advances exactly as n Float64 calls would. The generator
+// state lives in locals for the whole word and both the threshold choice
+// and the compare are branch-free: this is the inner loop of the ⊙ merge.
+func (p *PCG) BernoulliLanes(sel, t0, t1 uint64, n int) uint64 {
+	state, inc := p.state, p.inc
+	dt := t0 ^ t1
+	var w uint64
+	for j := 0; j < n; j++ {
+		hi := pcgOutput(state)
+		state = state*pcgMult + inc
+		lo := pcgOutput(state)
+		state = state*pcgMult + inc
+		x := (uint64(hi)<<32 | uint64(lo)) >> 11
+		t := t0 ^ (dt & -(sel & 1))
+		sel >>= 1
+		// x < 2⁵³ and t ≤ 2⁵³, so x−t wraps into the top bit iff x < t.
+		// Lanes enter at the top and shift down into index order.
+		w = w>>1 | (x-t)&(1<<63)
+	}
+	p.state = state
+	return w >> uint(64-n)
+}
+
 // BernoulliWord returns a 64-bit word whose bits are independently 1 with
 // probability prob. For prob exactly 1/2 a single Uint64 draw is used;
-// otherwise bits are drawn individually (exactness over speed, matching
-// the per-element Bernoulli of the paper's transient vector).
+// otherwise every bit is its own Float64-equivalent draw, in index order
+// (the per-element Bernoulli of the paper's transient vector), through
+// the same lane routine as the ⊙ merge.
 func (p *PCG) BernoulliWord(prob float64, nbits int) uint64 {
 	if nbits <= 0 {
 		return 0
@@ -231,11 +274,6 @@ func (p *PCG) BernoulliWord(prob float64, nbits int) uint64 {
 	if prob == 0.5 {
 		return p.Uint64() & mask
 	}
-	var w uint64
-	for b := 0; b < nbits; b++ {
-		if p.Float64() < prob {
-			w |= 1 << uint(b)
-		}
-	}
-	return w
+	t := BernoulliThreshold(prob)
+	return p.BernoulliLanes(0, t, t, nbits)
 }

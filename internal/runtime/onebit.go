@@ -91,6 +91,12 @@ func AlignBitsToRank0(ep transport.Endpoint, bits *bitvec.Vec) {
 		panic(fmt.Sprintf("runtime: rank %d consensus align: %v", rank, err))
 	}
 	transport.PutBuffer(pkt.Data)
+	// Insert copies whatever length arrives: a shorter aggregate would
+	// leave the tail unaligned without a word, a longer one index out of
+	// range inside bitvec.
+	if in.Len() != bits.Len() {
+		panic(fmt.Sprintf("runtime: rank %d consensus align: rank 0 sent %d bits, want %d", rank, in.Len(), bits.Len()))
+	}
 	bits.Insert(0, in)
 }
 
