@@ -18,10 +18,12 @@
 #                          workload × end-to-end metric
 #   make bench-smoke       the kernel micro-benchmarks once (-benchtime=1x) so
 #                          they are compiled and executed on every PR
-#   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
-#                          word-parallel bitvec/Elias kernels and the
-#                          word-at-a-time ⊙ merge vs their scalar oracles,
-#                          and the PowerSGD Gram–Schmidt
+#   make fuzz-smoke        short fuzz pass over the Elias wire coder and the
+#                          bit-vector frame decoder on hostile bytes, the
+#                          word-parallel bitvec/Elias kernels, the masked
+#                          Bernoulli lanes, the word-at-a-time ⊙ merge and
+#                          the bit-sliced majority vote vs their scalar
+#                          oracles, and the PowerSGD Gram–Schmidt
 #                          orthonormalization on degenerate inputs
 #   make list-collectives  golden check: the CLIs' collective listing must
 #                          match docs/collectives.golden, so help text cannot
@@ -108,11 +110,12 @@ ab:
 # path vs scalar oracle) exactly once: cheap enough for CI, and it
 # proves the tools for measuring while working still compile and run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress ./internal/rng
 
-# fuzz-smoke gives the wire-facing Elias coder a short adversarial pass:
-# its payloads genuinely travel TCP frames in the distributed sign-sum
-# collectives, so the decoder must never panic on hostile bytes.
+# fuzz-smoke gives the wire-facing decoders a short adversarial pass —
+# Elias payloads and marshalled bit vectors genuinely travel TCP frames in
+# the distributed collectives, so neither decoder may panic on hostile
+# bytes — and drives every word-parallel kernel against its scalar oracle.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -121,6 +124,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasIntsIntoAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzPackUnpackSigns' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzExtractInsert' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz 'FuzzMarshalRoundTrip' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalRobust' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz 'FuzzMajorityAgainstScalar' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz 'FuzzBernoulliLanesMasked' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzMergeSignsAgainstScalar' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzGramSchmidt' -fuzztime $(FUZZTIME) ./internal/collective
 

@@ -246,6 +246,24 @@ func (v *Vec) UnpackScaledSub(dst, acc []float64, scale float64) {
 	}
 }
 
+// UnpackScaled is the write-only half of UnpackScaledSub: dst[i] = scale
+// where bit i is 1, −scale where it is 0. A clear bit flips the IEEE
+// sign, so −scale is the exact negation whatever scale's own sign is.
+func (v *Vec) UnpackScaled(dst []float64, scale float64) {
+	if len(dst) != v.n {
+		panic(fmt.Sprintf("bitvec: UnpackScaled length mismatch %d != %d", len(dst), v.n))
+	}
+	pos := math.Float64bits(scale)
+	for wi, w := range v.words {
+		lo := wi << 6
+		out := dst[lo:min(lo+64, v.n)]
+		for j := range out {
+			out[j] = math.Float64frombits(pos ^ (^w&1)<<63)
+			w >>= 1
+		}
+	}
+}
+
 // UnpackSigns writes ±1 into dst (bit 1 → +1, bit 0 → −1).
 // dst must have length Len. Word-parallel and branch-free: each word is
 // loaded once and its bits mapped to ±1 via 2·bit − 1.
@@ -368,15 +386,48 @@ func (v *Vec) Merge3(local, transient *Vec) {
 // inside the loop and never stored: word by word, lane j of the transient
 // is one Float64-equivalent draw from r, in index order, set with the
 // threshold t1 where local's bit j is 1 and t0 where it is 0 (see
-// rng.BernoulliLanes; the last word draws only Len mod 64 lanes). The
-// stream advances by exactly Len draws.
+// rng.BernoulliLanes; the last word spans only Len mod 64 lanes). The
+// stream advances by exactly Len positions, evaluating only the
+// disagreeing lanes: the merge reads the transient nowhere else.
 func (v *Vec) MergeBernoulli(local *Vec, r *rng.PCG, t0, t1 uint64) {
 	v.checkSame(local)
 	for i, b := range local.words {
 		a := v.words[i]
-		t := r.BernoulliLanes(b, t0, t1, v.wordBits(i))
+		t := r.BernoulliLanes(a^b, b, t0, t1, v.wordBits(i))
 		v.words[i] = (a & b) | ((a ^ b) & t)
 	}
+}
+
+// Majority sets v to the coordinate-wise majority of votes, ties to 1:
+// bit i is 1 iff at least half of the votes have it set (the sign of
+// Σ ±1 under the x >= 0 convention). Per word, a carry-save counter adds
+// the votes into ⌈log₂(M+1)⌉ bit planes — plane p holds bit p of all 64
+// lane counts — and a bit-sliced compare against ⌈M/2⌉ reads the result.
+func (v *Vec) Majority(votes []*Vec) {
+	for _, o := range votes {
+		v.checkSame(o)
+	}
+	half := uint64(len(votes)+1) / 2
+	planes := make([]uint64, bits.Len(uint(len(votes))))
+	for i := range v.words {
+		clear(planes)
+		for _, o := range votes {
+			carry := o.words[i]
+			for p := 0; carry != 0; p++ {
+				planes[p], carry = planes[p]^carry, planes[p]&carry
+			}
+		}
+		// count >= half, from the top plane down: gt holds the lanes
+		// already above, eq those still equal on every plane so far.
+		gt, eq := uint64(0), ^uint64(0)
+		for p := len(planes) - 1; p >= 0; p-- {
+			h := -(half >> uint(p) & 1)
+			gt |= eq & planes[p] &^ h
+			eq &^= planes[p] ^ h
+		}
+		v.words[i] = gt | eq
+	}
+	v.clearTail()
 }
 
 // Extract returns a new vector holding bits [lo, hi) of v. It runs a

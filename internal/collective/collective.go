@@ -569,11 +569,17 @@ func SSDMSignsInto(dst []float64, v tensor.Vec, r *rng.PCG) float64 {
 		if norm > 0 {
 			pKeep = 0.5 + math.Abs(x)/(2*norm)
 		}
-		s := tensor.Sign(x)
-		if !r.Bernoulli(pKeep) {
-			s = -s
+		// The sign of x (tensor.Sign: −1 iff x < 0) and the keep/flip
+		// outcome are both coin tosses on gradient data, so they meet in
+		// the IEEE sign bit of 1.0 instead of on two branches.
+		var neg uint64
+		if x < 0 {
+			neg = 1
 		}
-		dst[i] = s
+		if !r.Bernoulli(pKeep) {
+			neg ^= 1
+		}
+		dst[i] = math.Float64frombits(math.Float64bits(1) | neg<<63)
 	}
 	return norm
 }

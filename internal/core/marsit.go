@@ -133,10 +133,12 @@ func OpenCollective(desc *registry.Descriptor, o *registry.Opts, parallel bool, 
 // aWeight workers, local covers bWeight workers. Bits that agree pass
 // through; each disagreeing bit resolves to the local bit with
 // probability bWeight/(aWeight+bWeight), drawn from r via the transient
-// vector of Eq. (2): one draw per element in index order, agreeing bits
-// included, made 64 lanes at a time inside the merge loop so the
-// transient itself is never stored. After the call agg is an unbiased
-// one-bit estimate of the sign average over all aWeight+bWeight workers.
+// vector of Eq. (2): element i's draw sits at stream position i, agreeing
+// bits included, so r always ends Len draws on — but only the disagreeing
+// lanes are evaluated (by jump-ahead inside the merge loop, 64 lanes a
+// word), and the transient itself is never stored. After the call agg is
+// an unbiased one-bit estimate of the sign average over all
+// aWeight+bWeight workers.
 func MergeSigns(agg, local *bitvec.Vec, aWeight, bWeight int, r *rng.PCG) {
 	if aWeight <= 0 || bWeight <= 0 {
 		panic("core: MergeSigns needs positive weights")

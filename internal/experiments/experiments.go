@@ -6,8 +6,7 @@
 //
 // Absolute numbers differ from the paper — the substrate is a
 // simulator, not a 32-node GPU cluster — but each Output documents the
-// paper's shape and the measured shape side by side (EXPERIMENTS.md
-// collects the comparisons).
+// paper's shape and the measured shape side by side.
 package experiments
 
 import (

@@ -222,31 +222,70 @@ func BernoulliThreshold(prob float64) uint64 {
 	return uint64(math.Ceil(prob * (1 << 53)))
 }
 
-// BernoulliLanes draws n Bernoulli lanes, 0 ≤ n ≤ 64, in index order, one
-// Float64-equivalent draw each, and returns them as the low n bits of a
-// word: lane j is 1 when its draw x = Uint64()>>11 is below t1 if bit j
-// of sel is set, below t0 otherwise (thresholds from BernoulliThreshold).
-// The stream advances exactly as n Float64 calls would. The generator
-// state lives in locals for the whole word and both the threshold choice
-// and the compare are branch-free: this is the inner loop of the ⊙ merge.
-func (p *PCG) BernoulliLanes(sel, t0, t1 uint64, n int) uint64 {
+// jumpMul[k] = M^k and jumpAdd[k] = 1 + M + … + M^(k−1) for the LCG
+// multiplier M: the state k steps ahead of s on any stream is
+// jumpMul[k]·s + jumpAdd[k]·inc (Brown, "Random number generation with
+// arbitrary strides", 1994; PCG's advance). A 64-lane word spans 128
+// steps, so k ≤ 128 reaches every lane's draw from the word's entry
+// state without stepping through the lanes before it.
+var jumpMul, jumpAdd [129]uint64
+
+func init() {
+	jumpMul[0] = 1
+	for k := 1; k < len(jumpMul); k++ {
+		jumpMul[k] = jumpMul[k-1] * pcgMult
+		jumpAdd[k] = jumpAdd[k-1]*pcgMult + 1
+	}
+}
+
+// lowBits masks the 21 bits of a 53-bit draw that come from its low
+// 32-bit output: x = Uint64()>>11 = hi<<21 | lo>>11.
+const lowBits = 1<<21 - 1
+
+// belowByHigh decides x < t for the draw x = hi<<21 | lo>>11 from the
+// high output alone. x and t can only compare differently from hi<<21 and
+// t's high part when the two are equal — one hi in 2³² — and tie reports
+// that case, which belowByLow settles from the low output.
+func belowByHigh(hi uint32, t uint64) (below uint64, tie bool) {
+	h, th := uint64(hi)<<21, t&^lowBits
+	// h, th ≤ 2⁵³, so h−th wraps into the top bit iff h < th.
+	return (h - th) >> 63, h == th
+}
+
+// belowByLow is the decision on a belowByHigh tie: the high parts are
+// equal, so x < t iff the draw's low 21 bits are below t's.
+func belowByLow(lo uint32, t uint64) uint64 {
+	return (uint64(lo>>11) - t&lowBits) >> 63
+}
+
+// BernoulliLanes is n Bernoulli lanes, 0 ≤ n ≤ 64, at consecutive stream
+// positions in index order, one Float64-equivalent draw each, returned as
+// the low n bits of a word: lane j is 1 when its draw x = Uint64()>>11 is
+// below t1 if bit j of sel is set, below t0 otherwise (thresholds from
+// BernoulliThreshold). Only the lanes set in need are evaluated — each
+// reached by jump-ahead from the word's entry state, so the lanes are
+// independent chains — and the rest stay 0; the stream still advances
+// exactly as n Float64 calls would, whatever need is. This is the inner
+// loop of the ⊙ merge, which reads a lane only where its operands
+// disagree; dense callers pass all ones.
+func (p *PCG) BernoulliLanes(need, sel, t0, t1 uint64, n int) uint64 {
 	state, inc := p.state, p.inc
 	dt := t0 ^ t1
 	var w uint64
-	for j := 0; j < n; j++ {
-		hi := pcgOutput(state)
-		state = state*pcgMult + inc
-		lo := pcgOutput(state)
-		state = state*pcgMult + inc
-		x := (uint64(hi)<<32 | uint64(lo)) >> 11
-		t := t0 ^ (dt & -(sel & 1))
-		sel >>= 1
-		// x < 2⁵³ and t ≤ 2⁵³, so x−t wraps into the top bit iff x < t.
-		// Lanes enter at the top and shift down into index order.
-		w = w>>1 | (x-t)&(1<<63)
+	for m := need & (^uint64(0) >> uint(64-n)); m != 0; m &= m - 1 {
+		j := uint(bits.TrailingZeros64(m))
+		// Lane j's draw starts 2j steps on: its high output comes from
+		// that state, its low output from the one after.
+		s := jumpMul[2*j]*state + jumpAdd[2*j]*inc
+		t := t0 ^ (dt & -(sel >> j & 1))
+		below, tie := belowByHigh(pcgOutput(s), t)
+		if tie {
+			below = belowByLow(pcgOutput(s*pcgMult+inc), t)
+		}
+		w |= below << j
 	}
-	p.state = state
-	return w >> uint(64-n)
+	p.state = jumpMul[2*n]*state + jumpAdd[2*n]*inc
+	return w
 }
 
 // BernoulliWord returns a 64-bit word whose bits are independently 1 with
@@ -275,5 +314,5 @@ func (p *PCG) BernoulliWord(prob float64, nbits int) uint64 {
 		return p.Uint64() & mask
 	}
 	t := BernoulliThreshold(prob)
-	return p.BernoulliLanes(0, t, t, nbits)
+	return p.BernoulliLanes(^uint64(0), 0, t, t, nbits)
 }

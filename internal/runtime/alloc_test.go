@@ -168,6 +168,53 @@ func TestMarsitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPSSignSteadyStateAllocs pins the sign-majority parameter server to
+// bytes that scale with D bits, not D machine words. An op allocates each
+// rank's packed signs, the hub's M decoded votes and its majority vector,
+// and each rank's decoded downlink: (3M+1)·D/8 bytes, 1.6·D at M = 4, plus
+// about 1 KB of bookkeeping that does not grow with D (measured: 7 696
+// bytes at D = 4096, 27 664 at D = 16384). The cap is 1.25 × that and in
+// any case under 3·D; the per-element vote counters the hub used to keep
+// (one int each, 8·D bytes) overshoot it three times over. Ops are
+// measured one at a time, and the payload pool's own refills and misses
+// (see TestMarsitSteadyStateAllocs; a payload here is D/8 bytes and a
+// header) are the only allowance.
+func TestPSSignSteadyStateAllocs(t *testing.T) {
+	const workers, poolNewBytes, fixedBytes = 4, 512 + 24, 1100
+	for _, dim := range []int{1 << 12, 1 << 14} {
+		t.Run(fmt.Sprintf("D=%d", dim), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			defer obs.SetActive(reg)() // active before allocRun builds the engine
+			run, done := allocRun(t, "ps-sign", "loopback", workers, dim)
+			defer done()
+			maxBytes := uint64(1.25 * float64((3*workers+1)*dim/8+fixedBytes))
+			if maxBytes >= uint64(3*dim) {
+				t.Fatalf("cap of %d bytes is not under 3·D", maxBytes)
+			}
+			missBytes := uint64(dim/8 + 12)
+			var before, after goruntime.MemStats
+			for op := 0; op < 6; op++ {
+				gets, hits := reg.Pool.Gets.Value(), reg.Pool.Hits.Value()
+				goruntime.ReadMemStats(&before)
+				run()
+				goruntime.ReadMemStats(&after)
+				gets, hits = reg.Pool.Gets.Value()-gets, reg.Pool.Hits.Value()-hits
+				allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+				poolBytes := uint64(gets)*poolNewBytes + uint64(gets-hits)*missBytes
+				t.Logf("ps-sign/loopback M=%d D=%d op %d: %d allocs, %d bytes (cap %d + %d for %d pool gets, %d misses)",
+					workers, dim, op, allocs, bytes, maxBytes, poolBytes, gets, gets-hits)
+				if allocs > maxSteadyStateAllocs {
+					t.Fatalf("ps-sign allocates %d times in an op (cap %d)", allocs, maxSteadyStateAllocs)
+				}
+				if bytes > maxBytes+poolBytes {
+					t.Fatalf("ps-sign allocates %d bytes in an op (cap %d = 1.25 × ((3M+1)·D/8 + %d), plus %d for the payload pool): more than its bit vectors",
+						bytes, maxBytes, fixedBytes, poolBytes)
+				}
+			}
+		})
+	}
+}
+
 // TestSignSumSteadyStateAllocs pins the sign-sum ring (ssdm descriptor,
 // which layers SSDM compression over it): received sums accumulate
 // straight from the payload bytes.

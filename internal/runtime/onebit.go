@@ -119,8 +119,8 @@ func oneBitRingRank(rk *rankCtx, next, prev, p, m int, bits *bitvec.Vec, segs []
 			seg := segs[mod(p, m)]
 			out = bits.Extract(seg.Lo, seg.Hi)
 		}
-		in := rk.exchangeBits(next, out, prev)
 		recvSeg := segs[mod(p-s-1, m)]
+		in := rk.exchangeBits(next, out, prev, recvSeg.Len())
 		local := bits.Extract(recvSeg.Lo, recvSeg.Hi)
 		// The received aggregate covers (s+1)·baseWeight workers, the
 		// local side baseWeight.
@@ -133,23 +133,17 @@ func oneBitRingRank(rk *rankCtx, next, prev, p, m int, bits *bitvec.Vec, segs []
 	cur := agg
 	bits.Insert(segs[mod(p+1, m)].Lo, cur)
 	for s := 0; s < m-1; s++ {
-		cur = rk.exchangeBits(next, cur, prev)
-		bits.Insert(segs[mod(p-s, m)].Lo, cur)
+		seg := segs[mod(p-s, m)]
+		cur = rk.exchangeBits(next, cur, prev, seg.Len())
+		bits.Insert(seg.Lo, cur)
 	}
 }
 
-// exchangeBits sends out downstream and receives the upstream segment,
-// charging one simulated bit per element (the packet's framing header is
-// not charged). Payload buffers cycle through the shared pool: the
-// outgoing marshal draws one and the consumed incoming one is returned.
-func (r *rankCtx) exchangeBits(next int, out *bitvec.Vec, prev int) *bitvec.Vec {
-	buf := transport.GetBuffer(out.MarshalBytes())
-	out.MarshalInto(buf)
-	data := r.exchange(next, buf, out.WireBytes(), prev)
-	in, err := bitvec.Unmarshal(data)
-	if err != nil {
-		panic(fmt.Sprintf("runtime: rank %d: %v", r.rank, err))
-	}
-	transport.PutBuffer(data)
-	return in
+// exchangeBits sends out downstream and receives the upstream segment
+// of want bits, charging one simulated bit per element (the packet's
+// framing header is not charged). Payload buffers cycle through the
+// shared pool: the outgoing marshal draws one and the consumed incoming
+// one is returned.
+func (r *rankCtx) exchangeBits(next int, out *bitvec.Vec, prev, want int) *bitvec.Vec {
+	return unmarshalBits(r.rank, prev, r.exchange(next, marshalBits(out), out.WireBytes(), prev), want)
 }

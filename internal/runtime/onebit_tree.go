@@ -58,7 +58,7 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 				recvStart = recvAvail
 			}
 			recvAvail = recvStart + float64(p.Wire)*beta
-			agg := unmarshalBits(rank, p.Data)
+			agg := unmarshalBits(rank, ch, p.Data, bits.Len())
 			merge(rank, agg, bits, size[ch], absorbed)
 			bits = agg
 			absorbed += size[ch]
@@ -82,7 +82,7 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 			recvStart = rk.clk
 		}
 		rk.clk = recvStart + float64(p.Wire)*beta
-		bits = unmarshalBits(rank, p.Data)
+		bits = unmarshalBits(rank, parent, p.Data, bits.Len())
 	}
 	for _, ch := range children {
 		_, beta := c.Link(rank, ch)
@@ -101,11 +101,18 @@ func marshalBits(b *bitvec.Vec) []byte {
 	return buf
 }
 
-// unmarshalBits decodes a marshalBits payload and recycles it.
-func unmarshalBits(rank int, data []byte) *bitvec.Vec {
+// unmarshalBits decodes the marshalBits payload rank received from peer
+// and recycles it. The schedule fixes every frame's length, so any other
+// is a peer running another dimension or partition: Insert would leave a
+// short segment's tail unmerged without a word and fail a long one on an
+// index inside bitvec, hence the named panic here.
+func unmarshalBits(rank, peer int, data []byte, want int) *bitvec.Vec {
 	v, err := bitvec.Unmarshal(data)
 	if err != nil {
-		panic(fmt.Sprintf("runtime: rank %d: %v", rank, err))
+		panic(fmt.Sprintf("runtime: rank %d: peer %d: %v", rank, peer, err))
+	}
+	if v.Len() != want {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d sent %d bits, want %d", rank, peer, v.Len(), want))
 	}
 	transport.PutBuffer(data)
 	return v

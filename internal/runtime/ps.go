@@ -189,40 +189,25 @@ func signMajorityPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec
 	bits := bitvec.FromSigns(vec)
 	myScale := tensor.Norm1(vec) / float64(d)
 
-	var votes []int
+	// The hub keeps the decoded votes and counts them a word at a time;
+	// scale is summed in rank order.
+	var votes []*bitvec.Vec
 	scale := 0.0
-	if rank == hubRank {
-		votes = make([]int, d)
-	}
 	wire := collective.SignWireBytes(d)
 	down := runHub(c, ep, encodeSignScale(bits, myScale), wire, wire,
 		func(_ int, payload []byte) {
 			b, s := decodeSignScale(payload, d)
-			for i := 0; i < d; i++ {
-				if b.Get(i) {
-					votes[i]++
-				} else {
-					votes[i]--
-				}
-			}
+			votes = append(votes, b)
 			scale += s
 		},
 		func() []byte {
 			scale /= float64(n)
 			majority := bitvec.New(d)
-			for i, v := range votes {
-				majority.Set(i, v >= 0)
-			}
+			majority.Majority(votes)
 			return encodeSignScale(majority, scale)
 		})
 	maj, meanScale := decodeSignScale(down, d)
-	for i := 0; i < d; i++ {
-		if maj.Get(i) {
-			vec[i] = meanScale
-		} else {
-			vec[i] = -meanScale
-		}
-	}
+	maj.UnpackScaled(vec, meanScale)
 }
 
 // scaledSignPSRank executes one rank's share of the norm-weighted
