@@ -18,12 +18,14 @@
 #                          workload × end-to-end metric
 #   make bench-smoke       the kernel micro-benchmarks once (-benchtime=1x) so
 #                          they are compiled and executed on every PR
-#   make fuzz-smoke        short fuzz pass over the Elias wire coder and the
-#                          bit-vector frame decoder on hostile bytes, the
-#                          word-parallel bitvec/Elias kernels, the masked
-#                          Bernoulli lanes, the word-at-a-time ⊙ merge and
-#                          the bit-sliced majority vote vs their scalar
-#                          oracles, and the PowerSGD Gram–Schmidt
+#   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
+#                          bit-vector frame decoder and the sign-sum chunk
+#                          decoders on hostile bytes, the word-parallel
+#                          bitvec/Elias kernels (the Elias word-store
+#                          encoder at every buffer edge included), the
+#                          masked Bernoulli lanes, the word-at-a-time ⊙
+#                          merge and the bit-sliced majority vote vs their
+#                          scalar oracles, and the PowerSGD Gram–Schmidt
 #                          orthonormalization on degenerate inputs
 #   make list-collectives  golden check: the CLIs' collective listing must
 #                          match docs/collectives.golden, so help text cannot
@@ -113,15 +115,19 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress ./internal/rng
 
 # fuzz-smoke gives the wire-facing decoders a short adversarial pass —
-# Elias payloads and marshalled bit vectors genuinely travel TCP frames in
-# the distributed collectives, so neither decoder may panic on hostile
-# bytes — and drives every word-parallel kernel against its scalar oracle.
+# Elias payloads, marshalled bit vectors and sign-sum chunks genuinely
+# travel TCP frames in the distributed collectives, so no decoder may
+# panic on hostile bytes (the chunk decoders only by name, with the rank
+# and the peer) — and drives every word-parallel kernel against its
+# scalar oracle.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasIntsRoundTrip' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasDecodeRobust' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasIntsIntoAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
+	$(GO) test -run '^$$' -fuzz 'FuzzEliasEncodeBufAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
+	$(GO) test -run '^$$' -fuzz 'FuzzSignSumChunkRobust' -fuzztime $(FUZZTIME) ./internal/runtime
 	$(GO) test -run '^$$' -fuzz 'FuzzPackUnpackSigns' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzExtractInsert' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzMarshalRoundTrip' -fuzztime $(FUZZTIME) ./internal/bitvec

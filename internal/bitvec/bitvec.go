@@ -365,6 +365,68 @@ func Unmarshal(data []byte) (*Vec, error) {
 	return v, nil
 }
 
+// MarshalSigns writes FromSigns(src).Marshal() into out (exactly
+// 4 + ⌈len(src)/8⌉ bytes) without building the vector: the hops that
+// ship ±1 signs pack them straight into a pooled payload. Integer votes
+// pack under the same convention, non-negative → 1.
+func MarshalSigns[T float64 | int64](out []byte, src []T) {
+	n := len(src)
+	if len(out) != 4+(n+7)/8 {
+		panic(fmt.Sprintf("bitvec: MarshalSigns buffer of %d bytes, want %d", len(out), 4+(n+7)/8))
+	}
+	binary.LittleEndian.PutUint32(out, uint32(n))
+	payload := out[4:]
+	for lo := 0; lo < n; lo += 64 {
+		var w uint64
+		for j, x := range src[lo:min(lo+64, n)] {
+			if x >= 0 {
+				w |= 1 << uint(j)
+			}
+		}
+		if lo+64 <= n {
+			binary.LittleEndian.PutUint64(payload[lo>>3:], w)
+			continue
+		}
+		for i := lo >> 3; i < len(payload); i++ {
+			payload[i] = byte(w)
+			w >>= 8
+		}
+	}
+}
+
+// UnmarshalSigns is Unmarshal followed by UnpackSigns into dst, without
+// the vector in between: data must be the Marshal form of exactly
+// len(dst) bits, and dst receives +1 for a set bit, −1 for a clear one.
+func UnmarshalSigns(data []byte, dst []float64) error {
+	if len(data) < 4 {
+		return fmt.Errorf("bitvec: short header (%d bytes)", len(data))
+	}
+	n := len(dst)
+	if got := int(binary.LittleEndian.Uint32(data)); got != n {
+		return fmt.Errorf("bitvec: %d sign bits, want %d", got, n)
+	}
+	payload := data[4:]
+	if want := (n + 7) / 8; len(payload) < want {
+		return fmt.Errorf("bitvec: want %d payload bytes, have %d", want, len(payload))
+	}
+	for lo := 0; lo < n; lo += 64 {
+		var w uint64
+		if lo+64 <= n {
+			w = binary.LittleEndian.Uint64(payload[lo>>3:])
+		} else {
+			for i := (n+7)/8 - 1; i >= lo>>3; i-- {
+				w = w<<8 | uint64(payload[i])
+			}
+		}
+		out := dst[lo:min(lo+64, n)]
+		for j := range out {
+			out[j] = float64(int64(w&1)<<1 - 1)
+			w >>= 1
+		}
+	}
+	return nil
+}
+
 // Merge3 computes the Marsit ⊙ combination into v:
 //
 //	v = (v AND local) OR ((v XOR local) AND transient)

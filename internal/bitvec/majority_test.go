@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -85,6 +86,18 @@ func FuzzUnmarshalRobust(f *testing.F) {
 	f.Add(append(fuzzVec(64, 64).Marshal(), 0xaa, 0xbb))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Unmarshal(data)
+		// UnmarshalSigns, given the length the header claims, accepts and
+		// rejects the same frames, and never one of another length.
+		if len(data) >= 4 {
+			if n := int(binary.LittleEndian.Uint32(data)); n <= 1<<16 {
+				if errS := UnmarshalSigns(data, make([]float64, n)); (errS == nil) != (err == nil) {
+					t.Fatalf("UnmarshalSigns err %v, Unmarshal err %v", errS, err)
+				}
+				if UnmarshalSigns(data, make([]float64, n+1)) == nil {
+					t.Fatalf("a %d-bit frame unmarshalled into %d signs", n, n+1)
+				}
+			}
+		}
 		if err != nil {
 			return
 		}

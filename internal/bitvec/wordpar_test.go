@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"testing"
@@ -188,6 +189,35 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 		}
 		if !back.Equal(v) {
 			t.Fatalf("marshal round trip diverges at n=%d", n)
+		}
+
+		// The vector-free forms write and read the same frame: signs (and
+		// the integer votes with the same signs) marshal as FromSigns
+		// would, and a frame unmarshals to what UnpackSigns would write.
+		src := fuzzFloats(seed, n)
+		votes := make([]int64, n)
+		for i, x := range src {
+			votes[i] = -1
+			if x >= 0 {
+				votes[i] = int64(i % 3) // 0 votes +1 too
+			}
+		}
+		frame := FromSigns(src).Marshal()
+		fromSigns, fromVotes := make([]byte, len(frame)), make([]byte, len(frame))
+		MarshalSigns(fromSigns, src)
+		MarshalSigns(fromVotes, votes)
+		if !bytes.Equal(fromSigns, frame) || !bytes.Equal(fromVotes, frame) {
+			t.Fatalf("MarshalSigns diverges from FromSigns + Marshal at n=%d:\nsigns %x\nvotes %x\n want %x", n, fromSigns, fromVotes, frame)
+		}
+		gotS, wantS := make([]float64, n), make([]float64, n)
+		if err := UnmarshalSigns(got, gotS); err != nil {
+			t.Fatalf("UnmarshalSigns: %v", err)
+		}
+		refUnpackSigns(v, wantS)
+		for i := range wantS {
+			if gotS[i] != wantS[i] {
+				t.Fatalf("UnmarshalSigns[%d] = %v, oracle %v (n=%d)", i, gotS[i], wantS[i], n)
+			}
 		}
 	})
 }

@@ -549,19 +549,28 @@ func ssdmCompressSeg(seg tensor.Vec, r *rng.PCG) (signs []float64, norm float64)
 	return signs, norm
 }
 
-// SSDMSigns compresses v with SSDM semantics using r: it returns the
-// stochastic ±1 sign vector and the ℓ2 norm scaling constant.
-func SSDMSigns(v tensor.Vec, r *rng.PCG) ([]float64, float64) {
-	return ssdmCompressSeg(v, r)
+// SSDMSignsInto compresses v with SSDM semantics using r: it writes the
+// stochastic ±1 sign vector into dst (length must equal len(v)) and
+// returns the ℓ2 norm scaling constant — allocation-free, for the
+// concurrent engine's pooled per-hop scratch.
+func SSDMSignsInto(dst []float64, v tensor.Vec, r *rng.PCG) float64 {
+	return ssdmInto(dst, v, r)
 }
 
-// SSDMSignsInto is SSDMSigns writing the sign vector into dst (length
-// must equal len(v)) — the allocation-free form the concurrent engine's
-// pooled per-hop scratch uses. The stochastic draws from r are
-// identical to SSDMSigns.
-func SSDMSignsInto(dst []float64, v tensor.Vec, r *rng.PCG) float64 {
+// SSDMVotesInto is SSDMSignsInto with each sign written as an integer
+// vote, +1 or −1 — what the sign-sum ring circulates, so the concurrent
+// engine compresses straight into its sum buffer. Same draws from r,
+// same norm.
+func SSDMVotesInto(dst []int64, v tensor.Vec, r *rng.PCG) float64 {
+	return ssdmInto(dst, v, r)
+}
+
+// ssdmInto is the one SSDM loop under both element types: per element
+// the sign of x, kept with probability 1/2 + |x|/(2·norm) and flipped
+// otherwise, written as ±1.
+func ssdmInto[T float64 | int64](dst []T, v tensor.Vec, r *rng.PCG) float64 {
 	if len(dst) != len(v) {
-		panic("collective: SSDMSignsInto length mismatch")
+		panic("collective: SSDM sign vector length mismatch")
 	}
 	norm := tensor.Norm2(v)
 	for i, x := range v {
@@ -571,7 +580,7 @@ func SSDMSignsInto(dst []float64, v tensor.Vec, r *rng.PCG) float64 {
 		}
 		// The sign of x (tensor.Sign: −1 iff x < 0) and the keep/flip
 		// outcome are both coin tosses on gradient data, so they meet in
-		// the IEEE sign bit of 1.0 instead of on two branches.
+		// one bit instead of on two branches.
 		var neg uint64
 		if x < 0 {
 			neg = 1
@@ -579,7 +588,7 @@ func SSDMSignsInto(dst []float64, v tensor.Vec, r *rng.PCG) float64 {
 		if !r.Bernoulli(pKeep) {
 			neg ^= 1
 		}
-		dst[i] = math.Float64frombits(math.Float64bits(1) | neg<<63)
+		dst[i] = 1 - 2*T(neg)
 	}
 	return norm
 }
@@ -937,14 +946,12 @@ func SSDMPS(c *netsim.Cluster, vecs []tensor.Vec, rs []*rng.PCG) {
 // magnitude totalScale/workers. Ties (sum 0) decode positive, the
 // repository-wide zero-is-positive convention.
 func MajorityDecode(sums []int64, totalScale float64, workers int) tensor.Vec {
-	meanScale := totalScale / float64(workers)
+	meanScale := math.Float64bits(totalScale / float64(workers))
 	out := make(tensor.Vec, len(sums))
 	for i, s := range sums {
-		if s >= 0 {
-			out[i] = meanScale
-		} else {
-			out[i] = -meanScale
-		}
+		// A negative sum flips the IEEE sign bit: exact negation for any
+		// scale, and no branch on what is a coin toss per coordinate.
+		out[i] = math.Float64frombits(meanScale ^ uint64(s)>>63<<63)
 	}
 	return out
 }

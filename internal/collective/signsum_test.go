@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 
@@ -209,5 +210,40 @@ func TestSegmentedRingSameBytes(t *testing.T) {
 	}
 	if a, b := run(1), run(4); a != b {
 		t.Fatalf("chunking changed bytes: %d vs %d", a, b)
+	}
+}
+
+// majorityDecodeBranchy is MajorityDecode as it stood with the vote on a
+// branch, kept verbatim as the oracle.
+func majorityDecodeBranchy(sums []int64, totalScale float64, workers int) tensor.Vec {
+	meanScale := totalScale / float64(workers)
+	out := make(tensor.Vec, len(sums))
+	for i, s := range sums {
+		if s >= 0 {
+			out[i] = meanScale
+		} else {
+			out[i] = -meanScale
+		}
+	}
+	return out
+}
+
+// TestMajorityDecodeMatchesBranchy pins the sign-bit XOR to the branching
+// decode bit for bit: ties and extreme sums, and mean scales whose
+// negation is not an ordinary subtraction (±0, negative, NaN, ±Inf).
+func TestMajorityDecodeMatchesBranchy(t *testing.T) {
+	sums := []int64{0, 1, -1, 3, -4, math.MinInt64, math.MaxInt64}
+	scales := []float64{0, math.Copysign(0, -1), 2.5, -2.5, math.NaN(), math.Copysign(math.NaN(), -1), math.Inf(1), math.Inf(-1), 5e-324}
+	for _, total := range scales {
+		for _, workers := range []int{1, 4} {
+			got := MajorityDecode(sums, total, workers)
+			want := majorityDecodeBranchy(sums, total, workers)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("total %v workers %d sum %d: %v (%#x), branching form %v (%#x)", total, workers, sums[i],
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
 	}
 }

@@ -30,7 +30,9 @@ func ssdmSignsBranching(dst []float64, v tensor.Vec, r *rng.PCG) float64 {
 // the branching form: same signs bit for bit, same norm, and the stream
 // left at the same position — including inputs whose keep probability is
 // exactly 1 (no draw), NaN (always flipped) or 1/2 (zero norm), and the
-// ±0 elements whose sign follows x < 0, not the IEEE sign bit.
+// ±0 elements whose sign follows x < 0, not the IEEE sign bit. The
+// integer-vote form, SSDMVotesInto, is held to the same oracle on a
+// third copy of the stream.
 func TestSSDMSignsIntoMatchesBranching(t *testing.T) {
 	src := rng.New(77)
 	cases := map[string]tensor.Vec{
@@ -44,20 +46,26 @@ func TestSSDMSignsIntoMatchesBranching(t *testing.T) {
 	}
 	for name, v := range cases {
 		for seed := uint64(1); seed <= 8; seed++ {
-			fast, ref := rng.NewStream(seed, 2), rng.NewStream(seed, 2)
+			fast, ints, ref := rng.NewStream(seed, 2), rng.NewStream(seed, 2), rng.NewStream(seed, 2)
 			got, want := make([]float64, len(v)), make([]float64, len(v))
+			votes := make([]int64, len(v))
 			gotNorm := SSDMSignsInto(got, v, fast)
+			votesNorm := SSDMVotesInto(votes, v, ints)
 			wantNorm := ssdmSignsBranching(want, v, ref)
-			if math.Float64bits(gotNorm) != math.Float64bits(wantNorm) {
-				t.Fatalf("%s seed %d: norm %v, branching form %v", name, seed, gotNorm, wantNorm)
+			if math.Float64bits(gotNorm) != math.Float64bits(wantNorm) || math.Float64bits(votesNorm) != math.Float64bits(wantNorm) {
+				t.Fatalf("%s seed %d: norm %v, as votes %v, branching form %v", name, seed, gotNorm, votesNorm, wantNorm)
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("%s seed %d: sign[%d] of %v = %v, branching form %v", name, seed, i, v[i], got[i], want[i])
 				}
+				if votes[i] != int64(want[i]) {
+					t.Fatalf("%s seed %d: vote[%d] of %v = %d, branching form %v", name, seed, i, v[i], votes[i], want[i])
+				}
 			}
-			if g, w := fast.Uint64(), ref.Uint64(); g != w {
-				t.Fatalf("%s seed %d: stream left at %#x, branching form leaves it at %#x", name, seed, g, w)
+			w := ref.Uint64()
+			if g, gv := fast.Uint64(), ints.Uint64(); g != w || gv != w {
+				t.Fatalf("%s seed %d: stream left at %#x, as votes at %#x, branching form leaves it at %#x", name, seed, g, gv, w)
 			}
 		}
 	}

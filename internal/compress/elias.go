@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -232,20 +233,41 @@ func EliasEncodeInts(vals []int64) ([]byte, int) {
 // array (growing it as needed), so a hot loop can recycle one buffer
 // across hops instead of allocating per encode.
 //
-// This is the wire path's encode kernel: instead of per-bit BitWriter
-// calls it runs a 64-bit accumulator — a gamma code is its value in a
-// (2·⌊log2 v⌋+1)-bit big-endian field, so each value lands with at most
-// three shift-or pushes. The output stream is bit-identical to a
-// EliasGammaEncode loop (the fuzz tests pin this).
+// This is the wire path's encode kernel. A gamma code is its value u in
+// a w = 2·Len64(u)−1 bit big-endian field, so a code of up to 56 bits is
+// one shift-or into a 64-bit accumulator, and the accumulator is stored
+// as one big-endian word only when the next code would overflow it (the
+// whole bytes are kept, the ≤ 7 leftover bits stay pending). The word
+// store needs eight bytes of capacity past the write position, so the
+// last bytes of an exactly sized buffer — and any code wider than 56
+// bits — take the byte-at-a-time drain below instead; a buffer with room
+// for the stream is never reallocated. The output stream is bit-identical
+// to an EliasGammaEncode loop (the fuzz tests pin this).
 func EliasEncodeIntsBuf(vals []int64, scratch []byte) ([]byte, int) {
 	buf := scratch[:0]
-	var acc uint64 // pending bits, right-aligned in the low nacc positions
+	var acc uint64 // pending bits in the low nacc positions; higher bits are stale
 	nacc := 0
 	total := 0
 	for _, v := range vals {
 		u := ZigZag(v)
 		n := bits.Len64(u)
-		total += 2*n - 1
+		w := 2*n - 1
+		total += w
+		if uint(w-1) < 56 && (nacc+w <= 64 || cap(buf)-len(buf) >= 8) {
+			if nacc+w > 64 {
+				k := len(buf)
+				binary.BigEndian.PutUint64(buf[k:k+8], acc<<(uint(64-nacc)&63))
+				buf = buf[:k+nacc>>3]
+				nacc &= 7
+			}
+			acc = acc<<(uint(w)&63) | u
+			nacc += w
+			continue
+		}
+		for nacc >= 8 {
+			nacc -= 8
+			buf = append(buf, byte(acc>>uint(nacc)))
+		}
 		// Prefix: n−1 zeros, pushed ≤ 32 bits at a time so the
 		// accumulator (≤ 7 pending bits after draining) never overflows.
 		for zeros := n - 1; zeros > 0; {
@@ -279,6 +301,10 @@ func EliasEncodeIntsBuf(vals []int64, scratch []byte) ([]byte, int) {
 			buf = append(buf, byte(acc>>uint(nacc)))
 		}
 	}
+	for nacc >= 8 {
+		nacc -= 8
+		buf = append(buf, byte(acc>>uint(nacc)))
+	}
 	if nacc > 0 {
 		buf = append(buf, byte(acc<<uint(8-nacc)))
 	}
@@ -309,30 +335,56 @@ func EliasDecodeInts(data []byte, n int) ([]int64, error) {
 
 // EliasDecodeIntsInto decodes len(out) signed integers from data into
 // out — the allocation-free form used by pooled per-hop scratch.
-//
-// This is the wire path's decode kernel: a 64-bit window holds the next
-// bits MSB-aligned, so a whole gamma code (prefix, terminator and
-// mantissa) resolves with one LeadingZeros64 and one shift when it fits
-// the window — the common case, since sign sums are bounded by the
-// worker count. Codes longer than the window, zero runs crossing it and
-// stream exhaustion fall back to the scalar reader at the current bit
-// position (the oracle the fuzz tests compare against).
 func EliasDecodeIntsInto(data []byte, out []int64) error {
-	var acc uint64 // next bits, MSB-aligned; bits below the top nacc are zero
+	return eliasDecodeInts(data, out, 0)
+}
+
+// EliasDecodeAddInto decodes len(dst) signed integers from data and adds
+// each to its slot, dst[i] += v_i — the sign-sum ring's reduce step
+// straight off the payload, with no decoded slice in between. On error
+// dst holds the sums of the values decoded before it.
+func EliasDecodeAddInto(data []byte, dst []int64) error {
+	return eliasDecodeInts(data, dst, -1)
+}
+
+// eliasDecodeInts is the wire path's decode kernel, one loop under both
+// entry points: out[i] = out[i]&keep + v_i, so keep = 0 overwrites and
+// keep = −1 accumulates.
+//
+// A 64-bit window holds the next bits MSB-aligned, so a whole gamma code
+// (prefix, terminator and mantissa) resolves with one LeadingZeros64 and
+// one shift when it fits the window — the common case, since sign sums
+// are bounded by the worker count. The window is topped up before every
+// value by one unconditional big-endian word load: the whole bytes that
+// fit are counted in, and the bits of the next byte that ride along are
+// genuine stream bits the following load ORs in again. The last eight
+// bytes of the stream refill a byte at a time. Codes longer than the
+// window, zero runs crossing it and stream exhaustion fall back to the
+// scalar reader at the current bit position (the oracle the fuzz tests
+// compare against).
+func eliasDecodeInts(data []byte, out []int64, keep int64) error {
+	var acc uint64 // next bits, MSB-aligned; only the top nacc are counted
 	nacc := 0
 	byteIdx := 0
 	for i := range out {
-		for nacc <= 56 && byteIdx < len(data) {
-			acc |= uint64(data[byteIdx]) << uint(56-nacc)
-			byteIdx++
-			nacc += 8
+		if byteIdx+8 <= len(data) {
+			acc |= binary.BigEndian.Uint64(data[byteIdx:]) >> (uint(nacc) & 63)
+			k := (63 - nacc) >> 3
+			byteIdx += k
+			nacc += k << 3
+		} else {
+			for nacc <= 56 && byteIdx < len(data) {
+				acc |= uint64(data[byteIdx]) << uint(56-nacc)
+				byteIdx++
+				nacc += 8
+			}
 		}
 		lz := bits.LeadingZeros64(acc)
 		if w := 2*lz + 1; w <= nacc {
-			u := acc >> uint(64-w)
-			acc <<= uint(w)
+			u := acc >> (uint(64-w) & 63)
+			acc <<= uint(w) & 63
 			nacc -= w
-			out[i] = UnZigZag(u)
+			out[i] = out[i]&keep + UnZigZag(u)
 			continue
 		}
 		// Slow path: long prefix, wide mantissa, or end of stream.
@@ -341,7 +393,7 @@ func EliasDecodeIntsInto(data []byte, out []int64) error {
 		if err != nil {
 			return fmt.Errorf("compress: value %d: %w", i, err)
 		}
-		out[i] = UnZigZag(u)
+		out[i] = out[i]&keep + UnZigZag(u)
 		byteIdx = r.pos >> 3
 		acc, nacc = 0, 0
 		if rem := r.pos & 7; rem != 0 {

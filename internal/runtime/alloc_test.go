@@ -27,8 +27,8 @@ import (
 
 // allocRun opens desc on an engine over the named fabric and returns a
 // closure running one steady-state round (after a pooling warm-up),
-// plus the teardown.
-func allocRun(t *testing.T, name, fabric string, workers, dim int) (func(), func()) {
+// plus the teardown. tweak adjusts the options before the open.
+func allocRun(t *testing.T, name, fabric string, workers, dim int, tweak ...func(*registry.Opts)) (func(), func()) {
 	t.Helper()
 	desc, err := registry.Get(name)
 	if err != nil {
@@ -55,6 +55,9 @@ func allocRun(t *testing.T, name, fabric string, workers, dim int) (func(), func
 	}
 	c := netsim.NewCluster(workers, netsim.DefaultCostModel())
 	o := &registry.Opts{Workers: workers, Dim: dim, Seed: 11, K: 3, GlobalLR: 0.01}
+	for _, f := range tweak {
+		f(o)
+	}
 	cl, err := eng.Open(desc, o)
 	if err != nil {
 		eng.Close()
@@ -215,11 +218,74 @@ func TestPSSignSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestSignSumSteadyStateAllocs pins the sign-sum ring (ssdm descriptor,
-// which layers SSDM compression over it): received sums accumulate
-// straight from the payload bytes.
+// TestSignSumSteadyStateAllocs pins the sign-sum ring — signsum raw and
+// Elias-coded, and ssdm, which layers SSDM compression over the same
+// ring — to the bytes of what it returns. A rank's votes are written once
+// into a pooled []int64 that the ring then sums in place and every chunk
+// is added or decoded straight from its payload, so an op allocates the
+// update each rank hands back (signsum: 8·D·M bytes in all; ssdm decodes
+// into the caller's gradient and returns that) plus bookkeeping that does
+// not grow with D (measured: 2.0 to 2.3 KB an op). The cap is 1.25 × that
+// and in any case under 12·D·M: one more D-word vector per rank per op — a
+// ±1 float vector beside the votes, or a fresh make([]int64, D) in place
+// of the pooled one; the parent built three — adds 8·D·M and fails it.
+//
+// Ops are measured one at a time. The payload pool's own refills and
+// misses are allowed for as in TestMarsitSteadyStateAllocs. The vote pool
+// keeps no such count, and under the race detector sync.Pool drops a
+// quarter of all Puts on purpose, so the test stocks it before every op
+// (outside the measured window): what is measured is the op against a
+// warm pool, the steady state, with or without the detector.
 func TestSignSumSteadyStateAllocs(t *testing.T) {
-	testSteadyStateAllocs(t, "ssdm", 1<<14)
+	const workers, poolNewBytes, fixedBytes = 4, 512 + 24, 2600
+	for _, tc := range []struct {
+		name    string
+		elias   bool
+		updates int // D-float vectors an op returns freshly allocated
+	}{{"signsum", false, workers}, {"signsum", true, workers}, {"ssdm", false, 0}, {"ssdm", true, 0}} {
+		for _, dim := range []int{1 << 12, 1 << 14} {
+			t.Run(fmt.Sprintf("%s/elias=%v/D=%d", tc.name, tc.elias, dim), func(t *testing.T) {
+				// Both pools hand out whatever entry comes up and allocate when
+				// it is too small; two collections empty them of the other
+				// sizes earlier tests left behind.
+				goruntime.GC()
+				goruntime.GC()
+				reg := obs.NewRegistry()
+				defer obs.SetActive(reg)() // active before allocRun builds the engine
+				run, done := allocRun(t, tc.name, "loopback", workers, dim, func(o *registry.Opts) { o.Elias = tc.elias })
+				defer done()
+				maxBytes := uint64(1.25 * float64(8*dim*tc.updates+fixedBytes))
+				if maxBytes >= uint64(12*dim*workers) {
+					t.Fatalf("cap of %d bytes is not under 12·D·M", maxBytes)
+				}
+				// A missed payload is at most a raw segment, 12 + 8·⌈D/M⌉ bytes,
+				// which the allocator rounds up by less than a page.
+				missBytes := uint64(12+8*(dim/workers+1)+8191) &^ 8191
+				var before, after goruntime.MemStats
+				for op := 0; op < 6; op++ {
+					for i := 0; i < 4*workers; i++ {
+						transport.PutInt64s(make([]int64, dim))
+					}
+					gets, hits := reg.Pool.Gets.Value(), reg.Pool.Hits.Value()
+					goruntime.ReadMemStats(&before)
+					run()
+					goruntime.ReadMemStats(&after)
+					gets, hits = reg.Pool.Gets.Value()-gets, reg.Pool.Hits.Value()-hits
+					allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+					poolBytes := uint64(gets)*poolNewBytes + uint64(gets-hits)*missBytes
+					t.Logf("M=%d op %d: %d allocs, %d bytes (cap %d + %d for %d pool gets, %d misses)",
+						workers, op, allocs, bytes, maxBytes, poolBytes, gets, gets-hits)
+					if allocs > maxSteadyStateAllocs {
+						t.Fatalf("%s allocates %d times in an op (cap %d)", tc.name, allocs, maxSteadyStateAllocs)
+					}
+					if bytes > maxBytes+poolBytes {
+						t.Fatalf("%s allocates %d bytes in an op (cap %d = 1.25 × (%d updates of 8·D + %d), plus %d for the payload pool): a D-word vector beside the pooled votes",
+							tc.name, bytes, maxBytes, tc.updates, fixedBytes, poolBytes)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestRARSteadyStateAllocs pins the full-precision ring all-reduce —

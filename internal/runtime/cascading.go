@@ -1,10 +1,6 @@
 package runtime
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
 	"marsit/internal/collective"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
@@ -21,47 +17,13 @@ import (
 // as in collective.CascadingRing, and each rank's stochastic draws come
 // from its own goroutine-confined stream in the sequential order.
 //
-// The hot loop is allocation-free: sign and sum scratch cycles through
-// the shared transport pools (one live sign buffer plus one sum buffer
-// per rank, regardless of ring size or round count), received signs are
-// read straight out of the payload bytes, and each hop's payload can be
-// chunk-pipelined (rankCtx.chunks) with the ℓ2 norm riding the first
-// chunk.
-
-// encodeCascadeChunk serializes one cascading chunk: the ℓ2 norm (first
-// chunk of a hop only) followed by the chunk's ±1 signs as raw float64
-// bits (an exact round-trip; the simulated wire charges 1 bit per
-// element + the constant regardless).
-func encodeCascadeChunk(norm float64, signs []float64, withNorm bool) []byte {
-	head := 0
-	if withNorm {
-		head = 8
-	}
-	out := transport.GetBuffer(head + 8*len(signs))
-	if withNorm {
-		binary.LittleEndian.PutUint64(out, math.Float64bits(norm))
-	}
-	for i, s := range signs {
-		binary.LittleEndian.PutUint64(out[head+8*i:], math.Float64bits(s))
-	}
-	return out
-}
-
-// cascadeChunkBody validates a received chunk of n signs and returns
-// the norm (when the chunk leads a hop) and the sign bytes.
-func cascadeChunkBody(data []byte, n int, withNorm bool) (norm float64, body []byte) {
-	head := 0
-	if withNorm {
-		head = 8
-	}
-	if len(data) != head+8*n {
-		panic(fmt.Sprintf("runtime: cascade payload of %d bytes for %d elements", len(data), n))
-	}
-	if withNorm {
-		norm = math.Float64frombits(binary.LittleEndian.Uint64(data))
-	}
-	return norm, data[head:]
-}
+// The hot loop allocates nothing of segment size: sign and sum scratch
+// cycles through the shared transport pools (one live sign buffer plus
+// one sum buffer per rank, regardless of ring size or round count), and
+// each hop's payload can be chunk-pipelined (rankCtx.chunks). What
+// travels is what netsim charges — one bit per sign plus the ℓ2 norm,
+// the sign frame of ps.go (encodeSigns); every chunk of a hop carries
+// the norm.
 
 // cascadingRingRank executes one rank's share of the cascading SSDM
 // ring. vec is replaced by the (error-laden) estimate of the mean; r
@@ -86,8 +48,7 @@ func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 
 	// Reduce phase: at step s forward the payload covering segment
 	// (p−s) mod n, then decompress–add–recompress the received segment
-	// (p−s−1) mod n. The received signs are combined straight from the
-	// payload bytes; the outgoing sign buffer is pooled and recycled
+	// (p−s−1) mod n. The outgoing sign buffer is pooled and recycled
 	// after each recompression.
 	var curNorm float64
 	var curSigns []float64
@@ -101,21 +62,16 @@ func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 		in := segs[mod(rank-s-1, n)]
 		local := in.Of(vec)
 		sm := summed[:in.Len()]
-		var inNorm float64
 		rk.exchangeChunked(next, prev, out.Len(), in.Len(), collective.SignWireBytes(out.Len()),
-			func(ci, lo, hi int) []byte {
-				return encodeCascadeChunk(curNorm, curSigns[lo:hi], ci == 0)
+			func(_, lo, hi int) []byte {
+				return encodeSigns(curSigns[lo:hi], curNorm)
 			},
-			func(ci, lo, hi int, data []byte) {
-				norm, body := cascadeChunkBody(data, hi-lo, ci == 0)
-				if ci == 0 {
-					inNorm = norm
+			func(_, lo, hi int, data []byte) {
+				// The received signs land in sm and are combined in place.
+				inNorm := decodeSigns(data, sm[lo:hi])
+				for i := lo; i < hi; i++ {
+					sm[i] = inNorm*sm[i] + local[i]
 				}
-				for i := 0; i < hi-lo; i++ {
-					sign := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-					sm[lo+i] = inNorm*sign + local[lo+i]
-				}
-				transport.PutBuffer(data)
 			})
 		rk.addDecompress(in.Len())
 		transport.PutFloats(curSigns)
@@ -138,20 +94,12 @@ func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 		inSigns := transport.GetFloats(in.Len())
 		var inNorm float64
 		rk.exchangeChunked(next, prev, out.Len(), in.Len(), collective.SignWireBytes(out.Len()),
-			func(ci, lo, hi int) []byte {
-				return encodeCascadeChunk(curNorm, curSigns[lo:hi], ci == 0)
+			func(_, lo, hi int) []byte {
+				return encodeSigns(curSigns[lo:hi], curNorm)
 			},
-			func(ci, lo, hi int, data []byte) {
-				norm, body := cascadeChunkBody(data, hi-lo, ci == 0)
-				if ci == 0 {
-					inNorm = norm
-				}
-				for i := 0; i < hi-lo; i++ {
-					sign := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-					inSigns[lo+i] = sign
-					dst[lo+i] = inNorm * sign / fn
-				}
-				transport.PutBuffer(data)
+			func(_, lo, hi int, data []byte) {
+				inNorm = decodeSigns(data, inSigns[lo:hi])
+				writeCascadeSegment(dst[lo:hi], inNorm, inSigns[lo:hi], fn)
 			})
 		transport.PutFloats(curSigns)
 		curSigns, curNorm = inSigns, inNorm

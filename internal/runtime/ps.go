@@ -212,23 +212,25 @@ func signMajorityPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec
 
 // scaledSignPSRank executes one rank's share of the norm-weighted
 // sign push–pull under PS (the exchange of SSDM-PS and of the train
-// layer's PS sign transports): signs and scale up, the dense mean
-// (1/M)·Σ scale_m·sign_m back down. The caller owns the compression and
-// decode charges around it, mirroring the sequential layering.
-func scaledSignPSRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64, scale float64) tensor.Vec {
+// layer's PS sign transports): the rank's ±1 votes, packed one bit each,
+// and its scale up, the dense mean (1/M)·Σ scale_m·sign_m back down. The
+// caller owns the compression and decode charges around it, mirroring
+// the sequential layering.
+func scaledSignPSRank(c *netsim.Cluster, ep transport.Endpoint, votes []int64, scale float64) tensor.Vec {
 	rank, n := ep.Rank(), ep.Size()
-	d := len(signs)
+	d := len(votes)
 	var mean tensor.Vec
 	if rank == hubRank {
 		mean = tensor.New(d)
 	}
-	down := runHub(c, ep, encodeCascadeChunk(scale, signs, true), collective.SignWireBytes(d), collective.DenseWireBytes(d),
+	down := runHub(c, ep, encodeSigns(votes, scale), collective.SignWireBytes(d), collective.DenseWireBytes(d),
 		func(_ int, payload []byte) {
-			s, body := cascadeChunkBody(payload, d, true)
+			signs := transport.GetFloats(d)
+			s := decodeSigns(payload, signs)
 			for i := range mean {
-				mean[i] += s * math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+				mean[i] += s * signs[i]
 			}
-			transport.PutBuffer(payload)
+			transport.PutFloats(signs)
 		},
 		func() []byte {
 			tensor.Scale(mean, 1/float64(n))
@@ -246,13 +248,52 @@ func scaledSignPSRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64,
 func ssdmPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG) {
 	rank := ep.Rank()
 	d := len(vec)
-	signs, norm := collective.SSDMSigns(vec, r)
+	votes := transport.GetInt64s(d)
+	norm := collective.SSDMVotesInto(votes, vec, r)
 	c.AddCompress(rank, d)
-	copy(vec, scaledSignPSRank(c, ep, signs, norm))
+	copy(vec, scaledSignPSRank(c, ep, votes, norm))
+	transport.PutInt64s(votes)
 }
 
-// encodeSignScale serializes a packed sign vector plus its scaling
-// constant into a pooled payload.
+// The sign frame every one-bit-per-element payload of this package
+// shares — the PS sign uplinks and downlink, and the cascading ring's
+// hops — is the 8-byte scaling constant followed by the bitvec.Marshal
+// form of the signs (bit length, then one bit per sign, set = +1): what
+// netsim charges for, one bit per element plus the constant, is what
+// travels. A ±1 round-trips through its bit exactly.
+
+// encodeSigns packs ±1 signs — floats, or the integer votes of the
+// sign-vote family — and their scaling constant into a pooled sign
+// frame, with no bit vector in between.
+func encodeSigns[T float64 | int64](signs []T, scale float64) []byte {
+	out := transport.GetBuffer(8 + 4 + (len(signs)+7)/8)
+	binary.LittleEndian.PutUint64(out, math.Float64bits(scale))
+	bitvec.MarshalSigns(out[8:], signs)
+	return out
+}
+
+// signFrameScale splits a received sign frame into its scaling constant
+// and the marshalled signs.
+func signFrameScale(data []byte) (float64, []byte) {
+	if len(data) < 8 {
+		panic(fmt.Sprintf("runtime: sign-scale payload of %d bytes", len(data)))
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(data)), data[8:]
+}
+
+// decodeSigns unpacks a sign frame of len(signs) bits into ±1.0 floats,
+// a word at a time, recycles it and returns the scaling constant.
+func decodeSigns(data []byte, signs []float64) float64 {
+	scale, body := signFrameScale(data)
+	if err := bitvec.UnmarshalSigns(body, signs); err != nil {
+		panic(fmt.Sprintf("runtime: sign-scale payload: %v", err))
+	}
+	transport.PutBuffer(data)
+	return scale
+}
+
+// encodeSignScale is encodeSigns for signs already packed in a bit
+// vector.
 func encodeSignScale(bits *bitvec.Vec, scale float64) []byte {
 	out := transport.GetBuffer(8 + bits.MarshalBytes())
 	binary.LittleEndian.PutUint64(out, math.Float64bits(scale))
@@ -260,14 +301,11 @@ func encodeSignScale(bits *bitvec.Vec, scale float64) []byte {
 	return out
 }
 
-// decodeSignScale parses an encodeSignScale payload of d sign bits and
-// recycles it.
+// decodeSignScale parses a sign frame of d bits into a bit vector (what
+// the majority hub votes on) and recycles it.
 func decodeSignScale(data []byte, d int) (*bitvec.Vec, float64) {
-	if len(data) < 8 {
-		panic(fmt.Sprintf("runtime: sign-scale payload of %d bytes", len(data)))
-	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(data))
-	bits, err := bitvec.Unmarshal(data[8:])
+	scale, body := signFrameScale(data)
+	bits, err := bitvec.Unmarshal(body)
 	if err != nil {
 		panic(fmt.Sprintf("runtime: sign-scale payload: %v", err))
 	}

@@ -23,26 +23,18 @@ import (
 // wire. Results, wire bytes and α–β clocks are bit-identical to
 // collective.SignSumRing / SignSumTorus / OverflowRing.
 //
+// A rank's whole state is one []int64 of length D that its caller draws
+// from the shared pool: it enters holding the rank's ±1 votes, every
+// received chunk is added or copied into it straight from the payload
+// bytes, and it leaves holding the consensus sums. Nothing else of size D
+// exists on this path.
+//
 // The scaling constants ride along the payloads (their 4 simulated bytes
 // are part of every message, as in the sequential accounting): each
 // reduce-scatter hop forwards the scale data received on the previous
 // hop, so after m−1 hops a rank holds every ring member's original
 // constant and can form the total in rank order — the exact float
 // summation order of the sequential engine.
-
-// signsToSums converts a ±-sign vector to int64 sign sums, with the
-// repository-wide zero-is-positive convention of the sequential path.
-func signsToSums(signs []float64) []int64 {
-	out := make([]int64, len(signs))
-	for i, sg := range signs {
-		if sg >= 0 {
-			out[i] = 1
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
-}
 
 // encodeSignSumChunk serializes one sign-sum chunk: the scale payload
 // riding along (a small float64 vector, empty on trailing chunks)
@@ -93,21 +85,26 @@ func signSumHopWire(workers int, vals []int64, useElias bool) (wire, eliasBits i
 	return collective.SignSumSegBytes(workers, vals, false), -1
 }
 
-// parseSignSumScales reads a chunk's scale header and returns the
-// scales (nil when the header is empty) and the sums offset.
-func parseSignSumScales(data []byte) ([]float64, int) {
+// parseSignSumScales reads the scale header of a chunk that rank
+// received from peer and returns the scales (nil when there are none) and
+// the sums offset. A chunk must carry exactly want scales — the ring
+// indexes them by position later, so any other count is a corrupt or
+// mismatched frame and is rejected here, by name.
+func parseSignSumScales(rank, peer int, data []byte, want int) ([]float64, int) {
 	if len(data) < 4 {
-		panic(fmt.Sprintf("runtime: sign-sum payload of %d bytes", len(data)))
+		panic(fmt.Sprintf("runtime: rank %d: peer %d sent a sign-sum chunk of %d bytes", rank, peer, len(data)))
 	}
-	nScales := int(binary.LittleEndian.Uint32(data))
+	if got := int(binary.LittleEndian.Uint32(data)); got != want {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d sent %d scales, want %d", rank, peer, got, want))
+	}
 	off := 4
-	if len(data) < off+8*nScales {
-		panic(fmt.Sprintf("runtime: sign-sum payload of %d bytes for %d scales", len(data), nScales))
+	if len(data) < off+8*want {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d sent a sign-sum chunk of %d bytes for %d scales", rank, peer, len(data), want))
 	}
-	if nScales == 0 {
+	if want == 0 {
 		return nil, off
 	}
-	scales := make([]float64, nScales)
+	scales := make([]float64, want)
 	for i := range scales {
 		scales[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 		off += 8
@@ -115,47 +112,49 @@ func parseSignSumScales(data []byte) ([]float64, int) {
 	return scales, off
 }
 
-// addSignSumChunk merges a received chunk into dst (dst[i] += v_i)
-// straight from the payload bytes — no decoded slice materializes on
-// the raw path, and the Elias path decodes into pooled scratch. The
-// payload is recycled; the chunk's scales (usually nil) are returned.
-func addSignSumChunk(dst []int64, data []byte, useElias bool) []float64 {
-	scales, off := parseSignSumScales(data)
+// checkRawSums rejects a raw sums body that is not 8 bytes per element.
+func checkRawSums(rank, peer int, body []byte, n int) {
+	if len(body) != 8*n {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d sent %d bytes of sums, want %d", rank, peer, len(body), 8*n))
+	}
+}
+
+// addSignSumChunk merges a chunk that rank received from peer into dst
+// (dst[i] += v_i) straight from the payload bytes: no decoded slice
+// materializes on either path, the Elias one decodes and adds in one
+// loop. The chunk must carry wantScales scales, which are returned (nil
+// for none). The payload is recycled.
+func addSignSumChunk(rank, peer int, dst []int64, data []byte, useElias bool, wantScales int) []float64 {
+	scales, off := parseSignSumScales(rank, peer, data, wantScales)
+	body := data[off:]
 	if useElias {
-		tmp := transport.GetInt64s(len(dst))
-		if err := compress.EliasDecodeIntsInto(data[off:], tmp); err != nil {
-			panic(fmt.Sprintf("runtime: sign-sum elias payload: %v", err))
+		if err := compress.EliasDecodeAddInto(body, dst); err != nil {
+			panic(fmt.Sprintf("runtime: rank %d: peer %d: sign-sum elias payload: %v", rank, peer, err))
 		}
-		for i := range dst {
-			dst[i] += tmp[i]
-		}
-		transport.PutInt64s(tmp)
 	} else {
-		if len(data) != off+8*len(dst) {
-			panic(fmt.Sprintf("runtime: sign-sum payload of %d bytes for %d sums", len(data), len(dst)))
-		}
+		checkRawSums(rank, peer, body, len(dst))
 		for i := range dst {
-			dst[i] += int64(binary.LittleEndian.Uint64(data[off+8*i:]))
+			dst[i] += int64(binary.LittleEndian.Uint64(body[8*i:]))
 		}
 	}
 	transport.PutBuffer(data)
 	return scales
 }
 
-// copySignSumChunk overwrites dst with a received chunk's sums (the
-// all-gather combine); the Elias path decodes directly into dst.
-func copySignSumChunk(dst []int64, data []byte, useElias bool) {
-	_, off := parseSignSumScales(data)
+// copySignSumChunk overwrites dst with the sums of a chunk that rank
+// received from peer (the all-gather combine, which carries no scales);
+// the Elias path decodes directly into dst.
+func copySignSumChunk(rank, peer int, dst []int64, data []byte, useElias bool) {
+	_, off := parseSignSumScales(rank, peer, data, 0)
+	body := data[off:]
 	if useElias {
-		if err := compress.EliasDecodeIntsInto(data[off:], dst); err != nil {
-			panic(fmt.Sprintf("runtime: sign-sum elias payload: %v", err))
+		if err := compress.EliasDecodeIntsInto(body, dst); err != nil {
+			panic(fmt.Sprintf("runtime: rank %d: peer %d: sign-sum elias payload: %v", rank, peer, err))
 		}
 	} else {
-		if len(data) != off+8*len(dst) {
-			panic(fmt.Sprintf("runtime: sign-sum payload of %d bytes for %d sums", len(data), len(dst)))
-		}
+		checkRawSums(rank, peer, body, len(dst))
 		for i := range dst {
-			dst[i] = int64(binary.LittleEndian.Uint64(data[off+8*i:]))
+			dst[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 		}
 	}
 	transport.PutBuffer(data)
@@ -201,7 +200,11 @@ func signSumPhase(rk *rankCtx, next, prev, p, m int, sums []int64, baseCount int
 				return encodeSignSumChunk(outVals[lo:hi], sc, useElias, bits)
 			},
 			func(ci, lo, hi int, data []byte) {
-				sc := addSignSumChunk(sums[in.Lo+lo:in.Lo+hi], data, useElias)
+				want := 0
+				if ci == 0 {
+					want = len(ownScales) // every member of a phase contributes as many
+				}
+				sc := addSignSumChunk(rk.rank, prev, sums[in.Lo+lo:in.Lo+hi], data, useElias, want)
 				if ci == 0 {
 					gotScales = sc
 				}
@@ -226,25 +229,24 @@ func signSumPhase(rk *rankCtx, next, prev, p, m int, sums []int64, baseCount int
 				return encodeSignSumChunk(outVals[lo:hi], nil, useElias, bits)
 			},
 			func(_, lo, hi int, data []byte) {
-				copySignSumChunk(sums[in.Lo+lo:in.Lo+hi], data, useElias)
+				copySignSumChunk(rk.rank, prev, sums[in.Lo+lo:in.Lo+hi], data, useElias)
 			})
 	}
 	return scalesByPos
 }
 
-// signSumRingRank executes one rank's share of the sign-sum ring:
-// signs holds the rank's ±1 vector, scale its scaling constant (ℓ2 norm
-// for SSDM, ℓ1/D for signSGD). It returns the consensus per-coordinate
-// sums and the total scale over all ranks, both identical on every rank
-// and bit-identical to collective.SignSumRing. chunks is the
-// hop-pipelining degree (Opts.Chunks). The caller owns any closing
-// barrier.
-func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64, scale float64, useElias bool, chunks int) ([]int64, float64) {
+// signSumRingRank executes one rank's share of the sign-sum ring. sums
+// enters holding the rank's ±1 votes and leaves holding the consensus
+// per-coordinate sums; scale is the rank's scaling constant (ℓ2 norm for
+// SSDM, ℓ1/D for signSGD) and the returned total is its sum over all
+// ranks. Both are identical on every rank and bit-identical to
+// collective.SignSumRing. chunks is the hop-pipelining degree
+// (Opts.Chunks). The caller owns any closing barrier.
+func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, sums []int64, scale float64, useElias bool, chunks int) float64 {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
-	sums := signsToSums(signs)
 	if n == 1 {
-		return sums, scale
+		return scale
 	}
 	rk := newRankCtxChunks(c, ep, rank, chunks)
 	scalesByPos := signSumPhase(rk, mod(rank+1, n), mod(rank-1, n), rank, n, sums, 1, useElias, []float64{scale})
@@ -255,21 +257,20 @@ func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, signs []float64, 
 	for w := 0; w < n; w++ {
 		total += scalesByPos[w][0]
 	}
-	return sums, total
+	return total
 }
 
 // signSumTorusRank is signSumRingRank over a 2D torus: a row-ring phase
 // first, then a column-ring phase whose payload width starts at the row
 // width — exactly the hierarchical schedule of collective.SignSumTorus.
-func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, signs []float64, scale float64, useElias bool, chunks int) ([]int64, float64) {
+func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, sums []int64, scale float64, useElias bool, chunks int) float64 {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if tor.Size() != n {
 		panic("runtime: torus size mismatch")
 	}
-	sums := signsToSums(signs)
 	if n == 1 {
-		return sums, scale
+		return scale
 	}
 	rows, cols := tor.Rows(), tor.Cols()
 	r, p := tor.Coord(rank)
@@ -293,7 +294,7 @@ func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.To
 		wr, wp := tor.Coord(w)
 		total += colScales[wr][wp]
 	}
-	return sums, total
+	return total
 }
 
 // overflowRingRank executes one rank's share of the "SSDM (Overflow)"
@@ -310,12 +311,14 @@ func overflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, 
 		return
 	}
 	d := len(vec)
-	signs, norm := collective.SSDMSigns(vec, r)
+	sums := transport.GetInt64s(d)
+	norm := collective.SSDMVotesInto(sums, vec, r)
 	c.AddCompress(rank, d)
-	sums, totalNorm := signSumRingRank(c, ep, signs, norm, useElias, chunks)
+	totalNorm := signSumRingRank(c, ep, sums, norm, useElias, chunks)
 	meanNorm := totalNorm / float64(n)
 	for i := 0; i < d; i++ {
 		vec[i] = meanNorm * float64(sums[i]) / float64(n)
 	}
+	transport.PutInt64s(sums)
 	c.AddDecompress(rank, d)
 }

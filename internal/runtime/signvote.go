@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"math"
+
 	"marsit/internal/collective"
 	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
@@ -27,6 +29,11 @@ import (
 // scale). errorFeedback carries EF-signSGD's per-rank residual
 // e ← (g + e) − scale·signs across rounds and compresses g + e.
 //
+// A rank's compressed gradient is D votes, +1 or −1, written once into
+// an []int64 — the vector the sign-sum ring then accumulates in place, so
+// the per-rank leg draws it from the shared pool and hands it back after
+// the decode, and no ±1 float vector is ever built.
+//
 // The exchange follows base: a PS topology pushes signs and scale to
 // the rank-0 hub and pulls the dense norm-weighted mean; otherwise the
 // integer sign sums travel the bit-width-expansion ring (the torus when
@@ -40,39 +47,45 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 	if stochastic || errorFeedback {
 		decode = linearDecode
 	}
-	compressor := func(o *registry.Opts, rank int) func(tensor.Vec) ([]float64, float64) {
-		compress := signScale
+	compressor := func(o *registry.Opts, rank int) func(g tensor.Vec, votes []int64) float64 {
+		compress := voteScale
 		if stochastic {
 			stream := o.Stream(rank)
-			compress = func(g tensor.Vec) ([]float64, float64) { return collective.SSDMSigns(g, stream) }
+			compress = func(g tensor.Vec, votes []int64) float64 { return collective.SSDMVotesInto(votes, g, stream) }
 		}
 		if !errorFeedback {
 			return compress
 		}
 		residual, corrected := tensor.New(o.Dim), tensor.New(o.Dim)
-		return func(g tensor.Vec) ([]float64, float64) {
+		return func(g tensor.Vec, votes []int64) float64 {
 			copy(corrected, g)
 			tensor.Add(corrected, residual)
-			signs, scale := compress(corrected)
+			scale := compress(corrected, votes)
 			for i := range residual {
-				residual[i] = corrected[i] - scale*signs[i]
+				residual[i] = corrected[i] - scale*float64(votes[i])
 			}
-			return signs, scale
+			return scale
 		}
 	}
 
 	base.NewSeq = func(o *registry.Opts) (registry.SeqRunner, error) {
 		n := o.Workers
-		compress := make([]func(tensor.Vec) ([]float64, float64), n)
+		compress := make([]func(tensor.Vec, []int64) float64, n)
 		for w := range compress {
 			compress[w] = compressor(o, w)
 		}
 		return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 			d := len(grads[0])
+			// The sequential references take the signs as ±1 floats.
+			votes := make([]int64, d)
 			signs := make([][]float64, n)
 			scales := make([]float64, n)
 			for w, g := range grads {
-				signs[w], scales[w] = compress[w](g)
+				scales[w] = compress[w](g, votes)
+				signs[w] = make([]float64, d)
+				for i, v := range votes {
+					signs[w][i] = float64(v)
+				}
 				c.AddCompress(w, d)
 			}
 			var update tensor.Vec
@@ -110,19 +123,21 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 		compress := compressor(o, rank)
 		return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
 			d := len(grad)
-			signs, scale := compress(grad)
+			votes := transport.GetInt64s(d)
+			scale := compress(grad, votes)
 			c.AddCompress(rank, d)
 			var update tensor.Vec
 			switch {
 			case ps:
-				update = scaledSignPSRank(c, ep, signs, scale)
+				update = scaledSignPSRank(c, ep, votes, scale)
 			case o.Torus != nil:
-				sums, total := signSumTorusRank(c, ep, o.Torus, signs, scale, o.Elias, o.Chunks)
-				update = decode(sums, total, ep.Size())
+				total := signSumTorusRank(c, ep, o.Torus, votes, scale, o.Elias, o.Chunks)
+				update = decode(votes, total, ep.Size())
 			default:
-				sums, total := signSumRingRank(c, ep, signs, scale, o.Elias, o.Chunks)
-				update = decode(sums, total, ep.Size())
+				total := signSumRingRank(c, ep, votes, scale, o.Elias, o.Chunks)
+				update = decode(votes, total, ep.Size())
 			}
+			transport.PutInt64s(votes)
 			c.AddDecompress(rank, d)
 			ClockBarrier(c, ep)
 			return update
@@ -131,12 +146,24 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 	return base
 }
 
-// signScale is the deterministic signSGD compression every sign
-// transport shares: the ±1 sign vector and the ℓ1/D magnitude.
-func signScale(g tensor.Vec) ([]float64, float64) {
-	signs := make([]float64, len(g))
-	tensor.SignVec(signs, g)
-	return signs, tensor.Norm1(g) / float64(len(g))
+// voteScale is the deterministic signSGD compression every sign
+// transport shares, in one pass over the gradient: votes[i] is −1 where
+// g[i] < 0 and +1 everywhere else (tensor.Sign's convention: ±0 and NaN
+// vote +1), and the returned scale is the ℓ1/D magnitude, summed in index
+// order like tensor.Norm1. The comparison lands in an integer, so the
+// coin-toss sign of a gradient element costs no branch.
+func voteScale(g tensor.Vec, votes []int64) float64 {
+	votes = votes[:len(g)]
+	var l1 float64
+	for i, x := range g {
+		var neg int64
+		if x < 0 {
+			neg = 1
+		}
+		votes[i] = 1 - 2*neg
+		l1 += math.Abs(x)
+	}
+	return l1 / float64(len(g))
 }
 
 // linearDecode is the decode of stochastic or error-corrected sign

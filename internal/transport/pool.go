@@ -58,10 +58,10 @@ func PutBuffer(b []byte) {
 }
 
 // The typed pools below extend the same recycling discipline to the
-// decoded-element scratch of the hot collective loops (cascading's
-// per-hop sum/sign buffers, the Elias decode scratch of the sign-sum
-// ring): without them every hop allocates a fresh []float64/[]int64
-// that dies as soon as the segment is merged. Same cooperative
+// element scratch of the hot collective loops (cascading's per-hop
+// sum/sign buffers, the vote vector the sign-sum ring accumulates in):
+// without them every hop or op allocates a fresh []float64/[]int64 that
+// dies as soon as the segment is merged or the update decoded. Same cooperative
 // contract as GetBuffer/PutBuffer — contents unspecified, exactly one
 // Put per Get, dropping a buffer is always safe.
 
