@@ -16,8 +16,10 @@
 #                          the first pair's seed; prints medians, the
 #                          parent's spread, pairs won and a verdict per
 #                          workload × end-to-end metric
-#   make bench-smoke       the kernel micro-benchmarks once (-benchtime=1x) so
-#                          they are compiled and executed on every PR
+#   make bench-smoke       the kernel micro-benchmarks, the sequential one-bit
+#                          Sync (ring and torus) and one trainer round once
+#                          (-benchtime=1x) so they are compiled and executed
+#                          on every PR
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
 #                          bit-vector frame decoder and the sign-sum chunk
 #                          decoders on hostile bytes, the word-parallel
@@ -109,10 +111,13 @@ ab:
 	SEED=$(SEED) SECS=$(SECS) bash tools/ab.sh $(A) $(B) $(W) $(PAIRS)
 
 # bench-smoke runs the word-parallel kernels' micro-benchmarks (fast
-# path vs scalar oracle) exactly once: cheap enough for CI, and it
+# path vs scalar oracle) and the micro-benchmarks of Algorithm 1's own
+# code (core's BenchmarkSyncOneBitRing/Torus, train's
+# BenchmarkTrainRoundMarsit) exactly once: cheap enough for CI, and it
 # proves the tools for measuring while working still compile and run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress ./internal/rng
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress ./internal/rng \
+		./internal/core ./internal/train
 
 # fuzz-smoke gives the wire-facing decoders a short adversarial pass —
 # Elias payloads, marshalled bit vectors and sign-sum chunks genuinely

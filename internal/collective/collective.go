@@ -125,19 +125,10 @@ func checkShape(c *netsim.Cluster, vecs []tensor.Vec) int {
 // pass (M−1 steps). On return every vector holds the element-wise mean.
 func RingAllReduce(c *netsim.Cluster, vecs []tensor.Vec) {
 	checkShape(c, vecs)
-	groups := [][]int{allRanks(c.Size())}
+	groups := [][]int{topology.AllRanks(c.Size())}
 	ringAllReduceGroups(c, vecs, groups, float32WireBytes)
 	scaleAll(vecs, 1/float64(c.Size()))
 	c.Barrier()
-}
-
-// allRanks returns [0, 1, …, n−1].
-func allRanks(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }
 
 func scaleAll(vecs []tensor.Vec, alpha float64) {
@@ -233,7 +224,7 @@ func TorusAllReduce(c *netsim.Cluster, tor *topology.Torus, vecs []tensor.Vec) {
 	}
 	rows, cols := tor.Rows(), tor.Cols()
 	if cols == 1 {
-		ringAllReduceGroups(c, vecs, torusCols(tor), float32WireBytes)
+		ringAllReduceGroups(c, vecs, tor.ColGroups(), float32WireBytes)
 		scaleAll(vecs, 1/float64(c.Size()))
 		c.Barrier()
 		return
@@ -348,30 +339,6 @@ func columnRingSum(c *netsim.Cluster, ranks []int, views []tensor.Vec, sub []ten
 			copy(seg.Of(views[p]), outgoing[pos(p-1)])
 		}
 	}
-}
-
-func torusRows(t *topology.Torus) [][]int {
-	groups := make([][]int, t.Rows())
-	for r := 0; r < t.Rows(); r++ {
-		row := make([]int, t.Cols())
-		for col := 0; col < t.Cols(); col++ {
-			row[col] = t.Rank(r, col)
-		}
-		groups[r] = row
-	}
-	return groups
-}
-
-func torusCols(t *topology.Torus) [][]int {
-	groups := make([][]int, t.Cols())
-	for col := 0; col < t.Cols(); col++ {
-		c := make([]int, t.Rows())
-		for r := 0; r < t.Rows(); r++ {
-			c[r] = t.Rank(r, col)
-		}
-		groups[col] = c
-	}
-	return groups
 }
 
 // ---------------------------------------------------------------------------
@@ -729,7 +696,7 @@ func SignSumRing(c *netsim.Cluster, signs [][]float64, scales []float64, useElia
 	if n == 1 {
 		return sums[0], totalScale
 	}
-	final := signSumGroups(c, sums, [][]int{allRanks(n)}, 1, useElias)
+	final := signSumGroups(c, sums, [][]int{topology.AllRanks(n)}, 1, useElias)
 	return final, totalScale
 }
 
@@ -825,8 +792,8 @@ func SignSumTorus(c *netsim.Cluster, tor *topology.Torus, signs [][]float64, sca
 	if n == 1 {
 		return sums[0], totalScale
 	}
-	signSumGroups(c, sums, torusRows(tor), 1, useElias)
-	final := signSumGroups(c, sums, torusCols(tor), tor.Cols(), useElias)
+	signSumGroups(c, sums, tor.RowGroups(), 1, useElias)
+	final := signSumGroups(c, sums, tor.ColGroups(), tor.Cols(), useElias)
 	return final, totalScale
 }
 

@@ -33,7 +33,7 @@ func HierarchicalAllReduce(c *netsim.Cluster, tor *topology.Torus, vecs []tensor
 
 	// Phase 1: intra-host sum. Every rank of a host ends with the host
 	// sum (a size-1 host is skipped).
-	ringAllReduceGroups(c, vecs, torusRows(tor), float32WireBytes)
+	ringAllReduceGroups(c, vecs, tor.RowGroups(), float32WireBytes)
 
 	// Phase 2: delegate ring over local rank 0 of every host.
 	delegates := make([]int, hosts)

@@ -3,6 +3,7 @@ package collective
 import (
 	"marsit/internal/netsim"
 	"marsit/internal/tensor"
+	"marsit/internal/topology"
 )
 
 // SegmentedRingAllReduce is the segmented-ring all-reduce of Jia et al.
@@ -25,7 +26,7 @@ func SegmentedRingAllReduce(c *netsim.Cluster, vecs []tensor.Vec, chunks int) {
 		return
 	}
 	parts := tensor.Partition(d, chunks)
-	ranks := allRanks(n)
+	ranks := topology.AllRanks(n)
 	for _, part := range parts {
 		views := make([]tensor.Vec, n)
 		for w := 0; w < n; w++ {

@@ -21,18 +21,23 @@
 //     resets the compensation and bounds error accumulation
 //     (Theorem 1's K(K+1)/T term).
 //
-// Algorithm 1 is stated once per engine. Marsit.Sync executes it for all
-// workers of a simulated cluster in lock step — the form the paper's
-// figures use, and the oracle the equivalence tests compare against.
-// RankSync.Sync is the per-rank form: one rank's share over a transport
-// endpoint, run by the concurrent engine's worker goroutines in-process
-// and by one marsit-node process per rank across machines. A Marsit
-// with Config.Parallel set holds no second copy of the algorithm: it
-// opens one RankSync per worker on an engine and drives them. Both forms
-// charge wire bytes and simulated time to the netsim substrate
-// identically; because compression and reception overlap by design
-// (Section 4.1.1), a one-bit round charges only the initial sign packing
-// and the final unpacking as compression time.
+// Algorithm 1's arithmetic is stated once, in RankSync: one worker's
+// compensation vector, packed signs, transient stream and round counter,
+// and lines 1 and 9–13 around them (u = η_l·g + c, g_t = η_s·signs,
+// c ← u − g_t, the K-periodic full-precision reset). What each engine
+// states for itself is only the schedule of the synchronization in
+// between. Marsit.Sync runs lines 4–8 for all workers of a simulated
+// cluster in lock step — the form the paper's figures use, and the
+// oracle the equivalence tests compare merge order, draw order, bytes
+// and clocks against. RankSync.Sync runs one rank's share over a
+// transport endpoint, on the concurrent engine's worker goroutines
+// in-process and in one marsit-node process per rank across machines. A
+// Marsit holds one RankSync per worker either way; Config.Parallel only
+// chooses which of the two schedules drives them. Both charge wire bytes
+// and simulated time to the netsim substrate identically; because
+// compression and reception overlap by design (Section 4.1.1), a one-bit
+// round charges only the initial sign packing and the final unpacking as
+// compression time.
 package core
 
 import (
@@ -213,18 +218,17 @@ func (cfg Config) fullPrecision(t int) bool {
 	return cfg.K > 0 && t%cfg.K == 0
 }
 
-// Marsit holds the per-worker compensation state of Algorithm 1 and
-// executes one synchronization per Sync call.
+// Marsit holds Algorithm 1's state for every worker of a cluster —
+// ranks[w] is worker w's RankSync, the only representation there is —
+// and executes one synchronization per Sync call.
+//
+// Sequentially, Sync drives the workers in lock step on the calling
+// goroutine (begin on each, this file's one-bit ring or
+// internal/collective's full-precision all-reduce, end on each). A
+// Parallel instance drives each ranks[w].Sync on its own goroutine of
+// the engine that release frees, through run; run is nil sequentially.
 type Marsit struct {
-	cfg   Config
-	comp  []tensor.Vec // c^(m)_t per worker
-	round int
-	rngs  []*rng.PCG // one stream per worker (transient draws)
-	// A Parallel instance drives ranks[w], worker w's RankSync, through
-	// run on the engine that release frees; all three are nil
-	// sequentially. The per-rank state is the only state: comp[w]
-	// aliases ranks[w]'s compensation vector, and round and rngs stay
-	// unused.
+	cfg     Config
 	ranks   []*RankSync
 	run     registry.SeqRunner
 	release func() error
@@ -236,32 +240,25 @@ func New(cfg Config) (*Marsit, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &Marsit{cfg: cfg, comp: make([]tensor.Vec, cfg.Workers)}
-	if cfg.Parallel {
-		// The registered per-rank leg, built from the whole Config (the
-		// registry's Opts do not carry the ablation flag) and kept
-		// reachable for the state accessors.
-		m.ranks = make([]*RankSync, cfg.Workers)
-		desc := marsitDescriptor()
-		desc.NewRank = func(_ *registry.Opts, rank int) (registry.RankRunner, error) {
-			rs, err := NewRankSync(cfg, rank)
-			if err != nil {
-				return nil, err
-			}
-			m.ranks[rank], m.comp[rank] = rs, rs.comp
-			return rs.Sync, nil
-		}
-		var err error
-		m.run, m.release, err = OpenCollective(&desc, cfg.opts(), true, cfg.Transport)
-		if err != nil {
-			return nil, err
+	m := &Marsit{cfg: cfg, ranks: make([]*RankSync, cfg.Workers)}
+	if !cfg.Parallel {
+		for w := range m.ranks {
+			m.ranks[w] = newRankSync(cfg, w)
 		}
 		return m, nil
 	}
-	m.rngs = make([]*rng.PCG, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		m.comp[w] = tensor.New(cfg.Dim)
-		m.rngs[w] = rng.NewStream(cfg.Seed, uint64(w)+1)
+	// The registered per-rank leg, built from the whole Config (the
+	// registry's Opts do not carry the ablation flag) and kept reachable
+	// for the state accessors.
+	desc := marsitDescriptor()
+	desc.NewRank = func(_ *registry.Opts, rank int) (registry.RankRunner, error) {
+		m.ranks[rank] = newRankSync(cfg, rank)
+		return m.ranks[rank].Sync, nil
+	}
+	var err error
+	m.run, m.release, err = OpenCollective(&desc, cfg.opts(), true, cfg.Transport)
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -269,7 +266,7 @@ func New(cfg Config) (*Marsit, error) {
 // Close releases the worker goroutines of a Parallel instance; it is a
 // no-op in sequential mode. The Marsit must not be used afterwards.
 func (m *Marsit) Close() error {
-	if m.ranks == nil {
+	if m.release == nil {
 		return nil
 	}
 	return m.release()
@@ -286,24 +283,17 @@ func MustNew(cfg Config) *Marsit {
 }
 
 // Round returns the number of completed synchronizations t.
-func (m *Marsit) Round() int {
-	if m.ranks != nil {
-		return m.ranks[0].round
-	}
-	return m.round
-}
+func (m *Marsit) Round() int { return m.ranks[0].round }
 
 // Compensation returns a copy of worker w's compensation vector.
-func (m *Marsit) Compensation(w int) tensor.Vec {
-	return tensor.Clone(m.comp[w])
-}
+func (m *Marsit) Compensation(w int) tensor.Vec { return m.ranks[w].Compensation() }
 
 // MeanCompensation returns the average compensation c̄_t, the quantity
 // in Theorem 1's auxiliary sequence ỹ_t = x̃_t − c̄_t.
 func (m *Marsit) MeanCompensation() tensor.Vec {
 	out := tensor.New(m.cfg.Dim)
-	for _, c := range m.comp {
-		tensor.Add(out, c)
+	for _, r := range m.ranks {
+		tensor.Add(out, r.comp)
 	}
 	tensor.Scale(out, 1/float64(m.cfg.Workers))
 	return out
@@ -312,9 +302,7 @@ func (m *Marsit) MeanCompensation() tensor.Vec {
 // FullPrecisionNext reports whether the upcoming Sync will run at full
 // precision (Algorithm 1's mod(t, K) == 0 branch). Trainers use it to
 // schedule the paper's learning-rate decay at full-precision rounds.
-func (m *Marsit) FullPrecisionNext() bool {
-	return m.cfg.fullPrecision(m.Round())
-}
+func (m *Marsit) FullPrecisionNext() bool { return m.ranks[0].FullPrecisionNext() }
 
 // Sync executes Algorithm 1 for one round. grads[w] must hold worker
 // w's locally scaled gradient η_l·g^(w)_t; the slice is not modified.
@@ -331,90 +319,64 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 	if len(grads) != n {
 		panic(fmt.Sprintf("core: %d gradients for %d workers", len(grads), n))
 	}
+	// Every length is checked before any worker's state moves: a bad
+	// grads[2] must not leave workers 0 and 1 a round ahead.
 	for w, g := range grads {
 		if len(g) != d {
 			panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", w, len(g), d))
 		}
 	}
-	if m.ranks != nil {
+	if m.run != nil {
 		// Every worker goroutine runs RankSync.Sync on its own gradient;
 		// the update is a consensus, so rank 0's stands for all.
 		return m.run(c, grads)[0]
 	}
-	// Line 1: u_w = η_l·g_w + c_w.
+
+	// Line 1 on every worker; begin decides the K-period branch, the same
+	// way for all of them.
 	u := make([]tensor.Vec, n)
-	for w := 0; w < n; w++ {
-		u[w] = tensor.Clone(grads[w])
-		tensor.Add(u[w], m.comp[w])
+	for w, r := range m.ranks {
+		u[w] = r.begin(c, grads[w])
 	}
-
-	full := m.FullPrecisionNext()
-	m.round++
-
-	if full {
+	if u[0] != nil {
 		// Lines 11–13: full-precision MAR; g_t = mean(u); c ← 0.
 		if m.cfg.Torus != nil {
 			collective.TorusAllReduce(c, m.cfg.Torus, u)
 		} else {
 			collective.RingAllReduce(c, u)
 		}
-		for w := 0; w < n; w++ {
-			tensor.Zero(m.comp[w])
+		for _, r := range m.ranks {
+			r.endFull()
 		}
 		return u[0]
 	}
 
-	// Lines 4–8: one-bit synchronization.
-	bits := m.oneBitAllReduce(c, u)
-
-	// Line 9: g_t = η_s · signs.
-	gt := tensor.New(d)
-	bits.UnpackSigns(gt)
-	tensor.Scale(gt, m.cfg.GlobalLR)
-	for w := 0; w < n; w++ {
-		c.AddDecompress(w, d)
+	// Lines 4–8: one-bit MAR over the workers' packed signs. Reception
+	// and merging overlap (Section 4.1.1), so only the sign packing
+	// (begin) and the decoding (endOneBit) are charged as compression.
+	if tor := m.cfg.Torus; tor != nil {
+		m.oneBitRingGroups(c, tor.RowGroups(), 1)
+		m.oneBitRingGroups(c, tor.ColGroups(), tor.Cols())
+	} else {
+		m.oneBitRingGroups(c, [][]int{topology.AllRanks(n)}, 1)
 	}
-
-	// Line 10: c_{t+1} = u − g_t (skipped under the ablation).
-	if !m.cfg.DisableCompensation {
-		for w := 0; w < n; w++ {
-			copy(m.comp[w], u[w])
-			tensor.Sub(m.comp[w], gt)
-		}
+	// Columns of a torus resolve disagreeing bits with independent
+	// draws; worker 0's aggregate is the consensus every worker decodes.
+	gt := tensor.New(d)
+	for _, r := range m.ranks {
+		r.endOneBit(c, m.ranks[0].bits, gt)
 	}
 	c.Barrier()
 	return gt
-}
-
-// oneBitAllReduce runs the one-bit MAR over the workers' update
-// vectors and returns the consensus sign bits (identical at every
-// worker). Reception and merging overlap (Section 4.1.1), so only the
-// initial sign packing is charged as compression.
-func (m *Marsit) oneBitAllReduce(c *netsim.Cluster, u []tensor.Vec) *bitvec.Vec {
-	n := m.cfg.Workers
-	bits := make([]*bitvec.Vec, n)
-	for w := 0; w < n; w++ {
-		bits[w] = bitvec.FromSigns(u[w])
-		c.AddCompress(w, m.cfg.Dim)
-	}
-	if n == 1 {
-		return bits[0]
-	}
-	if m.cfg.Torus != nil {
-		m.oneBitRingGroups(c, bits, torusRowGroups(m.cfg.Torus), 1)
-		m.oneBitRingGroups(c, bits, torusColGroups(m.cfg.Torus), m.cfg.Torus.Cols())
-	} else {
-		m.oneBitRingGroups(c, bits, [][]int{ranks(n)}, 1)
-	}
-	return bits[0]
 }
 
 // oneBitRingGroups performs the one-bit ring reduce-scatter +
 // all-gather within each (disjoint) group simultaneously. Each worker's
 // bits vector enters holding an aggregate covering baseWeight workers
 // and leaves holding the group-wide aggregate (baseWeight·len(group)
-// workers), identical within the group.
-func (m *Marsit) oneBitRingGroups(c *netsim.Cluster, bits []*bitvec.Vec, groups [][]int, baseWeight int) {
+// workers), identical within the group; worker w's merges draw from
+// ranks[w].rng.
+func (m *Marsit) oneBitRingGroups(c *netsim.Cluster, groups [][]int, baseWeight int) {
 	d := m.cfg.Dim
 	// All groups in a phase have equal length by construction; run the
 	// schedule across groups step by step so Exchange sees the full
@@ -456,7 +418,7 @@ func (m *Marsit) oneBitRingGroups(c *netsim.Cluster, bits []*bitvec.Vec, groups 
 			for p := 0; p < mlen; p++ {
 				seg := st.segs[pos(p-s, mlen)]
 				if s == 0 {
-					outgoing[p] = bits[g[p]].Extract(seg.Lo, seg.Hi)
+					outgoing[p] = m.ranks[g[p]].bits.Extract(seg.Lo, seg.Hi)
 				} else {
 					outgoing[p] = st.agg[p]
 				}
@@ -474,11 +436,11 @@ func (m *Marsit) oneBitRingGroups(c *netsim.Cluster, bits []*bitvec.Vec, groups 
 			mlen := len(g)
 			st := states[pd.gi]
 			seg := st.segs[pos(pd.p-s-1, mlen)]
-			local := bits[g[pd.p]].Extract(seg.Lo, seg.Hi)
+			local := m.ranks[g[pd.p]].bits.Extract(seg.Lo, seg.Hi)
 			agg := pd.in.Clone()
 			// Received aggregate covers (s+1)·baseWeight workers; the
 			// local side covers baseWeight.
-			MergeSigns(agg, local, (s+1)*baseWeight, baseWeight, m.rngs[g[pd.p]])
+			MergeSigns(agg, local, (s+1)*baseWeight, baseWeight, m.ranks[g[pd.p]].rng)
 			st.agg[pd.p] = agg
 		}
 	}
@@ -494,7 +456,7 @@ func (m *Marsit) oneBitRingGroups(c *netsim.Cluster, bits []*bitvec.Vec, groups 
 		}
 		for p := 0; p < mlen; p++ {
 			for j, seg := range st.segs {
-				bits[g[p]].Insert(seg.Lo, final[j])
+				m.ranks[g[p]].bits.Insert(seg.Lo, final[j])
 			}
 		}
 	}
@@ -515,36 +477,4 @@ func (m *Marsit) oneBitRingGroups(c *netsim.Cluster, bits []*bitvec.Vec, groups 
 		}
 		c.Exchange(msgs)
 	}
-}
-
-func ranks(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func torusRowGroups(t *topology.Torus) [][]int {
-	groups := make([][]int, t.Rows())
-	for r := 0; r < t.Rows(); r++ {
-		row := make([]int, t.Cols())
-		for col := 0; col < t.Cols(); col++ {
-			row[col] = t.Rank(r, col)
-		}
-		groups[r] = row
-	}
-	return groups
-}
-
-func torusColGroups(t *topology.Torus) [][]int {
-	groups := make([][]int, t.Cols())
-	for col := 0; col < t.Cols(); col++ {
-		c := make([]int, t.Rows())
-		for r := 0; r < t.Rows(); r++ {
-			c[r] = t.Rank(r, col)
-		}
-		groups[col] = c
-	}
-	return groups
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	goruntime "runtime"
 	"testing"
 	"testing/quick"
 
@@ -212,25 +214,66 @@ func TestSyncKZeroNeverFullPrecision(t *testing.T) {
 	}
 }
 
-// TestCompensationRecursion verifies Algorithm 1 line 10 exactly:
-// c_{t+1} = (η_l·g + c_t) − g_t for every worker.
+// TestCompensationRecursion verifies Algorithm 1 line 10 bit for bit:
+// c_{t+1} = (η_l·g + c_t) − g_t for every worker on a one-bit round, zero
+// after a full-precision round and always zero under the ablation. Both
+// engines run this arithmetic through the same fused passes of RankSync,
+// so the equivalence tests cannot vouch for it; the reference here is the
+// unfused statement — Clone(grad), Add, Sub — which IEEE addition's
+// commutativity makes exact, not approximate. The same loop holds Sync
+// to its promise that grads come back untouched.
 func TestCompensationRecursion(t *testing.T) {
-	const n, d = 3, 8
-	m := MustNew(Config{Workers: n, Dim: d, K: 0, GlobalLR: 0.05, Seed: 4})
-	r := rng.New(17)
-	for round := 0; round < 4; round++ {
-		grads := randGrads(r, n, d)
-		before := make([]tensor.Vec, n)
-		for w := 0; w < n; w++ {
-			before[w] = m.Compensation(w)
+	const d = 70 // a full word and a partial one
+	sameBits := func(a, b tensor.Vec) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
 		}
-		gt := m.Sync(cluster(n), grads)
-		for w := 0; w < n; w++ {
-			want := tensor.Clone(grads[w])
-			tensor.Add(want, before[w])
-			tensor.Sub(want, gt)
-			if tensor.Dist2(want, m.Compensation(w)) > 1e-12 {
-				t.Fatalf("round %d worker %d compensation recursion violated", round, w)
+		return len(a) == len(b)
+	}
+	for _, parallel := range []bool{false, true} {
+		for _, tor := range []*topology.Torus{nil, topology.NewTorus(2, 2)} {
+			for _, ablate := range []bool{false, true} {
+				for _, k := range []int{0, 2} {
+					n, name := 3, "ring"
+					if tor != nil {
+						n, name = tor.Size(), "torus"
+					}
+					t.Run(fmt.Sprintf("par=%v/%s/ablate=%v/K=%d", parallel, name, ablate, k), func(t *testing.T) {
+						m := MustNew(Config{
+							Workers: n, Dim: d, K: k, GlobalLR: 0.05, Seed: 4, Torus: tor,
+							DisableCompensation: ablate, Parallel: parallel,
+						})
+						defer m.Close()
+						r := rng.New(17)
+						for round := 0; round < 5; round++ {
+							grads := randGrads(r, n, d)
+							passed := make([]tensor.Vec, n)
+							before := make([]tensor.Vec, n)
+							for w := 0; w < n; w++ {
+								passed[w] = tensor.Clone(grads[w])
+								before[w] = m.Compensation(w)
+							}
+							full := m.FullPrecisionNext()
+							gt := m.Sync(cluster(n), grads)
+							for w := 0; w < n; w++ {
+								if !sameBits(grads[w], passed[w]) {
+									t.Fatalf("round %d worker %d: Sync modified its gradient", round, w)
+								}
+								want := tensor.New(d)
+								if !full && !ablate {
+									copy(want, grads[w])
+									tensor.Add(want, before[w])
+									tensor.Sub(want, gt)
+								}
+								if !sameBits(want, m.Compensation(w)) {
+									t.Fatalf("round %d worker %d compensation recursion violated", round, w)
+								}
+							}
+						}
+					})
+				}
 			}
 		}
 	}
@@ -453,6 +496,34 @@ func TestMergeSignsSelectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarsitSeqSteadyStateAllocs pins the sequential one-bit round to
+// under 1.5 × 8·D bytes at M = 4: the g_t it returns (8·D) plus the ring
+// schedule's per-hop segment vectors (Extract, Clone — D bits a worker a
+// phase). u lives in the workers' compensation vectors and the packed
+// signs in vectors they keep, so a D-float temporary per worker — what
+// the unfused passes cost, ≈ 5.2 × 8·D — fails the cap many times over.
+// Rounds are measured one by one and the worst decides.
+func TestMarsitSeqSteadyStateAllocs(t *testing.T) {
+	const n, d = 4, 100_000
+	m := MustNew(Config{Workers: n, Dim: d, K: 0, GlobalLR: 0.1, Seed: 1})
+	grads := randGrads(rng.New(1), n, d)
+	c := cluster(n)
+	maxBytes := uint64(1.5 * 8 * d)
+	var before, after goruntime.MemStats
+	for round := 0; round < 4; round++ {
+		goruntime.ReadMemStats(&before)
+		m.Sync(c, grads)
+		goruntime.ReadMemStats(&after)
+		bytes := after.TotalAlloc - before.TotalAlloc
+		t.Logf("sequential marsit M=%d D=%d round %d: %d allocs, %d bytes (cap %d = 1.5 × 8·D)",
+			n, d, round, after.Mallocs-before.Mallocs, bytes, maxBytes)
+		if bytes > maxBytes {
+			t.Fatalf("sequential one-bit round allocates %d bytes (cap %d = 1.5 × 8·D): more than g_t and the ring's segment vectors",
+				bytes, maxBytes)
+		}
 	}
 }
 

@@ -11,20 +11,21 @@ import (
 	"marsit/internal/transport"
 )
 
-// RankSync executes Algorithm 1 for a single rank of a fabric — the
-// per-rank statement of the algorithm, and the only one the concurrent
-// engine runs: the registered "marsit" collective's per-rank leg, a
-// Parallel Marsit's workers and the processes that host one rank each
-// (cmd/marsit-node) are all RankSyncs. It keeps the rank's compensation
-// vector and transient stream, and runs each round's collective through
-// the per-rank entry points of internal/runtime.
+// RankSync is one worker's share of Algorithm 1: its compensation
+// vector, packed signs, transient stream and round counter, and — in
+// begin, endFull and endOneBit — every line of the algorithm outside
+// the one-bit synchronization of lines 4–8. That arithmetic is stated
+// here and nowhere else; both engines run it on the same state.
 //
-// A fleet of RankSyncs over one transport is bit-identical — updates,
-// compensation, wire bytes and virtual clocks — to the sequential
-// Marsit.Sync driving the whole cluster in lock step (the equivalence
-// tests pin this), so the two must mirror each other mechanism for
-// mechanism: charge order, merge-stream derivation, K-period condition,
-// barrier placement. Change them together.
+// What each engine states for itself is the schedule of lines 4–8 (and
+// of the full-precision all-reduce): RankSync.Sync runs this rank's
+// share over a transport endpoint — the registered "marsit" collective's
+// per-rank leg, a Parallel Marsit's workers and the processes that host
+// one rank each (cmd/marsit-node) — and the sequential Marsit.Sync runs
+// all workers' in lock step. The two are bit-identical in updates,
+// compensation, wire bytes and virtual clocks (the equivalence tests pin
+// this), so a change to a schedule — merge order, draw order, charge
+// order, barrier placement — must be made to both.
 type RankSync struct {
 	cfg  Config
 	rank int
@@ -48,15 +49,19 @@ func NewRankSync(cfg Config, rank int) (*RankSync, error) {
 	if rank < 0 || rank >= cfg.Workers {
 		return nil, fmt.Errorf("core: rank %d out of range [0,%d)", rank, cfg.Workers)
 	}
+	return newRankSync(cfg, rank), nil
+}
+
+// newRankSync is NewRankSync for a cfg and rank already checked.
+func newRankSync(cfg Config, rank int) *RankSync {
 	return &RankSync{
 		cfg:  cfg,
 		rank: rank,
 		comp: tensor.New(cfg.Dim),
 		bits: bitvec.New(cfg.Dim),
-		// The same per-worker stream derivation as New: stream w+1 of
-		// the shared seed.
+		// Worker w draws its transients from stream w+1 of the shared seed.
 		rng: rng.NewStream(cfg.Seed, uint64(rank)+1),
-	}, nil
+	}
 }
 
 // Round returns the number of completed synchronizations t.
@@ -70,6 +75,54 @@ func (r *RankSync) FullPrecisionNext() bool {
 	return r.cfg.fullPrecision(r.round)
 }
 
+// begin opens a round for this worker: grad is its locally scaled
+// gradient η_l·g (not modified). On a full-precision round it returns
+// line 1's u = η_l·g + c as a fresh vector for the all-reduce, to be
+// followed by endFull. On a one-bit round it returns nil with u's signs
+// packed into r.bits and charged as compression, to be followed by
+// endOneBit: c += η_l·g turns the compensation vector into u while its
+// signs are packed, so u is never a vector of its own. IEEE addition
+// commutes, so this is bit for bit Clone(grad) + c (only the payload of
+// a NaN + NaN sum may differ, and a NaN packs as −1 either way). Under
+// the ablation c is zero and stays zero, so u's signs are grad's.
+func (r *RankSync) begin(c *netsim.Cluster, grad tensor.Vec) tensor.Vec {
+	d := r.cfg.Dim
+	if len(grad) != d {
+		panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", r.rank, len(grad), d))
+	}
+	full := r.FullPrecisionNext()
+	r.round++
+	if full {
+		u := tensor.Clone(grad)
+		tensor.Add(u, r.comp)
+		return u
+	}
+	if r.cfg.DisableCompensation {
+		r.bits.PackSigns(grad)
+	} else {
+		r.bits.PackSignsOfSum(r.comp, grad)
+	}
+	c.AddCompress(r.rank, d)
+	return nil
+}
+
+// endFull closes a full-precision round (lines 11–13): the reduced u is
+// the update, and c ← 0.
+func (r *RankSync) endFull() { tensor.Zero(r.comp) }
+
+// endOneBit closes a one-bit round — lines 9 and 10 in one pass:
+// g_t = η_s · consensus is written into gt as ±η_s directly, and
+// c_{t+1} = u − g_t in place where u sits (skipped under the ablation).
+// The decoding is charged as decompression.
+func (r *RankSync) endOneBit(c *netsim.Cluster, consensus *bitvec.Vec, gt tensor.Vec) {
+	if r.cfg.DisableCompensation {
+		consensus.UnpackScaled(gt, r.cfg.GlobalLR)
+	} else {
+		consensus.UnpackScaledSub(gt, r.comp, r.cfg.GlobalLR)
+	}
+	c.AddDecompress(r.rank, r.cfg.Dim)
+}
+
 // Sync executes one round of Algorithm 1 for this rank: grad is the
 // rank's locally scaled gradient η_l·g (not modified); the returned
 // vector is the consensus global update g_t, freshly allocated and the
@@ -78,54 +131,30 @@ func (r *RankSync) FullPrecisionNext() bool {
 // the round ends in a ClockBarrier (netsim's implicit lock step, over the
 // wire).
 //
-// A one-bit round makes two passes over its D-float vectors and
-// allocates only g_t: u is never a vector of its own but lives in the
-// compensation vector between the passes. g_t is deliberately not
-// pooled — callers hold it across rounds (the benchmark's verification,
-// a trainer's optimiser step), and a reused one would alias them.
+// A one-bit round makes two passes over its D-float vectors (begin and
+// endOneBit) and allocates only g_t. g_t is deliberately not pooled —
+// callers hold it across rounds (the benchmark's verification, a
+// trainer's optimiser step), and a reused one would alias them.
 func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
 	if ep.Rank() != r.rank || ep.Size() != r.cfg.Workers {
 		panic(fmt.Sprintf("core: endpoint %d/%d for RankSync %d/%d",
 			ep.Rank(), ep.Size(), r.rank, r.cfg.Workers))
 	}
-	d := r.cfg.Dim
-	if len(grad) != d {
-		panic(fmt.Sprintf("core: rank %d gradient dim %d, want %d", r.rank, len(grad), d))
-	}
-	full := r.FullPrecisionNext()
-	r.round++
-
-	if full {
-		// Line 1: u = η_l·g + c. Lines 11–13: full-precision all-reduce
-		// (RAR or TAR) of u; c ← 0.
-		u := tensor.Clone(grad)
-		tensor.Add(u, r.comp)
+	if u := r.begin(c, grad); u != nil {
+		// Full-precision all-reduce (RAR or TAR) of u.
 		if r.cfg.Torus != nil {
 			runtime.TorusAllReduceRank(c, ep, r.cfg.Torus, u, 1)
 		} else {
 			runtime.RingAllReduceRank(c, ep, u, 1)
 		}
-		tensor.Zero(r.comp)
+		r.endFull()
 		runtime.ClockBarrier(c, ep)
 		return u
 	}
 
-	// Pass one — line 1 and the sign packing together: c += η_l·g turns
-	// the compensation vector into u while its signs are packed. IEEE
-	// addition commutes, so this is bit for bit the sequential oracle's
-	// Clone(grad) + c (only the payload of a NaN + NaN sum may differ,
-	// and a NaN packs as −1 either way). Under the ablation c is zero and
-	// stays zero, so u's signs are grad's.
-	bits := r.bits
-	if r.cfg.DisableCompensation {
-		bits.PackSigns(grad)
-	} else {
-		bits.PackSignsOfSum(r.comp, grad)
-	}
-	c.AddCompress(r.rank, d)
-
 	// Lines 4–8: one-bit synchronization with the ⊙ merge drawing from
 	// this rank's stream in schedule order.
+	bits := r.bits
 	merge := func(_ int, agg, local *bitvec.Vec, aw, bw int) {
 		MergeSigns(agg, local, aw, bw, r.rng)
 	}
@@ -142,16 +171,8 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 		runtime.OneBitRingAllReduceRank(c, ep, bits, merge)
 	}
 
-	// Pass two — lines 9 and 10 together: g_t = η_s · signs, written as
-	// ±η_s directly, and c_{t+1} = u − g_t in place where u sits.
-	gt := tensor.New(d)
-	if r.cfg.DisableCompensation {
-		bits.UnpackSigns(gt)
-		tensor.Scale(gt, r.cfg.GlobalLR)
-	} else {
-		bits.UnpackScaledSub(gt, r.comp, r.cfg.GlobalLR)
-	}
-	c.AddDecompress(r.rank, d)
+	gt := tensor.New(r.cfg.Dim)
+	r.endOneBit(c, bits, gt)
 	runtime.ClockBarrier(c, ep)
 	return gt
 }

@@ -106,14 +106,6 @@ func seqOneBitGroups(bits []*bitvec.Vec, d int, groups [][]int, baseWeight int, 
 	}
 }
 
-func allRanks(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 func requireSameBits(t *testing.T, want, got []*bitvec.Vec) {
 	t.Helper()
 	for w := range want {
@@ -148,7 +140,7 @@ func TestOneBitRingEquivalence(t *testing.T) {
 	}
 	bits1, c1 := run()
 	want := randBits(7, n, d)
-	seqOneBitGroups(want, d, [][]int{allRanks(n)}, 1, rng.Streams(99, n))
+	seqOneBitGroups(want, d, [][]int{topology.AllRanks(n)}, 1, rng.Streams(99, n))
 	requireSameBits(t, want, bits1)
 	for w := 1; w < n; w++ {
 		if !bits1[0].Equal(bits1[w]) {

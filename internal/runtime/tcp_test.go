@@ -10,6 +10,7 @@ import (
 	"marsit/internal/rng"
 	"marsit/internal/runtime"
 	"marsit/internal/runtime/equivtest"
+	"marsit/internal/topology"
 	"marsit/internal/transport"
 	"marsit/internal/transport/tcp"
 )
@@ -48,7 +49,7 @@ func TestTCPOneBitRingEquivalence(t *testing.T) {
 	loopBits, loopC := run(runtime.New(n))
 
 	want := randBits(7, n, d)
-	seqOneBitGroups(want, d, [][]int{allRanks(n)}, 1, rng.Streams(99, n))
+	seqOneBitGroups(want, d, [][]int{topology.AllRanks(n)}, 1, rng.Streams(99, n))
 	requireSameBits(t, want, tcpBits)
 	requireSameBits(t, loopBits, tcpBits)
 	for w := 1; w < n; w++ {

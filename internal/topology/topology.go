@@ -106,6 +106,16 @@ func (r *Ring) check(rank int) {
 	}
 }
 
+// AllRanks returns [0, 1, …, n−1]: the one group of a flat ring over n
+// workers, in ring order.
+func AllRanks(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 // ---------------------------------------------------------------------------
 // 2D torus
 
@@ -173,6 +183,33 @@ func (t *Torus) RowNext(rank int) int {
 func (t *Torus) ColNext(rank int) int {
 	row, col := t.Coord(rank)
 	return t.Rank(row+1, col)
+}
+
+// RowGroups returns the torus's rows as ring groups: group r lists row
+// r's ranks in ring order. Together with ColGroups it is the phase
+// structure of every hierarchical collective over the torus.
+func (t *Torus) RowGroups() [][]int {
+	groups := make([][]int, t.rows)
+	for r := range groups {
+		groups[r] = make([]int, t.cols)
+		for c := range groups[r] {
+			groups[r][c] = t.Rank(r, c)
+		}
+	}
+	return groups
+}
+
+// ColGroups returns the torus's columns as ring groups: group c lists
+// column c's ranks in ring order.
+func (t *Torus) ColGroups() [][]int {
+	groups := make([][]int, t.cols)
+	for c := range groups {
+		groups[c] = make([]int, t.rows)
+		for r := range groups[c] {
+			groups[c][r] = t.Rank(r, c)
+		}
+	}
+	return groups
 }
 
 // Neighbors implements Topology.

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +83,45 @@ func TestTorusRowColClosure(t *testing.T) {
 		if cur != rank {
 			t.Fatalf("col ring from %d not closed", rank)
 		}
+	}
+}
+
+// TestTorusGroups pins the ring groups every hierarchical collective
+// reduces over: rows and columns in ring order (group g's next rank is
+// RowNext/ColNext of the previous one), and the flat ring's one group.
+func TestTorusGroups(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols           int
+		rowGroups, colGroups [][]int
+	}{
+		{2, 2, [][]int{{0, 1}, {2, 3}}, [][]int{{0, 2}, {1, 3}}},
+		{2, 3, [][]int{{0, 1, 2}, {3, 4, 5}}, [][]int{{0, 3}, {1, 4}, {2, 5}}},
+		{1, 4, [][]int{{0, 1, 2, 3}}, [][]int{{0}, {1}, {2}, {3}}},
+	} {
+		tr := NewTorus(tc.rows, tc.cols)
+		if got := tr.RowGroups(); !reflect.DeepEqual(got, tc.rowGroups) {
+			t.Fatalf("%dx%d RowGroups = %v, want %v", tc.rows, tc.cols, got, tc.rowGroups)
+		}
+		if got := tr.ColGroups(); !reflect.DeepEqual(got, tc.colGroups) {
+			t.Fatalf("%dx%d ColGroups = %v, want %v", tc.rows, tc.cols, got, tc.colGroups)
+		}
+		for _, g := range tr.RowGroups() {
+			for p, rank := range g {
+				if next := g[(p+1)%len(g)]; tr.RowNext(rank) != next {
+					t.Fatalf("%dx%d row group %v: RowNext(%d) = %d", tc.rows, tc.cols, g, rank, tr.RowNext(rank))
+				}
+			}
+		}
+		for _, g := range tr.ColGroups() {
+			for p, rank := range g {
+				if next := g[(p+1)%len(g)]; tr.ColNext(rank) != next {
+					t.Fatalf("%dx%d col group %v: ColNext(%d) = %d", tc.rows, tc.cols, g, rank, tr.ColNext(rank))
+				}
+			}
+		}
+	}
+	if got := AllRanks(4); !reflect.DeepEqual(got, NewTorus(1, 4).RowGroups()[0]) {
+		t.Fatalf("AllRanks(4) = %v", got)
 	}
 }
 

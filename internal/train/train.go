@@ -412,9 +412,12 @@ func Run(cfg Config) (*Result, error) {
 
 	// One synchronizer for the whole run, opened up front so per-round
 	// state (compensation, SSDM streams, EF residuals) carries across
-	// rounds: it consumes private copies of the round's gradients and
-	// returns the update every worker applies. fullSyncNext reports a
-	// Marsit full-precision round ahead (the learning-rate schedule).
+	// rounds: it consumes the round's gradients — they are dead after it
+	// (trueMean is taken first, and every vector is zeroed at the top of
+	// the next round), so a synchronizer may scale or reduce them in
+	// place and may return one of them as the update every worker
+	// applies. fullSyncNext reports a Marsit full-precision round ahead
+	// (the learning-rate schedule).
 	parallel := cfg.Engine == EnginePar
 	var sync func(grads []tensor.Vec) tensor.Vec
 	fullSyncNext := func() bool { return false }
@@ -502,7 +505,7 @@ func Run(cfg Config) (*Result, error) {
 
 		// Synchronize.
 		fullSync := fullSyncNext()
-		update := sync(cloneAll(grads))
+		update := sync(grads)
 
 		match := tensor.MatchRate(update, trueMean)
 		opt.Step(model.Params(), update)
@@ -547,14 +550,6 @@ func Run(cfg Config) (*Result, error) {
 	res.TotalMB = float64(cluster.TotalBytes()) / 1e6
 	res.Breakdown = cluster.MeanBreakdown()
 	return res, nil
-}
-
-func cloneAll(vecs []tensor.Vec) []tensor.Vec {
-	out := make([]tensor.Vec, len(vecs))
-	for i, v := range vecs {
-		out[i] = tensor.Clone(v)
-	}
-	return out
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

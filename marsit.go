@@ -58,10 +58,13 @@
 // one place: the descriptor's sequential leg, or the descriptor opened
 // on an engine (Engine.Open, then Collective.Run every round) with one
 // per-rank runner per worker goroutine. Run and the trainer pick between
-// the two in a single helper, and a Marsit with Config.Parallel is the
-// same thing for Algorithm 1: one per-rank synchronizer per worker — the
-// form a marsit-node process hosts — driven on an engine, while the
-// sequential Marsit is the lock-step statement the figures use.
+// the two in a single helper. Algorithm 1 follows the same split: its
+// arithmetic (lines 1 and 9–13 — the scaled gradient plus carry, the
+// update, the compensation, the K-periodic reset) lives once, in the
+// per-worker synchronizer a marsit-node process hosts, and a Marsit
+// holds one per worker in either mode; only the schedule of the one-bit
+// synchronization in between (lines 4–8) is stated per engine — in lock
+// step for the figures, or per rank on an engine with Config.Parallel.
 //
 // The parallel engine charges the same α–β costs as the sequential one
 // (each packet carries the sender's virtual clock, reproducing netsim's
@@ -199,9 +202,9 @@ type runConfig struct {
 func WithEngine(e EngineKind) RunOption { return func(rc *runConfig) { rc.engine = e } }
 
 // WithTransport selects the parallel engine's fabric backend
-// (TransportLoopback, TransportTCP, TransportSHM or TransportHybrid);
-// it implies EnginePar semantics
-// only when WithEngine(EnginePar) is also given.
+// (TransportLoopback, TransportTCP, TransportSHM or TransportHybrid).
+// The fabric is read only under WithEngine(EnginePar); the sequential
+// engine ignores it.
 func WithTransport(t Transport) RunOption { return func(rc *runConfig) { rc.transport = t } }
 
 // WithTorus lays the workers out as a rows×cols 2D torus (collectives
