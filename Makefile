@@ -16,8 +16,11 @@
 #                          the first pair's seed; prints medians, the
 #                          parent's spread, pairs won and a verdict per
 #                          workload × end-to-end metric
-#   make bench-smoke       the kernel micro-benchmarks, the sequential one-bit
-#                          Sync (ring and torus) and one trainer round once
+#   make bench-smoke       the kernel micro-benchmarks (MatchRate and NormVec
+#                          beside their oracles among them), the sequential
+#                          one-bit Sync (ring and torus), the batched and
+#                          per-sample forward/backward at the train_marsit
+#                          workload's shape and one trainer round once
 #                          (-benchtime=1x) so they are compiled and executed
 #                          on every PR
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
@@ -111,13 +114,15 @@ ab:
 	SEED=$(SEED) SECS=$(SECS) bash tools/ab.sh $(A) $(B) $(W) $(PAIRS)
 
 # bench-smoke runs the word-parallel kernels' micro-benchmarks (fast
-# path vs scalar oracle) and the micro-benchmarks of Algorithm 1's own
+# path vs scalar oracle), the micro-benchmarks of Algorithm 1's own
 # code (core's BenchmarkSyncOneBitRing/Torus, train's
-# BenchmarkTrainRoundMarsit) exactly once: cheap enough for CI, and it
-# proves the tools for measuring while working still compile and run.
+# BenchmarkTrainRoundMarsit) and of the trainer's local step (nn's
+# BenchmarkLossGradBatch: MLP 192→384→64→10, B = 8, batched vs the
+# per-sample loop) exactly once: cheap enough for CI, and it proves the
+# tools for measuring while working still compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress ./internal/rng \
-		./internal/core ./internal/train
+		./internal/tensor ./internal/nn ./internal/core ./internal/train
 
 # fuzz-smoke gives the wire-facing decoders a short adversarial pass —
 # Elias payloads, marshalled bit vectors and sign-sum chunks genuinely

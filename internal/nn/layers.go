@@ -52,31 +52,112 @@ func (d *Dense) Init(r *rng.PCG, p []float64) {
 
 // Forward implements Layer.
 func (d *Dense) Forward(p, in []float64) []float64 {
-	out := make([]float64, d.Out)
-	b := p[d.In*d.Out:]
-	for o := 0; o < d.Out; o++ {
-		row := p[o*d.In : (o+1)*d.In]
-		s := b[o]
-		for i, x := range in {
-			s += row[i] * x
-		}
-		out[o] = s
-	}
-	return out
+	return d.forwardBatch(p, [][]float64{in})[0]
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(p, in, _, dout, dp []float64) []float64 {
-	din := make([]float64, d.In)
+	return d.backwardBatch(p, [][]float64{in}, [][]float64{dout}, dp, true)[0]
+}
+
+// batchWidth is how many samples a Dense pass over one weight row serves.
+const batchWidth = 4
+
+// perSample returns n fresh slices of width w carved from one allocation.
+func perSample(n, w int) [][]float64 {
+	buf := make([]float64, n*w)
+	out := make([][]float64, n)
+	for b := range out {
+		out[b] = buf[b*w : (b+1)*w : (b+1)*w]
+	}
+	return out
+}
+
+// forwardBatch implements batchLayer: out[b][o] is the bias plus
+// row[i]·in[b][i] summed in index order, in a per-sample accumulator, with
+// four samples sharing each pass over the row.
+func (d *Dense) forwardBatch(p []float64, in [][]float64) [][]float64 {
+	out := perSample(len(in), d.Out)
+	bias := p[d.In*d.Out:]
+	for o := 0; o < d.Out; o++ {
+		row := p[o*d.In : (o+1)*d.In]
+		b := 0
+		for ; b+batchWidth <= len(in); b += batchWidth {
+			x0, x1, x2, x3 := in[b][:len(row)], in[b+1][:len(row)], in[b+2][:len(row)], in[b+3][:len(row)]
+			s0, s1, s2, s3 := bias[o], bias[o], bias[o], bias[o]
+			for i, w := range row {
+				s0 += w * x0[i]
+				s1 += w * x1[i]
+				s2 += w * x2[i]
+				s3 += w * x3[i]
+			}
+			out[b][o], out[b+1][o], out[b+2][o], out[b+3][o] = s0, s1, s2, s3
+		}
+		for ; b < len(in); b++ {
+			x := in[b][:len(row)]
+			s := bias[o]
+			for i, w := range row {
+				s += w * x[i]
+			}
+			out[b][o] = s
+		}
+	}
+	return out
+}
+
+// backwardBatch implements batchLayer. Every parameter-gradient element
+// adds its samples' products in sample order — dRow[i] + g₀·x₀[i] + g₁·x₁[i]
+// + …, left to right — four samples to a pass over the row; each sample's
+// input gradient adds its rows' products in row order, as the per-sample
+// pass does, and is skipped when needIn is false.
+func (d *Dense) backwardBatch(p []float64, in, dout [][]float64, dp []float64, needIn bool) [][]float64 {
+	var din [][]float64
+	if needIn {
+		din = perSample(len(in), d.In)
+	}
 	dB := dp[d.In*d.Out:]
 	for o := 0; o < d.Out; o++ {
-		g := dout[o]
 		row := p[o*d.In : (o+1)*d.In]
 		dRow := dp[o*d.In : (o+1)*d.In]
-		dB[o] += g
-		for i := 0; i < d.In; i++ {
-			dRow[i] += g * in[i]
-			din[i] += g * row[i]
+		b := 0
+		for ; b+batchWidth <= len(in); b += batchWidth {
+			g0, g1, g2, g3 := dout[b][o], dout[b+1][o], dout[b+2][o], dout[b+3][o]
+			dB[o] += g0
+			dB[o] += g1
+			dB[o] += g2
+			dB[o] += g3
+			x0, x1, x2, x3 := in[b][:len(dRow)], in[b+1][:len(dRow)], in[b+2][:len(dRow)], in[b+3][:len(dRow)]
+			for i := range dRow {
+				s := dRow[i]
+				s += g0 * x0[i]
+				s += g1 * x1[i]
+				s += g2 * x2[i]
+				s += g3 * x3[i]
+				dRow[i] = s
+			}
+			if needIn {
+				d0, d1, d2, d3 := din[b][:len(row)], din[b+1][:len(row)], din[b+2][:len(row)], din[b+3][:len(row)]
+				for i, w := range row {
+					d0[i] += g0 * w
+					d1[i] += g1 * w
+					d2[i] += g2 * w
+					d3[i] += g3 * w
+				}
+			}
+		}
+		for ; b < len(in); b++ {
+			g := dout[b][o]
+			dB[o] += g
+			x := in[b][:len(dRow)]
+			for i := range dRow {
+				dRow[i] += g * x[i]
+			}
+			if needIn {
+				dx := din[b][:len(row)]
+				for i, w := range row {
+					dx[i] += g * w
+				}
+			}
 		}
 	}
 	return din

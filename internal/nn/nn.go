@@ -14,6 +14,14 @@
 // All parameters of a Network live in a single flat tensor.Vec, so a
 // gradient is likewise one flat vector — exactly the object Marsit and
 // the baseline collectives synchronize.
+//
+// A batch runs layer-major (LossGradBatch): each layer's forward pass for
+// every sample, then each layer's backward pass for every sample, so a
+// Dense layer reads each weight row once per four samples instead of once
+// per sample. Every gradient element still adds its samples'
+// contributions in sample order, which makes the batch bit-identical to
+// LossGrad called on each sample in turn. That order is the rule a layer's
+// batch pass must keep.
 package nn
 
 import (
@@ -152,32 +160,95 @@ func (n *Network) Predict(x []float64) int {
 
 // LossGrad runs a forward/backward pass for one labelled sample,
 // accumulating the parameter gradient of the softmax cross-entropy loss
-// into grad (length NumParams) and returning the loss value.
+// into grad (length NumParams) and returning the loss value. It is
+// LossGradBatch with a batch of one.
 func (n *Network) LossGrad(x []float64, label int, grad tensor.Vec) float64 {
+	var loss [1]float64
+	n.LossGradBatch([][]float64{x}, []int{label}, grad, loss[:])
+	return loss[0]
+}
+
+// LossGradBatch runs the forward/backward pass of a batch of labelled
+// samples, accumulating their parameter gradients of the softmax
+// cross-entropy loss into grad (length NumParams) and writing sample b's
+// loss to losses[b].
+//
+// It runs layer-major: every layer's forward pass for all samples, then
+// every layer's backward pass for all samples. What it accumulates is bit
+// for bit what calling LossGrad on each sample in order accumulates,
+// because each gradient element still adds its samples' contributions in
+// sample order: a layer writes only its own slice of grad, activations are
+// per sample, and a layer's batch pass (Dense's) keeps that order inside
+// every element. A layer without a batch pass runs its per-sample
+// Forward/Backward over the batch in sample order. The first layer's input
+// gradient is not computed where the layer can skip it.
+func (n *Network) LossGradBatch(xs [][]float64, labels []int, grad tensor.Vec, losses []float64) {
 	if len(grad) != len(n.params) {
 		panic(fmt.Sprintf("nn: grad dim %d, want %d", len(grad), len(n.params)))
 	}
-	if label < 0 || label >= n.outDim {
-		panic(fmt.Sprintf("nn: label %d out of range [0,%d)", label, n.outDim))
+	if len(labels) != len(xs) || len(losses) != len(xs) {
+		panic(fmt.Sprintf("nn: batch of %d samples with %d labels and %d losses", len(xs), len(labels), len(losses)))
 	}
-	// Forward, keeping activations.
-	acts := make([][]float64, len(n.layers)+1)
-	acts[0] = x
+	for b, x := range xs {
+		if len(x) != n.inDim {
+			panic(fmt.Sprintf("nn: sample %d input dim %d, want %d", b, len(x), n.inDim))
+		}
+		if label := labels[b]; label < 0 || label >= n.outDim {
+			panic(fmt.Sprintf("nn: sample %d label %d out of range [0,%d)", b, label, n.outDim))
+		}
+	}
+	// Forward, keeping every layer's activations.
+	acts := make([][][]float64, len(n.layers)+1)
+	acts[0] = xs
 	for i, l := range n.layers {
-		acts[i+1] = l.Forward(n.paramSlice(i), acts[i])
+		acts[i+1] = forwardBatch(l, n.paramSlice(i), acts[i])
 	}
-	logits := acts[len(n.layers)]
 
-	loss, dlogits := SoftmaxCrossEntropy(logits, label)
+	dout := make([][]float64, len(xs))
+	for b, logits := range acts[len(n.layers)] {
+		losses[b], dout[b] = SoftmaxCrossEntropy(logits, labels[b])
+	}
 
 	// Backward.
-	dout := dlogits
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		l := n.layers[i]
 		dp := grad[n.offsets[i] : n.offsets[i]+l.NumParams()]
-		dout = l.Backward(n.paramSlice(i), acts[i], acts[i+1], dout, dp)
+		dout = backwardBatch(l, n.paramSlice(i), acts[i], acts[i+1], dout, dp, i > 0)
 	}
-	return loss
+}
+
+// batchLayer is the optional batch form of a Layer: sample b of each
+// result is what Forward/Backward return for sample b, and every element
+// of dp adds its samples' contributions in sample order. backwardBatch
+// may skip the input gradient (returning nil) when needIn is false.
+type batchLayer interface {
+	forwardBatch(p []float64, in [][]float64) [][]float64
+	backwardBatch(p []float64, in, dout [][]float64, dp []float64, needIn bool) [][]float64
+}
+
+// forwardBatch runs l's forward pass over a batch.
+func forwardBatch(l Layer, p []float64, in [][]float64) [][]float64 {
+	if bl, ok := l.(batchLayer); ok {
+		return bl.forwardBatch(p, in)
+	}
+	out := make([][]float64, len(in))
+	for b, x := range in {
+		out[b] = l.Forward(p, x)
+	}
+	return out
+}
+
+// backwardBatch runs l's backward pass over a batch, sample by sample in
+// order unless l has a batch form.
+func backwardBatch(l Layer, p []float64, in, out, dout [][]float64, dp []float64, needIn bool) [][]float64 {
+	if bl, ok := l.(batchLayer); ok {
+		return bl.backwardBatch(p, in, dout, dp, needIn)
+	}
+	din := make([][]float64, len(in))
+	for b := range in {
+		din[b] = l.Backward(p, in[b], out[b], dout[b], dp)
+	}
+	return din
 }
 
 // SoftmaxCrossEntropy returns the cross-entropy loss of logits against

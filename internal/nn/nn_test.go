@@ -174,6 +174,161 @@ func TestLossGradValidation(t *testing.T) {
 	}
 }
 
+// TestLossGradBatchValidation: the grad-length, batch-length, input-dim
+// and label panics fire whichever sample of a batch is at fault.
+func TestLossGradBatchValidation(t *testing.T) {
+	r := rng.New(15)
+	n := NewMLP(r, 3, []int{4}, 2)
+	good := []float64{1, 2, 3}
+	for _, bad := range []int{0, 3, 4} {
+		xs := [][]float64{good, good, good, good, good}
+		labels := []int{0, 1, 0, 1, 0}
+		for _, fn := range []func(){
+			func() { n.LossGradBatch(xs, labels, make(tensor.Vec, 1), make([]float64, 5)) },
+			func() { n.LossGradBatch(xs, labels[:4], make(tensor.Vec, n.NumParams()), make([]float64, 5)) },
+			func() { n.LossGradBatch(xs, labels, make(tensor.Vec, n.NumParams()), make([]float64, 4)) },
+			func() {
+				xs[bad] = good[:2]
+				defer func() { xs[bad] = good }()
+				n.LossGradBatch(xs, labels, make(tensor.Vec, n.NumParams()), make([]float64, 5))
+			},
+			func() {
+				labels[bad] = 2
+				defer func() { labels[bad] = bad % 2 }()
+				n.LossGradBatch(xs, labels, make(tensor.Vec, n.NumParams()), make([]float64, 5))
+			},
+			func() {
+				labels[bad] = -1
+				defer func() { labels[bad] = bad % 2 }()
+				n.LossGradBatch(xs, labels, make(tensor.Vec, n.NumParams()), make([]float64, 5))
+			},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("sample %d: expected panic", bad)
+					}
+				}()
+				fn()
+			}()
+		}
+	}
+}
+
+// denseForwardRef and denseBackwardRef are Dense's per-sample passes as
+// they were before the batch pass replaced them, kept verbatim as the
+// reference the batch is pinned to.
+func denseForwardRef(d *Dense, p, in []float64) []float64 {
+	out := make([]float64, d.Out)
+	b := p[d.In*d.Out:]
+	for o := 0; o < d.Out; o++ {
+		row := p[o*d.In : (o+1)*d.In]
+		s := b[o]
+		for i, x := range in {
+			s += row[i] * x
+		}
+		out[o] = s
+	}
+	return out
+}
+
+func denseBackwardRef(d *Dense, p, in, dout, dp []float64) []float64 {
+	din := make([]float64, d.In)
+	dB := dp[d.In*d.Out:]
+	for o := 0; o < d.Out; o++ {
+		g := dout[o]
+		row := p[o*d.In : (o+1)*d.In]
+		dRow := dp[o*d.In : (o+1)*d.In]
+		dB[o] += g
+		for i := 0; i < d.In; i++ {
+			dRow[i] += g * in[i]
+			din[i] += g * row[i]
+		}
+	}
+	return din
+}
+
+// lossGradRef is LossGrad's per-sample body as it was, over the
+// reference Dense passes.
+func lossGradRef(n *Network, x []float64, label int, grad tensor.Vec) float64 {
+	acts := make([][]float64, len(n.layers)+1)
+	acts[0] = x
+	for i, l := range n.layers {
+		if d, ok := l.(*Dense); ok {
+			acts[i+1] = denseForwardRef(d, n.paramSlice(i), acts[i])
+		} else {
+			acts[i+1] = l.Forward(n.paramSlice(i), acts[i])
+		}
+	}
+	loss, dout := SoftmaxCrossEntropy(acts[len(n.layers)], label)
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		l := n.layers[i]
+		dp := grad[n.offsets[i] : n.offsets[i]+l.NumParams()]
+		if d, ok := l.(*Dense); ok {
+			dout = denseBackwardRef(d, n.paramSlice(i), acts[i], dout, dp)
+		} else {
+			dout = l.Backward(n.paramSlice(i), acts[i], acts[i+1], dout, dp)
+		}
+	}
+	return loss
+}
+
+// TestLossGradBatchMatchesPerSample pins the layer-major batch to the
+// per-sample pass: the accumulated gradient and every sample's loss are
+// bit-equal to LossGrad called on each sample in order, and to the
+// per-sample pass as it was before Dense had a batch form — for every
+// model family, batch sizes on both sides of the four-sample group, a
+// repeated sample, and a gradient that is not zero on entry.
+func TestLossGradBatchMatchesPerSample(t *testing.T) {
+	models := map[string]func(r *rng.PCG) *Network{
+		"logreg":   func(r *rng.PCG) *Network { return NewLogReg(r, 9, 3) },
+		"mlp":      func(r *rng.PCG) *Network { return NewMLP(r, 12, []int{16, 8}, 5) },
+		"alexnet":  func(r *rng.PCG) *Network { return NewMiniAlexNet(r, 2, 8, 8, 4) },
+		"resnet":   func(r *rng.PCG) *Network { return NewMiniResNet(r, 7, 10, 2, 3) },
+		"bow-text": func(r *rng.PCG) *Network { return NewBoWText(r, 20, 8, 2) },
+	}
+	for name, build := range models {
+		for _, batch := range []int{1, 3, 4, 5, 8} {
+			r := rng.New(uint64(16 + batch))
+			n := build(r)
+			// Off the ReLU kinks of the zero-initialised branches.
+			for i, p := range n.Params() {
+				n.Params()[i] = p + 0.05*r.Norm()
+			}
+			xs := make([][]float64, batch)
+			labels := make([]int, batch)
+			for b := range xs {
+				xs[b] = r.NormVec(make([]float64, n.InDim()), 0, 1)
+				labels[b] = r.Intn(n.OutDim())
+			}
+			if batch > 2 {
+				xs[2], labels[2] = xs[0], labels[0] // a batch may draw a sample twice
+			}
+			start := r.NormVec(make(tensor.Vec, n.NumParams()), 0, 1)
+
+			got := tensor.Clone(start)
+			losses := make([]float64, batch)
+			n.LossGradBatch(xs, labels, got, losses)
+
+			perSample, ref := tensor.Clone(start), tensor.Clone(start)
+			for b := range xs {
+				loss := n.LossGrad(xs[b], labels[b], perSample)
+				refLoss := lossGradRef(n, xs[b], labels[b], ref)
+				if math.Float64bits(losses[b]) != math.Float64bits(loss) ||
+					math.Float64bits(losses[b]) != math.Float64bits(refLoss) {
+					t.Fatalf("%s B=%d: sample %d loss %v, per-sample %v, reference %v", name, batch, b, losses[b], loss, refLoss)
+				}
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(perSample[i]) ||
+					math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("%s B=%d: grad[%d] %v, per-sample %v, reference %v", name, batch, i, got[i], perSample[i], ref[i])
+				}
+			}
+		}
+	}
+}
+
 func TestParamsLiveView(t *testing.T) {
 	r := rng.New(11)
 	n := NewLogReg(r, 2, 2)
@@ -298,6 +453,38 @@ func BenchmarkMLPLossGrad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.LossGrad(x, 3, grad)
 	}
+}
+
+// BenchmarkLossGradBatch times one worker's local step of the train_marsit
+// benchmark workload — MLP 192→384→64→10, a batch of eight — as one
+// layer-major LossGradBatch and as the per-sample LossGrad loop it
+// replaced in the trainer.
+func BenchmarkLossGradBatch(b *testing.B) {
+	const batch = 8
+	r := rng.New(1)
+	n := NewMLP(r, 192, []int{384, 64}, 10)
+	xs := make([][]float64, batch)
+	labels := make([]int, batch)
+	for i := range xs {
+		xs[i] = r.NormVec(make([]float64, n.InDim()), 0, 1)
+		labels[i] = r.Intn(n.OutDim())
+	}
+	grad := make(tensor.Vec, n.NumParams())
+	losses := make([]float64, batch)
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			n.LossGradBatch(xs, labels, grad, losses)
+		}
+	})
+	b.Run("per-sample", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for s := range xs {
+				losses[s] = n.LossGrad(xs[s], labels[s], grad)
+			}
+		}
+	})
 }
 
 func BenchmarkConvLossGrad(b *testing.B) {

@@ -185,12 +185,46 @@ func (p *PCG) Norm() float64 {
 }
 
 // NormVec fills dst with independent N(mean, stddev²) variates and
-// returns it.
+// returns it. It is bit for bit mean + stddev·Norm() per element, and
+// leaves the generator (state, spare, hasSpare) as those calls would: a
+// pending spare fills dst[0], then each polar pair fills two elements,
+// its second variate kept as the spare on an odd tail.
 func (p *PCG) NormVec(dst []float64, mean, stddev float64) []float64 {
-	for i := range dst {
-		dst[i] = mean + stddev*p.Norm()
+	i := 0
+	if p.hasSpare && len(dst) > 0 {
+		p.hasSpare = false
+		dst[0] = mean + stddev*p.spare
+		i = 1
 	}
+	state, inc, spare := p.state, p.inc, p.spare
+	for i < len(dst) {
+		var x, y uint64
+		x, state = uint64At(state, inc)
+		y, state = uint64At(state, inc)
+		u := 2*(float64(x>>11)/(1<<53)) - 1
+		v := 2*(float64(y>>11)/(1<<53)) - 1
+		s := u*u + v*v
+		if s > 0 && s < 1 {
+			f := math.Sqrt(-2 * math.Log(s) / s)
+			spare = v * f
+			dst[i] = mean + stddev*(u*f)
+			if i+1 < len(dst) {
+				dst[i+1] = mean + stddev*spare
+			} else {
+				p.hasSpare = true
+			}
+			i += 2
+		}
+	}
+	p.state, p.spare = state, spare
 	return dst
+}
+
+// uint64At returns the Uint64 drawn from state s on stream inc, and the
+// state two steps on.
+func uint64At(s, inc uint64) (uint64, uint64) {
+	s1 := s*pcgMult + inc
+	return uint64(pcgOutput(s))<<32 | uint64(pcgOutput(s1)), s1*pcgMult + inc
 }
 
 // Perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).

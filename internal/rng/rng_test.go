@@ -179,6 +179,72 @@ func TestNormVec(t *testing.T) {
 	}
 }
 
+// normVecScalar is the per-element NormVec the pair loop replaced, kept
+// as its oracle.
+func normVecScalar(p *PCG, dst []float64, mean, stddev float64) []float64 {
+	for i := range dst {
+		dst[i] = mean + stddev*p.Norm()
+	}
+	return dst
+}
+
+// TestNormVecMatchesNorm pins NormVec to the per-element Norm loop: the
+// same bits in dst and the same generator afterwards (state, spare,
+// hasSpare), whatever spare is pending on entry and however the calls
+// split a stream.
+func TestNormVecMatchesNorm(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1001}
+	params := [][2]float64{{0, 1}, {3, -2.5}, {-1e-3, 7}}
+	for _, prior := range []int{0, 1, 2} {
+		for _, mp := range params {
+			for _, n := range lengths {
+				got, want := NewStream(uint64(n)+11, uint64(prior)), NewStream(uint64(n)+11, uint64(prior))
+				for k := 0; k < prior; k++ {
+					got.Norm()
+					want.Norm()
+				}
+				// Three calls in a row: n, then n+1 and 2 elements, so
+				// every parity of length meets every parity of spare.
+				for call, m := range []int{n, n + 1, 2} {
+					a := got.NormVec(make([]float64, m), mp[0], mp[1])
+					b := normVecScalar(want, make([]float64, m), mp[0], mp[1])
+					for i := range a {
+						if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+							t.Fatalf("prior %d, mean/stddev %v, n %d, call %d: element %d = %v, want %v",
+								prior, mp, n, call, i, a[i], b[i])
+						}
+					}
+					if got.state != want.state || got.inc != want.inc || got.hasSpare != want.hasSpare ||
+						math.Float64bits(got.spare) != math.Float64bits(want.spare) {
+						t.Fatalf("prior %d, mean/stddev %v, n %d, call %d: generator %+v, want %+v",
+							prior, mp, n, call, *got, *want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkNormVec times the pair loop beside its per-element oracle.
+func BenchmarkNormVec(b *testing.B) {
+	for _, leg := range []struct {
+		name string
+		fill func(p *PCG, dst []float64)
+	}{
+		{"pairs", func(p *PCG, dst []float64) { p.NormVec(dst, 0, 1) }},
+		{"scalar", func(p *PCG, dst []float64) { normVecScalar(p, dst, 0, 1) }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			p := New(1)
+			dst := make([]float64, 1<<16)
+			b.SetBytes(int64(8 * len(dst)))
+			for i := 0; i < b.N; i++ {
+				leg.fill(p, dst)
+			}
+		})
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	p := New(37)
 	f := func(nRaw uint8) bool {

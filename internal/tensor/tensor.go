@@ -184,13 +184,22 @@ func MatchRate(a, b Vec) float64 {
 	if len(a) == 0 {
 		return 1
 	}
-	match := 0
-	for i := range a {
-		if Sign(a[i]) == Sign(b[i]) {
-			match++
+	b = b[:len(a)]
+	// Two signs differ exactly when one of a[i] < 0, b[i] < 0 holds; each
+	// test becomes a 0/1 integer (SETcc), so random signs cost no
+	// mispredicted branches.
+	differ := 0
+	for i, x := range a {
+		var na, nb int
+		if x < 0 {
+			na = 1
 		}
+		if b[i] < 0 {
+			nb = 1
+		}
+		differ += na ^ nb
 	}
-	return float64(match) / float64(len(a))
+	return float64(len(a)-differ) / float64(len(a))
 }
 
 // Segment describes a half-open index range [Lo, Hi) of a vector.

@@ -152,6 +152,74 @@ func TestMatchRate(t *testing.T) {
 	}
 }
 
+// matchRateBranchy is MatchRate's body before it went branch-free, kept
+// verbatim as its reference.
+func matchRateBranchy(a, b Vec) float64 {
+	checkLen(len(a), len(b))
+	if len(a) == 0 {
+		return 1
+	}
+	match := 0
+	for i := range a {
+		if Sign(a[i]) == Sign(b[i]) {
+			match++
+		}
+	}
+	return float64(match) / float64(len(a))
+}
+
+// TestMatchRateMatchesBranchy compares MatchRate with the branching
+// reference bit for bit on every pair of IEEE edge values — −0, NaN of
+// both signs, ±Inf, ±denormal — at every length 0–9.
+func TestMatchRateMatchesBranchy(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Copysign(math.NaN(), -1),
+		math.Inf(1), math.Inf(-1), 5e-324, -5e-324, math.SmallestNonzeroFloat64 * 3, 1, -1,
+	}
+	// Lengths 0–9 over sliding windows of the edge values, against the
+	// same windows shifted, so every pair of edges meets at some index.
+	for n := 0; n <= 9; n++ {
+		for off := range edges {
+			for shift := range edges {
+				a, b := make(Vec, n), make(Vec, n)
+				for i := range a {
+					a[i] = edges[(off+i)%len(edges)]
+					b[i] = edges[(off+shift+i)%len(edges)]
+				}
+				got, want := MatchRate(a, b), matchRateBranchy(a, b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n %d: MatchRate(%v, %v) = %v, want %v", n, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+var matchRateSink float64
+
+func BenchmarkMatchRate(b *testing.B) {
+	const n = 1 << 16
+	x, y := make(Vec, n), make(Vec, n)
+	s := uint64(1)
+	for i := range x {
+		s = s*6364136223846793005 + 1442695040888963407
+		x[i] = float64(int64(s)) // random signs
+		s = s*6364136223846793005 + 1442695040888963407
+		y[i] = float64(int64(s))
+	}
+	for _, leg := range []struct {
+		name string
+		f    func(a, b Vec) float64
+	}{{"branchfree", MatchRate}, {"branchy", matchRateBranchy}} {
+		b.Run(leg.name, func(b *testing.B) {
+			b.SetBytes(16 * n)
+			for i := 0; i < b.N; i++ {
+				matchRateSink += leg.f(x, y)
+			}
+		})
+	}
+}
+
 func TestPartitionProperties(t *testing.T) {
 	f := func(nRaw uint16, pRaw uint8) bool {
 		n := int(nRaw % 2000)

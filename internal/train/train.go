@@ -482,14 +482,16 @@ func Run(cfg Config) (*Result, error) {
 		return test.Accuracy(model.Predict)
 	}
 
+	losses := make([]float64, cfg.Batch)
 	for round := 0; round < cfg.Rounds; round++ {
 		// Local gradient computation on each worker's shard.
 		roundLoss := 0.0
 		for w := 0; w < cfg.Workers; w++ {
 			tensor.Zero(grads[w])
 			xs, ys := shards[w].Batch(batchRNGs[w], cfg.Batch)
-			for i := range xs {
-				roundLoss += model.LossGrad(xs[i], ys[i], grads[w])
+			model.LossGradBatch(xs, ys, grads[w], losses)
+			for _, l := range losses {
+				roundLoss += l
 			}
 			tensor.Scale(grads[w], 1/float64(cfg.Batch))
 			cluster.AddComputeFlops(w, flopsPerRound)
