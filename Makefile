@@ -17,8 +17,10 @@
 #                          parent's spread, pairs won and a verdict per
 #                          workload × end-to-end metric
 #   make bench-smoke       the kernel micro-benchmarks (MatchRate and NormVec
-#                          beside their oracles among them), the sequential
-#                          one-bit Sync (ring and torus), the batched and
+#                          beside their oracles among them; SubScaled and
+#                          the bit-vector MatchRate beside the dense forms
+#                          they replace), the sequential one-bit Sync (ring
+#                          and torus), the batched and
 #                          per-sample forward/backward at the train_marsit
 #                          workload's shape and one trainer round once
 #                          (-benchtime=1x) so they are compiled and executed
@@ -29,7 +31,8 @@
 #                          bitvec/Elias kernels (the Elias word-store
 #                          encoder at every buffer edge included), the
 #                          masked Bernoulli lanes, the word-at-a-time ⊙
-#                          merge and the bit-sliced majority vote vs their
+#                          merge, the bit-sliced majority vote and the
+#                          one-bit update's SubScaled/MatchRate vs their
 #                          scalar oracles, and the PowerSGD Gram–Schmidt
 #                          orthonormalization on degenerate inputs
 #   make list-collectives  golden check: the CLIs' collective listing must
@@ -114,12 +117,14 @@ ab:
 	SEED=$(SEED) SECS=$(SECS) bash tools/ab.sh $(A) $(B) $(W) $(PAIRS)
 
 # bench-smoke runs the word-parallel kernels' micro-benchmarks (fast
-# path vs scalar oracle), the micro-benchmarks of Algorithm 1's own
-# code (core's BenchmarkSyncOneBitRing/Torus, train's
-# BenchmarkTrainRoundMarsit) and of the trainer's local step (nn's
-# BenchmarkLossGradBatch: MLP 192→384→64→10, B = 8, batched vs the
-# per-sample loop) exactly once: cheap enough for CI, and it proves the
-# tools for measuring while working still compile and run.
+# path vs scalar oracle, and bitvec's BenchmarkSubScaled and
+# BenchmarkMatchRateSigns: the one-bit update read from bits vs the dense
+# vector), the micro-benchmarks of Algorithm 1's own code (core's
+# BenchmarkSyncOneBitRing/Torus, train's BenchmarkTrainRoundMarsit) and
+# of the trainer's local step (nn's BenchmarkLossGradBatch: MLP
+# 192→384→64→10, B = 8, batched vs the per-sample loop) exactly once:
+# cheap enough for CI, and it proves the tools for measuring while
+# working still compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress ./internal/rng \
 		./internal/tensor ./internal/nn ./internal/core ./internal/train
@@ -143,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzMarshalRoundTrip' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzUnmarshalRobust' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzMajorityAgainstScalar' -fuzztime $(FUZZTIME) ./internal/bitvec
+	$(GO) test -run '^$$' -fuzz 'FuzzSignKernelsAgainstScalar' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzBernoulliLanesMasked' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzMergeSignsAgainstScalar' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzGramSchmidt' -fuzztime $(FUZZTIME) ./internal/collective

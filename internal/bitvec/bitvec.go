@@ -223,45 +223,106 @@ func (v *Vec) PackSignsOfSum(acc, x []float64) {
 	}
 }
 
-// UnpackScaledSub writes ±scale into dst (bit 1 → +scale, bit 0 → −scale)
-// and subtracts it from acc in the same pass (acc[i] −= dst[i]): lines 9
-// and 10 of Algorithm 1 fused, with acc holding u on entry and the next
-// compensation on return. scale must not be negative.
-func (v *Vec) UnpackScaledSub(dst, acc []float64, scale float64) {
-	if len(dst) != v.n || len(acc) != v.n {
-		panic(fmt.Sprintf("bitvec: UnpackScaledSub lengths %d, %d != %d", len(dst), len(acc), v.n))
+// SubScaled subtracts ±scale from acc (acc[i] −= scale where bit i is 1,
+// −scale where it is 0) without writing the ±scale vector anywhere: line
+// 10 of Algorithm 1 read straight from the consensus bits, with acc
+// holding u on entry and the next compensation on return. scale must not
+// be negative; a clear bit's −scale is scale with the IEEE sign bit set,
+// and for scale > 0 each subtrahend is bit for bit the value UnpackScaled
+// writes.
+func (v *Vec) SubScaled(acc []float64, scale float64) {
+	if len(acc) != v.n {
+		panic(fmt.Sprintf("bitvec: SubScaled length mismatch %d != %d", len(acc), v.n))
 	}
 	pos := math.Float64bits(scale)
+	nib := scaledNibbles(math.Float64frombits(pos|1<<63), scale)
 	for wi, w := range v.words {
 		lo := wi << 6
-		hi := min(lo+64, v.n)
-		out, a := dst[lo:hi], acc[lo:hi]
-		for j := range out {
-			// A clear bit sets the IEEE sign: −scale without a branch.
-			g := math.Float64frombits(pos | (^w&1)<<63)
-			out[j] = g
-			a[j] -= g
+		a := acc[lo:min(lo+64, v.n)]
+		j := 0
+		for ; j+4 <= len(a); j += 4 {
+			t, a4 := &nib[w&15], (*[4]float64)(a[j:j+4])
+			a4[0] -= t[0]
+			a4[1] -= t[1]
+			a4[2] -= t[2]
+			a4[3] -= t[3]
+			w >>= 4
+		}
+		for ; j < len(a); j++ {
+			a[j] -= nib[w&1][0]
 			w >>= 1
 		}
 	}
 }
 
-// UnpackScaled is the write-only half of UnpackScaledSub: dst[i] = scale
-// where bit i is 1, −scale where it is 0. A clear bit flips the IEEE
-// sign, so −scale is the exact negation whatever scale's own sign is.
+// scaledNibbles returns, for every 4-bit pattern n, the four values its
+// bits select in index order: one for a set bit, zero for a clear one.
+// The ±scale kernels read four elements at a time from it instead of
+// forming each from its bit, about 40 % faster at one bit per element.
+func scaledNibbles(zero, one float64) (t [16][4]float64) {
+	v := [2]float64{zero, one}
+	for n := range t {
+		t[n] = [4]float64{v[n&1], v[n>>1&1], v[n>>2&1], v[n>>3]}
+	}
+	return t
+}
+
+// UnpackScaled writes dst[i] = scale where bit i is 1, −scale where it is
+// 0. A clear bit flips the IEEE sign, so −scale is the exact negation
+// whatever scale's own sign is.
 func (v *Vec) UnpackScaled(dst []float64, scale float64) {
 	if len(dst) != v.n {
 		panic(fmt.Sprintf("bitvec: UnpackScaled length mismatch %d != %d", len(dst), v.n))
 	}
-	pos := math.Float64bits(scale)
+	nib := scaledNibbles(math.Float64frombits(math.Float64bits(scale)^1<<63), scale)
 	for wi, w := range v.words {
 		lo := wi << 6
 		out := dst[lo:min(lo+64, v.n)]
-		for j := range out {
-			out[j] = math.Float64frombits(pos ^ (^w&1)<<63)
+		j := 0
+		for ; j+4 <= len(out); j += 4 {
+			*(*[4]float64)(out[j : j+4]) = nib[w&15]
+			w >>= 4
+		}
+		for ; j < len(out); j++ {
+			out[j] = nib[w&1][0]
 			w >>= 1
 		}
 	}
+}
+
+// MatchRate returns tensor.MatchRate(u, ref) for the u that
+// UnpackScaled(u, scale) writes with any scale > 0, without writing u:
+// the share of indices at which ±scale and ref[i] have the same sign.
+// ±scale is negative exactly where bit i is clear, so the two agree
+// where bit i differs from ref[i] < 0 — tensor.MatchRate's own
+// predicate, not PackSigns' x >= 0, which parts ways with it on −0 and
+// NaN. ref[i] < 0 is packed a word at a time and the agreements counted
+// by popcount. An empty vector matches perfectly.
+func (v *Vec) MatchRate(ref []float64) float64 {
+	if len(ref) != v.n {
+		panic(fmt.Sprintf("bitvec: MatchRate length mismatch %d != %d", len(ref), v.n))
+	}
+	if v.n == 0 {
+		return 1
+	}
+	agree := 0
+	for wi, w := range v.words {
+		lo := wi << 6
+		r := ref[lo:min(lo+64, v.n)]
+		var neg uint64
+		for _, x := range r {
+			// As in PackSignsOfSum: the flag enters at the top and shifts
+			// down into index order.
+			var top uint64
+			if x < 0 {
+				top = 1 << 63
+			}
+			neg = neg>>1 | top
+		}
+		// Both words keep their bits past len(r) clear.
+		agree += bits.OnesCount64(w ^ (neg >> uint(64-len(r))))
+	}
+	return float64(agree) / float64(v.n)
 }
 
 // UnpackSigns writes ±1 into dst (bit 1 → +1, bit 0 → −1).
@@ -493,31 +554,42 @@ func (v *Vec) Majority(votes []*Vec) {
 }
 
 // Extract returns a new vector holding bits [lo, hi) of v. It runs a
-// word at a time: each output word is assembled from at most two source
-// words with a funnel shift (this is a per-hop operation of the one-bit
-// ring schedule, so the per-bit version dominated profiles).
+// word at a time (ExtractInto): each output word is assembled from at
+// most two source words with a funnel shift (this is a per-hop operation
+// of the one-bit ring schedule, so the per-bit version dominated
+// profiles).
 func (v *Vec) Extract(lo, hi int) *Vec {
 	if lo < 0 || hi < lo || hi > v.n {
 		panic(fmt.Sprintf("bitvec: Extract[%d,%d) of length %d", lo, hi, v.n))
 	}
 	out := New(hi - lo)
-	if hi == lo {
-		return out
+	v.ExtractInto(out, lo)
+	return out
+}
+
+// ExtractInto is Extract into an existing vector: dst receives bits
+// [lo, lo+dst.Len()) of v, so a schedule that extracts the same segments
+// every round can keep their vectors.
+func (v *Vec) ExtractInto(dst *Vec, lo int) {
+	if lo < 0 || lo+dst.n > v.n {
+		panic(fmt.Sprintf("bitvec: ExtractInto[%d,%d) of length %d", lo, lo+dst.n, v.n))
+	}
+	if dst.n == 0 {
+		return
 	}
 	wi, off := lo>>6, uint(lo&63)
 	if off == 0 {
-		copy(out.words, v.words[wi:wi+len(out.words)])
+		copy(dst.words, v.words[wi:wi+len(dst.words)])
 	} else {
-		for k := range out.words {
+		for k := range dst.words {
 			w := v.words[wi+k] >> off
 			if wi+k+1 < len(v.words) {
 				w |= v.words[wi+k+1] << (64 - off)
 			}
-			out.words[k] = w
+			dst.words[k] = w
 		}
 	}
-	out.clearTail()
-	return out
+	dst.clearTail()
 }
 
 // Insert writes src into v starting at bit lo, a word at a time: each

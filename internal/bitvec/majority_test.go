@@ -118,14 +118,14 @@ func FuzzUnmarshalRobust(f *testing.F) {
 }
 
 // TestUnpackScaledMatchesUnpackScaledSub pins the write-only unpack to
-// the fused one it sits beside, and to plain negation for a scale whose
-// own sign bit is set.
+// the fused one a one-bit round used to run (the unpackScaledSub oracle),
+// and to plain negation for a scale whose own sign bit is set.
 func TestUnpackScaledMatchesUnpackScaledSub(t *testing.T) {
 	for _, n := range append([]int{0}, fuzzVecLens...) {
 		bits := fuzzVec(uint64(n)^0x5ca1e, n)
 		got, want := make([]float64, n), make([]float64, n)
 		bits.UnpackScaled(got, 0.04)
-		bits.UnpackScaledSub(want, make([]float64, n), 0.04)
+		unpackScaledSub(bits, want, make([]float64, n), 0.04)
 		requireSameBits(t, "UnpackScaled", got, want)
 
 		for _, scale := range []float64{0, math.Copysign(0, -1), -2.5, math.Inf(1)} {

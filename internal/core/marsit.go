@@ -26,7 +26,7 @@
 // and lines 1 and 9–13 around them (u = η_l·g + c, g_t = η_s·signs,
 // c ← u − g_t, the K-periodic full-precision reset). What each engine
 // states for itself is only the schedule of the synchronization in
-// between. Marsit.Sync runs lines 4–8 for all workers of a simulated
+// between. Marsit.SyncUpdate runs lines 4–8 for all workers of a simulated
 // cluster in lock step — the form the paper's figures use, and the
 // oracle the equivalence tests compare merge order, draw order, bytes
 // and clocks against. RankSync.Sync runs one rank's share over a
@@ -38,6 +38,15 @@
 // compression and reception overlap by design (Section 4.1.1), a one-bit
 // round charges only the initial sign packing and the final unpacking as
 // compression time.
+//
+// A one-bit round's global update is D bits and one scalar, ±η_s, and
+// SyncUpdate returns it as that (Update): the compensation subtracts
+// ±η_s straight from the consensus bits, and a caller such as the
+// trainer reads its metric from them and unpacks them into a vector of
+// its own for the optimizer step.
+// The bits are the synchronizer's own and are valid only until its next
+// round. Sync is SyncUpdate followed by Update.Dense, one fresh vector of
+// ±η_s per round, bit-equal to the values the compensation subtracted.
 package core
 
 import (
@@ -218,18 +227,52 @@ func (cfg Config) fullPrecision(t int) bool {
 	return cfg.K > 0 && t%cfg.K == 0
 }
 
+// Update is the global update g_t of one synchronization, in the form
+// the round produced it. A one-bit round's g_t is η_s·consensus — D bits
+// and one scalar — and stays that: Signs holds the consensus (bit 1 is
+// +Scale, bit 0 is −Scale) and Vec is nil. A full-precision round's g_t
+// is the reduced u, in Vec, with Signs nil.
+//
+// Signs is the synchronizer's own vector — worker 0's bits, reused by
+// the next round — so it is valid until the next Sync or SyncUpdate on
+// the same instance; a caller that keeps g_t longer calls Dense. Vec is
+// the caller's to keep.
+type Update struct {
+	Signs *bitvec.Vec
+	Scale float64
+	Vec   tensor.Vec
+}
+
+// Dense returns g_t as a vector: Vec itself, or for a one-bit round a
+// fresh vector of ±Scale written by bitvec's UnpackScaled. That is bit
+// for bit the g_t each worker's compensation was updated with: endOneBit
+// subtracts the same ±Scale (the IEEE sign set on the same positive
+// scale), read from the same bits.
+func (u Update) Dense() tensor.Vec {
+	if u.Signs == nil {
+		return u.Vec
+	}
+	g := tensor.New(u.Signs.Len())
+	u.Signs.UnpackScaled(g, u.Scale)
+	return g
+}
+
 // Marsit holds Algorithm 1's state for every worker of a cluster —
 // ranks[w] is worker w's RankSync, the only representation there is —
 // and executes one synchronization per Sync call.
 //
-// Sequentially, Sync drives the workers in lock step on the calling
-// goroutine (begin on each, this file's one-bit ring or
+// Sequentially, SyncUpdate drives the workers in lock step on the
+// calling goroutine (begin on each, the one-bit rings of phases or
 // internal/collective's full-precision all-reduce, end on each). A
 // Parallel instance drives each ranks[w].Sync on its own goroutine of
 // the engine that release frees, through run; run is nil sequentially.
 type Marsit struct {
-	cfg     Config
-	ranks   []*RankSync
+	cfg   Config
+	ranks []*RankSync
+	// u holds the workers' begin results of the current sequential round:
+	// their full-precision u, or nil on a one-bit round.
+	u       []tensor.Vec
+	phases  []ringPhase
 	run     registry.SeqRunner
 	release func() error
 }
@@ -244,6 +287,13 @@ func New(cfg Config) (*Marsit, error) {
 	if !cfg.Parallel {
 		for w := range m.ranks {
 			m.ranks[w] = newRankSync(cfg, w)
+		}
+		m.u = make([]tensor.Vec, cfg.Workers)
+		if tor := cfg.Torus; tor != nil {
+			m.addPhase(tor.RowGroups(), 1)
+			m.addPhase(tor.ColGroups(), tor.Cols())
+		} else {
+			m.addPhase([][]int{topology.AllRanks(cfg.Workers)}, 1)
 		}
 		return m, nil
 	}
@@ -304,13 +354,23 @@ func (m *Marsit) MeanCompensation() tensor.Vec {
 // schedule the paper's learning-rate decay at full-precision rounds.
 func (m *Marsit) FullPrecisionNext() bool { return m.ranks[0].FullPrecisionNext() }
 
-// Sync executes Algorithm 1 for one round. grads[w] must hold worker
-// w's locally scaled gradient η_l·g^(w)_t; the slice is not modified.
-// It returns the consensus global update g_t that every worker applies
-// as x̃_{t+1} = x̃_t − g_t, and advances the compensation state.
+// Sync executes Algorithm 1 for one round and returns the consensus
+// global update g_t as a vector that every worker applies as
+// x̃_{t+1} = x̃_t − g_t, freshly allocated and the caller's to keep:
+// SyncUpdate(c, grads).Dense().
+func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
+	return m.SyncUpdate(c, grads).Dense()
+}
+
+// SyncUpdate executes Algorithm 1 for one round. grads[w] must hold
+// worker w's locally scaled gradient η_l·g^(w)_t; the slice is not
+// modified. It advances the compensation state and returns the
+// consensus global update g_t in the form the round produced it
+// (Update): a sequential one-bit round writes no D-float vector and
+// allocates none, and its Signs stay valid until the next round.
 // Simulated time and bytes are charged to c, which must have exactly
 // cfg.Workers workers.
-func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
+func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) Update {
 	n := m.cfg.Workers
 	d := m.cfg.Dim
 	if c.Size() != n {
@@ -329,12 +389,12 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 	if m.run != nil {
 		// Every worker goroutine runs RankSync.Sync on its own gradient;
 		// the update is a consensus, so rank 0's stands for all.
-		return m.run(c, grads)[0]
+		return Update{Vec: m.run(c, grads)[0]}
 	}
 
 	// Line 1 on every worker; begin decides the K-period branch, the same
 	// way for all of them.
-	u := make([]tensor.Vec, n)
+	u := m.u
 	for w, r := range m.ranks {
 		u[w] = r.begin(c, grads[w])
 	}
@@ -348,133 +408,117 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 		for _, r := range m.ranks {
 			r.endFull()
 		}
-		return u[0]
+		return Update{Vec: u[0]}
 	}
 
 	// Lines 4–8: one-bit MAR over the workers' packed signs. Reception
 	// and merging overlap (Section 4.1.1), so only the sign packing
 	// (begin) and the decoding (endOneBit) are charged as compression.
-	if tor := m.cfg.Torus; tor != nil {
-		m.oneBitRingGroups(c, tor.RowGroups(), 1)
-		m.oneBitRingGroups(c, tor.ColGroups(), tor.Cols())
-	} else {
-		m.oneBitRingGroups(c, [][]int{topology.AllRanks(n)}, 1)
+	for i := range m.phases {
+		m.phases[i].run(c, m.ranks)
 	}
 	// Columns of a torus resolve disagreeing bits with independent
 	// draws; worker 0's aggregate is the consensus every worker decodes.
-	gt := tensor.New(d)
+	consensus := m.ranks[0].bits
 	for _, r := range m.ranks {
-		r.endOneBit(c, m.ranks[0].bits, gt)
+		r.endOneBit(c, consensus)
 	}
 	c.Barrier()
-	return gt
+	return Update{Signs: consensus, Scale: m.cfg.GlobalLR}
 }
 
-// oneBitRingGroups performs the one-bit ring reduce-scatter +
-// all-gather within each (disjoint) group simultaneously. Each worker's
-// bits vector enters holding an aggregate covering baseWeight workers
-// and leaves holding the group-wide aggregate (baseWeight·len(group)
-// workers), identical within the group; worker w's merges draw from
-// ranks[w].rng.
-func (m *Marsit) oneBitRingGroups(c *netsim.Cluster, groups [][]int, baseWeight int) {
-	d := m.cfg.Dim
-	// All groups in a phase have equal length by construction; run the
-	// schedule across groups step by step so Exchange sees the full
-	// round's messages at once.
-	maxLen := 0
-	for _, g := range groups {
-		if len(g) > maxLen {
-			maxLen = len(g)
-		}
-	}
-	if maxLen < 2 {
+// ringPhase is one phase of the lock-step one-bit schedule: disjoint
+// rings of equal length — the whole cluster, or a torus's rows or
+// columns — run the one-bit reduce-scatter and all-gather side by side.
+// Each member's bits enter holding an aggregate covering base workers
+// and leave holding its ring's aggregate, covering base·len(ring),
+// identical within the ring; member w's merges draw from ranks[w].rng.
+// A Marsit builds its phases once, vectors and messages included, so a
+// round allocates neither.
+type ringPhase struct {
+	groups [][]int
+	base   int
+	segs   []tensor.Segment
+	// agg[g][k] is ring g's running aggregate of segment k, which travels
+	// the ring: position k starts it from its own bits, and at step s
+	// position k+s+1 merges its own bits of the segment into it. local[k]
+	// holds those own bits for one merge at a time.
+	agg   [][]*bitvec.Vec
+	local []*bitvec.Vec
+	// steps[s] are the messages of exchange s: the reduce-scatter hops,
+	// then the all-gather hops.
+	steps [][]netsim.Message
+}
+
+// addPhase appends the phase of rings groups, whose members' aggregates
+// enter covering base workers each, to a sequential Marsit. A ring of one
+// has nothing to exchange.
+func (m *Marsit) addPhase(groups [][]int, base int) {
+	size := len(groups[0])
+	if size < 2 {
 		return
 	}
-	type segState struct {
-		segs []tensor.Segment
-		agg  []*bitvec.Vec // current aggregate segment held at ring position p
-	}
-	states := make([]*segState, len(groups))
-	for gi, g := range groups {
-		states[gi] = &segState{segs: tensor.Partition(d, len(g)), agg: make([]*bitvec.Vec, len(g))}
-	}
-	pos := func(i, mlen int) int { return ((i % mlen) + mlen) % mlen }
-
-	// Reduce phase.
-	for s := 0; s < maxLen-1; s++ {
-		var msgs []netsim.Message
-		type pending struct {
-			gi, p int
-			in    *bitvec.Vec
+	ph := ringPhase{groups: groups, base: base, segs: tensor.Partition(m.cfg.Dim, size)}
+	for range groups {
+		agg := make([]*bitvec.Vec, size)
+		for k, seg := range ph.segs {
+			agg[k] = bitvec.New(seg.Len())
 		}
-		var pend []pending
-		for gi, g := range groups {
-			mlen := len(g)
-			if s >= mlen-1 {
-				continue
-			}
-			st := states[gi]
-			outgoing := make([]*bitvec.Vec, mlen)
-			for p := 0; p < mlen; p++ {
-				seg := st.segs[pos(p-s, mlen)]
-				if s == 0 {
-					outgoing[p] = m.ranks[g[p]].bits.Extract(seg.Lo, seg.Hi)
-				} else {
-					outgoing[p] = st.agg[p]
+		ph.agg = append(ph.agg, agg)
+	}
+	for _, seg := range ph.segs {
+		ph.local = append(ph.local, bitvec.New(seg.Len()))
+	}
+	pos := func(i int) int { return ((i % size) + size) % size }
+	// Reduce-scatter step s: position p passes on its aggregate of
+	// segment p−s. All-gather step s: the final segment p+1−s.
+	for _, shift := range []int{0, 1} {
+		for s := 0; s < size-1; s++ {
+			var msgs []netsim.Message
+			for _, g := range groups {
+				for p := range g {
+					seg := ph.segs[pos(p+shift-s)]
+					msgs = append(msgs, netsim.Message{
+						From: g[p], To: g[pos(p+1)], Bytes: (seg.Len() + 7) / 8,
+					})
 				}
-				msgs = append(msgs, netsim.Message{
-					From: g[p], To: g[pos(p+1, mlen)], Bytes: (seg.Len() + 7) / 8,
-				})
 			}
-			for p := 0; p < mlen; p++ {
-				pend = append(pend, pending{gi, p, outgoing[pos(p-1, mlen)]})
-			}
-		}
-		c.Exchange(msgs)
-		for _, pd := range pend {
-			g := groups[pd.gi]
-			mlen := len(g)
-			st := states[pd.gi]
-			seg := st.segs[pos(pd.p-s-1, mlen)]
-			local := m.ranks[g[pd.p]].bits.Extract(seg.Lo, seg.Hi)
-			agg := pd.in.Clone()
-			// Received aggregate covers (s+1)·baseWeight workers; the
-			// local side covers baseWeight.
-			MergeSigns(agg, local, (s+1)*baseWeight, baseWeight, m.ranks[g[pd.p]].rng)
-			st.agg[pd.p] = agg
+			ph.steps = append(ph.steps, msgs)
 		}
 	}
+	m.phases = append(m.phases, ph)
+}
 
-	// Gather phase: circulate the final segments and write them back.
-	for gi, g := range groups {
-		mlen := len(g)
-		st := states[gi]
-		// Position p holds the final aggregate of segment (p+1) mod mlen.
-		final := make([]*bitvec.Vec, mlen)
-		for p := 0; p < mlen; p++ {
-			final[pos(p+1, mlen)] = st.agg[p]
+// run performs the phase's one-bit ring reduce-scatter and all-gather.
+func (ph *ringPhase) run(c *netsim.Cluster, ranks []*RankSync) {
+	size := len(ph.segs)
+	for gi, g := range ph.groups {
+		for k, seg := range ph.segs {
+			ranks[g[k]].bits.ExtractInto(ph.agg[gi][k], seg.Lo)
 		}
-		for p := 0; p < mlen; p++ {
-			for j, seg := range st.segs {
-				m.ranks[g[p]].bits.Insert(seg.Lo, final[j])
+	}
+	for s := 0; s < size-1; s++ {
+		c.Exchange(ph.steps[s])
+		for gi, g := range ph.groups {
+			for k, seg := range ph.segs {
+				r := ranks[g[(k+s+1)%size]]
+				r.bits.ExtractInto(ph.local[k], seg.Lo)
+				// The arriving aggregate covers (s+1)·base workers, the
+				// local side base.
+				MergeSigns(ph.agg[gi][k], ph.local[k], (s+1)*ph.base, ph.base, r.rng)
 			}
 		}
 	}
-	for s := 0; s < maxLen-1; s++ {
-		var msgs []netsim.Message
-		for gi, g := range groups {
-			mlen := len(g)
-			if s >= mlen-1 {
-				continue
-			}
-			st := states[gi]
-			for p := 0; p < mlen; p++ {
-				seg := st.segs[pos(p+1-s, mlen)]
-				msgs = append(msgs, netsim.Message{
-					From: g[p], To: g[pos(p+1, mlen)], Bytes: (seg.Len() + 7) / 8,
-				})
+	// Every member writes back every final segment; the all-gather
+	// exchanges only charge their circulation.
+	for gi, g := range ph.groups {
+		for _, w := range g {
+			for k, seg := range ph.segs {
+				ranks[w].bits.Insert(seg.Lo, ph.agg[gi][k])
 			}
 		}
+	}
+	for _, msgs := range ph.steps[size-1:] {
 		c.Exchange(msgs)
 	}
 }

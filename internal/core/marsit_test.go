@@ -279,6 +279,95 @@ func TestCompensationRecursion(t *testing.T) {
 	}
 }
 
+// parentSync is a sequential Marsit.Sync as it stood before a one-bit
+// update stayed bits, kept as SyncUpdate's reference: it drives m's own
+// state through begin and the ring phases, then every worker writes
+// g_t = ±η_s from worker 0's consensus into one shared fresh vector and
+// subtracts it from its compensation (the former fused UnpackScaledSub,
+// whose halves are UnpackScaled and a subtract). Full-precision rounds
+// did not change and run as they are.
+func parentSync(m *Marsit, c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
+	if m.FullPrecisionNext() {
+		return m.SyncUpdate(c, grads).Vec
+	}
+	for w, r := range m.ranks {
+		r.begin(c, grads[w])
+	}
+	for i := range m.phases {
+		m.phases[i].run(c, m.ranks)
+	}
+	gt := tensor.New(m.cfg.Dim)
+	for _, r := range m.ranks {
+		m.ranks[0].bits.UnpackScaled(gt, m.cfg.GlobalLR)
+		if !m.cfg.DisableCompensation {
+			tensor.Sub(r.comp, gt)
+		}
+		c.AddDecompress(r.rank, m.cfg.Dim)
+	}
+	c.Barrier()
+	return gt
+}
+
+// TestSyncUpdateMatchesSync pins SyncUpdate(...).Dense() to parentSync bit
+// for bit on both engines, both topologies, with and without compensation
+// and with and without full-precision rounds: the update, every worker's
+// compensation vector after every round, the wire bytes and the clocks.
+// A sequential one-bit round must return bits, not a vector.
+func TestSyncUpdateMatchesSync(t *testing.T) {
+	const d = 70 // a full word and a partial one
+	for _, parallel := range []bool{false, true} {
+		for _, tor := range []*topology.Torus{nil, topology.NewTorus(2, 2)} {
+			for _, ablate := range []bool{false, true} {
+				for _, k := range []int{0, 2} {
+					n, name := 3, "ring"
+					if tor != nil {
+						n, name = tor.Size(), "torus"
+					}
+					t.Run(fmt.Sprintf("par=%v/%s/ablate=%v/K=%d", parallel, name, ablate, k), func(t *testing.T) {
+						cfg := Config{
+							Workers: n, Dim: d, K: k, GlobalLR: 0.05, Seed: 4, Torus: tor,
+							DisableCompensation: ablate,
+						}
+						ref := MustNew(cfg)
+						cfg.Parallel = parallel
+						m := MustNew(cfg)
+						defer m.Close()
+						cRef, c := cluster(n), cluster(n)
+						r := rng.New(17)
+						for round := 0; round < 5; round++ {
+							grads := randGrads(r, n, d)
+							full := m.FullPrecisionNext()
+							want := parentSync(ref, cRef, grads)
+							u := m.SyncUpdate(c, grads)
+							if !parallel && !full && (u.Signs == nil || u.Vec != nil) {
+								t.Fatalf("round %d: sequential one-bit update is not bits", round)
+							}
+							got := u.Dense()
+							for i := range want {
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("round %d: g_t[%d] = %v, parent Sync %v", round, i, got[i], want[i])
+								}
+							}
+							for w := 0; w < n; w++ {
+								gotC, wantC := m.Compensation(w), ref.Compensation(w)
+								for i := range wantC {
+									if math.Float64bits(gotC[i]) != math.Float64bits(wantC[i]) {
+										t.Fatalf("round %d worker %d: c[%d] = %v, parent Sync %v", round, w, i, gotC[i], wantC[i])
+									}
+								}
+							}
+							if c.Time() != cRef.Time() || c.TotalBytes() != cRef.TotalBytes() {
+								t.Fatalf("round %d: clock %v / %d bytes, parent Sync %v / %d",
+									round, c.Time(), c.TotalBytes(), cRef.Time(), cRef.TotalBytes())
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestAuxiliarySequenceInvariant is the exact algebraic identity behind
 // Theorem 1 (Eqs. 4–5): with x̃_{t+1} = x̃_t − g_t and ỹ_t = x̃_t − c̄_t,
 // the auxiliary sequence satisfies ỹ_{t+1} = ỹ_t − mean(η_l·g_t)
@@ -547,5 +636,35 @@ func BenchmarkSyncOneBitTorus(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Sync(c, grads)
+	}
+}
+
+// TestMarsitSeqUpdateAllocs pins a sequential one-bit SyncUpdate to
+// allocating no D-sized vector, float or bit: the update stays the
+// consensus bits, and the ring phases' segment vectors and messages are
+// built once by New. What is left is the simulated network's per-exchange
+// bookkeeping, a few hundred bytes that do not grow with D.
+func TestMarsitSeqUpdateAllocs(t *testing.T) {
+	const n, d, maxBytes = 4, 100_000, 4 << 10
+	for _, tor := range []*topology.Torus{nil, topology.NewTorus(2, 2)} {
+		m := MustNew(Config{Workers: n, Dim: d, K: 0, GlobalLR: 0.1, Seed: 1, Torus: tor})
+		grads := randGrads(rng.New(1), n, d)
+		c := cluster(n)
+		var before, after goruntime.MemStats
+		for round := 0; round < 4; round++ {
+			goruntime.ReadMemStats(&before)
+			u := m.SyncUpdate(c, grads)
+			goruntime.ReadMemStats(&after)
+			bytes := after.TotalAlloc - before.TotalAlloc
+			t.Logf("sequential marsit M=%d D=%d torus=%v round %d: %d allocs, %d bytes (cap %d)",
+				n, d, tor != nil, round, after.Mallocs-before.Mallocs, bytes, maxBytes)
+			if u.Signs == nil || u.Vec != nil {
+				t.Fatalf("one-bit round returned a dense update")
+			}
+			if bytes >= maxBytes {
+				t.Fatalf("sequential one-bit SyncUpdate allocates %d bytes (cap %d): a D-sized vector is back in the round",
+					bytes, maxBytes)
+			}
+		}
 	}
 }

@@ -21,8 +21,8 @@ import (
 // of the full-precision all-reduce): RankSync.Sync runs this rank's
 // share over a transport endpoint — the registered "marsit" collective's
 // per-rank leg, a Parallel Marsit's workers and the processes that host
-// one rank each (cmd/marsit-node) — and the sequential Marsit.Sync runs
-// all workers' in lock step. The two are bit-identical in updates,
+// one rank each (cmd/marsit-node) — and the sequential Marsit.SyncUpdate
+// runs all workers' in lock step. The two are bit-identical in updates,
 // compensation, wire bytes and virtual clocks (the equivalence tests pin
 // this), so a change to a schedule — merge order, draw order, charge
 // order, barrier placement — must be made to both.
@@ -110,32 +110,41 @@ func (r *RankSync) begin(c *netsim.Cluster, grad tensor.Vec) tensor.Vec {
 // the update, and c ← 0.
 func (r *RankSync) endFull() { tensor.Zero(r.comp) }
 
-// endOneBit closes a one-bit round — lines 9 and 10 in one pass:
-// g_t = η_s · consensus is written into gt as ±η_s directly, and
-// c_{t+1} = u − g_t in place where u sits (skipped under the ablation).
+// endOneBit closes a one-bit round — line 10: c_{t+1} = u − g_t in place
+// where u sits, with g_t = η_s·consensus subtracted straight from the
+// bits (skipped under the ablation, where c stays zero). g_t itself is
+// never written: the round's update is the consensus and η_s (Update).
 // The decoding is charged as decompression.
-func (r *RankSync) endOneBit(c *netsim.Cluster, consensus *bitvec.Vec, gt tensor.Vec) {
-	if r.cfg.DisableCompensation {
-		consensus.UnpackScaled(gt, r.cfg.GlobalLR)
-	} else {
-		consensus.UnpackScaledSub(gt, r.comp, r.cfg.GlobalLR)
+func (r *RankSync) endOneBit(c *netsim.Cluster, consensus *bitvec.Vec) {
+	if !r.cfg.DisableCompensation {
+		consensus.SubScaled(r.comp, r.cfg.GlobalLR)
 	}
 	c.AddDecompress(r.rank, r.cfg.Dim)
 }
 
-// Sync executes one round of Algorithm 1 for this rank: grad is the
-// rank's locally scaled gradient η_l·g (not modified); the returned
-// vector is the consensus global update g_t, freshly allocated and the
-// caller's to keep. The endpoint must belong to this rank on a fabric of
+// Sync executes one round of Algorithm 1 for this rank and returns the
+// consensus global update g_t as a vector, freshly allocated and the
+// caller's to keep: syncUpdate(c, ep, grad).Dense(). g_t is deliberately
+// not pooled — callers hold it across rounds (the benchmark's
+// verification, a trainer's optimiser step), and a reused one would
+// alias them.
+func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+	return r.syncUpdate(c, ep, grad).Dense()
+}
+
+// syncUpdate executes one round of Algorithm 1 for this rank: grad is the
+// rank's locally scaled gradient η_l·g (not modified), and the result is
+// the round's global update in the form it was produced (Update) — on a
+// one-bit round this rank's consensus bits, which stay valid until its
+// next round. The endpoint must belong to this rank on a fabric of
 // cfg.Workers ranks; c is charged exactly like the sequential engine, and
 // the round ends in a ClockBarrier (netsim's implicit lock step, over the
 // wire).
 //
-// A one-bit round makes two passes over its D-float vectors (begin and
-// endOneBit) and allocates only g_t. g_t is deliberately not pooled —
-// callers hold it across rounds (the benchmark's verification, a
-// trainer's optimiser step), and a reused one would alias them.
-func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+// A one-bit round makes two passes over the rank's D-float vectors
+// (begin's packing and endOneBit's subtraction) and allocates none of
+// them.
+func (r *RankSync) syncUpdate(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) Update {
 	if ep.Rank() != r.rank || ep.Size() != r.cfg.Workers {
 		panic(fmt.Sprintf("core: endpoint %d/%d for RankSync %d/%d",
 			ep.Rank(), ep.Size(), r.rank, r.cfg.Workers))
@@ -149,7 +158,7 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 		}
 		r.endFull()
 		runtime.ClockBarrier(c, ep)
-		return u
+		return Update{Vec: u}
 	}
 
 	// Lines 4–8: one-bit synchronization with the ⊙ merge drawing from
@@ -171,8 +180,7 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 		runtime.OneBitRingAllReduceRank(c, ep, bits, merge)
 	}
 
-	gt := tensor.New(r.cfg.Dim)
-	r.endOneBit(c, bits, gt)
+	r.endOneBit(c, bits)
 	runtime.ClockBarrier(c, ep)
-	return gt
+	return Update{Signs: bits, Scale: r.cfg.GlobalLR}
 }

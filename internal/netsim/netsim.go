@@ -15,8 +15,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CostModel holds the constants of the α–β simulation.
@@ -150,6 +151,10 @@ type Cluster struct {
 	// nil (the default) means every link uses Model — the fast path pays
 	// one nil check.
 	links map[int]LinkCost
+	// sorted, sAvail, rAvail and done are Exchange's scratch, kept so
+	// that a round of exchanges allocates nothing.
+	sorted               []Message
+	sAvail, rAvail, done []float64
 }
 
 // NewCluster builds a simulated cluster of n ≥ 1 workers.
@@ -163,6 +168,9 @@ func NewCluster(n int, model CostModel) *Cluster {
 		clock:  make([]float64, n),
 		phases: make([]Breakdown, n),
 		bytes:  make([]int64, n),
+		sAvail: make([]float64, n),
+		rAvail: make([]float64, n),
+		done:   make([]float64, n),
 	}
 }
 
@@ -319,26 +327,18 @@ func (c *Cluster) Barrier() {
 // Message processing order is deterministic (sorted by From, then To,
 // then Bytes).
 func (c *Cluster) Exchange(msgs []Message) {
-	sorted := make([]Message, len(msgs))
-	copy(sorted, msgs)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].From != sorted[j].From {
-			return sorted[i].From < sorted[j].From
-		}
-		if sorted[i].To != sorted[j].To {
-			return sorted[i].To < sorted[j].To
-		}
-		return sorted[i].Bytes < sorted[j].Bytes
+	c.sorted = append(c.sorted[:0], msgs...)
+	slices.SortFunc(c.sorted, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Bytes, b.Bytes))
 	})
 
-	sAvail := make([]float64, c.n)
-	rAvail := make([]float64, c.n)
-	done := make([]float64, c.n) // completion horizon per worker
+	sAvail, rAvail := c.sAvail, c.rAvail
+	done := c.done // completion horizon per worker
 	copy(sAvail, c.clock)
 	copy(rAvail, c.clock)
 	copy(done, c.clock)
 
-	for _, m := range sorted {
+	for _, m := range c.sorted {
 		c.check(m.From)
 		c.check(m.To)
 		if m.Bytes < 0 {

@@ -417,10 +417,13 @@ func Run(cfg Config) (*Result, error) {
 	// the next round), so a synchronizer may scale or reduce them in
 	// place and may return one of them as the update every worker
 	// applies. fullSyncNext reports a Marsit full-precision round ahead
-	// (the learning-rate schedule).
+	// (the learning-rate schedule). Marsit's synchronizer takes η_l·g,
+	// the others the mean gradient: localLR is the factor the local pass
+	// applies (localScale).
 	parallel := cfg.Engine == EnginePar
-	var sync func(grads []tensor.Vec) tensor.Vec
+	var sync func(grads []tensor.Vec) core.Update
 	fullSyncNext := func() bool { return false }
+	localLR := 1.0
 	if cfg.Method == MethodMarsit {
 		marsit, err := core.New(core.Config{
 			Workers:             cfg.Workers,
@@ -438,12 +441,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		defer marsit.Close()
 		fullSyncNext = marsit.FullPrecisionNext
-		sync = func(scaled []tensor.Vec) tensor.Vec {
-			for _, g := range scaled {
-				tensor.Scale(g, cfg.LocalLR)
-			}
-			return marsit.Sync(cluster, scaled)
-		}
+		localLR = cfg.LocalLR
+		sync = func(scaled []tensor.Vec) core.Update { return marsit.SyncUpdate(cluster, scaled) }
 	} else {
 		desc, err := methodDescriptor(cfg.Method, cfg.Topo)
 		if err != nil {
@@ -461,7 +460,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		defer release()
-		sync = func(work []tensor.Vec) tensor.Vec { return run(cluster, work)[0] }
+		sync = func(work []tensor.Vec) core.Update { return core.Update{Vec: run(cluster, work)[0]} }
 	}
 
 	res := &Result{Config: cfg, Params: d}
@@ -469,7 +468,7 @@ func Run(cfg Config) (*Result, error) {
 	for w := range grads {
 		grads[w] = tensor.New(d)
 	}
-	trueMean := tensor.New(d)
+	trueMean, step := tensor.New(d), tensor.New(d)
 	flopsPerRound := 3 * float64(model.Flops()) * float64(cfg.Batch)
 	samplesPerRound := cfg.Workers * cfg.Batch
 
@@ -484,8 +483,11 @@ func Run(cfg Config) (*Result, error) {
 
 	losses := make([]float64, cfg.Batch)
 	for round := 0; round < cfg.Rounds; round++ {
-		// Local gradient computation on each worker's shard.
+		// Local gradient computation on each worker's shard, and the true
+		// mean gradient (for the matching-rate metric) summed in worker
+		// order as it goes.
 		roundLoss := 0.0
+		tensor.Zero(trueMean)
 		for w := 0; w < cfg.Workers; w++ {
 			tensor.Zero(grads[w])
 			xs, ys := shards[w].Batch(batchRNGs[w], cfg.Batch)
@@ -493,24 +495,25 @@ func Run(cfg Config) (*Result, error) {
 			for _, l := range losses {
 				roundLoss += l
 			}
-			tensor.Scale(grads[w], 1/float64(cfg.Batch))
+			localScale(grads[w], trueMean, 1/float64(cfg.Batch), localLR)
 			cluster.AddComputeFlops(w, flopsPerRound)
 		}
 		roundLoss /= float64(samplesPerRound)
-
-		// True mean gradient, for the matching-rate metric.
-		tensor.Zero(trueMean)
-		for w := 0; w < cfg.Workers; w++ {
-			tensor.Add(trueMean, grads[w])
-		}
 		tensor.Scale(trueMean, 1/float64(cfg.Workers))
 
-		// Synchronize.
+		// Synchronize. A one-bit update reaches the metric as bits and is
+		// unpacked for the optimizer into the run's one step vector.
 		fullSync := fullSyncNext()
 		update := sync(grads)
-
-		match := tensor.MatchRate(update, trueMean)
-		opt.Step(model.Params(), update)
+		var match float64
+		if update.Signs != nil {
+			match = update.Signs.MatchRate(trueMean)
+			update.Signs.UnpackScaled(step, update.Scale)
+			opt.Step(model.Params(), step)
+		} else {
+			match = tensor.MatchRate(update.Vec, trueMean)
+			opt.Step(model.Params(), update.Vec)
+		}
 		if cfg.DecayAtFullSync && fullSync && round > 0 {
 			opt.SetLR(opt.LR() * 0.1)
 		}
@@ -554,7 +557,26 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+// localScale is the trainer's one pass over worker w's summed batch
+// gradient g: s = g[i]·(1/B) is the worker's mean gradient, added into
+// sum (the true mean's running sum, workers in order) and handed to the
+// synchronizer in g as s·lr. Every product is the one the separate
+// passes made; the multipliers are never folded into one, since
+// x·(1/B·η_l) rounds differently. lr is 1 for every method but Marsit,
+// and a product by 1 is exact.
+func localScale(g, sum tensor.Vec, invB, lr float64) {
+	sum = sum[:len(g)]
+	for i, x := range g {
+		s := x * invB
+		sum[i] += s
+		g[i] = s * lr
+	}
+}
+
+// isFinite reports whether x is neither infinite nor NaN: x − x is 0 for
+// every finite x and NaN for ±Inf and NaN, so one subtract and one
+// compare stand in for math.IsNaN and math.IsInf.
+func isFinite(x float64) bool { return x-x == 0 }
 
 func allFinite(v tensor.Vec) bool {
 	for _, x := range v {

@@ -1,9 +1,12 @@
 package train
 
 import (
+	"math"
 	"testing"
 
 	"marsit/internal/netsim"
+	"marsit/internal/rng"
+	"marsit/internal/tensor"
 )
 
 // TestPSByteAccounting: PS traffic is 2·M·D·4 bytes per round for full
@@ -117,6 +120,43 @@ func TestMatchRateBounds(t *testing.T) {
 		for _, p := range res.Points {
 			if p.MatchRate < 0 || p.MatchRate > 1 {
 				t.Fatalf("%s: match rate %v", m, p.MatchRate)
+			}
+		}
+	}
+}
+
+// TestIsFinite pins the subtract-and-compare divergence check to
+// math.IsNaN and math.IsInf on every IEEE class it must tell apart.
+func TestIsFinite(t *testing.T) {
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, math.SmallestNonzeroFloat64 * 7, 1, -1,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Copysign(math.NaN(), -1),
+	} {
+		if got, want := isFinite(x), !math.IsNaN(x) && !math.IsInf(x, 0); got != want {
+			t.Errorf("isFinite(%v) = %v, want %v", x, got, want)
+		}
+	}
+}
+
+// TestLocalScaleMatchesSeparatePasses pins the trainer's one local pass
+// to the three it replaced — g·(1/B), the true mean's sum, g·η_l — bit
+// for bit. The batch of 3 makes 1/B inexact, so folding the multipliers
+// into x·(1/B·η_l) would round differently and fail here; with the
+// power-of-two batches of the other tests it would pass unnoticed.
+func TestLocalScaleMatchesSeparatePasses(t *testing.T) {
+	const n, batch = 1000, 3
+	for _, lr := range []float64{0.3, 1} {
+		r := rng.New(5)
+		g, sum := r.NormVec(make(tensor.Vec, n), 0, 1), r.NormVec(make(tensor.Vec, n), 0, 1)
+		wantG, wantSum := tensor.Clone(g), tensor.Clone(sum)
+		tensor.Scale(wantG, 1/float64(batch))
+		tensor.Add(wantSum, wantG)
+		tensor.Scale(wantG, lr)
+		localScale(g, sum, 1/float64(batch), lr)
+		for i := range g {
+			if math.Float64bits(g[i]) != math.Float64bits(wantG[i]) || math.Float64bits(sum[i]) != math.Float64bits(wantSum[i]) {
+				t.Fatalf("lr %v [%d]: g %v sum %v, separate passes %v and %v", lr, i, g[i], sum[i], wantG[i], wantSum[i])
 			}
 		}
 	}
