@@ -22,9 +22,10 @@
 #                          they replace), the sequential one-bit Sync (ring
 #                          and torus), the batched and
 #                          per-sample forward/backward at the train_marsit
-#                          workload's shape and one trainer round once
-#                          (-benchtime=1x) so they are compiled and executed
-#                          on every PR
+#                          workload's shape, one trainer round and the
+#                          whole train_marsit job (BenchmarkTrainJob,
+#                          ms/step) once (-benchtime=1x) so they are
+#                          compiled and executed on every change
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
 #                          bit-vector frame decoder and the sign-sum chunk
 #                          decoders on hostile bytes, the word-parallel
@@ -120,9 +121,11 @@ ab:
 # path vs scalar oracle, and bitvec's BenchmarkSubScaled and
 # BenchmarkMatchRateSigns: the one-bit update read from bits vs the dense
 # vector), the micro-benchmarks of Algorithm 1's own code (core's
-# BenchmarkSyncOneBitRing/Torus, train's BenchmarkTrainRoundMarsit) and
-# of the trainer's local step (nn's BenchmarkLossGradBatch: MLP
-# 192→384→64→10, B = 8, batched vs the per-sample loop) exactly once:
+# BenchmarkSyncOneBitRing/Torus, train's BenchmarkTrainRoundMarsit), of
+# the trainer's local step (nn's BenchmarkLossGradBatch: MLP
+# 192→384→64→10, B = 8, batched vs the per-sample loop) and of the
+# train_marsit job itself (train's BenchmarkTrainJob: 120 rounds at
+# M = 4 on the lanes GOMAXPROCS allows, reported as ms/step) exactly once:
 # cheap enough for CI, and it proves the tools for measuring while
 # working still compile and run.
 bench-smoke:

@@ -58,22 +58,47 @@ func await(t *testing.T, d *Daemon, id uint32) JobStatus {
 	}
 }
 
+// awaitRunning polls the leader until job id is running.
+func awaitRunning(t *testing.T, d *Daemon, id uint32) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := d.Status(id)
+		if err != nil {
+			t.Fatalf("status %d: %v", id, err)
+		}
+		if st.State == StateRunning {
+			return
+		}
+		if st.State.Terminal() {
+			t.Fatalf("job %d ended %q before it was seen running", id, st.State)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d never started", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestConcurrentTenancy is the headline claim: two jobs with different
 // collectives overlap on one live 4-rank fabric — one of them under
 // faultwrap jitter — and both replay bit-identical against the
 // sequential engine, while the jobs-in-flight gauges record the
-// overlap.
+// overlap. B is submitted only once A runs, and A's jitter (2 ms a
+// send, ≈ 0.2 s over its 240 sequential hops) keeps it in flight long
+// past B's submission however loaded the machine is.
 func TestConcurrentTenancy(t *testing.T) {
 	reg := obs.NewRegistry()
 	defer obs.SetActive(reg)()
 
 	d := startFleet(t, 4, nil)
-	idA, err := d.Submit(JobSpec{Collective: "rar", Dim: 257, Rounds: 40, Seed: 11, Check: true})
+	idA, err := d.Submit(JobSpec{Collective: "rar", Dim: 257, Rounds: 40, Seed: 11, Check: true,
+		JitterMS: 2, JitterSeed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idB, err := d.Submit(JobSpec{Collective: "hier", Dim: 128, Rounds: 30, Seed: 23, Check: true,
-		JitterMS: 1, JitterSeed: 99})
+	awaitRunning(t, d, idA)
+	idB, err := d.Submit(JobSpec{Collective: "hier", Dim: 128, Rounds: 30, Seed: 23, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +141,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let it reach running before pulling the plug.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, _ := d.Status(id)
-		if st.State == StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %d never started", id)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitRunning(t, d, id) // let it reach running before pulling the plug
 	if err := d.Cancel(id); err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,23 @@
 // marsit runs the stateful core.Marsit, whose Parallel form opens its
 // per-rank legs through the same helper. Both engines produce
 // bit-identical metric series; see EngineSeq and EnginePar.
+//
+// Under either engine a round's per-worker work — the M local steps,
+// then the pass that sums the true mean and scales each gradient for
+// the synchronizer — runs on min(M, GOMAXPROCS) lanes: the caller and
+// one goroutine per further lane, joined before anything reads the
+// result. A lane touches only per-worker state (its workers' batch
+// streams, gradients and losses) or its own element range, and every
+// reduction — the round loss, the compute charges, the sync itself, the
+// matching rate, the optimizer step — stays serial on the caller in
+// worker order, so the series is bit-identical at every GOMAXPROCS.
 package train
 
 import (
 	"fmt"
 	"math"
+	gort "runtime"
+	"sync"
 
 	"marsit/internal/collective/registry"
 	"marsit/internal/core"
@@ -67,9 +79,11 @@ type Engine string
 
 // The execution engines.
 const (
-	// EngineSeq is the single-threaded lock-step engine: collectives
-	// mutate all workers' vectors in one loop over the netsim substrate.
-	// Deterministic virtual time; the mode the paper figures use.
+	// EngineSeq is the lock-step engine: collectives mutate all
+	// workers' vectors in one loop on the caller over the netsim
+	// substrate. Deterministic virtual time; the mode the paper figures
+	// use. The local steps still run on lanes, as under EnginePar (see
+	// the package doc).
 	EngineSeq Engine = "seq"
 	// EnginePar is the concurrent engine (internal/runtime): one
 	// goroutine per worker exchanging messages over a pluggable
@@ -386,12 +400,20 @@ func Run(cfg Config) (*Result, error) {
 	cluster := netsim.NewCluster(cfg.Workers, costModel)
 
 	shards := cfg.Train.Shard(cfg.Workers)
-	batchRNGs := make([]*rng.PCG, cfg.Workers)
+	workers := make([]*worker, cfg.Workers)
+	grads := make([]tensor.Vec, cfg.Workers)
 	ssdmRNGs := make([]*rng.PCG, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		batchRNGs[w] = rng.NewStream(cfg.Seed, 0xb000+uint64(w))
+	for w := range workers {
+		grads[w] = tensor.New(d)
+		workers[w] = &worker{
+			shard:  shards[w],
+			batch:  rng.NewStream(cfg.Seed, 0xb000+uint64(w)),
+			grad:   grads[w],
+			losses: make([]float64, cfg.Batch),
+		}
 		ssdmRNGs[w] = rng.NewStream(cfg.Seed, 0xc000+uint64(w))
 	}
+	lanes := min(cfg.Workers, gort.GOMAXPROCS(0))
 
 	var tor *topology.Torus
 	if cfg.Topo == TopoTorus {
@@ -421,7 +443,7 @@ func Run(cfg Config) (*Result, error) {
 	// the others the mean gradient: localLR is the factor the local pass
 	// applies (localScale).
 	parallel := cfg.Engine == EnginePar
-	var sync func(grads []tensor.Vec) core.Update
+	var syncGrads func(grads []tensor.Vec) core.Update
 	fullSyncNext := func() bool { return false }
 	localLR := 1.0
 	if cfg.Method == MethodMarsit {
@@ -442,7 +464,7 @@ func Run(cfg Config) (*Result, error) {
 		defer marsit.Close()
 		fullSyncNext = marsit.FullPrecisionNext
 		localLR = cfg.LocalLR
-		sync = func(scaled []tensor.Vec) core.Update { return marsit.SyncUpdate(cluster, scaled) }
+		syncGrads = func(scaled []tensor.Vec) core.Update { return marsit.SyncUpdate(cluster, scaled) }
 	} else {
 		desc, err := methodDescriptor(cfg.Method, cfg.Topo)
 		if err != nil {
@@ -460,14 +482,10 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		defer release()
-		sync = func(work []tensor.Vec) core.Update { return core.Update{Vec: run(cluster, work)[0]} }
+		syncGrads = func(work []tensor.Vec) core.Update { return core.Update{Vec: run(cluster, work)[0]} }
 	}
 
 	res := &Result{Config: cfg, Params: d}
-	grads := make([]tensor.Vec, cfg.Workers)
-	for w := range grads {
-		grads[w] = tensor.New(d)
-	}
 	trueMean, step := tensor.New(d), tensor.New(d)
 	flopsPerRound := 3 * float64(model.Flops()) * float64(cfg.Batch)
 	samplesPerRound := cfg.Workers * cfg.Batch
@@ -481,30 +499,31 @@ func Run(cfg Config) (*Result, error) {
 		return test.Accuracy(model.Predict)
 	}
 
-	losses := make([]float64, cfg.Batch)
 	for round := 0; round < cfg.Rounds; round++ {
-		// Local gradient computation on each worker's shard, and the true
-		// mean gradient (for the matching-rate metric) summed in worker
-		// order as it goes.
+		// Local gradient computation on each worker's shard, on lanes;
+		// the round loss and the compute charges in worker order after
+		// the join. Then the true mean gradient (for the matching-rate
+		// metric) and the synchronizer's scaled gradients, on lanes by
+		// element range.
+		forLanes(lanes, func(p int) {
+			for w := p; w < len(workers); w += lanes {
+				workers[w].local(model)
+			}
+		})
 		roundLoss := 0.0
-		tensor.Zero(trueMean)
-		for w := 0; w < cfg.Workers; w++ {
-			tensor.Zero(grads[w])
-			xs, ys := shards[w].Batch(batchRNGs[w], cfg.Batch)
-			model.LossGradBatch(xs, ys, grads[w], losses)
-			for _, l := range losses {
+		for w, wk := range workers {
+			for _, l := range wk.losses {
 				roundLoss += l
 			}
-			localScale(grads[w], trueMean, 1/float64(cfg.Batch), localLR)
 			cluster.AddComputeFlops(w, flopsPerRound)
 		}
 		roundLoss /= float64(samplesPerRound)
-		tensor.Scale(trueMean, 1/float64(cfg.Workers))
+		trueMeanPass(lanes, grads, trueMean, 1/float64(cfg.Batch), localLR)
 
 		// Synchronize. A one-bit update reaches the metric as bits and is
 		// unpacked for the optimizer into the run's one step vector.
 		fullSync := fullSyncNext()
-		update := sync(grads)
+		update := syncGrads(grads)
 		var match float64
 		if update.Signs != nil {
 			match = update.Signs.MatchRate(trueMean)
@@ -555,6 +574,76 @@ func Run(cfg Config) (*Result, error) {
 	res.TotalMB = float64(cluster.TotalBytes()) / 1e6
 	res.Breakdown = cluster.MeanBreakdown()
 	return res, nil
+}
+
+// worker is one worker's part of a round's local phase: its data shard
+// and batch stream, the gradient it fills, and its last batch's
+// per-sample losses. Nothing in it is shared with another worker, so
+// local steps on different lanes write disjoint memory; the model they
+// all read holds no scratch, and Dataset.Batch only reads the shard.
+type worker struct {
+	shard  *data.Dataset
+	batch  *rng.PCG
+	grad   tensor.Vec
+	losses []float64
+}
+
+// local is the worker's local step at the model's current parameters:
+// a fresh batch of len(losses) samples, its summed gradient into grad,
+// and each sample's loss into losses.
+func (w *worker) local(model *nn.Network) {
+	tensor.Zero(w.grad)
+	xs, ys := w.shard.Batch(w.batch, len(w.losses))
+	model.LossGradBatch(xs, ys, w.grad, w.losses)
+}
+
+// forLanes runs f(p) for every lane p in [0, lanes) and returns once all
+// have: lane 0 on the caller, each other lane on a goroutine of its own.
+// With one lane it is a plain call. A panic on any lane reaches the
+// caller after the join.
+func forLanes(lanes int, f func(p int)) {
+	if lanes == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	panics := make([]any, lanes)
+	for p := 1; p < lanes; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[p] = recover() }()
+			f(p)
+		}()
+	}
+	func() {
+		defer wg.Wait()
+		f(0)
+	}()
+	for _, v := range panics {
+		if v != nil {
+			panic(v)
+		}
+	}
+}
+
+// trueMeanPass makes the round's one pass over the workers' gradients on
+// lanes: lane p takes element range p of tensor.Partition(D, lanes) and
+// there zeroes trueMean, runs localScale for every worker in order, and
+// scales the sum by 1/M. Every element sees the operations of the serial
+// pass in the same order, so the split is bit-identical to it.
+func trueMeanPass(lanes int, grads []tensor.Vec, trueMean tensor.Vec, invB, lr float64) {
+	segs := tensor.Partition(len(trueMean), lanes)
+	invM := 1 / float64(len(grads))
+	forLanes(lanes, func(p int) {
+		lo, hi := segs[p].Lo, segs[p].Hi
+		mean := trueMean[lo:hi]
+		tensor.Zero(mean)
+		for _, g := range grads {
+			localScale(g[lo:hi], mean, invB, lr)
+		}
+		tensor.Scale(mean, invM)
+	})
 }
 
 // localScale is the trainer's one pass over worker w's summed batch
