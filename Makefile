@@ -1,7 +1,7 @@
 # Development targets for the Marsit reproduction.
 #
 #   make check             fmt + vet + build + test + collective-listing golden
-#                          + no-shims guard (what CI runs)
+#                          + no-shims guard + dead-code golden (what CI runs)
 #   make race              race-detector pass over the concurrency-bearing
 #                          packages
 #   make benchmark W=<w>   the repository's benchmark (BENCHMARK.json): one
@@ -39,6 +39,9 @@
 #   make list-collectives  golden check: the CLIs' collective listing must
 #                          match docs/collectives.golden, so help text cannot
 #                          drift from the registry
+#   make deadcode          golden check: the functions under internal/ that
+#                          no program reaches must match
+#                          tools/deadcode.golden (tools/deadcode.sh)
 #   make tcp-demo          4-rank multi-process Marsit run over local TCP,
 #                          verified bit-for-bit against the sequential engine
 #   make shm-demo          4-rank multi-process Marsit run over the
@@ -60,9 +63,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark ab bench-smoke fuzz-smoke list-collectives no-shims tcp-demo shm-demo tree-demo trace-demo calib-demo
+.PHONY: check fmt vet build test race benchmark ab bench-smoke fuzz-smoke list-collectives no-shims deadcode tcp-demo shm-demo tree-demo trace-demo calib-demo
 
-check: fmt vet build test list-collectives no-shims
+check: fmt vet build test list-collectives no-shims deadcode
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -172,6 +175,15 @@ no-shims:
 		echo "no-shims: Deprecated: markers in non-test Go:"; echo "$$out"; exit 1; \
 	fi
 	@echo "no-shims: no Deprecated: markers"
+
+# deadcode links every program with inlining off and the linker's
+# reachability graph dumped, and lists the non-test functions under
+# internal/ that none of them reaches. The list must equal
+# tools/deadcode.golden, which holds only what is dead on purpose
+# (helpers the tests call): a capability no program runs cannot land,
+# and deleting one must shrink the golden in the same change.
+deadcode:
+	@bash tools/deadcode.sh -check
 
 # tcp-demo launches one marsit-node process per rank on fixed local
 # ports; rank 0 gathers every rank's result, wire bytes and virtual
@@ -285,6 +297,9 @@ trace-demo:
 # must still verify bit-for-bit against the sequential engine (delay
 # injection moves wall time only), rank 0 must print the calibration
 # table, and the live /metrics scrape must carry the calibration series.
+# The endpoint answers before the fabric has assembled, and the faultwrap
+# counters register only when the fabric is wrapped, so the poller keeps
+# scraping until they appear.
 CALIB_DEMO_PEERS := 127.0.0.1:7781,127.0.0.1:7782,127.0.0.1:7783,127.0.0.1:7784
 CALIB_DEMO_METRICS := 127.0.0.1:9697
 
@@ -300,8 +315,9 @@ calib-demo:
 	done; \
 	( i=0; while [ $$i -lt 100 ]; do \
 		curl -sf http://$(CALIB_DEMO_METRICS)/metrics -o bin/calib-demo-metrics.txt \
+			&& grep -q marsit_faultwrap_delays_total bin/calib-demo-metrics.txt \
 			&& exit 0; i=$$((i+1)); sleep 0.1; \
-	  done; echo "calib-demo: /metrics never answered"; exit 1 ) & poller=$$!; \
+	  done; echo "calib-demo: /metrics never served the faultwrap counters"; exit 1 ) & poller=$$!; \
 	status=0; \
 	./bin/marsit-node -rank 0 -peers $(CALIB_DEMO_PEERS) \
 		-collective marsit -dim 4096 -rounds 8 -k 4 -calibrate -quiet \

@@ -15,8 +15,8 @@
 // each round, exactly how psgd and cascading run. -engine selects the
 // execution engine (seq: single-threaded virtual time; par: one
 // goroutine per worker) and -transport the parallel engine's fabric
-// (loopback | tcp); metric series are bit-identical across all
-// combinations.
+// (loopback | tcp | shm | hybrid); metric series are bit-identical
+// across all combinations.
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 		evalEvery = flag.Int("eval-every", 10, "evaluation interval in rounds")
 		elias     = flag.Bool("elias", false, "Elias-code sign-sum transports")
 		engine    = flag.String("engine", "seq", "execution engine: seq (single-threaded virtual time) | par (one goroutine per worker)")
-		transport = flag.String("transport", "loopback", "parallel engine fabric: loopback (in-process channels) | tcp (real sockets)")
+		transport = flag.String("transport", "loopback", "parallel engine fabric: loopback (in-process channels) | tcp (real sockets) | shm (mmap'd rings) | hybrid (shm intra-host + tcp inter-host)")
 	)
 	flag.Parse()
 

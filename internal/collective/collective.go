@@ -407,11 +407,6 @@ func TreeAllReduce(c *netsim.Cluster, tr *topology.Tree, vecs []tensor.Vec) {
 // is not a cluster member (cluster-wide totals then match the paper's
 // 2·M·D accounting for PS).
 func hubPushPull(c *netsim.Cluster, upBytes, downBytes []int) {
-	if c.HasLinkOverrides() {
-		panic("collective: the PS hub schedule charges the uniform cost model only; " +
-			"per-link α–β overrides (netsim.SetLinkCost) are not resolved by HubSchedule — " +
-			"clear the overrides or pick a ring/torus/tree collective")
-	}
 	n := c.Size()
 	clocks := make([]float64, n)
 	for w := 0; w < n; w++ {

@@ -60,3 +60,44 @@ func FuzzGramSchmidt(f *testing.F) {
 		}
 	})
 }
+
+// checkOrthonormal fails t unless the rank columns of the rows×rank
+// row-major matrix m are pairwise orthogonal unit vectors to tol.
+func checkOrthonormal(t *testing.T, m tensor.Vec, rows, rank int, tol float64) {
+	t.Helper()
+	for a := 0; a < rank; a++ {
+		for b := a; b < rank; b++ {
+			var dot float64
+			for i := 0; i < rows; i++ {
+				dot += m[i*rank+a] * m[i*rank+b]
+			}
+			want := 0.0
+			if a == b {
+				want = 1
+			}
+			if math.IsNaN(dot) || math.Abs(dot-want) > tol {
+				t.Fatalf("columns %d·%d = %v, want %v", a, b, dot, want)
+			}
+		}
+	}
+}
+
+// TestGramSchmidtOrthonormal: random Gaussian columns come out
+// orthonormal.
+func TestGramSchmidtOrthonormal(t *testing.T) {
+	r := rng.New(7)
+	const rows, rank = 10, 3
+	m := r.NormVec(make(tensor.Vec, rows*rank), 0, 1)
+	GramSchmidt(m, rows, rank)
+	checkOrthonormal(t, m, rows, rank, 1e-9)
+}
+
+// TestGramSchmidtDegenerate: two identical columns — the second must be
+// replaced by an orthogonal unit column, not divided by a zero norm
+// into NaN.
+func TestGramSchmidtDegenerate(t *testing.T) {
+	// rows=4, rank=2: rows of (c0, c1) are (1,1), (0,0), (1,1), (0,0).
+	m := tensor.Vec{1, 1, 0, 0, 1, 1, 0, 0}
+	GramSchmidt(m, 4, 2)
+	checkOrthonormal(t, m, 4, 2, 1e-12)
+}

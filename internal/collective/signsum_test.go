@@ -166,53 +166,6 @@ func TestSignSumEliasBytesSmaller(t *testing.T) {
 	}
 }
 
-func TestSegmentedRingMatchesRing(t *testing.T) {
-	r := rng.New(11)
-	for _, chunks := range []int{1, 2, 3, 7} {
-		const n, d = 5, 83
-		c := cluster(n)
-		vecs, mean := randomVecs(r, n, d)
-		SegmentedRingAllReduce(c, vecs, chunks)
-		assertMean(t, vecs, mean)
-	}
-}
-
-func TestSegmentedRingSingleWorker(t *testing.T) {
-	c := cluster(1)
-	vecs := []tensor.Vec{{3, 4}}
-	SegmentedRingAllReduce(c, vecs, 4)
-	if vecs[0][0] != 3 || vecs[0][1] != 4 {
-		t.Fatal("singleton changed")
-	}
-}
-
-func TestSegmentedRingValidation(t *testing.T) {
-	c := cluster(2)
-	vecs, _ := randomVecs(rng.New(1), 2, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	SegmentedRingAllReduce(c, vecs, 0)
-}
-
-// TestSegmentedRingSameBytes: chunking changes pipelining, not the
-// total traffic.
-func TestSegmentedRingSameBytes(t *testing.T) {
-	r := rng.New(13)
-	const n, d = 4, 1024
-	run := func(chunks int) int64 {
-		c := cluster(n)
-		vecs, _ := randomVecs(r, n, d)
-		SegmentedRingAllReduce(c, vecs, chunks)
-		return c.TotalBytes()
-	}
-	if a, b := run(1), run(4); a != b {
-		t.Fatalf("chunking changed bytes: %d vs %d", a, b)
-	}
-}
-
 // majorityDecodeBranchy is MajorityDecode as it stood with the vote on a
 // branch, kept verbatim as the oracle.
 func majorityDecodeBranchy(sums []int64, totalScale float64, workers int) tensor.Vec {

@@ -1,106 +1,44 @@
-// Package compress implements the gradient compressors the paper builds
-// on and compares against:
+// Package compress holds the gradient codings that stand alone from a
+// collective:
 //
-//   - Sign: deterministic 1-bit signSGD (Bernstein et al., ICML'18).
-//   - SSDM: stochastic sign descent (Safaryan & Richtárik, ICML'21) —
-//     element i keeps its sign with probability 1/2 + |g_i| / (2‖g‖₂),
-//     giving the unbiased estimator E[‖g‖·s̃ign(g)] = g.
-//   - TopK: magnitude sparsification (kept for completeness of Section 2).
-//   - QSGD: stochastic uniform quantization on s levels.
-//   - ErrorFeedback: the EF-signSGD wrapper (Karimireddy et al., ICML'19)
-//     that turns any compressor into its error-compensated variant.
+//   - Sign: deterministic 1-bit signSGD (Bernstein et al., ICML'18), the
+//     ℓ1-scaled sign vector a worker would ship.
+//   - The Elias gamma coder (elias.go) that compacts the per-coordinate
+//     sign sums of the bit-width-expansion baselines on the wire.
 //
-// A compressed gradient travels on the simulated wire as a Payload; the
-// WireBytes accounting is what the communication-cost figures consume.
+// The compared schemes themselves (SSDM, EF-signSGD, PowerSGD, cascading
+// compression) run as registered collectives, each with its own coding.
 package compress
 
 import (
-	"fmt"
-
 	"marsit/internal/bitvec"
-	"marsit/internal/rng"
 	"marsit/internal/tensor"
 )
 
-// Payload is a compressed gradient as it would appear on the wire.
+// Payload is a sign-compressed gradient as it would appear on the wire.
 type Payload struct {
-	// Signs holds one bit per element for sign-based schemes (nil for
-	// dense schemes).
+	// Signs holds one bit per element.
 	Signs *bitvec.Vec
 	// Norm is the scaling constant transmitted alongside the signs
-	// (‖g‖₂ for SSDM, ‖g‖₁/D for scaled signSGD, 0 if unused).
+	// (‖g‖₁/D for scaled signSGD).
 	Norm float64
-	// Dense carries the full-precision (or dequantized) values for
-	// schemes that do not fit the sign+norm shape.
-	Dense tensor.Vec
-	// Indices/Values carry a sparse payload (top-k).
-	Indices []int
-	Values  tensor.Vec
 	// Bits is the wire size in bits, as accounted by the scheme.
 	Bits int
 }
 
-// WireBytes returns the payload size in bytes (bits rounded up).
-func (p *Payload) WireBytes() int { return (p.Bits + 7) / 8 }
-
-// Compressor compresses a gradient into a Payload and decompresses a
-// Payload back into a dense estimate.
-type Compressor interface {
-	// Name identifies the scheme in reports.
-	Name() string
-	// Compress encodes g. Implementations must not retain g.
-	Compress(g tensor.Vec) *Payload
-	// Decompress writes the dense estimate of p into dst and returns it.
-	// dst must have the original length.
-	Decompress(dst tensor.Vec, p *Payload) tensor.Vec
-}
-
-// float32Bits is the wire width the paper assumes for one full-precision
-// element ("single float precision (32 bits)").
-const float32Bits = 32
-
 // normBits is the cost of shipping one scaling constant.
 const normBits = 32
 
-// ---------------------------------------------------------------------------
-// Identity (PSGD / full precision)
-
-// Identity is the no-compression baseline: 32 bits per element.
-type Identity struct{}
-
-// NewIdentity returns the full-precision "compressor".
-func NewIdentity() Identity { return Identity{} }
-
-// Name implements Compressor.
-func (Identity) Name() string { return "psgd" }
-
-// Compress implements Compressor.
-func (Identity) Compress(g tensor.Vec) *Payload {
-	return &Payload{Dense: tensor.Clone(g), Bits: float32Bits * len(g)}
-}
-
-// Decompress implements Compressor.
-func (Identity) Decompress(dst tensor.Vec, p *Payload) tensor.Vec {
-	copy(dst, p.Dense)
-	return dst
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic sign (signSGD)
-
-// Sign is deterministic 1-bit sign compression. Decompression scales the
-// ±1 vector by ‖g‖₁/D (the ℓ1-scaled variant, which keeps the magnitude
-// information a plain sign vector loses; scaling by a constant does not
-// change the sign-descent direction).
+// Sign is deterministic 1-bit sign compression. The receiver scales the
+// ±1 vector by Norm = ‖g‖₁/D (the ℓ1-scaled variant, which keeps the
+// magnitude information a plain sign vector loses; scaling by a constant
+// does not change the sign-descent direction).
 type Sign struct{}
 
 // NewSign returns the deterministic sign compressor.
 func NewSign() Sign { return Sign{} }
 
-// Name implements Compressor.
-func (Sign) Name() string { return "signsgd" }
-
-// Compress implements Compressor.
+// Compress encodes g as its signs and ℓ1 scale. It does not retain g.
 func (Sign) Compress(g tensor.Vec) *Payload {
 	scale := 0.0
 	if len(g) > 0 {
@@ -112,253 +50,3 @@ func (Sign) Compress(g tensor.Vec) *Payload {
 		Bits:  len(g) + normBits,
 	}
 }
-
-// Decompress implements Compressor.
-func (Sign) Decompress(dst tensor.Vec, p *Payload) tensor.Vec {
-	p.Signs.UnpackSigns(dst)
-	tensor.Scale(dst, p.Norm)
-	return dst
-}
-
-// ---------------------------------------------------------------------------
-// SSDM stochastic sign
-
-// SSDM is the stochastic sign compressor of Safaryan & Richtárik: the
-// sign of element i is kept with probability 1/2 + |g_i|/(2‖g‖₂) and
-// flipped otherwise; decompression multiplies by ‖g‖₂, which makes the
-// estimator unbiased: E[Q(g)] = g.
-type SSDM struct {
-	rng *rng.PCG
-}
-
-// NewSSDM returns an SSDM compressor drawing from r.
-func NewSSDM(r *rng.PCG) *SSDM { return &SSDM{rng: r} }
-
-// Name implements Compressor.
-func (s *SSDM) Name() string { return "ssdm" }
-
-// Compress implements Compressor.
-func (s *SSDM) Compress(g tensor.Vec) *Payload {
-	norm := tensor.Norm2(g)
-	signs := bitvec.New(len(g))
-	for i, x := range g {
-		pKeep := 0.5
-		if norm > 0 {
-			pKeep = 0.5 + absf(x)/(2*norm)
-		}
-		positive := x >= 0
-		if !s.rng.Bernoulli(pKeep) {
-			positive = !positive
-		}
-		signs.Set(i, positive)
-	}
-	return &Payload{Signs: signs, Norm: norm, Bits: len(g) + normBits}
-}
-
-// Decompress implements Compressor.
-func (s *SSDM) Decompress(dst tensor.Vec, p *Payload) tensor.Vec {
-	p.Signs.UnpackSigns(dst)
-	tensor.Scale(dst, p.Norm)
-	return dst
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// ---------------------------------------------------------------------------
-// Top-K sparsification
-
-// TopK keeps the k largest-magnitude elements. Each survivor costs
-// 32 bits of value plus 32 bits of index on the wire.
-type TopK struct {
-	K int
-}
-
-// NewTopK returns a top-k sparsifier keeping k elements.
-func NewTopK(k int) TopK {
-	if k <= 0 {
-		panic("compress: TopK needs k > 0")
-	}
-	return TopK{K: k}
-}
-
-// Name implements Compressor.
-func (c TopK) Name() string { return fmt.Sprintf("top%d", c.K) }
-
-// Compress implements Compressor.
-func (c TopK) Compress(g tensor.Vec) *Payload {
-	k := c.K
-	if k > len(g) {
-		k = len(g)
-	}
-	idx := topKIndices(g, k)
-	vals := make(tensor.Vec, len(idx))
-	for i, j := range idx {
-		vals[i] = g[j]
-	}
-	return &Payload{Indices: idx, Values: vals, Bits: k * (float32Bits + 32)}
-}
-
-// Decompress implements Compressor.
-func (c TopK) Decompress(dst tensor.Vec, p *Payload) tensor.Vec {
-	tensor.Zero(dst)
-	for i, j := range p.Indices {
-		dst[j] = p.Values[i]
-	}
-	return dst
-}
-
-// topKIndices returns the indices of the k largest |g| values using a
-// simple selection over a partial heap-free quickselect-ish pass; k is
-// small relative to len(g) in practice, so an O(D·log k) insertion into
-// a bounded min-slice is fine.
-func topKIndices(g tensor.Vec, k int) []int {
-	type kv struct {
-		idx int
-		mag float64
-	}
-	best := make([]kv, 0, k)
-	for i, x := range g {
-		m := absf(x)
-		if len(best) < k {
-			best = append(best, kv{i, m})
-			// Bubble up into sorted (ascending) position.
-			for j := len(best) - 1; j > 0 && best[j].mag < best[j-1].mag; j-- {
-				best[j], best[j-1] = best[j-1], best[j]
-			}
-			continue
-		}
-		if m <= best[0].mag {
-			continue
-		}
-		best[0] = kv{i, m}
-		for j := 0; j+1 < len(best) && best[j].mag > best[j+1].mag; j++ {
-			best[j], best[j+1] = best[j+1], best[j]
-		}
-	}
-	out := make([]int, len(best))
-	for i, b := range best {
-		out[i] = b.idx
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// QSGD stochastic quantization
-
-// QSGD quantizes each element onto s uniform levels of |g_i|/‖g‖₂ with
-// stochastic rounding (Alistarh et al., NeurIPS'17). Wire accounting uses
-// the naive ⌈log2(s+1)⌉+1 bits per element plus the norm.
-type QSGD struct {
-	Levels int
-	rng    *rng.PCG
-}
-
-// NewQSGD returns a QSGD compressor with s quantization levels.
-func NewQSGD(s int, r *rng.PCG) *QSGD {
-	if s <= 0 {
-		panic("compress: QSGD needs s > 0")
-	}
-	return &QSGD{Levels: s, rng: r}
-}
-
-// Name implements Compressor.
-func (q *QSGD) Name() string { return fmt.Sprintf("qsgd%d", q.Levels) }
-
-// Compress implements Compressor.
-func (q *QSGD) Compress(g tensor.Vec) *Payload {
-	norm := tensor.Norm2(g)
-	out := make(tensor.Vec, len(g))
-	s := float64(q.Levels)
-	for i, x := range g {
-		if norm == 0 {
-			out[i] = 0
-			continue
-		}
-		level := absf(x) / norm * s
-		lo := float64(int(level))
-		p := level - lo
-		if q.rng.Bernoulli(p) {
-			lo++
-		}
-		v := norm * lo / s
-		if x < 0 {
-			v = -v
-		}
-		out[i] = v
-	}
-	perElem := bitsFor(q.Levels+1) + 1 // level + sign
-	return &Payload{Dense: out, Norm: norm, Bits: len(g)*perElem + normBits}
-}
-
-// Decompress implements Compressor.
-func (q *QSGD) Decompress(dst tensor.Vec, p *Payload) tensor.Vec {
-	copy(dst, p.Dense)
-	return dst
-}
-
-func bitsFor(n int) int {
-	b := 0
-	for v := n; v > 0; v >>= 1 {
-		b++
-	}
-	if b == 0 {
-		b = 1
-	}
-	return b
-}
-
-// ---------------------------------------------------------------------------
-// Error feedback wrapper (EF-signSGD)
-
-// ErrorFeedback wraps any compressor with local error compensation:
-// the residual e_t = g_t + e_{t-1} − Decompress(Compress(g_t + e_{t-1}))
-// is carried into the next round. With Sign inside, this is EF-signSGD.
-type ErrorFeedback struct {
-	inner    Compressor
-	residual tensor.Vec
-	scratch  tensor.Vec
-}
-
-// NewErrorFeedback wraps inner with an error-feedback memory of
-// dimension dim.
-func NewErrorFeedback(inner Compressor, dim int) *ErrorFeedback {
-	return &ErrorFeedback{
-		inner:    inner,
-		residual: tensor.New(dim),
-		scratch:  tensor.New(dim),
-	}
-}
-
-// Name implements Compressor.
-func (e *ErrorFeedback) Name() string { return "ef-" + e.inner.Name() }
-
-// Compress implements Compressor. It compresses g plus the carried
-// residual and updates the residual with the new compression error.
-func (e *ErrorFeedback) Compress(g tensor.Vec) *Payload {
-	if len(g) != len(e.residual) {
-		panic(fmt.Sprintf("compress: ErrorFeedback dim %d, gradient %d", len(e.residual), len(g)))
-	}
-	corrected := tensor.Clone(g)
-	tensor.Add(corrected, e.residual)
-	p := e.inner.Compress(corrected)
-	e.inner.Decompress(e.scratch, p)
-	copy(e.residual, corrected)
-	tensor.Sub(e.residual, e.scratch)
-	return p
-}
-
-// Decompress implements Compressor.
-func (e *ErrorFeedback) Decompress(dst tensor.Vec, p *Payload) tensor.Vec {
-	return e.inner.Decompress(dst, p)
-}
-
-// Residual exposes a copy of the carried error (for tests/metrics).
-func (e *ErrorFeedback) Residual() tensor.Vec { return tensor.Clone(e.residual) }
-
-// Reset clears the carried error.
-func (e *ErrorFeedback) Reset() { tensor.Zero(e.residual) }

@@ -1,46 +1,19 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"marsit/internal/rng"
 	"marsit/internal/tensor"
 )
 
-func randVec(r *rng.PCG, n int) tensor.Vec {
-	return r.NormVec(make(tensor.Vec, n), 0, 1)
-}
-
-func TestIdentityRoundtrip(t *testing.T) {
-	r := rng.New(1)
-	g := randVec(r, 100)
-	c := NewIdentity()
-	p := c.Compress(g)
-	if p.Bits != 3200 {
-		t.Fatalf("Bits = %d", p.Bits)
-	}
-	got := c.Decompress(make(tensor.Vec, 100), p)
-	if tensor.Dist2(got, g) != 0 {
-		t.Fatal("identity not exact")
-	}
-}
-
-func TestIdentityDoesNotAlias(t *testing.T) {
-	g := tensor.Vec{1, 2, 3}
-	p := NewIdentity().Compress(g)
-	g[0] = 99
-	if p.Dense[0] != 1 {
-		t.Fatal("Compress retained caller slice")
-	}
-}
-
 func TestSignPreservesSigns(t *testing.T) {
 	g := tensor.Vec{-3, 0.5, 0, -0.1}
-	c := NewSign()
-	p := c.Compress(g)
-	got := c.Decompress(make(tensor.Vec, 4), p)
+	p := NewSign().Compress(g)
+	got := make(tensor.Vec, 4)
+	p.Signs.UnpackSigns(got)
 	for i := range g {
 		if tensor.Sign(got[i]) != tensor.Sign(g[i]) {
 			t.Fatalf("sign flipped at %d: %v vs %v", i, got[i], g[i])
@@ -62,261 +35,37 @@ func TestSignEmptyVec(t *testing.T) {
 	}
 }
 
-// TestSSDMUnbiased is the key property from the appendix: E[Q(g)] = g.
-func TestSSDMUnbiased(t *testing.T) {
-	r := rng.New(42)
-	c := NewSSDM(r)
-	g := tensor.Vec{0.8, -0.3, 0.1, -0.05, 0.4}
-	const trials = 40000
-	acc := make(tensor.Vec, len(g))
-	dst := make(tensor.Vec, len(g))
-	for i := 0; i < trials; i++ {
-		p := c.Compress(g)
-		c.Decompress(dst, p)
-		tensor.Add(acc, dst)
-	}
-	tensor.Scale(acc, 1.0/trials)
-	for i := range g {
-		if math.Abs(acc[i]-g[i]) > 0.02 {
-			t.Fatalf("E[Q(g)][%d] = %v, want %v", i, acc[i], g[i])
-		}
-	}
-}
-
-func TestSSDMZeroVector(t *testing.T) {
-	r := rng.New(7)
-	c := NewSSDM(r)
-	g := make(tensor.Vec, 8)
-	p := c.Compress(g)
-	if p.Norm != 0 {
-		t.Fatalf("norm of zero vec = %v", p.Norm)
-	}
-	got := c.Decompress(make(tensor.Vec, 8), p)
-	for _, x := range got {
-		if x != 0 {
-			t.Fatalf("zero vector decompressed to %v", got)
-		}
-	}
-}
-
-func TestSSDMKeepProbability(t *testing.T) {
-	// A dominant coordinate should almost always keep its sign:
-	// p = 1/2 + |g_i|/(2‖g‖) → 1 when the element carries all the mass.
-	r := rng.New(9)
-	c := NewSSDM(r)
-	g := tensor.Vec{5, 0.0001}
-	kept := 0
-	const trials = 2000
-	for i := 0; i < trials; i++ {
-		p := c.Compress(g)
-		if p.Signs.Get(0) {
-			kept++
-		}
-	}
-	if float64(kept)/trials < 0.99 {
-		t.Fatalf("dominant coordinate kept only %d/%d", kept, trials)
-	}
-}
-
-func TestTopKSelectsLargest(t *testing.T) {
-	g := tensor.Vec{0.1, -5, 0.2, 4, -0.3}
-	c := NewTopK(2)
-	p := c.Compress(g)
-	got := c.Decompress(make(tensor.Vec, 5), p)
-	want := tensor.Vec{0, -5, 0, 4, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TopK got %v want %v", got, want)
-		}
-	}
-}
-
-func TestTopKMoreThanLen(t *testing.T) {
-	g := tensor.Vec{1, -2}
-	c := NewTopK(10)
-	p := c.Compress(g)
-	got := c.Decompress(make(tensor.Vec, 2), p)
-	if got[0] != 1 || got[1] != -2 {
-		t.Fatalf("TopK overflow k: %v", got)
-	}
-}
-
-func TestTopKPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewTopK(0)
-}
-
-func TestTopKProperty(t *testing.T) {
-	r := rng.New(11)
-	f := func(nRaw uint8, kRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		k := int(kRaw%uint8(n)) + 1
-		g := randVec(r, n)
-		c := NewTopK(k)
-		p := c.Compress(g)
-		got := c.Decompress(make(tensor.Vec, n), p)
-		// Every kept magnitude must be >= every dropped magnitude.
-		minKept := math.Inf(1)
-		for _, j := range p.Indices {
-			if m := math.Abs(g[j]); m < minKept {
-				minKept = m
+// TestSignCompressWordBoundaries checks Compress on either side of the
+// 64-bit word edges the sign packer works in: one bit per element, set
+// iff the element is non-negative; Norm = ‖g‖₁/D; Bits = D + 32.
+func TestSignCompressWordBoundaries(t *testing.T) {
+	for _, d := range []int{1, 63, 64, 65, 1000} {
+		t.Run(fmt.Sprintf("d=%d", d), func(t *testing.T) {
+			g := rng.New(uint64(d)).NormVec(make(tensor.Vec, d), 0, 1)
+			g[0] = 0 // zero packs as non-negative
+			p := NewSign().Compress(g)
+			if p.Signs.Len() != d {
+				t.Fatalf("Signs.Len() = %d", p.Signs.Len())
 			}
-		}
-		kept := make(map[int]bool, len(p.Indices))
-		for _, j := range p.Indices {
-			kept[j] = true
-		}
-		for i := range g {
-			if kept[i] {
-				if got[i] != g[i] {
-					return false
+			if want := tensor.Norm1(g) / float64(d); p.Norm != want {
+				t.Fatalf("Norm = %v, want %v", p.Norm, want)
+			}
+			if p.Bits != d+32 {
+				t.Fatalf("Bits = %d", p.Bits)
+			}
+			for i, x := range g {
+				if p.Signs.Get(i) != (x >= 0) {
+					t.Fatalf("bit %d = %v for element %v", i, p.Signs.Get(i), x)
 				}
-				continue
 			}
-			if got[i] != 0 || math.Abs(g[i]) > minKept+1e-12 {
-				return false
-			}
-		}
-		return len(p.Indices) == k
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQSGDUnbiased(t *testing.T) {
-	r := rng.New(13)
-	c := NewQSGD(4, r)
-	g := tensor.Vec{0.7, -0.2, 0.05}
-	const trials = 40000
-	acc := make(tensor.Vec, len(g))
-	dst := make(tensor.Vec, len(g))
-	for i := 0; i < trials; i++ {
-		p := c.Compress(g)
-		c.Decompress(dst, p)
-		tensor.Add(acc, dst)
-	}
-	tensor.Scale(acc, 1.0/trials)
-	for i := range g {
-		if math.Abs(acc[i]-g[i]) > 0.02 {
-			t.Fatalf("QSGD E[Q(g)][%d] = %v, want %v", i, acc[i], g[i])
-		}
-	}
-}
-
-func TestQSGDZeroAndPanics(t *testing.T) {
-	r := rng.New(15)
-	c := NewQSGD(2, r)
-	got := c.Decompress(make(tensor.Vec, 3), c.Compress(make(tensor.Vec, 3)))
-	for _, x := range got {
-		if x != 0 {
-			t.Fatal("QSGD zero vector not preserved")
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for s=0")
-		}
-	}()
-	NewQSGD(0, r)
-}
-
-func TestQSGDFewerBitsThanFloat(t *testing.T) {
-	r := rng.New(17)
-	c := NewQSGD(4, r)
-	p := c.Compress(randVec(r, 1000))
-	if p.Bits >= 32*1000 {
-		t.Fatalf("QSGD not compressing: %d bits", p.Bits)
-	}
-}
-
-// TestErrorFeedbackAccumulates verifies the defining EF property: the
-// residual equals input minus what was transmitted, so over T rounds
-// sum(decompressed) + residual == sum(gradients).
-func TestErrorFeedbackAccumulates(t *testing.T) {
-	r := rng.New(19)
-	const dim = 32
-	ef := NewErrorFeedback(NewSign(), dim)
-	sumG := make(tensor.Vec, dim)
-	sumOut := make(tensor.Vec, dim)
-	dst := make(tensor.Vec, dim)
-	for round := 0; round < 50; round++ {
-		g := randVec(r, dim)
-		tensor.Add(sumG, g)
-		p := ef.Compress(g)
-		ef.Decompress(dst, p)
-		tensor.Add(sumOut, dst)
-	}
-	tensor.Add(sumOut, ef.Residual())
-	if d := tensor.Dist2(sumOut, sumG); d > 1e-9 {
-		t.Fatalf("EF conservation violated: distance %v", d)
-	}
-}
-
-func TestErrorFeedbackReset(t *testing.T) {
-	r := rng.New(21)
-	ef := NewErrorFeedback(NewSign(), 8)
-	ef.Compress(randVec(r, 8))
-	ef.Reset()
-	if tensor.Norm2(ef.Residual()) != 0 {
-		t.Fatal("Reset left residual")
-	}
-}
-
-func TestErrorFeedbackDimMismatchPanics(t *testing.T) {
-	ef := NewErrorFeedback(NewSign(), 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	ef.Compress(make(tensor.Vec, 9))
-}
-
-func TestNames(t *testing.T) {
-	r := rng.New(1)
-	for _, tc := range []struct {
-		c    Compressor
-		want string
-	}{
-		{NewIdentity(), "psgd"},
-		{NewSign(), "signsgd"},
-		{NewSSDM(r), "ssdm"},
-		{NewTopK(3), "top3"},
-		{NewQSGD(4, r), "qsgd4"},
-		{NewErrorFeedback(NewSign(), 4), "ef-signsgd"},
-	} {
-		if tc.c.Name() != tc.want {
-			t.Fatalf("Name = %q, want %q", tc.c.Name(), tc.want)
-		}
-	}
-}
-
-func TestPayloadWireBytes(t *testing.T) {
-	p := &Payload{Bits: 9}
-	if p.WireBytes() != 2 {
-		t.Fatalf("WireBytes = %d", p.WireBytes())
-	}
-}
-
-func BenchmarkSSDMCompress(b *testing.B) {
-	r := rng.New(1)
-	c := NewSSDM(r)
-	g := randVec(r, 1<<14)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = c.Compress(g)
+		})
 	}
 }
 
 func BenchmarkSignCompress(b *testing.B) {
 	r := rng.New(1)
 	c := NewSign()
-	g := randVec(r, 1<<14)
+	g := r.NormVec(make(tensor.Vec, 1<<14), 0, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.Compress(g)

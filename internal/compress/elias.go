@@ -178,33 +178,6 @@ func EliasGammaDecode(r *BitReader) (uint64, error) {
 	}
 }
 
-// EliasDeltaEncode appends the Elias delta code of v (v ≥ 1): the gamma
-// code of 1+⌊log2 v⌋ followed by the mantissa bits of v.
-func EliasDeltaEncode(w *BitWriter, v uint64) {
-	if v == 0 {
-		panic("compress: Elias delta undefined for 0")
-	}
-	n := bits.Len64(v)
-	EliasGammaEncode(w, uint64(n))
-	w.WriteBits(v&((1<<uint(n-1))-1), n-1)
-}
-
-// EliasDeltaDecode reads one delta-coded value.
-func EliasDeltaDecode(r *BitReader) (uint64, error) {
-	n, err := EliasGammaDecode(r)
-	if err != nil {
-		return 0, err
-	}
-	if n == 0 || n > 64 {
-		return 0, fmt.Errorf("compress: delta length %d out of range", n)
-	}
-	rest, err := r.ReadBits(int(n - 1))
-	if err != nil {
-		return 0, err
-	}
-	return 1<<uint(n-1) | rest, nil
-}
-
 // ZigZag maps a signed integer to an unsigned one suitable for Elias
 // coding: 0→1, -1→2, 1→3, -2→4, ... (shifted by one because Elias codes
 // start at 1). The one-slot shift makes math.MinInt64 unrepresentable

@@ -78,31 +78,6 @@ func TestGammaRoundtripProperty(t *testing.T) {
 	}
 }
 
-func TestDeltaRoundtripProperty(t *testing.T) {
-	f := func(v uint64) bool {
-		if v == 0 {
-			v = 1
-		}
-		w := &BitWriter{}
-		EliasDeltaEncode(w, v)
-		got, err := EliasDeltaDecode(NewBitReader(w.Bytes()))
-		return err == nil && got == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeltaShorterForLarge(t *testing.T) {
-	wg := &BitWriter{}
-	EliasGammaEncode(wg, 1<<40)
-	wd := &BitWriter{}
-	EliasDeltaEncode(wd, 1<<40)
-	if wd.Len() >= wg.Len() {
-		t.Fatalf("delta (%d bits) not shorter than gamma (%d bits)", wd.Len(), wg.Len())
-	}
-}
-
 func TestZigZag(t *testing.T) {
 	for _, v := range []int64{0, -1, 1, -2, 2, 1 << 40, -(1 << 40)} {
 		if got := UnZigZag(ZigZag(v)); got != v {

@@ -64,8 +64,8 @@ func TestScaledCostModel(t *testing.T) {
 // chunks stream — the sender's next send starts as soon as its NIC is
 // free, so splitting a transfer into four chunks costs exactly the
 // same as one big message (one latency, same serialization). This is
-// why segmented-ring all-reduce is byte- and time-neutral under this
-// model while shrinking peak buffer sizes.
+// why the chunk-pipelined ring hops are byte- and time-neutral under
+// this model while shrinking peak buffer sizes.
 func TestChunkingPipelines(t *testing.T) {
 	m := model()
 	one := NewCluster(2, m)

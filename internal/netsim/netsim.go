@@ -131,14 +131,6 @@ func (b Breakdown) Total() float64 {
 	return s
 }
 
-// LinkCost overrides the α–β constants of one directed link.
-type LinkCost struct {
-	// Latency is the link's per-message latency α in seconds.
-	Latency float64
-	// BytePeriod is the link's β: seconds per byte of payload.
-	BytePeriod float64
-}
-
 // Cluster simulates n workers with individual clocks.
 type Cluster struct {
 	Model CostModel
@@ -147,10 +139,6 @@ type Cluster struct {
 	clock  []float64
 	phases []Breakdown
 	bytes  []int64 // bytes sent per worker
-	// links holds per-directed-link α–β overrides keyed by from·n+to.
-	// nil (the default) means every link uses Model — the fast path pays
-	// one nil check.
-	links map[int]LinkCost
 	// sorted, sAvail, rAvail and done are Exchange's scratch, kept so
 	// that a round of exchanges allocates nothing.
 	sorted               []Message
@@ -207,51 +195,6 @@ func (c *Cluster) TotalBytes() int64 {
 		s += b
 	}
 	return s
-}
-
-// SetLinkCost overrides α and β on the directed link from → to.
-// Exchange (and the concurrent engine's per-rank replica of its
-// arithmetic) charges that link's messages with the override instead of
-// the uniform Model, so a heterogeneous fabric — a slow cross-rack hop,
-// a straggler's uplink — can be modelled per edge. Overrides survive
-// Reset: they describe the interconnect, not the run. Collectives that
-// route their timing through collective.HubSchedule (the PS family)
-// aggregate over the uniform Model only; rather than silently charge
-// the wrong clocks, both engines reject a PS run on a cluster with
-// link overrides (see HasLinkOverrides).
-func (c *Cluster) SetLinkCost(from, to int, lc LinkCost) {
-	c.check(from)
-	c.check(to)
-	if lc.Latency < 0 || lc.BytePeriod < 0 {
-		panic("netsim: negative link cost")
-	}
-	if c.links == nil {
-		c.links = make(map[int]LinkCost)
-	}
-	c.links[from*c.n+to] = lc
-}
-
-// ClearLinkCosts drops every per-link override, restoring the uniform
-// Model on all links.
-func (c *Cluster) ClearLinkCosts() { c.links = nil }
-
-// HasLinkOverrides reports whether any per-link α–β override is in
-// force. Schedules that can only charge the uniform Model (the PS hub)
-// use this to fail fast instead of producing misleading clocks.
-func (c *Cluster) HasLinkOverrides() bool { return len(c.links) > 0 }
-
-// Link returns the α and β in force on the directed link from → to:
-// the override when one was set, the uniform Model otherwise.
-func (c *Cluster) Link(from, to int) (latency, bytePeriod float64) {
-	if c.links == nil {
-		return c.Model.Latency, c.Model.BytePeriod
-	}
-	c.check(from)
-	c.check(to)
-	if lc, ok := c.links[from*c.n+to]; ok {
-		return lc.Latency, lc.BytePeriod
-	}
-	return c.Model.Latency, c.Model.BytePeriod
 }
 
 // PhaseBreakdown returns worker w's per-phase time.
@@ -347,14 +290,13 @@ func (c *Cluster) Exchange(msgs []Message) {
 		if m.From == m.To {
 			continue // local copy is free
 		}
-		alpha, beta := c.Link(m.From, m.To)
-		ser := float64(m.Bytes) * beta
+		ser := float64(m.Bytes) * c.Model.BytePeriod
 		sendStart := sAvail[m.From]
 		sAvail[m.From] = sendStart + ser
 		// Cut-through: the tail of the message reaches the receiver α
 		// after the sender pushes it, but the receiver NIC must be free
 		// to accept the stream.
-		recvStart := sendStart + alpha
+		recvStart := sendStart + c.Model.Latency
 		if rAvail[m.To] > recvStart {
 			recvStart = rAvail[m.To]
 		}

@@ -254,15 +254,14 @@ func newRankCtxChunks(c *netsim.Cluster, ep transport.Endpoint, rank, chunks int
 // prev — and advances the virtual clock with exactly the arithmetic of
 // netsim.Cluster.Exchange for a one-send, one-receive round:
 //
-//	sendDone  = start + outWire·β(rank→next)
-//	recvStart = max(sender start + α(prev→rank), start)
-//	recvDone  = recvStart + inWire·β(prev→rank)
+//	sendDone  = start + outWire·β
+//	recvStart = max(sender start + α, start)
+//	recvDone  = recvStart + inWire·β
 //	clock     = max(start, sendDone, recvDone)
 //
-// α and β resolve through Cluster.Link, so per-link cost overrides
-// (heterogeneous interconnects) flow through identically on both
-// engines. The sender's step-start clock rides on the packet. Wire
-// bytes are accounted to the sender, as in netsim.
+// α and β are the cluster's CostModel Latency and BytePeriod, one pair
+// for every link, as in netsim. The sender's step-start clock rides on
+// the packet. Wire bytes are accounted to the sender, as in netsim.
 func (r *rankCtx) exchange(next int, data []byte, outWire int, prev int) []byte {
 	start := r.clk
 	hop := r.hops
@@ -287,14 +286,13 @@ func (r *rankCtx) exchange(next int, data []byte, outWire int, prev int) []byte 
 		span = time.Since(t0)
 		r.commNanos += int64(span)
 	}
-	_, outBeta := r.c.Link(r.rank, next)
-	inAlpha, inBeta := r.c.Link(prev, r.rank)
-	sendDone := start + float64(outWire)*outBeta
-	recvStart := p.Clock + inAlpha
+	alpha, beta := r.c.Model.Latency, r.c.Model.BytePeriod
+	sendDone := start + float64(outWire)*beta
+	recvStart := p.Clock + alpha
 	if start > recvStart {
 		recvStart = start
 	}
-	recvDone := recvStart + float64(p.Wire)*inBeta
+	recvDone := recvStart + float64(p.Wire)*beta
 	if sendDone > r.clk {
 		r.clk = sendDone
 	}
@@ -412,14 +410,13 @@ func (r *rankCtx) exchangeChunked(next, prev, outN, inN, outWire int,
 	}
 	recvOne()
 
-	_, outBeta := r.c.Link(r.rank, next)
-	inAlpha, inBeta := r.c.Link(prev, r.rank)
-	sendDone := start + float64(outWire)*outBeta
-	recvStart := firstClock + inAlpha
+	alpha, beta := r.c.Model.Latency, r.c.Model.BytePeriod
+	sendDone := start + float64(outWire)*beta
+	recvStart := firstClock + alpha
 	if start > recvStart {
 		recvStart = start
 	}
-	recvDone := recvStart + float64(firstWire)*inBeta
+	recvDone := recvStart + float64(firstWire)*beta
 	if sendDone > r.clk {
 		r.clk = sendDone
 	}

@@ -9,7 +9,6 @@ import (
 	"marsit/internal/obs"
 	"marsit/internal/runtime"
 	"marsit/internal/runtime/equivtest"
-	"marsit/internal/tensor"
 
 	// Populate the collective registry: internal/runtime registers the
 	// ported ring/torus/PS collectives via its own init, and
@@ -68,88 +67,45 @@ func TestCollectiveEquivalenceChunkedJitter(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousLinkEquivalence pins the per-link cost overrides
-// across engines: with every directed ring link given its own α and β
-// (identically on both clusters), the ring collectives must still agree
-// bit for bit — the concurrent engine's cut-through arithmetic resolves
-// the same Cluster.Link values as the sequential Exchange.
-func TestHeterogeneousLinkEquivalence(t *testing.T) {
-	const workers, dim = 4, 257
-	for _, name := range []string{"rar", "signsum", "ssdm", "cascading"} {
-		t.Run(name, func(t *testing.T) {
-			d, err := registry.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seed := uint64(0xbeef) + uint64(dim)
-			opts := func() *registry.Opts {
-				return &registry.Opts{Workers: workers, Dim: dim, Seed: seed, K: 3, GlobalLR: 0.01}
-			}
-			applyLinks := func(c *netsim.Cluster) {
-				for i := 0; i < workers; i++ {
-					next := (i + 1) % workers
-					base := c.Model
-					c.SetLinkCost(i, next, netsim.LinkCost{
-						Latency:    base.Latency * float64(1+i),
-						BytePeriod: base.BytePeriod * float64(2+i),
-					})
-					c.SetLinkCost(next, i, netsim.LinkCost{
-						Latency:    base.Latency * 0.5 * float64(1+i),
-						BytePeriod: base.BytePeriod,
-					})
+// TestCostModelEquivalence runs every registered collective under a
+// cost model whose α, β and (de)compression constants all differ from
+// the default one (the matrix above runs the default only): both engines
+// must still agree bit for bit, so every per-rank leg charges the
+// cluster's own CostModel and not a constant of its own. The clocks must
+// also differ from a default-model run, or the model never reached them.
+func TestCostModelEquivalence(t *testing.T) {
+	const dim = 257
+	model := netsim.DefaultCostModel()
+	model.Latency *= 3
+	model.BytePeriod *= 5
+	model.CompressPerElem *= 7
+	model.DecompressPerElem *= 11
+	for _, spec := range equivtest.RegistrySpecs() {
+		t.Run(spec.Name, func(t *testing.T) {
+			sh := equivtest.Shape{Name: "M=4", Workers: 4}
+			for _, s := range spec.Shapes {
+				if s.Workers == 4 {
+					sh = s
 				}
 			}
-			rounds := d.EquivRounds
-			if rounds < 1 {
-				rounds = 1
-			}
-
-			seqC := netsim.NewCluster(workers, netsim.DefaultCostModel())
-			applyLinks(seqC)
-			run, err := d.Seq(opts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var seqOut []tensor.Vec
-			for r := 0; r < rounds; r++ {
-				seqOut = run(seqC, equivtest.RoundVecs(seed, r, workers, dim))
-			}
-
-			parC := netsim.NewCluster(workers, netsim.DefaultCostModel())
-			applyLinks(parC)
-			eng := runtime.New(workers)
+			const seed = 0xc057
+			seqC := netsim.NewCluster(sh.Workers, model)
+			seqOut := spec.Seq(seqC, sh, dim, seed)
+			parC := netsim.NewCluster(sh.Workers, model)
+			eng := runtime.New(sh.Workers)
 			defer eng.Close()
-			cl, err := eng.Open(d, opts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var parOut []tensor.Vec
-			for r := 0; r < rounds; r++ {
-				parOut = cl.Run(parC, equivtest.RoundVecs(seed, r, workers, dim))
-			}
-
+			parOut := spec.Par(eng, parC, sh, dim, seed)
 			equivtest.RequireSameVecs(t, seqOut, parOut)
 			equivtest.RequireSameClusters(t, seqC, parC)
 
-			// The overrides must actually have fired: the charged clocks
-			// differ from a uniform-model run of the same schedule.
-			uniC := netsim.NewCluster(workers, netsim.DefaultCostModel())
-			uniRun, err := d.Seq(opts())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := 0; r < rounds; r++ {
-				uniRun(uniC, equivtest.RoundVecs(seed, r, workers, dim))
-			}
-			same := true
-			for w := 0; w < workers; w++ {
-				if seqC.Clock(w) != uniC.Clock(w) {
-					same = false
+			defC := netsim.NewCluster(sh.Workers, netsim.DefaultCostModel())
+			spec.Seq(defC, sh, dim, seed)
+			for w := 0; w < sh.Workers; w++ {
+				if seqC.Clock(w) != defC.Clock(w) {
+					return
 				}
 			}
-			if same {
-				t.Fatal("per-link overrides did not change the charged clocks")
-			}
+			t.Fatal("the cost model did not change any clock")
 		})
 	}
 }

@@ -50,13 +50,12 @@ func gossipAverageRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec)
 		t1, t2 = t2, t1
 	}
 	start := rk.clk
-	_, b1 := c.Link(rank, t1)
-	_, b2 := c.Link(rank, t2)
+	alpha, beta := c.Model.Latency, c.Model.BytePeriod
 	// Both packets carry the same pre-step snapshot of the vector.
 	rk.send(t1, encodeFloats(vec), wire, start)
-	sendAvail := start + float64(wire)*b1
+	sendAvail := start + float64(wire)*beta
 	rk.send(t2, encodeFloats(vec), wire, sendAvail)
-	sendAvail += float64(wire) * b2
+	sendAvail += float64(wire) * beta
 
 	// Arrivals serialize in ascending sender order.
 	u1, u2 := next, prev
@@ -67,7 +66,6 @@ func gossipAverageRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec)
 	payloads := make(map[int][]byte, 2)
 	for _, u := range []int{u1, u2} {
 		p := rk.recv(u)
-		alpha, beta := c.Link(u, rank)
 		recvStart := p.Clock + alpha
 		if recvAvail > recvStart {
 			recvStart = recvAvail

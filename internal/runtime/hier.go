@@ -58,10 +58,10 @@ func hierAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.T
 	if local >= 2 {
 		rk.setPhase("chain")
 		wire := d * floatWireBytes
+		alpha, beta := c.Model.Latency, c.Model.BytePeriod
 		if g >= 1 {
 			from := tor.Rank(h, g-1)
 			p := rk.recv(from)
-			alpha, beta := c.Link(from, rank)
 			recvStart := p.Clock + alpha
 			if rk.clk > recvStart {
 				recvStart = rk.clk
@@ -71,7 +71,6 @@ func hierAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.T
 		}
 		if g < local-1 {
 			to := tor.Rank(h, g+1)
-			_, beta := c.Link(rank, to)
 			rk.send(to, encodeFloats(vec), wire, rk.clk)
 			rk.clk += float64(wire) * beta
 		}

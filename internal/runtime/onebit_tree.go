@@ -38,6 +38,7 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 	}
 	wire := bits.WireBytes()
 	rk := newRankCtx(c, ep, rank)
+	alpha, beta := c.Model.Latency, c.Model.BytePeriod
 	parent := tr.Parent(rank)
 	children := tr.Children(rank)
 	size := treeSubtreeSizes(tr)
@@ -52,7 +53,6 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 		recvAvail := rk.clk
 		for _, ch := range children {
 			p := rk.recv(ch)
-			alpha, beta := c.Link(ch, rank)
 			recvStart := p.Clock + alpha
 			if recvAvail > recvStart {
 				recvStart = recvAvail
@@ -66,7 +66,6 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 		rk.clk = recvAvail
 	}
 	if parent >= 0 {
-		_, beta := c.Link(rank, parent)
 		rk.send(parent, marshalBits(bits), wire, rk.clk)
 		rk.clk += float64(wire) * beta
 	}
@@ -76,7 +75,6 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 	rk.setPhase("broadcast-down")
 	if parent >= 0 {
 		p := rk.recv(parent)
-		alpha, beta := c.Link(parent, rank)
 		recvStart := p.Clock + alpha
 		if rk.clk > recvStart {
 			recvStart = rk.clk
@@ -85,7 +83,6 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 		bits = unmarshalBits(rank, parent, p.Data, bits.Len())
 	}
 	for _, ch := range children {
-		_, beta := c.Link(rank, ch)
 		rk.send(ch, marshalBits(bits), wire, rk.clk)
 		rk.clk += float64(wire) * beta
 	}

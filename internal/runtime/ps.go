@@ -46,11 +46,6 @@ const hubRank = 0
 func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, downBytes int,
 	fold func(rank int, payload []byte), reply func() []byte) []byte {
 	checkRankCluster(c, ep)
-	if c.HasLinkOverrides() {
-		panic("runtime: the PS hub schedule charges the uniform cost model only; " +
-			"per-link α–β overrides (netsim.SetLinkCost) are not resolved by HubSchedule — " +
-			"clear the overrides or pick a ring/torus/tree collective")
-	}
 	rank, n := ep.Rank(), ep.Size()
 	tracer := obs.ActiveTracer()
 	rec := obs.ActiveCalib()

@@ -35,6 +35,7 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 	}
 	wire := len(vec) * floatWireBytes
 	rk := newRankCtx(c, ep, rank)
+	alpha, beta := c.Model.Latency, c.Model.BytePeriod
 	parent := tr.Parent(rank)
 	children := tr.Children(rank)
 
@@ -45,7 +46,6 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 		recvAvail := rk.clk
 		for _, ch := range children {
 			p := rk.recv(ch)
-			alpha, beta := c.Link(ch, rank)
 			recvStart := p.Clock + alpha
 			if recvAvail > recvStart {
 				recvStart = recvAvail
@@ -56,7 +56,6 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 		rk.clk = recvAvail
 	}
 	if parent >= 0 {
-		_, beta := c.Link(rank, parent)
 		rk.send(parent, encodeFloats(vec), wire, rk.clk)
 		rk.clk += float64(wire) * beta
 	} else {
@@ -68,7 +67,6 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 	rk.setPhase("broadcast-down")
 	if parent >= 0 {
 		p := rk.recv(parent)
-		alpha, beta := c.Link(parent, rank)
 		recvStart := p.Clock + alpha
 		if rk.clk > recvStart {
 			recvStart = rk.clk
@@ -77,7 +75,6 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 		copyFloats(vec, p.Data)
 	}
 	for _, ch := range children {
-		_, beta := c.Link(rank, ch)
 		rk.send(ch, encodeFloats(vec), wire, rk.clk)
 		rk.clk += float64(wire) * beta
 	}

@@ -1,110 +1,13 @@
 // Package topology describes the interconnect shapes the paper's
-// synchronization paradigms run over: the ring used by ring all-reduce
-// (RAR), the 2D torus used by 2D-torus all-reduce (TAR), the star of a
-// parameter server (PS), and a binary tree for tree all-reduce.
+// synchronization paradigms run over beyond the flat ring: the 2D torus
+// used by 2D-torus all-reduce (TAR) and the binary tree of tree
+// all-reduce. A flat ring over n workers is the one group AllRanks(n).
 //
-// A Topology enumerates workers and directed links; the collective layer
-// decides the message schedule, and the netsim layer assigns per-link
-// costs.
+// The collective layer decides the message schedule over these shapes;
+// the netsim layer charges every link the same α–β cost.
 package topology
 
 import "fmt"
-
-// Kind enumerates the supported interconnect shapes.
-type Kind int
-
-// Supported topology kinds.
-const (
-	KindRing Kind = iota
-	KindTorus
-	KindStar
-	KindTree
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindRing:
-		return "ring"
-	case KindTorus:
-		return "torus"
-	case KindStar:
-		return "star"
-	case KindTree:
-		return "tree"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// Topology exposes the neighbor structure of an interconnect over n
-// workers, identified by ranks 0..n-1.
-type Topology interface {
-	// Kind reports the shape.
-	Kind() Kind
-	// Size returns the number of workers.
-	Size() int
-	// Neighbors returns the ranks a worker may send to directly.
-	Neighbors(rank int) []int
-}
-
-// Links enumerates every directed link of t as (from, to) pairs, in
-// rank order and, per rank, in the order Neighbors reports. This is the
-// edge set per-link cost overrides (netsim.Cluster.SetLinkCost) apply
-// to: each pair is one direction of traffic, so asymmetric links fall
-// out naturally.
-func Links(t Topology) [][2]int {
-	var out [][2]int
-	for r := 0; r < t.Size(); r++ {
-		for _, nb := range t.Neighbors(r) {
-			out = append(out, [2]int{r, nb})
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Ring
-
-// Ring is a unidirectional ring: rank r sends to (r+1) mod n.
-type Ring struct {
-	n int
-}
-
-// NewRing constructs a ring over n ≥ 1 workers.
-func NewRing(n int) *Ring {
-	if n < 1 {
-		panic("topology: ring needs n >= 1")
-	}
-	return &Ring{n: n}
-}
-
-// Kind implements Topology.
-func (r *Ring) Kind() Kind { return KindRing }
-
-// Size implements Topology.
-func (r *Ring) Size() int { return r.n }
-
-// Next returns the downstream neighbor of rank.
-func (r *Ring) Next(rank int) int { return (rank + 1) % r.n }
-
-// Prev returns the upstream neighbor of rank.
-func (r *Ring) Prev(rank int) int { return (rank - 1 + r.n) % r.n }
-
-// Neighbors implements Topology.
-func (r *Ring) Neighbors(rank int) []int {
-	r.check(rank)
-	if r.n == 1 {
-		return nil
-	}
-	return []int{r.Next(rank)}
-}
-
-func (r *Ring) check(rank int) {
-	if rank < 0 || rank >= r.n {
-		panic(fmt.Sprintf("topology: rank %d out of range [0,%d)", rank, r.n))
-	}
-}
 
 // AllRanks returns [0, 1, …, n−1]: the one group of a flat ring over n
 // workers, in ring order.
@@ -150,10 +53,7 @@ func SquareTorus(n int) *Torus {
 	return NewTorus(best, n/best)
 }
 
-// Kind implements Topology.
-func (t *Torus) Kind() Kind { return KindTorus }
-
-// Size implements Topology.
+// Size returns the number of workers.
 func (t *Torus) Size() int { return t.rows * t.cols }
 
 // Rows returns the row count.
@@ -212,65 +112,10 @@ func (t *Torus) ColGroups() [][]int {
 	return groups
 }
 
-// Neighbors implements Topology.
-func (t *Torus) Neighbors(rank int) []int {
-	t.check(rank)
-	seen := map[int]bool{rank: true}
-	var out []int
-	for _, nb := range []int{t.RowNext(rank), t.ColNext(rank)} {
-		if !seen[nb] {
-			seen[nb] = true
-			out = append(out, nb)
-		}
-	}
-	return out
-}
-
 func (t *Torus) check(rank int) {
 	if rank < 0 || rank >= t.Size() {
 		panic(fmt.Sprintf("topology: rank %d out of range [0,%d)", rank, t.Size()))
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Star (parameter server)
-
-// Star is the PS topology: rank 0 is the server; every other worker has
-// a bidirectional link to it.
-type Star struct {
-	n int
-}
-
-// NewStar constructs a star over n ≥ 1 nodes (rank 0 = server).
-func NewStar(n int) *Star {
-	if n < 1 {
-		panic("topology: star needs n >= 1")
-	}
-	return &Star{n: n}
-}
-
-// Kind implements Topology.
-func (s *Star) Kind() Kind { return KindStar }
-
-// Size implements Topology.
-func (s *Star) Size() int { return s.n }
-
-// Server returns the hub rank.
-func (s *Star) Server() int { return 0 }
-
-// Neighbors implements Topology.
-func (s *Star) Neighbors(rank int) []int {
-	if rank < 0 || rank >= s.n {
-		panic(fmt.Sprintf("topology: rank %d out of range [0,%d)", rank, s.n))
-	}
-	if rank == 0 {
-		out := make([]int, 0, s.n-1)
-		for i := 1; i < s.n; i++ {
-			out = append(out, i)
-		}
-		return out
-	}
-	return []int{0}
 }
 
 // ---------------------------------------------------------------------------
@@ -290,10 +135,7 @@ func NewTree(n int) *Tree {
 	return &Tree{n: n}
 }
 
-// Kind implements Topology.
-func (t *Tree) Kind() Kind { return KindTree }
-
-// Size implements Topology.
+// Size returns the number of workers.
 func (t *Tree) Size() int { return t.n }
 
 // Parent returns the parent rank, or -1 for the root.
@@ -326,15 +168,6 @@ func (t *Tree) Depth(rank int) int {
 		d++
 	}
 	return d
-}
-
-// Neighbors implements Topology.
-func (t *Tree) Neighbors(rank int) []int {
-	out := t.Children(rank)
-	if p := t.Parent(rank); p >= 0 {
-		out = append(out, p)
-	}
-	return out
 }
 
 func (t *Tree) check(rank int) {

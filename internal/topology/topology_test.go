@@ -1,45 +1,11 @@
 package topology
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
 )
-
-func TestRingNextPrev(t *testing.T) {
-	r := NewRing(4)
-	if r.Next(3) != 0 || r.Prev(0) != 3 {
-		t.Fatal("ring wraparound broken")
-	}
-	for i := 0; i < 4; i++ {
-		if r.Prev(r.Next(i)) != i {
-			t.Fatalf("Prev(Next(%d)) != %d", i, i)
-		}
-	}
-	if r.Kind() != KindRing || r.Size() != 4 {
-		t.Fatal("ring metadata")
-	}
-}
-
-func TestRingNeighbors(t *testing.T) {
-	r := NewRing(3)
-	nb := r.Neighbors(2)
-	if len(nb) != 1 || nb[0] != 0 {
-		t.Fatalf("Neighbors(2) = %v", nb)
-	}
-	if NewRing(1).Neighbors(0) != nil {
-		t.Fatal("singleton ring has no neighbors")
-	}
-}
-
-func TestRingPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewRing(0)
-}
 
 func TestTorusCoordRankInverse(t *testing.T) {
 	tr := NewTorus(3, 4)
@@ -97,28 +63,31 @@ func TestTorusGroups(t *testing.T) {
 		{2, 2, [][]int{{0, 1}, {2, 3}}, [][]int{{0, 2}, {1, 3}}},
 		{2, 3, [][]int{{0, 1, 2}, {3, 4, 5}}, [][]int{{0, 3}, {1, 4}, {2, 5}}},
 		{1, 4, [][]int{{0, 1, 2, 3}}, [][]int{{0}, {1}, {2}, {3}}},
+		{1, 1, [][]int{{0}}, [][]int{{0}}},
 	} {
-		tr := NewTorus(tc.rows, tc.cols)
-		if got := tr.RowGroups(); !reflect.DeepEqual(got, tc.rowGroups) {
-			t.Fatalf("%dx%d RowGroups = %v, want %v", tc.rows, tc.cols, got, tc.rowGroups)
-		}
-		if got := tr.ColGroups(); !reflect.DeepEqual(got, tc.colGroups) {
-			t.Fatalf("%dx%d ColGroups = %v, want %v", tc.rows, tc.cols, got, tc.colGroups)
-		}
-		for _, g := range tr.RowGroups() {
-			for p, rank := range g {
-				if next := g[(p+1)%len(g)]; tr.RowNext(rank) != next {
-					t.Fatalf("%dx%d row group %v: RowNext(%d) = %d", tc.rows, tc.cols, g, rank, tr.RowNext(rank))
+		t.Run(fmt.Sprintf("%dx%d", tc.rows, tc.cols), func(t *testing.T) {
+			tr := NewTorus(tc.rows, tc.cols)
+			if got := tr.RowGroups(); !reflect.DeepEqual(got, tc.rowGroups) {
+				t.Fatalf("%dx%d RowGroups = %v, want %v", tc.rows, tc.cols, got, tc.rowGroups)
+			}
+			if got := tr.ColGroups(); !reflect.DeepEqual(got, tc.colGroups) {
+				t.Fatalf("%dx%d ColGroups = %v, want %v", tc.rows, tc.cols, got, tc.colGroups)
+			}
+			for _, g := range tr.RowGroups() {
+				for p, rank := range g {
+					if next := g[(p+1)%len(g)]; tr.RowNext(rank) != next {
+						t.Fatalf("%dx%d row group %v: RowNext(%d) = %d", tc.rows, tc.cols, g, rank, tr.RowNext(rank))
+					}
 				}
 			}
-		}
-		for _, g := range tr.ColGroups() {
-			for p, rank := range g {
-				if next := g[(p+1)%len(g)]; tr.ColNext(rank) != next {
-					t.Fatalf("%dx%d col group %v: ColNext(%d) = %d", tc.rows, tc.cols, g, rank, tr.ColNext(rank))
+			for _, g := range tr.ColGroups() {
+				for p, rank := range g {
+					if next := g[(p+1)%len(g)]; tr.ColNext(rank) != next {
+						t.Fatalf("%dx%d col group %v: ColNext(%d) = %d", tc.rows, tc.cols, g, rank, tr.ColNext(rank))
+					}
 				}
 			}
-		}
+		})
 	}
 	if got := AllRanks(4); !reflect.DeepEqual(got, NewTorus(1, 4).RowGroups()[0]) {
 		t.Fatalf("AllRanks(4) = %v", got)
@@ -129,36 +98,13 @@ func TestSquareTorusShapes(t *testing.T) {
 	for _, tc := range []struct{ n, rows, cols int }{
 		{16, 4, 4}, {12, 3, 4}, {7, 1, 7}, {1, 1, 1}, {64, 8, 8},
 	} {
-		tr := SquareTorus(tc.n)
-		if tr.Rows() != tc.rows || tr.Cols() != tc.cols {
-			t.Fatalf("SquareTorus(%d) = %dx%d, want %dx%d",
-				tc.n, tr.Rows(), tr.Cols(), tc.rows, tc.cols)
-		}
-	}
-}
-
-func TestTorusNeighborsDedup(t *testing.T) {
-	// 1x1 torus: self-loops must not appear.
-	if nb := NewTorus(1, 1).Neighbors(0); len(nb) != 0 {
-		t.Fatalf("1x1 neighbors: %v", nb)
-	}
-	// 1xN torus: row and column steps may coincide.
-	nb := NewTorus(1, 2).Neighbors(0)
-	if len(nb) != 1 || nb[0] != 1 {
-		t.Fatalf("1x2 neighbors: %v", nb)
-	}
-}
-
-func TestStar(t *testing.T) {
-	s := NewStar(4)
-	if s.Server() != 0 || s.Kind() != KindStar {
-		t.Fatal("star metadata")
-	}
-	if nb := s.Neighbors(0); len(nb) != 3 {
-		t.Fatalf("server neighbors: %v", nb)
-	}
-	if nb := s.Neighbors(2); len(nb) != 1 || nb[0] != 0 {
-		t.Fatalf("client neighbors: %v", nb)
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			tr := SquareTorus(tc.n)
+			if tr.Rows() != tc.rows || tr.Cols() != tc.cols {
+				t.Fatalf("SquareTorus(%d) = %dx%d, want %dx%d",
+					tc.n, tr.Rows(), tr.Cols(), tc.rows, tc.cols)
+			}
+		})
 	}
 }
 
@@ -201,65 +147,5 @@ func TestTreeParentChildConsistency(t *testing.T) {
 		if !found {
 			t.Fatalf("rank %d missing from children of its parent %d", r, p)
 		}
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if KindRing.String() != "ring" || KindTorus.String() != "torus" ||
-		KindStar.String() != "star" || KindTree.String() != "tree" {
-		t.Fatal("Kind.String")
-	}
-	if Kind(99).String() == "" {
-		t.Fatal("unknown kind must still render")
-	}
-}
-
-func TestTopologyInterfaceCompliance(t *testing.T) {
-	for _, tp := range []Topology{NewRing(4), NewTorus(2, 2), NewStar(4), NewTree(4)} {
-		if tp.Size() != 4 {
-			t.Fatalf("%v size", tp.Kind())
-		}
-		for r := 0; r < 4; r++ {
-			for _, nb := range tp.Neighbors(r) {
-				if nb < 0 || nb >= 4 || nb == r {
-					t.Fatalf("%v: bad neighbor %d of %d", tp.Kind(), nb, r)
-				}
-			}
-		}
-	}
-}
-
-func TestLinksEnumeratesDirectedEdges(t *testing.T) {
-	// Ring: n forward edges, each rank exactly one.
-	ring := Links(NewRing(3))
-	want := [][2]int{{0, 1}, {1, 2}, {2, 0}}
-	if len(ring) != len(want) {
-		t.Fatalf("ring links = %v", ring)
-	}
-	for i, l := range want {
-		if ring[i] != l {
-			t.Fatalf("ring link %d = %v, want %v", i, ring[i], l)
-		}
-	}
-
-	// Star: rank 0 to every worker plus every worker back — both
-	// directions of each spoke appear.
-	star := Links(NewStar(3))
-	if len(star) != 4 {
-		t.Fatalf("star links = %v", star)
-	}
-	seen := map[[2]int]bool{}
-	for _, l := range star {
-		seen[l] = true
-	}
-	for _, l := range [][2]int{{0, 1}, {0, 2}, {1, 0}, {2, 0}} {
-		if !seen[l] {
-			t.Fatalf("star links missing %v: %v", l, star)
-		}
-	}
-
-	// Degenerate single worker: no links.
-	if got := Links(NewRing(1)); len(got) != 0 {
-		t.Fatalf("M=1 ring links = %v", got)
 	}
 }

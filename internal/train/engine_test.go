@@ -115,10 +115,12 @@ func TestEngineEquivalence(t *testing.T) {
 }
 
 // TestEngineEquivalenceTCP re-runs the engine equivalence with the
-// parallel engine's TCP fabric: metric series must match the sequential
-// engine point for point even when every collective hop crosses a real
-// socket. ssdm covers the compressed sign-sum ring over the wire; the
-// PS case covers the hub actor over the wire.
+// parallel engine on every cross-process fabric train.Run accepts — TCP,
+// shared memory and the hybrid split: metric series must match the
+// sequential engine point for point even when every collective hop
+// crosses a real socket or an mmap'd ring. ssdm covers the compressed
+// sign-sum ring over the wire; the PS case covers the hub actor over
+// the wire.
 func TestEngineEquivalenceTCP(t *testing.T) {
 	cases := []struct {
 		method Method
@@ -129,38 +131,42 @@ func TestEngineEquivalenceTCP(t *testing.T) {
 		{MethodSSDM, TopoRing},
 		{MethodSSDM, TopoPS},
 	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s_%s", tc.method, tc.topo), func(t *testing.T) {
-			cfg := quickCfg(tc.method, tc.topo)
-			cfg.Rounds = 6
-			cfg.K = 3
+	for _, fabric := range []Transport{TransportTCP, TransportSHM, TransportHybrid} {
+		t.Run(string(fabric), func(t *testing.T) {
+			for _, tc := range cases {
+				t.Run(fmt.Sprintf("%s_%s", tc.method, tc.topo), func(t *testing.T) {
+					cfg := quickCfg(tc.method, tc.topo)
+					cfg.Rounds = 6
+					cfg.K = 3
 
-			seqCfg, tcpCfg := cfg, cfg
-			seqCfg.Engine = EngineSeq
-			tcpCfg.Engine = EnginePar
-			tcpCfg.Transport = TransportTCP
-			seqRes, err := Run(seqCfg)
-			if err != nil {
-				t.Fatalf("seq: %v", err)
-			}
-			tcpRes, err := Run(tcpCfg)
-			if err != nil {
-				t.Fatalf("tcp: %v", err)
-			}
-			if len(seqRes.Points) != len(tcpRes.Points) {
-				t.Fatalf("point counts: seq %d, tcp %d", len(seqRes.Points), len(tcpRes.Points))
-			}
-			for i := range seqRes.Points {
-				s, p := seqRes.Points[i], tcpRes.Points[i]
-				if s.Loss != p.Loss || s.MatchRate != p.MatchRate || s.MB != p.MB {
-					t.Fatalf("round %d: seq %+v, tcp %+v", i, s, p)
-				}
-				if diff := s.SimTime - p.SimTime; diff > 1e-9 || diff < -1e-9 {
-					t.Fatalf("round %d sim time: seq %v, tcp %v", i, s.SimTime, p.SimTime)
-				}
-			}
-			if seqRes.FinalAcc != tcpRes.FinalAcc {
-				t.Fatalf("final acc: seq %v, tcp %v", seqRes.FinalAcc, tcpRes.FinalAcc)
+					seqCfg, parCfg := cfg, cfg
+					seqCfg.Engine = EngineSeq
+					parCfg.Engine = EnginePar
+					parCfg.Transport = fabric
+					seqRes, err := Run(seqCfg)
+					if err != nil {
+						t.Fatalf("seq: %v", err)
+					}
+					parRes, err := Run(parCfg)
+					if err != nil {
+						t.Fatalf("%s: %v", fabric, err)
+					}
+					if len(seqRes.Points) != len(parRes.Points) {
+						t.Fatalf("point counts: seq %d, %s %d", len(seqRes.Points), fabric, len(parRes.Points))
+					}
+					for i := range seqRes.Points {
+						s, p := seqRes.Points[i], parRes.Points[i]
+						if s.Loss != p.Loss || s.MatchRate != p.MatchRate || s.MB != p.MB {
+							t.Fatalf("round %d: seq %+v, %s %+v", i, s, fabric, p)
+						}
+						if diff := s.SimTime - p.SimTime; diff > 1e-9 || diff < -1e-9 {
+							t.Fatalf("round %d sim time: seq %v, %s %v", i, s.SimTime, fabric, p.SimTime)
+						}
+					}
+					if seqRes.FinalAcc != parRes.FinalAcc {
+						t.Fatalf("final acc: seq %v, %s %v", seqRes.FinalAcc, fabric, parRes.FinalAcc)
+					}
+				})
 			}
 		})
 	}

@@ -87,7 +87,8 @@ const (
 	EngineSeq Engine = "seq"
 	// EnginePar is the concurrent engine (internal/runtime): one
 	// goroutine per worker exchanging messages over a pluggable
-	// transport (loopback or TCP). Every method runs on it —
+	// transport (loopback, TCP, shared memory or the hybrid shm/TCP
+	// split; see Config.Transport). Every method runs on it —
 	// full-precision RAR/TAR and the PS push–pull (psgd), the sign-sum
 	// transports with bit-width expansion ± Elias (signsgd, ef-signsgd,
 	// ssdm, including their PS hub forms), cascading SSDM, and the

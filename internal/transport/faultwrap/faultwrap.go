@@ -17,19 +17,15 @@
 //
 // Delay draws come from rng.PCG streams keyed by (Seed, from, to), so a
 // fixed seed yields the same delay schedule on every run regardless of
-// fabric backend. ApplyLinkCosts mirrors the injected means into
-// netsim per-link α overrides when an experiment wants the simulator to
-// model the injected heterogeneity instead of just surviving it.
+// fabric backend.
 package faultwrap
 
 import (
 	"sync"
 	"time"
 
-	"marsit/internal/netsim"
 	"marsit/internal/obs"
 	"marsit/internal/rng"
-	"marsit/internal/topology"
 	"marsit/internal/transport"
 )
 
@@ -50,18 +46,6 @@ type Config struct {
 	// value (rank 0, factor 0) injects no straggler.
 	Straggler       int
 	StragglerFactor float64
-}
-
-// MeanDelay returns the expected injected delay for one Send from rank
-// from: Base + Jitter/2, times the straggler factor where it applies.
-// ApplyLinkCosts uses it to thread the injected heterogeneity into the
-// cost model.
-func (cfg Config) MeanDelay(from int) time.Duration {
-	d := float64(cfg.Base) + float64(cfg.Jitter)/2
-	if cfg.StragglerFactor > 1 && from == cfg.Straggler {
-		d *= cfg.StragglerFactor
-	}
-	return time.Duration(d)
 }
 
 // Transport wraps an inner fabric with send-delay injection.
@@ -172,21 +156,4 @@ func (e *endpoint) draw(to int) time.Duration {
 		d += e.streams[to].Float64() * float64(cfg.Jitter)
 	}
 	return time.Duration(d * e.factor)
-}
-
-// ApplyLinkCosts threads cfg's mean injected delays into c as per-link
-// α overrides over topo's directed edges: each link from → to gets the
-// model latency plus the sender's mean injected delay. This is the
-// "model the injected heterogeneity" half of the calibration harness —
-// apply it to both engines' clusters and the equivalence bar still
-// holds, now over a heterogeneous cost model that tracks the fault
-// injection.
-func ApplyLinkCosts(c *netsim.Cluster, topo topology.Topology, cfg Config) {
-	for _, link := range topology.Links(topo) {
-		from, to := link[0], link[1]
-		c.SetLinkCost(from, to, netsim.LinkCost{
-			Latency:    c.Model.Latency + cfg.MeanDelay(from).Seconds(),
-			BytePeriod: c.Model.BytePeriod,
-		})
-	}
 }

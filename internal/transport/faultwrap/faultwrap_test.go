@@ -4,9 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"marsit/internal/netsim"
 	"marsit/internal/obs"
-	"marsit/internal/topology"
 	"marsit/internal/transport"
 	"marsit/internal/transport/tcp"
 	"marsit/internal/transport/transporttest"
@@ -115,51 +113,4 @@ func TestPacketPassthroughAndCounters(t *testing.T) {
 	if ns := reg.Counter("marsit_faultwrap_delay_nanos_total").Value(); ns < int64(20*time.Microsecond) {
 		t.Fatalf("delay nanos = %d, want >= base", ns)
 	}
-}
-
-// TestMeanDelay pins the closed form ApplyLinkCosts relies on.
-func TestMeanDelay(t *testing.T) {
-	cfg := Config{Base: 100 * time.Microsecond, Jitter: 200 * time.Microsecond,
-		Straggler: 2, StragglerFactor: 4}
-	if got := cfg.MeanDelay(0); got != 200*time.Microsecond {
-		t.Fatalf("MeanDelay(0) = %v", got)
-	}
-	if got := cfg.MeanDelay(2); got != 800*time.Microsecond {
-		t.Fatalf("MeanDelay(straggler) = %v", got)
-	}
-	if got := (Config{}).MeanDelay(0); got != 0 {
-		t.Fatalf("zero config MeanDelay = %v", got)
-	}
-}
-
-// TestApplyLinkCosts checks the mean injected delays land as per-link α
-// overrides over the topology's directed edges, on top of the model
-// latency, with β untouched.
-func TestApplyLinkCosts(t *testing.T) {
-	c := netsim.NewCluster(3, netsim.CostModel{Latency: 1e-3, BytePeriod: 1e-6})
-	cfg := Config{Base: 500 * time.Microsecond, Jitter: time.Millisecond,
-		Straggler: 1, StragglerFactor: 2}
-	ApplyLinkCosts(c, topology.NewRing(3), cfg)
-
-	alpha, beta := c.Link(0, 1)
-	if want := 1e-3 + 1e-3; !feq(alpha, want) {
-		t.Fatalf("link 0->1 alpha = %v, want %v", alpha, want)
-	}
-	if !feq(beta, 1e-6) {
-		t.Fatalf("link 0->1 beta = %v, want model", beta)
-	}
-	alpha, _ = c.Link(1, 2)
-	if want := 1e-3 + 2e-3; !feq(alpha, want) {
-		t.Fatalf("straggler link 1->2 alpha = %v, want %v", alpha, want)
-	}
-	// 0->2 is not a ring edge: stays on the uniform model.
-	alpha, _ = c.Link(0, 2)
-	if !feq(alpha, 1e-3) {
-		t.Fatalf("non-edge 0->2 alpha = %v, want model", alpha)
-	}
-}
-
-func feq(a, b float64) bool {
-	d := a - b
-	return d < 1e-12 && d > -1e-12
 }

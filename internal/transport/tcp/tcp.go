@@ -113,9 +113,6 @@ type Config struct {
 	// LocalRanks lists the ranks this process hosts. nil hosts all ranks
 	// (the in-process configuration).
 	LocalRanks []int
-	// Depth is the per-link queue depth (≥ 1); 0 selects
-	// transport.DefaultDepth.
-	Depth int
 	// DialTimeout bounds the rendezvous; 0 selects DefaultDialTimeout.
 	DialTimeout time.Duration
 }
@@ -124,7 +121,6 @@ type Config struct {
 // for the ranks this process hosts.
 type Fabric struct {
 	n         int
-	depth     int
 	local     []int
 	eps       map[int]*endpoint
 	listeners []net.Listener
@@ -204,7 +200,7 @@ func New(cfg Config) (*Fabric, error) {
 		}
 		listeners[r] = l
 	}
-	return assemble(cfg.Addrs, listeners, local, cfg.Depth, cfg.DialTimeout)
+	return assemble(cfg.Addrs, listeners, local, cfg.DialTimeout)
 }
 
 // NewLocal assembles an n-rank fabric entirely inside this process, every
@@ -230,7 +226,7 @@ func NewLocal(n int) (*Fabric, error) {
 		addrs[r] = l.Addr().String()
 		local[r] = r
 	}
-	return assemble(addrs, listeners, local, 0, 0)
+	return assemble(addrs, listeners, local, 0)
 }
 
 // pairKey identifies the unordered rank pair {a, b}.
@@ -244,24 +240,17 @@ func keyOf(a, b int) pairKey {
 }
 
 // assemble runs the rendezvous over pre-bound listeners and starts the
-// per-pair goroutines. It owns the listeners from here on.
-func assemble(addrs []string, listeners map[int]net.Listener, local []int, depth int, timeout time.Duration) (*Fabric, error) {
+// per-pair goroutines. It owns the listeners from here on. Every link
+// queues transport.DefaultDepth packets each way.
+func assemble(addrs []string, listeners map[int]net.Listener, local []int, timeout time.Duration) (*Fabric, error) {
 	n := len(addrs)
-	if depth == 0 {
-		depth = transport.DefaultDepth
-	}
-	if depth < 1 {
-		for _, l := range listeners {
-			l.Close()
-		}
-		return nil, fmt.Errorf("tcp: depth %d < 1", depth)
-	}
+	depth := transport.DefaultDepth
 	if timeout == 0 {
 		timeout = DefaultDialTimeout
 	}
 	deadline := time.Now().Add(timeout)
 
-	f := &Fabric{n: n, depth: depth, local: local, eps: make(map[int]*endpoint, len(local)), done: make(chan struct{})}
+	f := &Fabric{n: n, local: local, eps: make(map[int]*endpoint, len(local)), done: make(chan struct{})}
 	if reg := obs.Active(); reg != nil {
 		hosted := make([]bool, n)
 		for _, r := range local {
