@@ -3,7 +3,8 @@
 #   make check             fmt + vet + build + test + collective-listing golden
 #                          + no-shims guard + dead-code golden (what CI runs)
 #   make race              race-detector pass over the concurrency-bearing
-#                          packages
+#                          packages (the lane helper in internal/tensor and
+#                          the range-split optimizer steps included)
 #   make benchmark W=<w>   the repository's benchmark (BENCHMARK.json): one
 #                          workload of benchmark/run.sh — ring_marsit,
 #                          ring_rar, mix_shm, train_marsit or fleet_tcp —
@@ -18,9 +19,11 @@
 #                          workload × end-to-end metric
 #   make bench-smoke       the kernel micro-benchmarks (MatchRate and NormVec
 #                          beside their oracles among them; SubScaled and
-#                          the bit-vector MatchRate beside the dense forms
+#                          the bit-vector MatchCount beside the dense forms
 #                          they replace), the sequential one-bit Sync (ring
-#                          and torus), the batched and
+#                          and torus) and SyncUpdate at the train_marsit
+#                          shape (BenchmarkSyncUpdateTrainShape: M = 4,
+#                          D = 99 402, K = 0, on lanes), the batched and
 #                          per-sample forward/backward at the train_marsit
 #                          workload's shape, one trainer round and the
 #                          whole train_marsit job (BenchmarkTrainJob,
@@ -33,7 +36,7 @@
 #                          encoder at every buffer edge included), the
 #                          masked Bernoulli lanes, the word-at-a-time ⊙
 #                          merge, the bit-sliced majority vote and the
-#                          one-bit update's SubScaled/MatchRate vs their
+#                          one-bit update's SubScaled/MatchCount vs their
 #                          scalar oracles, and the PowerSGD Gram–Schmidt
 #                          orthonormalization on degenerate inputs
 #   make list-collectives  golden check: the CLIs' collective listing must
@@ -84,10 +87,13 @@ test:
 
 # ./internal/transport/... covers the shm and hybrid fabrics — the
 # mmap-ring publish/consume protocol and the composite routing are
-# exactly the code the race detector must see.
+# exactly the code the race detector must see. ./internal/tensor/...
+# holds ForLanes, the fork-join the trainer and the lock-step Marsit
+# share, and ./internal/optim/... the range-split steps that run on it.
 race:
 	$(GO) test -race . ./internal/runtime/... ./internal/transport/... \
 		./internal/core/... ./internal/rng/... ./internal/train/... \
+		./internal/tensor/... ./internal/optim/... \
 		./internal/node/... ./internal/collective/registry/... \
 		./internal/obs/... ./internal/calib/...
 
@@ -116,9 +122,11 @@ ab:
 
 # bench-smoke runs the word-parallel kernels' micro-benchmarks (fast
 # path vs scalar oracle, and bitvec's BenchmarkSubScaled and
-# BenchmarkMatchRateSigns: the one-bit update read from bits vs the dense
+# BenchmarkMatchCountSigns: the one-bit update read from bits vs the dense
 # vector), the micro-benchmarks of Algorithm 1's own code (core's
-# BenchmarkSyncOneBitRing/Torus, train's BenchmarkTrainRoundMarsit), of
+# BenchmarkSyncOneBitRing/Torus, BenchmarkSyncUpdateTrainShape — one
+# one-bit SyncUpdate at the trainer's M = 4, D = 99 402 on the lanes
+# GOMAXPROCS allows — and train's BenchmarkTrainRoundMarsit), of
 # the trainer's local step (nn's BenchmarkLossGradBatch: MLP
 # 192→384→64→10, B = 8, batched vs the per-sample loop) and of the
 # train_marsit job itself (train's BenchmarkTrainJob: 120 rounds at

@@ -290,20 +290,16 @@ func (v *Vec) UnpackScaled(dst []float64, scale float64) {
 	}
 }
 
-// MatchRate returns tensor.MatchRate(u, ref) for the u that
-// UnpackScaled(u, scale) writes with any scale > 0, without writing u:
-// the share of indices at which ±scale and ref[i] have the same sign.
-// ±scale is negative exactly where bit i is clear, so the two agree
-// where bit i differs from ref[i] < 0 — tensor.MatchRate's own
-// predicate, not PackSigns' x >= 0, which parts ways with it on −0 and
-// NaN. ref[i] < 0 is packed a word at a time and the agreements counted
-// by popcount. An empty vector matches perfectly.
-func (v *Vec) MatchRate(ref []float64) float64 {
+// MatchCount returns tensor.MatchCount(u, ref) for the u that
+// UnpackScaled(u, scale) writes with any scale > 0: the number of indices
+// at which ±scale and ref[i] have the same sign. ±scale is negative
+// exactly where bit i is clear, so the two agree where bit i differs from
+// ref[i] < 0 — tensor.MatchRate's own predicate, not PackSigns' x >= 0,
+// which parts ways with it on −0 and NaN. ref[i] < 0 is packed a word at
+// a time and the agreements counted by popcount.
+func (v *Vec) MatchCount(ref []float64) int {
 	if len(ref) != v.n {
-		panic(fmt.Sprintf("bitvec: MatchRate length mismatch %d != %d", len(ref), v.n))
-	}
-	if v.n == 0 {
-		return 1
+		panic(fmt.Sprintf("bitvec: MatchCount length mismatch %d != %d", len(ref), v.n))
 	}
 	agree := 0
 	for wi, w := range v.words {
@@ -322,7 +318,7 @@ func (v *Vec) MatchRate(ref []float64) float64 {
 		// Both words keep their bits past len(r) clear.
 		agree += bits.OnesCount64(w ^ (neg >> uint(64-len(r))))
 	}
-	return float64(agree) / float64(v.n)
+	return agree
 }
 
 // UnpackSigns writes ±1 into dst (bit 1 → +1, bit 0 → −1).
@@ -590,6 +586,21 @@ func (v *Vec) ExtractInto(dst *Vec, lo int) {
 		}
 	}
 	dst.clearTail()
+}
+
+// Slice returns bits [lo, hi) of v as a vector that shares v's words, so
+// a pass over v can be split into ranges that each run a Vec method on
+// their own bits. A non-empty range must start a word and end one or at
+// Len: then the slice keeps the clear tail every method relies on, and
+// two slices of disjoint ranges share no word.
+func (v *Vec) Slice(lo, hi int) Vec {
+	if lo < 0 || hi < lo || hi > v.n || lo < hi && (lo&63 != 0 || hi&63 != 0 && hi != v.n) {
+		panic(fmt.Sprintf("bitvec: Slice[%d,%d) of length %d is not word-aligned", lo, hi, v.n))
+	}
+	if lo == hi {
+		return Vec{}
+	}
+	return Vec{n: hi - lo, words: v.words[lo>>6 : (hi+63)>>6]}
 }
 
 // Insert writes src into v starting at bit lo, a word at a time: each

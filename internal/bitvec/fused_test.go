@@ -59,10 +59,11 @@ func TestFusedRoundKernelsMatchUnfused(t *testing.T) {
 	}
 }
 
-// requireSignKernels checks SubScaled, UnpackScaled and MatchRate on bits
+// requireSignKernels checks SubScaled, UnpackScaled and MatchCount on bits
 // against the pre-bits-update oracles: SubScaled and UnpackScaled against
-// unpackScaledSub's two halves, and MatchRate against tensor.MatchRate
-// over the vector UnpackScaled writes.
+// unpackScaledSub's two halves, and MatchCount against tensor.MatchCount
+// (the numerator of tensor.MatchRate) over the vector UnpackScaled
+// writes.
 func requireSignKernels(t *testing.T, bits *Vec, acc, ref []float64, scale float64) {
 	t.Helper()
 	n := bits.Len()
@@ -76,13 +77,12 @@ func requireSignKernels(t *testing.T, bits *Vec, acc, ref []float64, scale float
 	bits.UnpackScaled(unpacked, scale)
 	requireSameBits(t, "UnpackScaled", unpacked, dense)
 
-	gotRate, wantRate := bits.MatchRate(ref), tensor.MatchRate(dense, ref)
-	if math.Float64bits(gotRate) != math.Float64bits(wantRate) {
-		t.Fatalf("n=%d: MatchRate = %v, tensor.MatchRate over the unpacked update %v", n, gotRate, wantRate)
+	if got, want := bits.MatchCount(ref), tensor.MatchCount(dense, ref); got != want {
+		t.Fatalf("n=%d: MatchCount = %d, tensor.MatchCount over the unpacked update %d", n, got, want)
 	}
 }
 
-// matchRateEdges are the reference values whose sign MatchRate must read
+// matchRateEdges are the reference values whose sign MatchCount must read
 // with x < 0, not the sign bit or x >= 0: −0, NaN of both signs, ±Inf
 // and ±denormals.
 var matchRateEdges = []float64{
@@ -107,6 +107,64 @@ func TestSignKernelsMatchDense(t *testing.T) {
 	}
 }
 
+// TestSignKernelsOnSlices pins the trainer's range split of a one-bit
+// update to the whole-vector kernels: over the word-aligned ranges of
+// tensor.PartitionAligned, the MatchCounts of the Slices add up to the
+// whole vector's count, and their UnpackScaled writes the whole vector's
+// values, bit for bit. Lengths cover a partial last word, fewer words
+// than ranges (empty ranges) and the IEEE edge values in ref.
+func TestSignKernelsOnSlices(t *testing.T) {
+	const scale = 0.04
+	for _, n := range []int{0, 1, 63, 64, 65, 129, 200, 1001} {
+		bits := fuzzVec(uint64(n)^0x51ce, n)
+		ref := fuzzFloats(uint64(n)^0x3a7c, n)
+		for i := range ref {
+			if i%3 == 0 {
+				ref[i] = matchRateEdges[i%len(matchRateEdges)]
+			}
+		}
+		want := make([]float64, n)
+		bits.UnpackScaled(want, scale)
+		wantCount := tensor.MatchCount(want, ref)
+		if got := bits.MatchCount(ref); got != wantCount {
+			t.Fatalf("n=%d: MatchCount = %d, tensor.MatchCount over the unpacked update %d", n, got, wantCount)
+		}
+		for _, lanes := range []int{1, 2, 3, 4, 8} {
+			got, count := make([]float64, n), 0
+			for _, seg := range tensor.PartitionAligned(n, lanes, 64) {
+				s := bits.Slice(seg.Lo, seg.Hi)
+				count += s.MatchCount(seg.Of(ref))
+				s.UnpackScaled(seg.Of(got), scale)
+			}
+			if count != wantCount {
+				t.Fatalf("n=%d, %d ranges: counts add up to %d, want %d", n, lanes, count, wantCount)
+			}
+			requireSameBits(t, "UnpackScaled by range", got, want)
+		}
+	}
+}
+
+// TestSliceNeedsWordAlignment: a range that starts or ends inside a word
+// (other than at Len) would share that word with its neighbour.
+func TestSliceNeedsWordAlignment(t *testing.T) {
+	v := New(200)
+	for _, r := range [][2]int{{1, 64}, {0, 65}, {64, 199}, {-64, 0}, {192, 256}, {65, 64}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Slice(%d, %d) of length 200 did not panic", r[0], r[1])
+				}
+			}()
+			v.Slice(r[0], r[1])
+		}()
+	}
+	for _, r := range [][2]int{{0, 64}, {64, 200}, {192, 200}, {200, 200}, {7, 7}} {
+		if s := v.Slice(r[0], r[1]); s.Len() != r[1]-r[0] {
+			t.Fatalf("Slice(%d, %d) has length %d", r[0], r[1], s.Len())
+		}
+	}
+}
+
 func FuzzSignKernelsAgainstScalar(f *testing.F) {
 	for _, n := range fuzzVecLens {
 		f.Add(uint64(n), uint16(n), 0.04)
@@ -114,7 +172,7 @@ func FuzzSignKernelsAgainstScalar(f *testing.F) {
 	f.Add(uint64(1), uint16(0), 1e-300)
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, scale float64) {
 		if !(scale > 0) {
-			t.Skip("MatchRate and SubScaled take a positive scale")
+			t.Skip("MatchCount and SubScaled take a positive scale")
 		}
 		n := int(nRaw) % 513
 		ref := fuzzFloats(seed^0x3a7c, n)
@@ -140,7 +198,7 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-var matchRateSink float64
+var matchCountSink int
 
 func BenchmarkSubScaled(b *testing.B) {
 	bits := fuzzVec(4, benchBits)
@@ -160,7 +218,7 @@ func BenchmarkSubScaled(b *testing.B) {
 	})
 }
 
-func BenchmarkMatchRateSigns(b *testing.B) {
+func BenchmarkMatchCountSigns(b *testing.B) {
 	bits := fuzzVec(6, benchBits)
 	ref := fuzzFloats(7, benchBits)
 	dense := make([]float64, benchBits)
@@ -168,13 +226,13 @@ func BenchmarkMatchRateSigns(b *testing.B) {
 	b.Run("bits", func(b *testing.B) {
 		b.SetBytes(8 * benchBits)
 		for i := 0; i < b.N; i++ {
-			matchRateSink += bits.MatchRate(ref)
+			matchCountSink += bits.MatchCount(ref)
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
 		b.SetBytes(8 * benchBits)
 		for i := 0; i < b.N; i++ {
-			matchRateSink += tensor.MatchRate(dense, ref)
+			matchCountSink += tensor.MatchCount(dense, ref)
 		}
 	})
 }

@@ -29,15 +29,20 @@
 // between. Marsit.SyncUpdate runs lines 4–8 for all workers of a simulated
 // cluster in lock step — the form the paper's figures use, and the
 // oracle the equivalence tests compare merge order, draw order, bytes
-// and clocks against. RankSync.Sync runs one rank's share over a
-// transport endpoint, on the concurrent engine's worker goroutines
-// in-process and in one marsit-node process per rank across machines. A
-// Marsit holds one RankSync per worker either way; Config.Parallel only
-// chooses which of the two schedules drives them. Both charge wire bytes
-// and simulated time to the netsim substrate identically; because
-// compression and reception overlap by design (Section 4.1.1), a one-bit
-// round charges only the initial sign packing and the final unpacking as
-// compression time.
+// and clocks against. A one-bit round's arithmetic runs on
+// min(M, GOMAXPROCS) lanes (tensor.ForLanes), each step split where it
+// touches disjoint state — a worker's packing and compensation, one
+// segment's merge in a ring step, a member's write-back — and every
+// clock charge and exchange follows on the caller in schedule order, so
+// it is bit-identical at every GOMAXPROCS. RankSync.Sync runs one rank's
+// share over a transport endpoint, on the concurrent engine's worker
+// goroutines in-process and in one marsit-node process per rank across
+// machines. A Marsit holds one RankSync per worker either way;
+// Config.Parallel only chooses which of the two schedules drives them.
+// Both charge wire bytes and simulated time to the netsim substrate
+// identically; because compression and reception overlap by design
+// (Section 4.1.1), a one-bit round charges only the initial sign packing
+// and the final unpacking as compression time.
 //
 // A one-bit round's global update is D bits and one scalar, ±η_s, and
 // SyncUpdate returns it as that (Update): the compensation subtracts
@@ -192,10 +197,10 @@ type Config struct {
 	// Parallel selects the concurrent execution engine
 	// (internal/runtime): every Sync runs one RankSync per worker on its
 	// own goroutine, exchanging messages over a pluggable transport,
-	// instead of the single-threaded lock-step loop. Results, wire bytes
-	// and simulated clocks are bit-identical to the sequential path for
-	// a fixed Seed. Call Close when the instance is no longer needed to
-	// release the worker goroutines.
+	// instead of the lock-step loop. Results, wire bytes and simulated
+	// clocks are bit-identical to the sequential path for a fixed Seed.
+	// Call Close when the instance is no longer needed to release the
+	// worker goroutines.
 	Parallel bool
 	// Transport selects the parallel engine's fabric backend
 	// (TransportLoopback, TransportTCP, TransportSHM or
@@ -261,16 +266,16 @@ func (u Update) Dense() tensor.Vec {
 // ranks[w] is worker w's RankSync, the only representation there is —
 // and executes one synchronization per Sync call.
 //
-// Sequentially, SyncUpdate drives the workers in lock step on the
-// calling goroutine (begin on each, the one-bit rings of phases or
-// internal/collective's full-precision all-reduce, end on each). A
-// Parallel instance drives each ranks[w].Sync on its own goroutine of
-// the engine that release frees, through run; run is nil sequentially.
+// Sequentially, SyncUpdate drives the workers in lock step from the
+// calling goroutine: begin on each, internal/collective's full-precision
+// all-reduce and endFull on each, or a one-bit round on lanes (open, the
+// rings of phases, compensate) followed by its charges. A Parallel
+// instance drives each ranks[w].Sync on its own goroutine of the engine
+// that release frees, through run; run is nil sequentially.
 type Marsit struct {
 	cfg   Config
 	ranks []*RankSync
-	// u holds the workers' begin results of the current sequential round:
-	// their full-precision u, or nil on a one-bit round.
+	// u holds the workers' u of the current full-precision round.
 	u       []tensor.Vec
 	phases  []ringPhase
 	run     registry.SeqRunner
@@ -367,7 +372,8 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 // modified. It advances the compensation state and returns the
 // consensus global update g_t in the form the round produced it
 // (Update): a sequential one-bit round writes no D-float vector and
-// allocates none, and its Signs stay valid until the next round.
+// allocates nothing D-sized (only its lanes' closures and goroutines),
+// and its Signs stay valid until the next round.
 // Simulated time and bytes are charged to c, which must have exactly
 // cfg.Workers workers.
 func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) Update {
@@ -392,14 +398,13 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) Update {
 		return Update{Vec: m.run(c, grads)[0]}
 	}
 
-	// Line 1 on every worker; begin decides the K-period branch, the same
-	// way for all of them.
-	u := m.u
-	for w, r := range m.ranks {
-		u[w] = r.begin(c, grads[w])
-	}
-	if u[0] != nil {
-		// Lines 11–13: full-precision MAR; g_t = mean(u); c ← 0.
+	if m.ranks[0].FullPrecisionNext() {
+		// Line 1 on every worker, then lines 11–13: full-precision MAR;
+		// g_t = mean(u); c ← 0.
+		u := m.u
+		for w, r := range m.ranks {
+			u[w] = r.begin(c, grads[w])
+		}
 		if m.cfg.Torus != nil {
 			collective.TorusAllReduce(c, m.cfg.Torus, u)
 		} else {
@@ -411,17 +416,39 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) Update {
 		return Update{Vec: u[0]}
 	}
 
-	// Lines 4–8: one-bit MAR over the workers' packed signs. Reception
-	// and merging overlap (Section 4.1.1), so only the sign packing
-	// (begin) and the decoding (endOneBit) are charged as compression.
-	for i := range m.phases {
-		m.phases[i].run(c, m.ranks)
-	}
-	// Columns of a torus resolve disagreeing bits with independent
+	// Line 1, lines 4–8 and line 10 on lanes: packing by worker, the
+	// phases' merges by segment and write-backs by member, the
+	// compensation by worker, with the lanes meeting between dependent
+	// steps. Columns of a torus resolve disagreeing bits with independent
 	// draws; worker 0's aggregate is the consensus every worker decodes.
+	lanes := tensor.Lanes(n)
 	consensus := m.ranks[0].bits
-	for _, r := range m.ranks {
-		r.endOneBit(c, consensus)
+	tensor.ForLanes(lanes, func(p int, b *tensor.Barrier) {
+		for w := p; w < n; w += lanes {
+			m.ranks[w].open(grads[w])
+		}
+		b.Wait()
+		for i := range m.phases {
+			m.phases[i].merge(m.ranks, p, lanes, b)
+		}
+		for w := p; w < n; w += lanes {
+			m.ranks[w].compensate(consensus)
+		}
+	})
+	// The round's charges, after the join and in schedule order, since
+	// netsim.Cluster is not safe for concurrent use: no charge depends on
+	// a bit. Reception and merging overlap (Section 4.1.1), so only the
+	// sign packing and the decoding are charged as compression.
+	for w := range m.ranks {
+		c.AddCompress(w, d)
+	}
+	for i := range m.phases {
+		for _, msgs := range m.phases[i].steps {
+			c.Exchange(msgs)
+		}
+	}
+	for w := range m.ranks {
+		c.AddDecompress(w, d)
 	}
 	c.Barrier()
 	return Update{Signs: consensus, Scale: m.cfg.GlobalLR}
@@ -441,10 +468,10 @@ type ringPhase struct {
 	segs   []tensor.Segment
 	// agg[g][k] is ring g's running aggregate of segment k, which travels
 	// the ring: position k starts it from its own bits, and at step s
-	// position k+s+1 merges its own bits of the segment into it. local[k]
-	// holds those own bits for one merge at a time.
+	// position k+s+1 merges its own bits of the segment into it.
+	// local[g][k] holds those own bits for the merge.
 	agg   [][]*bitvec.Vec
-	local []*bitvec.Vec
+	local [][]*bitvec.Vec
 	// steps[s] are the messages of exchange s: the reduce-scatter hops,
 	// then the all-gather hops.
 	steps [][]netsim.Message
@@ -460,14 +487,12 @@ func (m *Marsit) addPhase(groups [][]int, base int) {
 	}
 	ph := ringPhase{groups: groups, base: base, segs: tensor.Partition(m.cfg.Dim, size)}
 	for range groups {
-		agg := make([]*bitvec.Vec, size)
+		agg, local := make([]*bitvec.Vec, size), make([]*bitvec.Vec, size)
 		for k, seg := range ph.segs {
-			agg[k] = bitvec.New(seg.Len())
+			agg[k], local[k] = bitvec.New(seg.Len()), bitvec.New(seg.Len())
 		}
 		ph.agg = append(ph.agg, agg)
-	}
-	for _, seg := range ph.segs {
-		ph.local = append(ph.local, bitvec.New(seg.Len()))
+		ph.local = append(ph.local, local)
 	}
 	pos := func(i int) int { return ((i % size) + size) % size }
 	// Reduce-scatter step s: position p passes on its aggregate of
@@ -489,36 +514,42 @@ func (m *Marsit) addPhase(groups [][]int, base int) {
 	m.phases = append(m.phases, ph)
 }
 
-// run performs the phase's one-bit ring reduce-scatter and all-gather.
-func (ph *ringPhase) run(c *netsim.Cluster, ranks []*RankSync) {
+// merge is lane p's share, of lanes that b synchronizes, of the phase's
+// one-bit ring reduce-scatter and of the write-back that stands for its
+// all-gather; the exchanges are the caller's to charge. The phase's rings
+// hold len(groups)·size merge tasks, task g·size+k being ring g's
+// segment k, and lane p takes the tasks p, p+lanes, …: at step s it
+// merges each of its segments k alone, into agg[g][k] with local[g][k],
+// from the stream of member k+s+1, who merges no other segment in that
+// step. So no two lanes share a vector or a stream within a step, and
+// meeting at b after every step keeps each stream's draws in schedule
+// order. The write-back then runs by member, one task per member.
+func (ph *ringPhase) merge(ranks []*RankSync, p, lanes int, b *tensor.Barrier) {
 	size := len(ph.segs)
-	for gi, g := range ph.groups {
-		for k, seg := range ph.segs {
-			ranks[g[k]].bits.ExtractInto(ph.agg[gi][k], seg.Lo)
-		}
+	tasks := len(ph.groups) * size
+	for i := p; i < tasks; i += lanes {
+		gi, k := i/size, i%size
+		ranks[ph.groups[gi][k]].bits.ExtractInto(ph.agg[gi][k], ph.segs[k].Lo)
 	}
 	for s := 0; s < size-1; s++ {
-		c.Exchange(ph.steps[s])
-		for gi, g := range ph.groups {
-			for k, seg := range ph.segs {
-				r := ranks[g[(k+s+1)%size]]
-				r.bits.ExtractInto(ph.local[k], seg.Lo)
-				// The arriving aggregate covers (s+1)·base workers, the
-				// local side base.
-				MergeSigns(ph.agg[gi][k], ph.local[k], (s+1)*ph.base, ph.base, r.rng)
-			}
+		for i := p; i < tasks; i += lanes {
+			gi, k := i/size, i%size
+			r, local := ranks[ph.groups[gi][(k+s+1)%size]], ph.local[gi][k]
+			r.bits.ExtractInto(local, ph.segs[k].Lo)
+			// The arriving aggregate covers (s+1)·base workers, the local
+			// side base.
+			MergeSigns(ph.agg[gi][k], local, (s+1)*ph.base, ph.base, r.rng)
 		}
+		b.Wait()
 	}
 	// Every member writes back every final segment; the all-gather
 	// exchanges only charge their circulation.
-	for gi, g := range ph.groups {
-		for _, w := range g {
-			for k, seg := range ph.segs {
-				ranks[w].bits.Insert(seg.Lo, ph.agg[gi][k])
-			}
+	for i := p; i < tasks; i += lanes {
+		gi := i / size
+		bits := ranks[ph.groups[gi][i%size]].bits
+		for k, seg := range ph.segs {
+			bits.Insert(seg.Lo, ph.agg[gi][k])
 		}
 	}
-	for _, msgs := range ph.steps[size-1:] {
-		c.Exchange(msgs)
-	}
+	b.Wait()
 }

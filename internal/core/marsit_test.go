@@ -294,7 +294,10 @@ func parentSync(m *Marsit, c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 		r.begin(c, grads[w])
 	}
 	for i := range m.phases {
-		m.phases[i].run(c, m.ranks)
+		m.phases[i].merge(m.ranks, 0, 1, nil)
+		for _, msgs := range m.phases[i].steps {
+			c.Exchange(msgs)
+		}
 	}
 	gt := tensor.New(m.cfg.Dim)
 	for _, r := range m.ranks {
@@ -636,6 +639,24 @@ func BenchmarkSyncOneBitTorus(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.Sync(c, grads)
+	}
+}
+
+// BenchmarkSyncUpdateTrainShape times one sequential one-bit SyncUpdate
+// at the train_marsit job's shape — M = 4 on a ring, D = 99 402 (the MLP
+// 192→384→64→10), K = 0 — on the lanes GOMAXPROCS allows (-cpu 1,2
+// compares one lane with two).
+func BenchmarkSyncUpdateTrainShape(b *testing.B) {
+	const n, d = 4, 99_402
+	m := MustNew(Config{Workers: n, Dim: d, K: 0, GlobalLR: 0.004, Seed: 1})
+	grads := randGrads(rng.New(1), n, d)
+	for _, g := range grads {
+		tensor.Scale(g, 0.01)
+	}
+	c := cluster(n)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m.SyncUpdate(c, grads)
 	}
 }
 

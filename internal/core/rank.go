@@ -13,9 +13,11 @@ import (
 
 // RankSync is one worker's share of Algorithm 1: its compensation
 // vector, packed signs, transient stream and round counter, and — in
-// begin, endFull and endOneBit — every line of the algorithm outside
+// open, endFull and compensate — every line of the algorithm outside
 // the one-bit synchronization of lines 4–8. That arithmetic is stated
-// here and nowhere else; both engines run it on the same state.
+// here and nowhere else; both engines run it on the same state. begin
+// and endOneBit are open and compensate with their compression charges,
+// the form a per-rank schedule calls.
 //
 // What each engine states for itself is the schedule of lines 4–8 (and
 // of the full-precision all-reduce): RankSync.Sync runs this rank's
@@ -80,15 +82,27 @@ func (r *RankSync) FullPrecisionNext() bool {
 // line 1's u = η_l·g + c as a fresh vector for the all-reduce, to be
 // followed by endFull. On a one-bit round it returns nil with u's signs
 // packed into r.bits and charged as compression, to be followed by
-// endOneBit: c += η_l·g turns the compensation vector into u while its
-// signs are packed, so u is never a vector of its own. IEEE addition
-// commutes, so this is bit for bit Clone(grad) + c (only the payload of
-// a NaN + NaN sum may differ, and a NaN packs as −1 either way). Under
-// the ablation c is zero and stays zero, so u's signs are grad's.
+// endOneBit. It is open and then the charge.
 func (r *RankSync) begin(c *netsim.Cluster, grad tensor.Vec) tensor.Vec {
-	d := r.cfg.Dim
-	if len(grad) != d {
-		panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", r.rank, len(grad), d))
+	u := r.open(grad)
+	if u == nil {
+		c.AddCompress(r.rank, r.cfg.Dim)
+	}
+	return u
+}
+
+// open is begin's arithmetic, charging nothing, so that the lock-step
+// schedule can open every worker's round on lanes and charge them after
+// the join: it touches only this worker's compensation, bits and round
+// counter. On a one-bit round c += η_l·g turns the compensation vector
+// into u while its signs are packed, so u is never a vector of its own.
+// IEEE addition commutes, so this is bit for bit Clone(grad) + c (only
+// the payload of a NaN + NaN sum may differ, and a NaN packs as −1
+// either way). Under the ablation c is zero and stays zero, so u's signs
+// are grad's.
+func (r *RankSync) open(grad tensor.Vec) tensor.Vec {
+	if len(grad) != r.cfg.Dim {
+		panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", r.rank, len(grad), r.cfg.Dim))
 	}
 	full := r.FullPrecisionNext()
 	r.round++
@@ -102,7 +116,6 @@ func (r *RankSync) begin(c *netsim.Cluster, grad tensor.Vec) tensor.Vec {
 	} else {
 		r.bits.PackSignsOfSum(r.comp, grad)
 	}
-	c.AddCompress(r.rank, d)
 	return nil
 }
 
@@ -110,16 +123,24 @@ func (r *RankSync) begin(c *netsim.Cluster, grad tensor.Vec) tensor.Vec {
 // the update, and c ← 0.
 func (r *RankSync) endFull() { tensor.Zero(r.comp) }
 
-// endOneBit closes a one-bit round — line 10: c_{t+1} = u − g_t in place
-// where u sits, with g_t = η_s·consensus subtracted straight from the
-// bits (skipped under the ablation, where c stays zero). g_t itself is
-// never written: the round's update is the consensus and η_s (Update).
-// The decoding is charged as decompression.
+// endOneBit closes a one-bit round: compensate, and the decoding charged
+// as decompression.
 func (r *RankSync) endOneBit(c *netsim.Cluster, consensus *bitvec.Vec) {
+	r.compensate(consensus)
+	c.AddDecompress(r.rank, r.cfg.Dim)
+}
+
+// compensate is endOneBit's arithmetic, charging nothing — line 10:
+// c_{t+1} = u − g_t in place where u sits, with g_t = η_s·consensus
+// subtracted straight from the bits (skipped under the ablation, where c
+// stays zero). g_t itself is never written: the round's update is the
+// consensus and η_s (Update). It writes only this worker's compensation
+// and reads consensus, so every worker's runs on lanes against the same
+// bits.
+func (r *RankSync) compensate(consensus *bitvec.Vec) {
 	if !r.cfg.DisableCompensation {
 		consensus.SubScaled(r.comp, r.cfg.GlobalLR)
 	}
-	c.AddDecompress(r.rank, r.cfg.Dim)
 }
 
 // Sync executes one round of Algorithm 1 for this rank and returns the

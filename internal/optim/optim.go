@@ -15,11 +15,24 @@ import (
 
 // Optimizer applies an update direction g (a gradient or a synchronized
 // global update) to params in place.
+//
+// A step splits into a once-per-step part, Begin, and an element-wise
+// part, StepRange, so that disjoint element ranges of one step can run on
+// lanes (tensor.ForLanes): Step is Begin followed by StepRange over every
+// element, and any split of [0, len(params)) into ranges after one Begin
+// gives the same parameters bit for bit.
 type Optimizer interface {
 	// Name identifies the optimizer in reports.
 	Name() string
 	// Step applies one update. g is not modified.
 	Step(params, g tensor.Vec)
+	// Begin opens a step: it advances what is shared by every element
+	// (Adam's counter and bias corrections) and nothing else.
+	Begin()
+	// StepRange applies the step that Begin opened to elements [lo, hi)
+	// of params, reading the same range of g and of the optimizer's own
+	// state. Calls on disjoint ranges touch disjoint memory.
+	StepRange(params, g tensor.Vec, lo, hi int)
 	// SetLR changes the learning rate (for decay schedules).
 	SetLR(lr float64)
 	// LR returns the current learning rate.
@@ -53,6 +66,14 @@ func (s *SGD) Step(params, g tensor.Vec) {
 	tensor.Axpy(params, -s.lr, g)
 }
 
+// Begin implements Optimizer; plain SGD keeps no per-step state.
+func (s *SGD) Begin() {}
+
+// StepRange implements Optimizer.
+func (s *SGD) StepRange(params, g tensor.Vec, lo, hi int) {
+	tensor.Axpy(params[lo:hi], -s.lr, g[lo:hi])
+}
+
 // Momentum is heavy-ball SGD: v ← µ·v + g; p ← p − lr·v.
 type Momentum struct {
 	lr, mu float64
@@ -81,9 +102,18 @@ func (m *Momentum) Step(params, g tensor.Vec) {
 	if len(g) != len(m.v) {
 		panic(fmt.Sprintf("optim: momentum dim %d, got %d", len(m.v), len(g)))
 	}
-	for i := range m.v {
-		m.v[i] = m.mu*m.v[i] + g[i]
-		params[i] -= m.lr * m.v[i]
+	m.StepRange(params, g, 0, len(g))
+}
+
+// Begin implements Optimizer; momentum keeps no per-step state.
+func (m *Momentum) Begin() {}
+
+// StepRange implements Optimizer.
+func (m *Momentum) StepRange(params, g tensor.Vec, lo, hi int) {
+	v, g, params := m.v[lo:hi], g[lo:hi], params[lo:hi]
+	for i := range v {
+		v[i] = m.mu*v[i] + g[i]
+		params[i] -= m.lr * v[i]
 	}
 }
 
@@ -92,6 +122,8 @@ type Adam struct {
 	lr, b1, b2, eps float64
 	m, v            tensor.Vec
 	t               int
+	// c1 and c2 are step t's bias corrections 1 − β1ᵗ and 1 − β2ᵗ.
+	c1, c2 float64
 }
 
 // NewAdam returns Adam with the canonical defaults β1=0.9, β2=0.999,
@@ -117,14 +149,27 @@ func (a *Adam) Step(params, g tensor.Vec) {
 	if len(g) != len(a.m) {
 		panic(fmt.Sprintf("optim: adam dim %d, got %d", len(a.m), len(g)))
 	}
+	a.Begin()
+	a.StepRange(params, g, 0, len(g))
+}
+
+// Begin implements Optimizer: it advances the step counter and the bias
+// corrections.
+func (a *Adam) Begin() {
 	a.t++
-	c1 := 1 - math.Pow(a.b1, float64(a.t))
-	c2 := 1 - math.Pow(a.b2, float64(a.t))
-	for i := range a.m {
-		a.m[i] = a.b1*a.m[i] + (1-a.b1)*g[i]
-		a.v[i] = a.b2*a.v[i] + (1-a.b2)*g[i]*g[i]
-		mHat := a.m[i] / c1
-		vHat := a.v[i] / c2
+	a.c1 = 1 - math.Pow(a.b1, float64(a.t))
+	a.c2 = 1 - math.Pow(a.b2, float64(a.t))
+}
+
+// StepRange implements Optimizer.
+func (a *Adam) StepRange(params, g tensor.Vec, lo, hi int) {
+	m, v, g, params := a.m[lo:hi], a.v[lo:hi], g[lo:hi], params[lo:hi]
+	c1, c2 := a.c1, a.c2
+	for i := range m {
+		m[i] = a.b1*m[i] + (1-a.b1)*g[i]
+		v[i] = a.b2*v[i] + (1-a.b2)*g[i]*g[i]
+		mHat := m[i] / c1
+		vHat := v[i] / c2
 		params[i] -= a.lr * mHat / (math.Sqrt(vHat) + a.eps)
 	}
 }

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -195,6 +197,71 @@ func TestMatchRateMatchesBranchy(t *testing.T) {
 	}
 }
 
+// TestMatchCountOverRanges: per-range MatchCounts over any Partition or
+// PartitionAligned split add up to the whole vector's count, which
+// MatchRate divides by the length — on the IEEE edge values, with empty
+// ranges included.
+func TestMatchCountOverRanges(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), math.NaN(), math.Copysign(math.NaN(), -1),
+		math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1, -1, 2.5,
+	}
+	for _, n := range []int{1, 2, 63, 65, 130, 1001} {
+		a, b := make(Vec, n), make(Vec, n)
+		for i := range a {
+			a[i] = edges[(i*7)%len(edges)]
+			b[i] = edges[(i*3+1)%len(edges)]
+		}
+		whole := MatchCount(a, b)
+		if got, want := MatchRate(a, b), float64(whole)/float64(n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n %d: MatchRate %v, count over length %v", n, got, want)
+		}
+		if got := matchRateBranchy(a, b); math.Float64bits(got) != math.Float64bits(MatchRate(a, b)) {
+			t.Fatalf("n %d: MatchRate %v, branching reference %v", n, MatchRate(a, b), got)
+		}
+		for _, parts := range []int{1, 2, 3, 8} {
+			for _, segs := range [][]Segment{Partition(n, parts), PartitionAligned(n, parts, 64)} {
+				sum := 0
+				for _, s := range segs {
+					sum += MatchCount(s.Of(a), s.Of(b))
+				}
+				if sum != whole {
+					t.Fatalf("n %d, %d parts: counts add up to %d, whole %d", n, parts, sum, whole)
+				}
+			}
+		}
+	}
+}
+
+func TestPartitionAlignedProperties(t *testing.T) {
+	f := func(nRaw uint16, pRaw, aRaw uint8) bool {
+		n := int(nRaw % 3000)
+		parts := int(pRaw%16) + 1
+		align := int(aRaw%70) + 1
+		segs := PartitionAligned(n, parts, align)
+		if len(segs) != parts {
+			return false
+		}
+		// Contiguous cover of [0, n), every segment starting at a
+		// multiple of align or at n, block counts (the last block
+		// partial) differing by at most one.
+		lo := 0
+		minBlocks, maxBlocks := n+1, -1
+		for _, s := range segs {
+			if s.Lo != lo || s.Hi < s.Lo || (s.Lo%align != 0 && s.Lo != n) {
+				return false
+			}
+			lo = s.Hi
+			blocks := (s.Len() + align - 1) / align
+			minBlocks, maxBlocks = min(minBlocks, blocks), max(maxBlocks, blocks)
+		}
+		return lo == n && maxBlocks-minBlocks <= 1
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 var matchRateSink float64
 
 func BenchmarkMatchRate(b *testing.B) {
@@ -268,6 +335,84 @@ func TestPartitionPanics(t *testing.T) {
 		}
 	}()
 	Partition(10, 0)
+}
+
+// awaitGoroutines waits until no more than want goroutines are left; a
+// lane goroutine may still be returning after the join.
+func awaitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after ForLanes, %d before", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestForLanesPanicReachesCaller: a panic on a lane surfaces on the
+// caller once every lane has returned — the lanes waiting for it at the
+// barrier included, spinning or parked (more lanes than CPUs) — and
+// leaves no goroutine.
+func TestForLanesPanicReachesCaller(t *testing.T) {
+	for _, lanes := range []int{2, 4, runtime.NumCPU() + 1} {
+		for _, panicky := range []int{0, lanes - 1} {
+			before := runtime.NumGoroutine()
+			ran := make([]bool, lanes)
+			func() {
+				defer func() {
+					if v := recover(); v != "lane panic" {
+						t.Fatalf("%d lanes, lane %d panicking: recovered %v, want the lane's panic", lanes, panicky, v)
+					}
+				}()
+				ForLanes(lanes, func(p int, b *Barrier) {
+					ran[p] = true
+					b.Wait()
+					if p == panicky {
+						panic("lane panic")
+					}
+					b.Wait()
+				})
+			}()
+			for p, ok := range ran {
+				if !ok {
+					t.Fatalf("%d lanes: lane %d never ran", lanes, p)
+				}
+			}
+			awaitGoroutines(t, before)
+		}
+	}
+}
+
+// TestForLanesBarrier: what every lane writes before a Wait, every lane
+// reads after its own, step after step, whether the early lanes spin or
+// park, and a nil barrier (one lane) lets its lane through.
+func TestForLanesBarrier(t *testing.T) {
+	for _, lanes := range []int{1, 2, 3, 8, runtime.NumCPU() + 1} {
+		const steps = 50
+		slots := make([]int, lanes)
+		sums := make([][]int, lanes)
+		ForLanes(lanes, func(p int, b *Barrier) {
+			for s := 1; s <= steps; s++ {
+				slots[p] = s * (p + 1)
+				b.Wait()
+				sum := 0
+				for _, v := range slots {
+					sum += v
+				}
+				sums[p] = append(sums[p], sum)
+				b.Wait()
+			}
+		})
+		want := lanes * (lanes + 1) / 2
+		for p := range sums {
+			for s, sum := range sums[p] {
+				if sum != (s+1)*want {
+					t.Fatalf("%d lanes: lane %d read %d after step %d, want %d", lanes, p, sum, s+1, (s+1)*want)
+				}
+			}
+		}
+	}
 }
 
 func BenchmarkAxpy(b *testing.B) {

@@ -9,8 +9,11 @@ import (
 	"testing"
 	"time"
 
+	"marsit/internal/bitvec"
+	"marsit/internal/core"
 	"marsit/internal/data"
 	"marsit/internal/nn"
+	"marsit/internal/optim"
 	"marsit/internal/rng"
 	"marsit/internal/tensor"
 )
@@ -62,19 +65,29 @@ func awaitGoroutines(t *testing.T, want int) {
 // worker — on both engines, and requires the same metric series and the
 // same final parameters bit for bit everywhere, with every goroutine a
 // run started gone after it. It forces at least two lanes, so a race
-// detector run sees concurrent local steps on any machine.
+// detector run sees concurrent local steps, one-bit syncs and range
+// tails on any machine. The cases cover one-bit rounds only (K = 0) and
+// mixed with full-precision ones (K = 2), the torus's two ring phases,
+// and the range-split steps of every optimizer.
 func TestRunIndependentOfGOMAXPROCS(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
 	resnet := func(r *rng.PCG) *nn.Network { return nn.NewMiniResNet(r, 64, 16, 2, 10) }
 	cases := []struct {
-		name   string
-		method Method
-		model  func(r *rng.PCG) *nn.Network
+		name      string
+		method    Method
+		topo      Topo
+		k         int
+		optimizer string
+		model     func(r *rng.PCG) *nn.Network
 	}{
-		{"psgd", MethodPSGD, nil},
-		{"marsit", MethodMarsit, nil},
-		{"ssdm", MethodSSDM, nil},
-		{"marsit_resnet", MethodMarsit, resnet},
+		{"psgd", MethodPSGD, TopoRing, 2, "sgd", nil},
+		{"marsit", MethodMarsit, TopoRing, 2, "sgd", nil},
+		{"marsit_K0", MethodMarsit, TopoRing, 0, "sgd", nil},
+		{"marsit_torus", MethodMarsit, TopoTorus, 2, "sgd", nil},
+		{"marsit_momentum", MethodMarsit, TopoRing, 2, "momentum", nil},
+		{"psgd_adam", MethodPSGD, TopoRing, 2, "adam", nil},
+		{"ssdm", MethodSSDM, TopoRing, 2, "sgd", nil},
+		{"marsit_resnet", MethodMarsit, TopoRing, 2, "sgd", resnet},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,9 +95,10 @@ func TestRunIndependentOfGOMAXPROCS(t *testing.T) {
 			var wantParams string
 			for _, engine := range []Engine{EngineSeq, EnginePar} {
 				for _, procs := range []int{1, 2, 3, 8} {
-					cfg := quickCfg(tc.method, TopoRing)
+					cfg := quickCfg(tc.method, tc.topo)
 					cfg.Rounds = 6
-					cfg.K = 2
+					cfg.K = tc.k
+					cfg.Optimizer = tc.optimizer
 					cfg.Engine = engine
 					if tc.model != nil {
 						cfg.Model = tc.model
@@ -169,30 +183,53 @@ func TestTrueMeanPassMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestForLanesPanicReachesCaller: a panic on a lane goroutine surfaces
-// on the caller once every lane has returned, and leaves no goroutine.
-func TestForLanesPanicReachesCaller(t *testing.T) {
-	before := gort.NumGoroutine()
-	ran := make([]bool, 4)
-	func() {
-		defer func() {
-			if v := recover(); v != "lane 2" {
-				t.Fatalf("recovered %v, want the lane's panic", v)
+// TestTailMatchesSerial pins the round's range-split tail to the serial
+// one it replaced — the update unpacked whole, tensor.MatchRate, the
+// optimizer's Step and allFinite over the whole vectors — bit for bit, for a one-bit update
+// and a dense one, with every optimizer: with D not a multiple of 64,
+// with fewer words than lanes, and with a non-finite parameter showing up
+// in one range only.
+func TestTailMatchesSerial(t *testing.T) {
+	for _, d := range []int{1, 63, 130, 1001} {
+		for _, lanes := range []int{1, 2, 3, 4, 8} {
+			for _, name := range []string{"sgd", "momentum", "adam"} {
+				for _, oneBit := range []bool{false, true} {
+					r := rng.New(uint64(d*100 + lanes))
+					trueMean := r.NormVec(make(tensor.Vec, d), 0, 1)
+					trueMean[d/2] = math.Copysign(0, -1)
+					var update core.Update
+					if oneBit {
+						update = core.Update{Signs: bitvec.FromSigns(r.NormVec(make(tensor.Vec, d), 0, 1)), Scale: 0.25}
+					} else {
+						update = core.Update{Vec: r.NormVec(make(tensor.Vec, d), 0, 1)}
+					}
+					params := r.NormVec(make(tensor.Vec, d), 0, 1)
+					wantParams := tensor.Clone(params)
+					opt, _ := optim.ByName(name, 1, d)
+					wantOpt, _ := optim.ByName(name, 1, d)
+					tl := newTail(lanes, d)
+					for round := 0; round < 2; round++ {
+						dense := update.Dense()
+						wantMatch := tensor.MatchRate(dense, trueMean)
+						wantOpt.Step(wantParams, dense)
+						wantFinite := allFinite(wantParams)
+						match, finite := tl.run(update, trueMean, tensor.New(d), opt, params)
+						if math.Float64bits(match) != math.Float64bits(wantMatch) || finite != wantFinite {
+							t.Fatalf("D %d, %d lanes, %s, one-bit %v, round %d: match %v finite %v, serial %v %v",
+								d, lanes, name, oneBit, round, match, finite, wantMatch, wantFinite)
+						}
+						if paramsHash(params) != paramsHash(wantParams) {
+							t.Fatalf("D %d, %d lanes, %s, one-bit %v, round %d: parameters differ from the serial step",
+								d, lanes, name, oneBit, round)
+						}
+						// The second round starts from one infinite
+						// parameter, in the last range.
+						params[d-1], wantParams[d-1] = math.Inf(1), math.Inf(1)
+					}
+				}
 			}
-		}()
-		forLanes(4, func(p int) {
-			ran[p] = true
-			if p == 2 {
-				panic("lane 2")
-			}
-		})
-	}()
-	for p, ok := range ran {
-		if !ok {
-			t.Fatalf("lane %d never ran", p)
 		}
 	}
-	awaitGoroutines(t, before)
 }
 
 // BenchmarkTrainJob times the benchmark's train_marsit job: M = 4

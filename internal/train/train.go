@@ -22,28 +22,31 @@
 // theirs one-to-one; the sign-vote family — signsgd, ef-signsgd, ssdm —
 // is runtime.SignVote around the topology's exchange collective) and
 // opens it once, on the engine Config.Engine names, through
-// core.OpenCollective: the single-threaded lock-step leg, or the
-// concurrent engine of internal/runtime with one goroutine per worker.
+// core.OpenCollective: the lock-step leg, or the concurrent engine of
+// internal/runtime with one goroutine per worker.
 // marsit runs the stateful core.Marsit, whose Parallel form opens its
 // per-rank legs through the same helper. Both engines produce
 // bit-identical metric series; see EngineSeq and EnginePar.
 //
-// Under either engine a round's per-worker work — the M local steps,
-// then the pass that sums the true mean and scales each gradient for
-// the synchronizer — runs on min(M, GOMAXPROCS) lanes: the caller and
-// one goroutine per further lane, joined before anything reads the
-// result. A lane touches only per-worker state (its workers' batch
-// streams, gradients and losses) or its own element range, and every
-// reduction — the round loss, the compute charges, the sync itself, the
-// matching rate, the optimizer step — stays serial on the caller in
-// worker order, so the series is bit-identical at every GOMAXPROCS.
+// Under either engine a round runs on min(M, GOMAXPROCS) lanes
+// (tensor.ForLanes: the caller and one goroutine per further lane,
+// joined before anything reads the result): the M local steps by
+// worker, the pass that sums the true mean and scales each gradient for
+// the synchronizer by element range, and after the sync the tail —
+// unpacking a one-bit update, the matching rate's agreement count, the
+// optimizer's element-wise step and the finite check — by word-aligned
+// element range. A sequential Marsit runs its own one-bit rounds on the
+// same lanes (core.Marsit.SyncUpdate). A lane touches only per-worker
+// state (its workers' batch streams, gradients and losses) or its own
+// element range; every reduction — the round loss, the compute charges,
+// the sum of the per-range integer agreement counts, the optimizer's
+// once-per-step state — stays serial on the caller in worker or range
+// order, so the series is bit-identical at every GOMAXPROCS.
 package train
 
 import (
 	"fmt"
 	"math"
-	gort "runtime"
-	"sync"
 
 	"marsit/internal/collective/registry"
 	"marsit/internal/core"
@@ -82,8 +85,9 @@ const (
 	// EngineSeq is the lock-step engine: collectives mutate all
 	// workers' vectors in one loop on the caller over the netsim
 	// substrate. Deterministic virtual time; the mode the paper figures
-	// use. The local steps still run on lanes, as under EnginePar (see
-	// the package doc).
+	// use. The local steps and the round's tail still run on lanes, as
+	// under EnginePar, and so does a Marsit one-bit round's per-worker
+	// and per-segment work (see the package doc).
 	EngineSeq Engine = "seq"
 	// EnginePar is the concurrent engine (internal/runtime): one
 	// goroutine per worker exchanging messages over a pluggable
@@ -414,7 +418,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		ssdmRNGs[w] = rng.NewStream(cfg.Seed, 0xc000+uint64(w))
 	}
-	lanes := min(cfg.Workers, gort.GOMAXPROCS(0))
+	lanes := tensor.Lanes(cfg.Workers)
 
 	var tor *topology.Torus
 	if cfg.Topo == TopoTorus {
@@ -488,6 +492,7 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Config: cfg, Params: d}
 	trueMean, step := tensor.New(d), tensor.New(d)
+	tail := newTail(lanes, d)
 	flopsPerRound := 3 * float64(model.Flops()) * float64(cfg.Batch)
 	samplesPerRound := cfg.Workers * cfg.Batch
 
@@ -506,7 +511,7 @@ func Run(cfg Config) (*Result, error) {
 		// the join. Then the true mean gradient (for the matching-rate
 		// metric) and the synchronizer's scaled gradients, on lanes by
 		// element range.
-		forLanes(lanes, func(p int) {
+		tensor.ForLanes(lanes, func(p int, _ *tensor.Barrier) {
 			for w := p; w < len(workers); w += lanes {
 				workers[w].local(model)
 			}
@@ -525,15 +530,7 @@ func Run(cfg Config) (*Result, error) {
 		// unpacked for the optimizer into the run's one step vector.
 		fullSync := fullSyncNext()
 		update := syncGrads(grads)
-		var match float64
-		if update.Signs != nil {
-			match = update.Signs.MatchRate(trueMean)
-			update.Signs.UnpackScaled(step, update.Scale)
-			opt.Step(model.Params(), step)
-		} else {
-			match = tensor.MatchRate(update.Vec, trueMean)
-			opt.Step(model.Params(), update.Vec)
-		}
+		match, finite := tail.run(update, trueMean, step, opt, model.Params())
 		if cfg.DecayAtFullSync && fullSync && round > 0 {
 			opt.SetLR(opt.LR() * 0.1)
 		}
@@ -547,7 +544,7 @@ func Run(cfg Config) (*Result, error) {
 			MB:        float64(cluster.TotalBytes()) / 1e6,
 			MatchRate: match,
 		}
-		if !isFinite(roundLoss) || roundLoss > 1e8 || !allFinite(model.Params()) {
+		if !isFinite(roundLoss) || roundLoss > 1e8 || !finite {
 			res.Diverged = true
 			res.DivergedAt = round + 1
 			res.Points = append(res.Points, pt)
@@ -598,36 +595,6 @@ func (w *worker) local(model *nn.Network) {
 	model.LossGradBatch(xs, ys, w.grad, w.losses)
 }
 
-// forLanes runs f(p) for every lane p in [0, lanes) and returns once all
-// have: lane 0 on the caller, each other lane on a goroutine of its own.
-// With one lane it is a plain call. A panic on any lane reaches the
-// caller after the join.
-func forLanes(lanes int, f func(p int)) {
-	if lanes == 1 {
-		f(0)
-		return
-	}
-	var wg sync.WaitGroup
-	panics := make([]any, lanes)
-	for p := 1; p < lanes; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { panics[p] = recover() }()
-			f(p)
-		}()
-	}
-	func() {
-		defer wg.Wait()
-		f(0)
-	}()
-	for _, v := range panics {
-		if v != nil {
-			panic(v)
-		}
-	}
-}
-
 // trueMeanPass makes the round's one pass over the workers' gradients on
 // lanes: lane p takes element range p of tensor.Partition(D, lanes) and
 // there zeroes trueMean, runs localScale for every worker in order, and
@@ -636,7 +603,7 @@ func forLanes(lanes int, f func(p int)) {
 func trueMeanPass(lanes int, grads []tensor.Vec, trueMean tensor.Vec, invB, lr float64) {
 	segs := tensor.Partition(len(trueMean), lanes)
 	invM := 1 / float64(len(grads))
-	forLanes(lanes, func(p int) {
+	tensor.ForLanes(lanes, func(p int, _ *tensor.Barrier) {
 		lo, hi := segs[p].Lo, segs[p].Hi
 		mean := trueMean[lo:hi]
 		tensor.Zero(mean)
@@ -675,4 +642,56 @@ func allFinite(v tensor.Vec) bool {
 		}
 	}
 	return true
+}
+
+// tail is the round's last pass, after the sync, on lanes by element
+// range: lane p takes range p of tensor.PartitionAligned(D, lanes, 64),
+// whose every range starts at a word of the update's bits. There it
+// unpacks a one-bit update into the step vector, counts the update's sign
+// agreements with the true mean, applies the optimizer's element-wise
+// step and checks the new parameters for non-finite values. The counts
+// are integers, so their sum is the whole vector's count exactly; the
+// optimizer's once-per-step part runs once, on the caller, before the
+// lanes.
+type tail struct {
+	segs   []tensor.Segment
+	agree  []int
+	finite []bool
+}
+
+func newTail(lanes, d int) *tail {
+	return &tail{
+		segs:   tensor.PartitionAligned(d, lanes, 64),
+		agree:  make([]int, lanes),
+		finite: make([]bool, lanes),
+	}
+}
+
+// run applies update to params through opt and returns the update's
+// matching rate against trueMean and whether every parameter is finite
+// afterwards. A one-bit update is unpacked into step first.
+func (t *tail) run(update core.Update, trueMean, step tensor.Vec, opt optim.Optimizer, params tensor.Vec) (match float64, finite bool) {
+	g := update.Vec
+	if update.Signs != nil {
+		g = step
+	}
+	opt.Begin()
+	tensor.ForLanes(len(t.segs), func(p int, _ *tensor.Barrier) {
+		lo, hi := t.segs[p].Lo, t.segs[p].Hi
+		if update.Signs != nil {
+			signs := update.Signs.Slice(lo, hi)
+			t.agree[p] = signs.MatchCount(trueMean[lo:hi])
+			signs.UnpackScaled(step[lo:hi], update.Scale)
+		} else {
+			t.agree[p] = tensor.MatchCount(g[lo:hi], trueMean[lo:hi])
+		}
+		opt.StepRange(params, g, lo, hi)
+		t.finite[p] = allFinite(params[lo:hi])
+	})
+	agree, finite := 0, true
+	for p := range t.segs {
+		agree += t.agree[p]
+		finite = finite && t.finite[p]
+	}
+	return float64(agree) / float64(len(params)), finite
 }

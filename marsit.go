@@ -40,9 +40,11 @@
 //
 // Two engines execute the collectives:
 //
-//   - Sequential (the default): a single-threaded lock-step loop mutates
-//     all workers' vectors over the netsim substrate. Deterministic
-//     virtual time; the mode the paper figures use.
+//   - Sequential (the default): a lock-step loop driven from the
+//     calling goroutine mutates all workers' vectors over the netsim
+//     substrate. Deterministic virtual time; the mode the paper figures
+//     use. Marsit's one-bit rounds split their per-worker and
+//     per-segment work across min(M, GOMAXPROCS) lanes, bit-identically.
 //   - Parallel (EnginePar, Config.Parallel, or marsit.NewEngine for
 //     direct engine access): the concurrent execution engine of
 //     internal/runtime runs one goroutine per worker, each owning its
@@ -174,8 +176,8 @@ type EngineKind string
 
 // The execution engines.
 const (
-	// EngineSeq is the single-threaded lock-step engine (the default;
-	// the mode the paper figures use).
+	// EngineSeq is the lock-step engine (the default; the mode the
+	// paper figures use).
 	EngineSeq EngineKind = "seq"
 	// EnginePar is the concurrent engine: one goroutine per worker over
 	// a pluggable fabric, bit-identical to EngineSeq.
