@@ -27,8 +27,10 @@
 #                          per-sample forward/backward at the train_marsit
 #                          workload's shape, one trainer round and the
 #                          whole train_marsit job (BenchmarkTrainJob,
-#                          ms/step) once (-benchtime=1x) so they are
-#                          compiled and executed on every change
+#                          ms/step) and one Collective.Run of marsit and
+#                          rar (BenchmarkCollectiveRun: loopback, M = 4,
+#                          D = 2^16, B/op) once (-benchtime=1x) so they
+#                          are compiled and executed on every change
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
 #                          bit-vector frame decoder and the sign-sum chunk
 #                          decoders on hostile bytes, the word-parallel
@@ -130,12 +132,15 @@ ab:
 # the trainer's local step (nn's BenchmarkLossGradBatch: MLP
 # 192→384→64→10, B = 8, batched vs the per-sample loop) and of the
 # train_marsit job itself (train's BenchmarkTrainJob: 120 rounds at
-# M = 4 on the lanes GOMAXPROCS allows, reported as ms/step) exactly once:
-# cheap enough for CI, and it proves the tools for measuring while
-# working still compile and run.
+# M = 4 on the lanes GOMAXPROCS allows, reported as ms/step) and of the
+# engine's dispatcher (runtime's BenchmarkCollectiveRun: one
+# Collective.Run of marsit and rar on loopback at M = 4, D = 2^16, with
+# B/op — one shared g_t a one-bit round) exactly once: cheap enough for
+# CI, and it proves the tools for measuring while working still compile
+# and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress ./internal/rng \
-		./internal/tensor ./internal/nn ./internal/core ./internal/train
+		./internal/tensor ./internal/nn ./internal/core ./internal/train ./internal/runtime
 
 # fuzz-smoke gives the wire-facing decoders a short adversarial pass —
 # Elias payloads, marshalled bit vectors and sign-sum chunks genuinely

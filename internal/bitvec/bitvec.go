@@ -35,6 +35,24 @@ func New(n int) *Vec {
 // Len returns the number of bits.
 func (v *Vec) Len() int { return v.n }
 
+// Resize makes v an all-zero vector of length n, reusing its words when
+// they have room, so a schedule that moves segments of slightly
+// different lengths every hop keeps one vector. v must own its words (a
+// Slice does not).
+func (v *Vec) Resize(n int) {
+	if n < 0 {
+		panic("bitvec: negative length")
+	}
+	nw := (n + 63) / 64
+	if nw > cap(v.words) {
+		v.words = make([]uint64, nw)
+	} else {
+		v.words = v.words[:nw]
+		clear(v.words)
+	}
+	v.n = n
+}
+
 // Get reports whether bit i is set.
 func (v *Vec) Get(i int) bool {
 	v.check(i)
@@ -401,25 +419,37 @@ func (v *Vec) MarshalInto(out []byte) {
 // Unmarshal parses data produced by Marshal, loading whole words with
 // one 8-byte read each.
 func Unmarshal(data []byte) (*Vec, error) {
+	v := new(Vec)
+	if err := UnmarshalInto(v, data); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// UnmarshalInto is Unmarshal into dst, which takes the frame's length
+// (Resize) and keeps its words when they have room: a ring hop that
+// receives a segment every step decodes into one vector. On an error dst
+// is left as it was.
+func UnmarshalInto(dst *Vec, data []byte) error {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("bitvec: short header (%d bytes)", len(data))
+		return fmt.Errorf("bitvec: short header (%d bytes)", len(data))
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	payload := data[4:]
 	want := (n + 7) / 8
 	if len(payload) < want {
-		return nil, fmt.Errorf("bitvec: want %d payload bytes, have %d", want, len(payload))
+		return fmt.Errorf("bitvec: want %d payload bytes, have %d", want, len(payload))
 	}
-	v := New(n)
+	dst.Resize(n)
 	full := want >> 3
 	for i := 0; i < full; i++ {
-		v.words[i] = binary.LittleEndian.Uint64(payload[8*i:])
+		dst.words[i] = binary.LittleEndian.Uint64(payload[8*i:])
 	}
 	for i := full << 3; i < want; i++ {
-		v.words[i>>3] |= uint64(payload[i]) << uint((i&7)*8)
+		dst.words[i>>3] |= uint64(payload[i]) << uint((i&7)*8)
 	}
-	v.clearTail()
-	return v, nil
+	dst.clearTail()
+	return nil
 }
 
 // MarshalSigns writes FromSigns(src).Marshal() into out (exactly
@@ -549,23 +579,11 @@ func (v *Vec) Majority(votes []*Vec) {
 	v.clearTail()
 }
 
-// Extract returns a new vector holding bits [lo, hi) of v. It runs a
-// word at a time (ExtractInto): each output word is assembled from at
-// most two source words with a funnel shift (this is a per-hop operation
-// of the one-bit ring schedule, so the per-bit version dominated
-// profiles).
-func (v *Vec) Extract(lo, hi int) *Vec {
-	if lo < 0 || hi < lo || hi > v.n {
-		panic(fmt.Sprintf("bitvec: Extract[%d,%d) of length %d", lo, hi, v.n))
-	}
-	out := New(hi - lo)
-	v.ExtractInto(out, lo)
-	return out
-}
-
-// ExtractInto is Extract into an existing vector: dst receives bits
-// [lo, lo+dst.Len()) of v, so a schedule that extracts the same segments
-// every round can keep their vectors.
+// ExtractInto copies bits [lo, lo+dst.Len()) of v into dst, a word at a
+// time: each output word is assembled from at most two source words with
+// a funnel shift (a per-hop operation of the one-bit ring schedule, where
+// the per-bit version dominated profiles). The schedule keeps dst across
+// hops (Resize).
 func (v *Vec) ExtractInto(dst *Vec, lo int) {
 	if lo < 0 || lo+dst.n > v.n {
 		panic(fmt.Sprintf("bitvec: ExtractInto[%d,%d) of length %d", lo, lo+dst.n, v.n))

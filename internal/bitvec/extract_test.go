@@ -7,21 +7,29 @@ import (
 	"marsit/internal/rng"
 )
 
+// extract returns bits [lo, hi) of v as a vector of their own, through
+// ExtractInto.
+func extract(v *Vec, lo, hi int) *Vec {
+	out := New(hi - lo)
+	v.ExtractInto(out, lo)
+	return out
+}
+
 func TestExtractKnown(t *testing.T) {
 	v := New(10)
 	v.Set(2, true)
 	v.Set(3, true)
 	v.Set(9, true)
-	e := v.Extract(2, 5)
+	e := extract(v, 2, 5)
 	if e.Len() != 3 || e.String() != "110" {
 		t.Fatalf("Extract: %s", e.String())
 	}
 	// Full range is a clone.
-	if !v.Extract(0, 10).Equal(v) {
+	if !extract(v, 0, 10).Equal(v) {
 		t.Fatal("full extract differs")
 	}
 	// Empty range.
-	if v.Extract(4, 4).Len() != 0 {
+	if extract(v, 4, 4).Len() != 0 {
 		t.Fatal("empty extract")
 	}
 }
@@ -55,7 +63,7 @@ func TestExtractInsertRoundtripProperty(t *testing.T) {
 		v := New(n)
 		v.FillBernoulli(r, 0.5)
 		orig := v.Clone()
-		seg := v.Extract(lo, hi)
+		seg := extract(v, lo, hi)
 		v.Insert(lo, seg)
 		return v.Equal(orig)
 	}
@@ -70,7 +78,7 @@ func TestExtractCrossesWordBoundary(t *testing.T) {
 	v.Set(63, true)
 	v.Set(64, true)
 	v.Set(65, true)
-	e := v.Extract(62, 66)
+	e := extract(v, 62, 66)
 	if e.OnesCount() != 4 {
 		t.Fatalf("cross-word extract: %s", e.String())
 	}
@@ -79,9 +87,9 @@ func TestExtractCrossesWordBoundary(t *testing.T) {
 func TestExtractInsertValidation(t *testing.T) {
 	v := New(8)
 	for _, fn := range []func(){
-		func() { v.Extract(-1, 3) },
-		func() { v.Extract(5, 3) },
-		func() { v.Extract(0, 9) },
+		func() { extract(v, -1, 3) },
+		func() { extract(v, 5, 3) },
+		func() { extract(v, 0, 9) },
 		func() { v.Insert(6, New(3)) },
 		func() { v.Insert(-1, New(2)) },
 	} {

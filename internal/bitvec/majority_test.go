@@ -3,6 +3,7 @@ package bitvec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -86,6 +87,16 @@ func FuzzUnmarshalRobust(f *testing.F) {
 	f.Add(append(fuzzVec(64, 64).Marshal(), 0xaa, 0xbb))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := Unmarshal(data)
+		// UnmarshalInto agrees with it into a vector that held other bits,
+		// and leaves that vector alone when it refuses the frame.
+		into := fuzzVec(7, 130)
+		if errI := UnmarshalInto(into, data); (errI == nil) != (err == nil) {
+			t.Fatalf("UnmarshalInto err %v, Unmarshal err %v", errI, err)
+		} else if err == nil && !into.Equal(v) {
+			t.Fatalf("UnmarshalInto decoded %v, Unmarshal %v", into, v)
+		} else if err != nil && !into.Equal(fuzzVec(7, 130)) {
+			t.Fatal("a refused frame changed the UnmarshalInto target")
+		}
 		// UnmarshalSigns, given the length the header claims, accepts and
 		// rejects the same frames, and never one of another length.
 		if len(data) >= 4 {
@@ -115,6 +126,44 @@ func FuzzUnmarshalRobust(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestUnpackScaledUnitIsUnpackSigns pins the one-bit tree's unpack,
+// UnpackScaled at unit scale (Update{Scale: 1}.Dense), to UnpackSigns' ±1
+// bit for bit, on both sides of a word edge.
+func TestUnpackScaledUnitIsUnpackSigns(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 1000} {
+		bits := fuzzVec(uint64(n)^0x0e1, n)
+		got, want := make([]float64, n), make([]float64, n)
+		bits.UnpackScaled(got, 1)
+		bits.UnpackSigns(want)
+		requireSameBits(t, fmt.Sprintf("UnpackScaled(·, 1) n=%d", n), got, want)
+	}
+}
+
+// TestUnmarshalIntoReusesWords decodes frames of changing length into one
+// vector, the one-bit ring's per-hop use: every decode equals the source,
+// keeps its tail clear, and a length that fits the words it has keeps
+// them. Resize alone leaves an all-zero vector of the new length.
+func TestUnmarshalIntoReusesWords(t *testing.T) {
+	dst := new(Vec)
+	for i, n := range []int{130, 65, 64, 1, 0, 129, 200} {
+		src := fuzzVec(uint64(i), n)
+		before := cap(dst.words)
+		if err := UnmarshalInto(dst, src.Marshal()); err != nil {
+			t.Fatal(err)
+		}
+		if !dst.Equal(src) || !tailClear(dst) {
+			t.Fatalf("n=%d: decoded %v, sent %v", n, dst, src)
+		}
+		if fits := (n+63)/64 <= before; fits != (cap(dst.words) == before) {
+			t.Fatalf("n=%d: word capacity %d → %d", n, before, cap(dst.words))
+		}
+		dst.Resize(n)
+		if dst.Len() != n || dst.OnesCount() != 0 {
+			t.Fatalf("Resize(%d): length %d, %d bits set", n, dst.Len(), dst.OnesCount())
+		}
+	}
 }
 
 // TestUnpackScaledMatchesUnpackScaledSub pins the write-only unpack to

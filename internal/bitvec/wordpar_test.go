@@ -150,7 +150,7 @@ func FuzzExtractInsert(f *testing.F) {
 		hi := lo + int(hiRaw)%(n-lo+1)
 		v := fuzzVec(seed, n)
 
-		got := v.Extract(lo, hi)
+		got := extract(v, lo, hi)
 		want := refExtract(v, lo, hi)
 		if !got.Equal(want) {
 			t.Fatalf("Extract[%d,%d) of %d diverges from scalar oracle", lo, hi, n)
@@ -268,7 +268,7 @@ func BenchmarkExtract(b *testing.B) {
 	b.Run("word", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = v.Extract(lo, hi)
+			_ = extract(v, lo, hi)
 		}
 	})
 	b.Run("scalar", func(b *testing.B) {

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"sync"
 
+	"marsit/internal/bitvec"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
 	"marsit/internal/tensor"
@@ -167,20 +168,51 @@ func (o *Opts) AllStreams() []*rng.PCG {
 	return out
 }
 
-// SeqRunner executes one round of a collective on the sequential
-// engine: grads holds every rank's input gradient (runners may mutate
-// the vectors in place); the returned slice holds every rank's
-// synchronized output. Runners returned by Descriptor.Seq keep state
-// across rounds (compensation vectors, compression streams), so one
-// runner must drive a whole run.
+// SeqRunner executes one round of a collective on the sequential engine:
+// grads holds every rank's input gradient (runners may mutate the vectors
+// in place); the returned slice holds every rank's synchronized output,
+// and the ranks of a consensus may share one vector. Runners returned by
+// Descriptor.Seq keep state across rounds (compensation vectors,
+// compression streams), so one runner must drive a whole run.
 type SeqRunner func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec
+
+// Update is one rank's synchronized output in the form its round
+// produced it. A one-bit round's output is D bits and one scalar and
+// stays that: Signs holds the bits (bit 1 is +Scale, bit 0 is −Scale) and
+// Vec is nil. Every other round's output is a vector, in Vec, with Signs
+// nil.
+//
+// Signs is the producer's own vector (a Marsit rank's consensus, reused
+// by its next round), so it is valid until the next round on the same
+// runner; a caller that keeps the output longer calls Dense. Vec is the
+// caller's to keep.
+type Update struct {
+	Signs *bitvec.Vec
+	Scale float64
+	Vec   tensor.Vec
+}
+
+// Dense returns the output as a vector: Vec itself, or for a one-bit
+// round a fresh vector of ±Scale written by bitvec's UnpackScaled. For
+// Marsit that is bit for bit the g_t each worker's compensation was
+// updated with: its compensation step subtracts the same ±Scale (the
+// IEEE sign set on the same positive scale), read from the same bits.
+func (u Update) Dense() tensor.Vec {
+	if u.Signs == nil {
+		return u.Vec
+	}
+	g := tensor.New(u.Signs.Len())
+	u.Signs.UnpackScaled(g, u.Scale)
+	return g
+}
 
 // RankRunner executes one rank's share of one round over its transport
 // endpoint: grad is the rank's input gradient (may be mutated); the
-// returned vector is the rank's synchronized output. Runners returned
-// by Descriptor.Rank keep per-rank state across rounds and must only be
-// used from one goroutine.
-type RankRunner func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec
+// returned Update is the rank's synchronized output — a dense leg's
+// vector, or a one-bit leg's bits, which stay the runner's until its next
+// round. Runners returned by Descriptor.Rank keep per-rank state across
+// rounds and must only be used from one goroutine.
+type RankRunner func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) Update
 
 // Descriptor is one registered collective.
 type Descriptor struct {

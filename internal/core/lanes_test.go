@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
 	"marsit/internal/topology"
@@ -16,7 +17,7 @@ import (
 // roundRecord is everything a round leaves behind, bit for bit: the
 // update as a dense vector, every worker's compensation, and every
 // worker's bytes, clock and phase breakdown.
-func roundRecord(m *Marsit, c *netsim.Cluster, u Update) []uint64 {
+func roundRecord(m *Marsit, c *netsim.Cluster, u registry.Update) []uint64 {
 	var rec []uint64
 	for _, x := range u.Dense() {
 		rec = append(rec, math.Float64bits(x))

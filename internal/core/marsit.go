@@ -45,13 +45,15 @@
 // and the final unpacking as compression time.
 //
 // A one-bit round's global update is D bits and one scalar, ±η_s, and
-// SyncUpdate returns it as that (Update): the compensation subtracts
-// ±η_s straight from the consensus bits, and a caller such as the
-// trainer reads its metric from them and unpacks them into a vector of
-// its own for the optimizer step.
-// The bits are the synchronizer's own and are valid only until its next
-// round. Sync is SyncUpdate followed by Update.Dense, one fresh vector of
-// ±η_s per round, bit-equal to the values the compensation subtracted.
+// both schedules return it as that (registry.Update): the compensation
+// subtracts ±η_s straight from the consensus bits, and a caller such as
+// the trainer reads its metric from them and unpacks them into a vector
+// of its own for the optimizer step; RankSync.Sync hands its bits to the
+// engine's dispatcher, which unpacks one vector per consensus for all
+// ranks. The bits are the synchronizer's own and are valid only until
+// its next round. Sync is SyncUpdate followed by Update.Dense, one fresh
+// vector of ±η_s per round, bit-equal to the values the compensation
+// subtracted.
 package core
 
 import (
@@ -130,7 +132,10 @@ func NewParallelEngine(workers int, kind Transport) (*runtime.Engine, error) {
 // desc opened on it, one per-rank runner per worker goroutine, whose
 // Run has the sequential runner's shape. Either way one runner drives a
 // whole multi-round job, and release frees what it holds (nothing,
-// sequentially).
+// sequentially). Either way the ranks of a consensus collective may share
+// one output vector: the sequential leg hands its one g_t to every rank,
+// and the parallel dispatcher unpacks one vector per distinct one-bit
+// result (runtime.Collective.Run).
 func OpenCollective(desc *registry.Descriptor, o *registry.Opts, parallel bool, kind Transport) (run registry.SeqRunner, release func() error, err error) {
 	if !parallel {
 		run, err = desc.Seq(o)
@@ -230,36 +235,6 @@ func (cfg Config) validate() error {
 // (Algorithm 1's mod(t, K) == 0 branch).
 func (cfg Config) fullPrecision(t int) bool {
 	return cfg.K > 0 && t%cfg.K == 0
-}
-
-// Update is the global update g_t of one synchronization, in the form
-// the round produced it. A one-bit round's g_t is η_s·consensus — D bits
-// and one scalar — and stays that: Signs holds the consensus (bit 1 is
-// +Scale, bit 0 is −Scale) and Vec is nil. A full-precision round's g_t
-// is the reduced u, in Vec, with Signs nil.
-//
-// Signs is the synchronizer's own vector — worker 0's bits, reused by
-// the next round — so it is valid until the next Sync or SyncUpdate on
-// the same instance; a caller that keeps g_t longer calls Dense. Vec is
-// the caller's to keep.
-type Update struct {
-	Signs *bitvec.Vec
-	Scale float64
-	Vec   tensor.Vec
-}
-
-// Dense returns g_t as a vector: Vec itself, or for a one-bit round a
-// fresh vector of ±Scale written by bitvec's UnpackScaled. That is bit
-// for bit the g_t each worker's compensation was updated with: endOneBit
-// subtracts the same ±Scale (the IEEE sign set on the same positive
-// scale), read from the same bits.
-func (u Update) Dense() tensor.Vec {
-	if u.Signs == nil {
-		return u.Vec
-	}
-	g := tensor.New(u.Signs.Len())
-	u.Signs.UnpackScaled(g, u.Scale)
-	return g
 }
 
 // Marsit holds Algorithm 1's state for every worker of a cluster —
@@ -371,12 +346,14 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 // worker w's locally scaled gradient η_l·g^(w)_t; the slice is not
 // modified. It advances the compensation state and returns the
 // consensus global update g_t in the form the round produced it
-// (Update): a sequential one-bit round writes no D-float vector and
-// allocates nothing D-sized (only its lanes' closures and goroutines),
-// and its Signs stay valid until the next round.
+// (registry.Update): a sequential one-bit round writes no D-float vector
+// and allocates nothing D-sized (only its lanes' closures and
+// goroutines), and its Signs — worker 0's bits — stay valid until the
+// next round. A Parallel instance returns the vector its engine's
+// dispatcher unpacked once for every rank.
 // Simulated time and bytes are charged to c, which must have exactly
 // cfg.Workers workers.
-func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) Update {
+func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) registry.Update {
 	n := m.cfg.Workers
 	d := m.cfg.Dim
 	if c.Size() != n {
@@ -394,8 +371,9 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) Update {
 	}
 	if m.run != nil {
 		// Every worker goroutine runs RankSync.Sync on its own gradient;
-		// the update is a consensus, so rank 0's stands for all.
-		return Update{Vec: m.run(c, grads)[0]}
+		// the update is a consensus, so rank 0's stands for all (on a
+		// one-bit round it is the one vector every rank shares).
+		return registry.Update{Vec: m.run(c, grads)[0]}
 	}
 
 	if m.ranks[0].FullPrecisionNext() {
@@ -413,7 +391,7 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) Update {
 		for _, r := range m.ranks {
 			r.endFull()
 		}
-		return Update{Vec: u[0]}
+		return registry.Update{Vec: u[0]}
 	}
 
 	// Line 1, lines 4–8 and line 10 on lanes: packing by worker, the
@@ -451,7 +429,7 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) Update {
 		c.AddDecompress(w, d)
 	}
 	c.Barrier()
-	return Update{Signs: consensus, Scale: m.cfg.GlobalLR}
+	return registry.Update{Signs: consensus, Scale: m.cfg.GlobalLR}
 }
 
 // ringPhase is one phase of the lock-step one-bit schedule: disjoint

@@ -593,11 +593,11 @@ func TestMergeSignsSelectionProperty(t *testing.T) {
 
 // TestMarsitSeqSteadyStateAllocs pins the sequential one-bit round to
 // under 1.5 × 8·D bytes at M = 4: the g_t it returns (8·D) plus the ring
-// schedule's per-hop segment vectors (Extract, Clone — D bits a worker a
-// phase). u lives in the workers' compensation vectors and the packed
-// signs in vectors they keep, so a D-float temporary per worker — what
-// the unfused passes cost, ≈ 5.2 × 8·D — fails the cap many times over.
-// Rounds are measured one by one and the worst decides.
+// schedule's per-hop segment vectors (at most D bits a worker a phase). u
+// lives in the workers' compensation vectors and the packed signs in
+// vectors they keep, so a D-float temporary per worker — what the unfused
+// passes cost, ≈ 5.2 × 8·D — fails the cap many times over. Rounds are
+// measured one by one and the worst decides.
 func TestMarsitSeqSteadyStateAllocs(t *testing.T) {
 	const n, d = 4, 100_000
 	m := MustNew(Config{Workers: n, Dim: d, K: 0, GlobalLR: 0.1, Seed: 1})

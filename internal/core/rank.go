@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"marsit/internal/bitvec"
+	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
 	"marsit/internal/runtime"
@@ -134,38 +135,32 @@ func (r *RankSync) endOneBit(c *netsim.Cluster, consensus *bitvec.Vec) {
 // c_{t+1} = u − g_t in place where u sits, with g_t = η_s·consensus
 // subtracted straight from the bits (skipped under the ablation, where c
 // stays zero). g_t itself is never written: the round's update is the
-// consensus and η_s (Update). It writes only this worker's compensation
-// and reads consensus, so every worker's runs on lanes against the same
-// bits.
+// consensus and η_s (registry.Update). It writes only this worker's
+// compensation and reads consensus, so every worker's runs on lanes
+// against the same bits.
 func (r *RankSync) compensate(consensus *bitvec.Vec) {
 	if !r.cfg.DisableCompensation {
 		consensus.SubScaled(r.comp, r.cfg.GlobalLR)
 	}
 }
 
-// Sync executes one round of Algorithm 1 for this rank and returns the
-// consensus global update g_t as a vector, freshly allocated and the
-// caller's to keep: syncUpdate(c, ep, grad).Dense(). g_t is deliberately
-// not pooled — callers hold it across rounds (the benchmark's
-// verification, a trainer's optimiser step), and a reused one would
-// alias them.
-func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
-	return r.syncUpdate(c, ep, grad).Dense()
-}
-
-// syncUpdate executes one round of Algorithm 1 for this rank: grad is the
+// Sync executes one round of Algorithm 1 for this rank: grad is the
 // rank's locally scaled gradient η_l·g (not modified), and the result is
-// the round's global update in the form it was produced (Update) — on a
-// one-bit round this rank's consensus bits, which stay valid until its
-// next round. The endpoint must belong to this rank on a fabric of
-// cfg.Workers ranks; c is charged exactly like the sequential engine, and
-// the round ends in a ClockBarrier (netsim's implicit lock step, over the
-// wire).
+// the round's global update in the form it was produced (registry.Update)
+// — on a full-precision round the reduced u, a vector of the rank's own
+// and the caller's to keep; on a one-bit round this rank's consensus bits
+// and η_s, which stay valid until its next round. It is the registered
+// "marsit" collective's per-rank leg: the engine's dispatcher unpacks the
+// bits once per distinct consensus and hands every rank that shares it
+// the same vector, as the sequential leg does. The endpoint must belong
+// to this rank on a fabric of cfg.Workers ranks; c is charged exactly
+// like the sequential engine, and the round ends in a ClockBarrier
+// (netsim's implicit lock step, over the wire).
 //
 // A one-bit round makes two passes over the rank's D-float vectors
 // (begin's packing and endOneBit's subtraction) and allocates none of
 // them.
-func (r *RankSync) syncUpdate(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) Update {
+func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 	if ep.Rank() != r.rank || ep.Size() != r.cfg.Workers {
 		panic(fmt.Sprintf("core: endpoint %d/%d for RankSync %d/%d",
 			ep.Rank(), ep.Size(), r.rank, r.cfg.Workers))
@@ -179,7 +174,7 @@ func (r *RankSync) syncUpdate(c *netsim.Cluster, ep transport.Endpoint, grad ten
 		}
 		r.endFull()
 		runtime.ClockBarrier(c, ep)
-		return Update{Vec: u}
+		return registry.Update{Vec: u}
 	}
 
 	// Lines 4–8: one-bit synchronization with the ⊙ merge drawing from
@@ -203,5 +198,5 @@ func (r *RankSync) syncUpdate(c *netsim.Cluster, ep transport.Endpoint, grad ten
 
 	r.endOneBit(c, bits)
 	runtime.ClockBarrier(c, ep)
-	return Update{Signs: bits, Scale: r.cfg.GlobalLR}
+	return registry.Update{Signs: bits, Scale: r.cfg.GlobalLR}
 }

@@ -58,15 +58,16 @@ func TestRankSyncMatchesSequential(t *testing.T) {
 					for w := 0; w < workers; w++ {
 						go func(rank int) {
 							defer wg.Done()
-							parG[rank] = rs[rank].Sync(parC[rank], fabric.Endpoint(rank), grads[rank])
+							parG[rank] = rs[rank].Sync(parC[rank], fabric.Endpoint(rank), grads[rank]).Dense()
 						}(w)
 					}
 					wg.Wait()
 
 					for w := 0; w < workers; w++ {
 						// The caller's contract: grad comes back untouched, and
-						// the update is a vector of its own — not last round's,
-						// not the compensation state u lives in.
+						// the update made a vector (Dense) is one of its own —
+						// not last round's, not the compensation state u lives
+						// in.
 						for i := range passed[w] {
 							if math.Float64bits(grads[w][i]) != math.Float64bits(passed[w][i]) {
 								t.Fatalf("round %d rank %d: Sync modified grad[%d]: %v, passed %v", round, w, i, grads[w][i], passed[w][i])

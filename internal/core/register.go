@@ -93,9 +93,7 @@ func init() {
 				OneBitTreeAllReduce(c, tr, bits, streams)
 				outs := make([]tensor.Vec, n)
 				for w := 0; w < n; w++ {
-					out := make(tensor.Vec, d)
-					bits[w].UnpackSigns(out)
-					outs[w] = out
+					outs[w] = registry.Update{Signs: bits[w], Scale: 1}.Dense()
 					c.AddDecompress(w, d)
 				}
 				return outs
@@ -110,16 +108,17 @@ func init() {
 			merge := func(r int, agg, local *bitvec.Vec, aggWeight, localWeight int) {
 				MergeSigns(agg, local, aggWeight, localWeight, stream)
 			}
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			// The result is the rank's bits at unit scale: the dispatcher
+			// unpacks them into ±1, once for every rank that holds the
+			// same bits.
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				d := len(grad)
 				bits := bitvec.FromSigns(grad)
 				c.AddCompress(rank, d)
 				bits = runtime.OneBitTreeAllReduceRank(c, ep, tr, bits, merge)
 				runtime.ClockBarrier(c, ep)
-				out := make(tensor.Vec, d)
-				bits.UnpackSigns(out)
 				c.AddDecompress(rank, d)
-				return out
+				return registry.Update{Signs: bits, Scale: 1}
 			}, nil
 		},
 	})

@@ -531,10 +531,11 @@ var ErrRankDied = errors.New("node: simulated rank death")
 
 // runRounds executes the configured collective for every round through
 // its registry descriptor's per-rank leg and returns the final
-// synchronized update. A transport failure mid-collective (the per-rank
-// entry points panic when the fabric is poisoned, e.g. by a dead peer)
-// is converted into an error so the caller exits non-zero instead of
-// crashing or hanging.
+// synchronized update, made a vector once after the last round (a one-bit
+// leg's result stays bits until then). A transport failure mid-collective
+// (the per-rank entry points panic when the fabric is poisoned, e.g. by a
+// dead peer) is converted into an error so the caller exits non-zero
+// instead of crashing or hanging.
 func runRounds(cfg *Config, c *netsim.Cluster, ep transport.Endpoint) (result tensor.Vec, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -562,6 +563,7 @@ func runRounds(cfg *Config, c *netsim.Cluster, ep transport.Endpoint) (result te
 		rec.SetLabel(rank, cfg.Collective)
 	}
 
+	var last registry.Update
 	for round := 0; round < cfg.Rounds; round++ {
 		if cfg.DieAfterRounds > 0 && round == cfg.DieAfterRounds {
 			cfg.logf("simulated death after %d rounds", round)
@@ -569,15 +571,15 @@ func runRounds(cfg *Config, c *netsim.Cluster, ep transport.Endpoint) (result te
 		}
 		grad := grads.NormVec(make(tensor.Vec, d), 0, 1)
 		if rec != nil {
-			runtime.CalibStep(rec, c, rank, func() { result = step(c, ep, grad) })
+			runtime.CalibStep(rec, c, rank, func() { last = step(c, ep, grad) })
 		} else {
-			result = step(c, ep, grad)
+			last = step(c, ep, grad)
 		}
 		if rounds != nil {
 			rounds.Inc()
 		}
 	}
-	return result, nil
+	return last.Dense(), nil
 }
 
 // sequentialReference replays the whole run on the single-threaded

@@ -170,10 +170,11 @@ func TestFourRankRARMatchesSequential(t *testing.T) {
 // TestCompressedFleetsMatchSequential is the process-level acceptance
 // check for the compressed collectives and the PS hub actor: sign-sum
 // fleets (majority signSGD and SSDM overflow, with and without Elias
-// coding on the wire) and the rank-0-hosted push–pull must be
-// bit-identical to the sequential engine — results, wire bytes and
-// virtual clocks — as verified by rank 0's check protocol, across even
-// and odd fabric sizes.
+// coding on the wire), the rank-0-hosted push–pull, Marsit on a 2×2
+// torus and the one-bit tree must be bit-identical to the sequential
+// engine — results, wire bytes and virtual clocks — as verified by rank
+// 0's check protocol, across even and odd fabric sizes. The last two
+// return bits from every round and make the final update a vector once.
 func TestCompressedFleetsMatchSequential(t *testing.T) {
 	set := func(coll string, elias bool) func(int, *node.Config) {
 		return func(_ int, cfg *node.Config) {
@@ -192,6 +193,10 @@ func TestCompressedFleetsMatchSequential(t *testing.T) {
 		{"ssdm_elias_3", 3, set(node.CollectiveSSDM, true)},
 		{"ps_4", 4, set(node.CollectivePS, false)},
 		{"ps_3", 3, set(node.CollectivePS, false)},
+		{"marsit_torus_2x2", 4, func(_ int, cfg *node.Config) {
+			cfg.TorusRows, cfg.TorusCols, cfg.K = 2, 2, 4
+		}},
+		{"onebit-tree_4", 4, set("onebit-tree", false)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

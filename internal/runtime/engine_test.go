@@ -45,13 +45,13 @@ func oneBitAllReduce(t testing.TB, eng *runtime.Engine, c *netsim.Cluster, tor *
 		Topology: registry.Ring,
 		Caps:     registry.Caps{Torus: true},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, _ tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, _ tensor.Vec) registry.Update {
 				if o.Torus != nil {
 					runtime.OneBitTorusAllReduceRank(c, ep, o.Torus, bits[rank], merge)
 				} else {
 					runtime.OneBitRingAllReduceRank(c, ep, bits[rank], merge)
 				}
-				return nil
+				return registry.Update{}
 			}, nil
 		},
 	}
@@ -60,6 +60,13 @@ func oneBitAllReduce(t testing.TB, eng *runtime.Engine, c *netsim.Cluster, tor *
 		t.Fatal(err)
 	}
 	cl.Run(c, make([]tensor.Vec, len(bits)))
+}
+
+// extractBits returns seg's bits of v as a vector of their own.
+func extractBits(v *bitvec.Vec, seg tensor.Segment) *bitvec.Vec {
+	out := bitvec.New(seg.Len())
+	v.ExtractInto(out, seg.Lo)
+	return out
 }
 
 func modPos(i, m int) int { return ((i % m) + m) % m }
@@ -81,7 +88,7 @@ func seqOneBitGroups(bits []*bitvec.Vec, d int, groups [][]int, baseWeight int, 
 			for p := 0; p < m; p++ {
 				if s == 0 {
 					seg := segs[modPos(p, m)]
-					outgoing[p] = bits[g[p]].Extract(seg.Lo, seg.Hi)
+					outgoing[p] = extractBits(bits[g[p]], seg)
 				} else {
 					outgoing[p] = agg[p]
 				}
@@ -89,7 +96,7 @@ func seqOneBitGroups(bits []*bitvec.Vec, d int, groups [][]int, baseWeight int, 
 			for p := 0; p < m; p++ {
 				in := outgoing[modPos(p-1, m)].Clone()
 				seg := segs[modPos(p-s-1, m)]
-				local := bits[g[p]].Extract(seg.Lo, seg.Hi)
+				local := extractBits(bits[g[p]], seg)
 				core.MergeSigns(in, local, (s+1)*baseWeight, baseWeight, streams[g[p]])
 				agg[p] = in
 			}

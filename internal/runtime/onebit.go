@@ -16,7 +16,8 @@ import (
 // the callback for a rank runs only on that rank's goroutine and in the
 // sequential schedule's merge order, so an implementation drawing from a
 // per-rank RNG stream (core.MergeSigns) consumes it exactly as the
-// single-threaded engine would.
+// single-threaded engine would. Neither vector outlives the call: the
+// schedule reuses both at its next hop.
 type MergeFunc func(rank int, agg, local *bitvec.Vec, aggWeight, localWeight int)
 
 // OneBitTorusAllReduceRank executes one rank's share of the hierarchical
@@ -103,47 +104,58 @@ func AlignBitsToRank0(ep transport.Endpoint, bits *bitvec.Vec) {
 // oneBitRingRank executes the one-bit schedule for one rank at position p
 // of an m-ring over its full bit vector partitioned into segs. The
 // rank's aggregate enters covering baseWeight workers per member and
-// leaves covering baseWeight·m.
+// leaves covering baseWeight·m. Two segment vectors carry every hop:
+// agg the aggregate (received, merged, sent on), local the rank's own
+// signs of the segment at hand; each frame is marshalled before the
+// next one is decoded into the same vector.
 func oneBitRingRank(rk *rankCtx, next, prev, p, m int, bits *bitvec.Vec, segs []tensor.Segment, baseWeight int, merge MergeFunc) {
 	if m < 2 {
 		return
 	}
 	// Reduce-scatter: merge the received aggregate with the local segment
 	// at every hop. bits itself is read-only during this phase, so
-	// Extract sees the pre-collective signs exactly like the sequential
-	// schedule's snapshots.
-	var agg *bitvec.Vec
+	// ExtractInto sees the pre-collective signs exactly like the
+	// sequential schedule's snapshots.
+	agg, local := new(bitvec.Vec), new(bitvec.Vec)
+	extract := func(seg tensor.Segment) *bitvec.Vec {
+		local.Resize(seg.Len())
+		bits.ExtractInto(local, seg.Lo)
+		return local
+	}
 	for s := 0; s < m-1; s++ {
 		out := agg
 		if s == 0 {
-			seg := segs[mod(p, m)]
-			out = bits.Extract(seg.Lo, seg.Hi)
+			out = extract(segs[mod(p, m)])
 		}
 		recvSeg := segs[mod(p-s-1, m)]
-		in := rk.exchangeBits(next, out, prev, recvSeg.Len())
-		local := bits.Extract(recvSeg.Lo, recvSeg.Hi)
+		rk.exchangeBits(next, out, prev, agg, recvSeg.Len())
 		// The received aggregate covers (s+1)·baseWeight workers, the
 		// local side baseWeight.
-		merge(rk.rank, in, local, (s+1)*baseWeight, baseWeight)
-		agg = in
+		merge(rk.rank, agg, extract(recvSeg), (s+1)*baseWeight, baseWeight)
 	}
 
 	// All-gather: position p holds the final aggregate of segment
 	// (p+1) mod m; circulate the final segments unchanged.
-	cur := agg
-	bits.Insert(segs[mod(p+1, m)].Lo, cur)
+	bits.Insert(segs[mod(p+1, m)].Lo, agg)
 	for s := 0; s < m-1; s++ {
 		seg := segs[mod(p-s, m)]
-		cur = rk.exchangeBits(next, cur, prev, seg.Len())
-		bits.Insert(seg.Lo, cur)
+		rk.exchangeBits(next, agg, prev, agg, seg.Len())
+		bits.Insert(seg.Lo, agg)
 	}
 }
 
-// exchangeBits sends out downstream and receives the upstream segment
-// of want bits, charging one simulated bit per element (the packet's
-// framing header is not charged). Payload buffers cycle through the
-// shared pool: the outgoing marshal draws one and the consumed incoming
-// one is returned.
-func (r *rankCtx) exchangeBits(next int, out *bitvec.Vec, prev, want int) *bitvec.Vec {
-	return unmarshalBits(r.rank, prev, r.exchange(next, marshalBits(out), out.WireBytes(), prev), want)
+// exchangeBits sends out downstream and decodes the upstream segment of
+// want bits into in (which may be out: out is marshalled first), charging
+// one simulated bit per element (the packet's framing header is not
+// charged). Payload buffers cycle through the shared pool: the outgoing
+// marshal draws one and the consumed incoming one is returned.
+func (r *rankCtx) exchangeBits(next int, out *bitvec.Vec, prev int, in *bitvec.Vec, want int) {
+	data := r.exchange(next, marshalBits(out), out.WireBytes(), prev)
+	if err := bitvec.UnmarshalInto(in, data); err != nil {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d: %v", r.rank, prev, err))
+	}
+	if in.Len() != want {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d sent %d bits, want %d", r.rank, prev, in.Len(), want))
+	}
+	transport.PutBuffer(data)
 }

@@ -34,10 +34,10 @@ func init() {
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				RingAllReduceRank(c, ep, grad, o.Chunks)
 				ClockBarrier(c, ep)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -55,10 +55,10 @@ func init() {
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				TorusAllReduceRank(c, ep, o.Torus, grad, o.Chunks)
 				ClockBarrier(c, ep)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -86,10 +86,10 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			stream := o.Stream(rank)
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				overflowRingRank(c, ep, grad, stream, o.Elias, o.Chunks)
 				ClockBarrier(c, ep)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -109,10 +109,10 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			stream := o.Stream(rank)
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				cascadingRingRank(c, ep, grad, stream, o.Chunks)
 				ClockBarrier(c, ep)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -129,10 +129,10 @@ func init() {
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				gossipAverageRank(c, ep, grad)
 				ClockBarrier(c, ep)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -151,10 +151,10 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			tr := topology.NewTree(o.Workers)
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				treeAllReduceRank(c, ep, tr, grad)
 				ClockBarrier(c, ep)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -179,10 +179,10 @@ func init() {
 			// bit-identical mean matrices everywhere, so the replicas track
 			// the sequential engine's single shared state exactly.
 			st := collective.NewPowerSGDRingState(powerRankOrDefault(o), o.Dim)
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				powerSGDRingRank(c, ep, grad, st, o.Chunks)
 				ClockBarrier(c, ep)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -200,10 +200,10 @@ func init() {
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				hierAllReduceRank(c, ep, o.Torus, grad, o.Chunks)
 				ClockBarrier(c, ep)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -221,9 +221,9 @@ func init() {
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				psAllReduceRank(c, ep, grad)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -241,9 +241,9 @@ func init() {
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				signMajorityPSRank(c, ep, grad)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})
@@ -263,9 +263,9 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			stream := o.Stream(rank)
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				ssdmPSRank(c, ep, grad, stream)
-				return grad
+				return registry.Update{Vec: grad}
 			}, nil
 		},
 	})

@@ -121,7 +121,7 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 	}
 	base.NewRank = func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 		compress := compressor(o, rank)
-		return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) tensor.Vec {
+		return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 			d := len(grad)
 			votes := transport.GetInt64s(d)
 			scale := compress(grad, votes)
@@ -140,7 +140,7 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 			transport.PutInt64s(votes)
 			c.AddDecompress(rank, d)
 			ClockBarrier(c, ep)
-			return update
+			return registry.Update{Vec: update}
 		}, nil
 	}
 	return base

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"marsit/internal/bitvec"
-	"marsit/internal/core"
+	"marsit/internal/collective/registry"
 	"marsit/internal/data"
 	"marsit/internal/nn"
 	"marsit/internal/optim"
@@ -197,11 +197,11 @@ func TestTailMatchesSerial(t *testing.T) {
 					r := rng.New(uint64(d*100 + lanes))
 					trueMean := r.NormVec(make(tensor.Vec, d), 0, 1)
 					trueMean[d/2] = math.Copysign(0, -1)
-					var update core.Update
+					var update registry.Update
 					if oneBit {
-						update = core.Update{Signs: bitvec.FromSigns(r.NormVec(make(tensor.Vec, d), 0, 1)), Scale: 0.25}
+						update = registry.Update{Signs: bitvec.FromSigns(r.NormVec(make(tensor.Vec, d), 0, 1)), Scale: 0.25}
 					} else {
-						update = core.Update{Vec: r.NormVec(make(tensor.Vec, d), 0, 1)}
+						update = registry.Update{Vec: r.NormVec(make(tensor.Vec, d), 0, 1)}
 					}
 					params := r.NormVec(make(tensor.Vec, d), 0, 1)
 					wantParams := tensor.Clone(params)

@@ -448,7 +448,7 @@ func Run(cfg Config) (*Result, error) {
 	// the others the mean gradient: localLR is the factor the local pass
 	// applies (localScale).
 	parallel := cfg.Engine == EnginePar
-	var syncGrads func(grads []tensor.Vec) core.Update
+	var syncGrads func(grads []tensor.Vec) registry.Update
 	fullSyncNext := func() bool { return false }
 	localLR := 1.0
 	if cfg.Method == MethodMarsit {
@@ -469,7 +469,7 @@ func Run(cfg Config) (*Result, error) {
 		defer marsit.Close()
 		fullSyncNext = marsit.FullPrecisionNext
 		localLR = cfg.LocalLR
-		syncGrads = func(scaled []tensor.Vec) core.Update { return marsit.SyncUpdate(cluster, scaled) }
+		syncGrads = func(scaled []tensor.Vec) registry.Update { return marsit.SyncUpdate(cluster, scaled) }
 	} else {
 		desc, err := methodDescriptor(cfg.Method, cfg.Topo)
 		if err != nil {
@@ -487,7 +487,7 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		defer release()
-		syncGrads = func(work []tensor.Vec) core.Update { return core.Update{Vec: run(cluster, work)[0]} }
+		syncGrads = func(work []tensor.Vec) registry.Update { return registry.Update{Vec: run(cluster, work)[0]} }
 	}
 
 	res := &Result{Config: cfg, Params: d}
@@ -670,7 +670,7 @@ func newTail(lanes, d int) *tail {
 // run applies update to params through opt and returns the update's
 // matching rate against trueMean and whether every parameter is finite
 // afterwards. A one-bit update is unpacked into step first.
-func (t *tail) run(update core.Update, trueMean, step tensor.Vec, opt optim.Optimizer, params tensor.Vec) (match float64, finite bool) {
+func (t *tail) run(update registry.Update, trueMean, step tensor.Vec, opt optim.Optimizer, params tensor.Vec) (match float64, finite bool) {
 	g := update.Vec
 	if update.Signs != nil {
 		g = step

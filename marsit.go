@@ -249,7 +249,9 @@ func WithCluster(c *Cluster) RunOption { return func(rc *runConfig) { rc.cluster
 
 // Run executes one round of the named collective over the workers'
 // gradient vectors (one per worker; collectives may mutate them in
-// place) and returns the per-worker synchronized outputs. The name is a
+// place) and returns the per-worker synchronized outputs. The workers of
+// a consensus collective (marsit's one-bit rounds, the one-bit tree) may
+// share one output vector, on either engine. The name is a
 // registry name — see Collectives for discovery. Scheduling state does
 // not persist across calls; use the Marsit type for stateful training.
 func Run(name string, grads []Vec, opts ...RunOption) ([]Vec, error) {
