@@ -27,14 +27,18 @@
 #                          per-sample forward/backward at the train_marsit
 #                          workload's shape, one trainer round and the
 #                          whole train_marsit job (BenchmarkTrainJob,
-#                          ms/step) and one Collective.Run of marsit and
-#                          rar (BenchmarkCollectiveRun: loopback, M = 4,
+#                          ms/step) and one Collective.Run of marsit,
+#                          rar, cascading and Elias signsum
+#                          (BenchmarkCollectiveRun: loopback, M = 4,
 #                          D = 2^16, B/op) once (-benchtime=1x) so they
 #                          are compiled and executed on every change
 #   make fuzz-smoke        short fuzz pass over the Elias wire coder, the
-#                          bit-vector frame decoder and the sign-sum chunk
-#                          decoders on hostile bytes, the word-parallel
-#                          bitvec/Elias kernels (the Elias word-store
+#                          bit-vector frame decoder, the sign-sum chunk
+#                          decoders and the sign-frame decoders (PS hub
+#                          and cascading hops) on hostile bytes, the SSDM
+#                          word kernel against its per-element oracle on
+#                          NaN, ±Inf, ±0 and one-hot inputs, the
+#                          word-parallel bitvec/Elias kernels (the Elias word-store
 #                          encoder at every buffer edge included), the
 #                          masked Bernoulli lanes, the word-at-a-time ⊙
 #                          merge, the bit-sliced majority vote and the
@@ -143,11 +147,12 @@ bench-smoke:
 		./internal/tensor ./internal/nn ./internal/core ./internal/train ./internal/runtime
 
 # fuzz-smoke gives the wire-facing decoders a short adversarial pass —
-# Elias payloads, marshalled bit vectors and sign-sum chunks genuinely
-# travel TCP frames in the distributed collectives, so no decoder may
-# panic on hostile bytes (the chunk decoders only by name, with the rank
-# and the peer) — and drives every word-parallel kernel against its
-# scalar oracle.
+# Elias payloads, marshalled bit vectors, sign-sum chunks and sign frames
+# genuinely travel TCP frames in the distributed collectives, so no
+# decoder may panic on hostile bytes (the chunk decoders only by name,
+# with the rank and the peer; the sign-frame decoders naming the
+# sign-scale payload) — and drives every word-parallel kernel against
+# its scalar oracle.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -156,6 +161,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasIntsIntoAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasEncodeBufAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzSignSumChunkRobust' -fuzztime $(FUZZTIME) ./internal/runtime
+	$(GO) test -run '^$$' -fuzz 'FuzzSignFrameRobust' -fuzztime $(FUZZTIME) ./internal/runtime
 	$(GO) test -run '^$$' -fuzz 'FuzzPackUnpackSigns' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzExtractInsert' -fuzztime $(FUZZTIME) ./internal/bitvec
 	$(GO) test -run '^$$' -fuzz 'FuzzMarshalRoundTrip' -fuzztime $(FUZZTIME) ./internal/bitvec
@@ -165,6 +171,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBernoulliLanesMasked' -fuzztime $(FUZZTIME) ./internal/rng
 	$(GO) test -run '^$$' -fuzz 'FuzzMergeSignsAgainstScalar' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzGramSchmidt' -fuzztime $(FUZZTIME) ./internal/collective
+	$(GO) test -run '^$$' -fuzz 'FuzzSSDMBitsAgainstScalar' -fuzztime $(FUZZTIME) ./internal/collective
 
 # list-collectives pins the registry-generated discovery listing (the
 # same lines marsit-node/marsit-bench print for -list-collectives) to

@@ -195,22 +195,49 @@ func (v *Vec) PackSigns(src []float64) {
 	packSignWords(v.words, src)
 }
 
+// PackVotes is PackSigns for integer votes (or sums of them): bit i is 1
+// where src[i] >= 0, so a tied sum packs as +1.
+func (v *Vec) PackVotes(src []int64) {
+	if len(src) != v.n {
+		panic(fmt.Sprintf("bitvec: PackVotes length mismatch %d != %d", len(src), v.n))
+	}
+	packSignWords(v.words, src)
+}
+
+// SetWord overwrites bits [64i, 64i+64) of v with w, dropping the bits
+// of w past Len: the store of a kernel that produces its bits a word at
+// a time.
+func (v *Vec) SetWord(i int, w uint64) {
+	if i == len(v.words)-1 {
+		if rem := uint(v.n & 63); rem != 0 {
+			w &= 1<<rem - 1
+		}
+	}
+	v.words[i] = w
+}
+
 // packSignWords packs up to 64 elements of src per output word.
-func packSignWords(words []uint64, src []float64) {
+func packSignWords[T float64 | int64](words []uint64, src []T) {
 	for wi := range words {
 		lo := wi << 6
-		hi := lo + 64
-		if hi > len(src) {
-			hi = len(src)
-		}
-		var w uint64
-		for j, x := range src[lo:hi] {
-			if x >= 0 {
-				w |= 1 << uint(j)
-			}
-		}
-		words[wi] = w
+		words[wi] = packSignWord(src[lo:min(lo+64, len(src))])
 	}
+}
+
+// packSignWord packs the signs of up to 64 elements, x >= 0 → 1, into
+// the low len(src) bits of a word in index order. Each sign enters at the
+// top and shifts down, as in PackSignsOfSum: no variable shift and no
+// branch in the loop.
+func packSignWord[T float64 | int64](src []T) uint64 {
+	var w uint64
+	for _, x := range src {
+		var top uint64
+		if x >= 0 {
+			top = 1 << 63
+		}
+		w = w>>1 | top
+	}
+	return w >> uint(64-len(src))
 }
 
 // PackSignsOfSum adds x into acc (acc[i] += x[i]) and packs the signs of
@@ -289,10 +316,16 @@ func scaledNibbles(zero, one float64) (t [16][4]float64) {
 // 0. A clear bit flips the IEEE sign, so −scale is the exact negation
 // whatever scale's own sign is.
 func (v *Vec) UnpackScaled(dst []float64, scale float64) {
+	v.UnpackPair(dst, math.Float64frombits(math.Float64bits(scale)^1<<63), scale)
+}
+
+// UnpackPair writes dst[i] = one where bit i is 1, zero where it is 0:
+// the decode of a one-bit payload whose two values the caller forms.
+func (v *Vec) UnpackPair(dst []float64, zero, one float64) {
 	if len(dst) != v.n {
-		panic(fmt.Sprintf("bitvec: UnpackScaled length mismatch %d != %d", len(dst), v.n))
+		panic(fmt.Sprintf("bitvec: UnpackPair length mismatch %d != %d", len(dst), v.n))
 	}
-	nib := scaledNibbles(math.Float64frombits(math.Float64bits(scale)^1<<63), scale)
+	nib := scaledNibbles(zero, one)
 	for wi, w := range v.words {
 		lo := wi << 6
 		out := dst[lo:min(lo+64, v.n)]
@@ -303,6 +336,31 @@ func (v *Vec) UnpackScaled(dst []float64, scale float64) {
 		}
 		for ; j < len(out); j++ {
 			out[j] = nib[w&1][0]
+			w >>= 1
+		}
+	}
+}
+
+// UnpackPairAdd is UnpackPair with x added: dst[i] = p_i + x[i], p_i
+// being one where bit i is 1 and zero where it is 0. dst may be x.
+func (v *Vec) UnpackPairAdd(dst, x []float64, zero, one float64) {
+	if len(dst) != v.n || len(x) != v.n {
+		panic(fmt.Sprintf("bitvec: UnpackPairAdd lengths %d, %d != %d", len(dst), len(x), v.n))
+	}
+	nib := scaledNibbles(zero, one)
+	for wi, w := range v.words {
+		lo := wi << 6
+		hi := min(lo+64, v.n)
+		out, in := dst[lo:hi], x[lo:hi]
+		j := 0
+		for ; j+4 <= len(out); j += 4 {
+			t, x4 := &nib[w&15], (*[4]float64)(in[j:j+4])
+			o4 := (*[4]float64)(out[j : j+4])
+			o4[0], o4[1], o4[2], o4[3] = t[0]+x4[0], t[1]+x4[1], t[2]+x4[2], t[3]+x4[3]
+			w >>= 4
+		}
+		for ; j < len(out); j++ {
+			out[j] = nib[w&1][0] + in[j]
 			w >>= 1
 		}
 	}
@@ -464,12 +522,7 @@ func MarshalSigns[T float64 | int64](out []byte, src []T) {
 	binary.LittleEndian.PutUint32(out, uint32(n))
 	payload := out[4:]
 	for lo := 0; lo < n; lo += 64 {
-		var w uint64
-		for j, x := range src[lo:min(lo+64, n)] {
-			if x >= 0 {
-				w |= 1 << uint(j)
-			}
-		}
+		w := packSignWord(src[lo:min(lo+64, n)])
 		if lo+64 <= n {
 			binary.LittleEndian.PutUint64(payload[lo>>3:], w)
 			continue

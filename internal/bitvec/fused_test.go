@@ -182,6 +182,14 @@ func FuzzSignKernelsAgainstScalar(f *testing.F) {
 			}
 		}
 		requireSignKernels(t, fuzzVec(seed, n), fuzzFloats(seed^0xacc, n), ref, scale)
+
+		// The sign packer on the same edge values: −0 packs as +1, a NaN
+		// of either sign as −1, whatever the word position and tail width.
+		want := New(n)
+		refPackSigns(want, ref)
+		if got := FromSigns(ref); !got.Equal(want) {
+			t.Fatalf("n=%d: FromSigns packs %v, oracle %v", n, got, want)
+		}
 	})
 }
 

@@ -192,8 +192,9 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 		}
 
 		// The vector-free forms write and read the same frame: signs (and
-		// the integer votes with the same signs) marshal as FromSigns
-		// would, and a frame unmarshals to what UnpackSigns would write.
+		// the integer votes with the same signs, which PackVotes packs as
+		// FromSigns does) marshal as FromSigns would, and a frame
+		// unmarshals to what UnpackSigns would write.
 		src := fuzzFloats(seed, n)
 		votes := make([]int64, n)
 		for i, x := range src {
@@ -201,6 +202,12 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 			if x >= 0 {
 				votes[i] = int64(i % 3) // 0 votes +1 too
 			}
+		}
+		packed := New(n)
+		packed.Not() // stale bits must be overwritten
+		packed.PackVotes(votes)
+		if !packed.Equal(FromSigns(src)) {
+			t.Fatalf("PackVotes diverges from FromSigns at n=%d", n)
 		}
 		frame := FromSigns(src).Marshal()
 		fromSigns, fromVotes := make([]byte, len(frame)), make([]byte, len(frame))

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"marsit/internal/bitvec"
 	"marsit/internal/compress"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
@@ -527,32 +528,93 @@ func SSDMVotesInto(dst []int64, v tensor.Vec, r *rng.PCG) float64 {
 	return ssdmInto(dst, v, r)
 }
 
-// ssdmInto is the one SSDM loop under both element types: per element
-// the sign of x, kept with probability 1/2 + |x|/(2·norm) and flipped
-// otherwise, written as ±1.
+// SSDMBitsInto is SSDMSignsInto into a bit vector of length len(v): bit
+// i is set where the stochastic sign is +1. Same draws from r, same
+// norm; nothing of the ±1 form is written.
+func SSDMBitsInto(dst *bitvec.Vec, v tensor.Vec, r *rng.PCG) float64 {
+	if dst.Len() != len(v) {
+		panic("collective: SSDM sign vector length mismatch")
+	}
+	norm := tensor.Norm2(v)
+	var t [64]uint64
+	for lo := 0; lo < len(v); lo += 64 {
+		dst.SetWord(lo>>6, ssdmWord(&t, v[lo:min(lo+64, len(v))], norm, r))
+	}
+	return norm
+}
+
+// ssdmInto writes the words of ssdmWord out as ±1 of either element
+// type.
 func ssdmInto[T float64 | int64](dst []T, v tensor.Vec, r *rng.PCG) float64 {
 	if len(dst) != len(v) {
 		panic("collective: SSDM sign vector length mismatch")
 	}
 	norm := tensor.Norm2(v)
-	for i, x := range v {
-		pKeep := 0.5
-		if norm > 0 {
-			pKeep = 0.5 + math.Abs(x)/(2*norm)
+	var t [64]uint64
+	for lo := 0; lo < len(v); lo += 64 {
+		out := dst[lo:min(lo+64, len(v))]
+		w := ssdmWord(&t, v[lo:lo+len(out)], norm, r)
+		for j := range out {
+			out[j] = T(int64(w&1)<<1 - 1)
+			w >>= 1
 		}
-		// The sign of x (tensor.Sign: −1 iff x < 0) and the keep/flip
-		// outcome are both coin tosses on gradient data, so they meet in
-		// one bit instead of on two branches.
-		var neg uint64
-		if x < 0 {
-			neg = 1
-		}
-		if !r.Bernoulli(pKeep) {
-			neg ^= 1
-		}
-		dst[i] = 1 - 2*T(neg)
 	}
 	return norm
+}
+
+// ssdmWord is SSDM on up to 64 elements, returned as the low len(v) bits
+// of a word, bit j set where element j compresses to +1: the sign of x
+// (−1 iff x < 0, tensor.Sign's convention), kept with probability
+// ssdmKeep(x, norm) and flipped otherwise, drawn as r.Bernoulli draws it,
+// in index order. t is scratch for the lane thresholds.
+//
+// The word is neg XOR keep, where keep comes from rng.LanesBelow with
+// t_j = pKeep·2⁵³: pKeep ∈ [1/2, 1) is a multiple of 2⁻⁵³, so t_j is an
+// integer and x/2⁵³ < pKeep ⟺ x < t_j for every 53-bit draw x. A NaN
+// pKeep (an infinite element) gets t_j = 0: a draw, never kept, as
+// Bernoulli(NaN). A pKeep of 1 or more is kept without a draw, so a word
+// holding one is drawn element by element instead.
+func ssdmWord(t *[64]uint64, v []float64, norm float64, r *rng.PCG) uint64 {
+	var neg uint64
+	sure := false
+	for j, x := range v {
+		pKeep := ssdmKeep(x, norm)
+		switch {
+		case pKeep < 1:
+			t[j] = uint64(int64(pKeep * (1 << 53)))
+		case pKeep >= 1:
+			sure = true
+		default:
+			t[j] = 0
+		}
+		// As in bitvec's sign packing: the flag enters at the top and
+		// shifts down into index order.
+		var top uint64
+		if x < 0 {
+			top = 1 << 63
+		}
+		neg = neg>>1 | top
+	}
+	neg >>= uint(64 - len(v))
+	if !sure {
+		return neg ^ r.LanesBelow(t[:len(v)])
+	}
+	var keep uint64
+	for j, x := range v {
+		if r.Bernoulli(ssdmKeep(x, norm)) {
+			keep |= 1 << uint(j)
+		}
+	}
+	return neg ^ keep
+}
+
+// ssdmKeep is SSDM's probability of keeping the sign of x:
+// 1/2 + |x|/(2·norm), or 1/2 at a zero (or NaN) norm.
+func ssdmKeep(x, norm float64) float64 {
+	if norm > 0 {
+		return 0.5 + math.Abs(x)/(2*norm)
+	}
+	return 0.5
 }
 
 // HubPushPull exposes the virtual parameter-server exchange: every

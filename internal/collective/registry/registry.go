@@ -177,15 +177,16 @@ func (o *Opts) AllStreams() []*rng.PCG {
 type SeqRunner func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec
 
 // Update is one rank's synchronized output in the form its round
-// produced it. A one-bit round's output is D bits and one scalar and
-// stays that: Signs holds the bits (bit 1 is +Scale, bit 0 is −Scale) and
-// Vec is nil. Every other round's output is a vector, in Vec, with Signs
-// nil.
+// produced it. An output that is one sign per coordinate and one scalar
+// — a one-bit Marsit round's consensus, a signSGD majority vote — stays
+// that: Signs holds the bits (bit 1 is +Scale, bit 0 is −Scale, the IEEE
+// sign flipped) and Vec is nil. Every other round's output is a vector,
+// in Vec, with Signs nil.
 //
-// Signs is the producer's own vector (a Marsit rank's consensus, reused
-// by its next round), so it is valid until the next round on the same
-// runner; a caller that keeps the output longer calls Dense. Vec is the
-// caller's to keep.
+// Signs is the producer's own vector (a Marsit rank's consensus or a
+// signsum rank's majority, reused by its next round), so it is valid
+// until the next round on the same runner; a caller that keeps the
+// output longer calls Dense. Vec is the caller's to keep.
 type Update struct {
 	Signs *bitvec.Vec
 	Scale float64
@@ -209,8 +210,8 @@ func (u Update) Dense() tensor.Vec {
 // RankRunner executes one rank's share of one round over its transport
 // endpoint: grad is the rank's input gradient (may be mutated); the
 // returned Update is the rank's synchronized output — a dense leg's
-// vector, or a one-bit leg's bits, which stay the runner's until its next
-// round. Runners returned by Descriptor.Rank keep per-rank state across
+// vector, or the bits of a one-bit result (Marsit's consensus, the
+// signsum majority), which stay the runner's until its next round. Runners returned by Descriptor.Rank keep per-rank state across
 // rounds and must only be used from one goroutine.
 type RankRunner func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) Update
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"marsit/internal/bitvec"
 	"marsit/internal/rng"
 	"marsit/internal/tensor"
 )
@@ -73,6 +74,89 @@ func TestSSDMSignsIntoMatchesBranching(t *testing.T) {
 	}
 }
 
+// ssdmFuzzInput builds an SSDM input of length n from seed: Gaussians
+// with, by pattern, nothing else (0), one nonzero element (1, the keep
+// probability 1 that takes no draw), only ±0 (2, a zero norm), NaN of
+// both signs (3), ±Inf (4, a NaN keep probability) or all of those
+// scattered (5).
+func ssdmFuzzInput(seed uint64, n int, pattern uint8) tensor.Vec {
+	r := rng.New(seed)
+	v := r.NormVec(make([]float64, n), 0, 1)
+	edges := []float64{0, math.Copysign(0, -1), math.NaN(), math.Copysign(math.NaN(), -1), math.Inf(1), math.Inf(-1), 1e-300}
+	switch pattern % 6 {
+	case 1:
+		if n > 0 {
+			hot := r.Intn(n)
+			x := v[hot]
+			clear(v)
+			v[hot] = x
+		}
+	case 2:
+		for i := range v {
+			v[i] = edges[r.Intn(2)]
+		}
+	case 3, 4:
+		for i := range v {
+			if r.Intn(9) == 0 {
+				v[i] = edges[2*int(pattern%6)-4+r.Intn(2)]
+			}
+		}
+	case 5:
+		for i := range v {
+			if r.Intn(4) == 0 {
+				v[i] = edges[r.Intn(len(edges))]
+			}
+		}
+	}
+	return v
+}
+
+// FuzzSSDMBitsAgainstScalar holds the word kernel behind SSDMBitsInto,
+// SSDMSignsInto and SSDMVotesInto to the per-element oracle: the same
+// norm bit for bit, the same signs (bit i set exactly where the oracle
+// writes +1) and the stream left at the same position, on lengths around
+// the 64-lane word and every edge pattern of ssdmFuzzInput.
+func FuzzSSDMBitsAgainstScalar(f *testing.F) {
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 200} {
+		for pattern := uint8(0); pattern < 6; pattern++ {
+			f.Add(uint64(n)*6+uint64(pattern), uint16(n), pattern)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint16, pattern uint8) {
+		n := int(nRaw) % 300
+		v := ssdmFuzzInput(seed, n, pattern)
+		fast, floats, ints, ref := rng.NewStream(seed, 9), rng.NewStream(seed, 9), rng.NewStream(seed, 9), rng.NewStream(seed, 9)
+		bits := bitvec.New(n)
+		signs, votes, want := make([]float64, n), make([]int64, n), make([]float64, n)
+		norm := SSDMBitsInto(bits, v, fast)
+		floatNorm := SSDMSignsInto(signs, v, floats)
+		intNorm := SSDMVotesInto(votes, v, ints)
+		wantNorm := ssdmSignsBranching(want, v, ref)
+		for _, got := range []float64{norm, floatNorm, intNorm} {
+			if math.Float64bits(got) != math.Float64bits(wantNorm) {
+				t.Fatalf("n=%d pattern %d: norm %v, oracle %v", n, pattern, got, wantNorm)
+			}
+		}
+		wantBits := bitvec.New(n)
+		for i, w := range want {
+			wantBits.Set(i, w > 0)
+			if math.Float64bits(signs[i]) != math.Float64bits(w) || float64(votes[i]) != w {
+				t.Fatalf("n=%d pattern %d: sign[%d] of %v: float %v, vote %d; oracle %v", n, pattern, i, v[i], signs[i], votes[i], w)
+			}
+		}
+		// Equal compares whole words: a bit set past the length fails too.
+		if !bits.Equal(wantBits) {
+			t.Fatalf("n=%d pattern %d: bits %v, oracle %v", n, pattern, bits, wantBits)
+		}
+		w := ref.Uint64()
+		for name, r := range map[string]*rng.PCG{"bits": fast, "floats": floats, "votes": ints} {
+			if got := r.Uint64(); got != w {
+				t.Fatalf("n=%d pattern %d: %s form leaves the stream at %#x, oracle at %#x", n, pattern, name, got, w)
+			}
+		}
+	})
+}
+
 // TestSSDMUnbiased is the key property from the appendix: E[Q(g)] = g,
 // where Q(g) is the ℓ2 norm times the stochastic sign vector.
 func TestSSDMUnbiased(t *testing.T) {
@@ -137,6 +221,12 @@ func BenchmarkSSDMSignsInto(b *testing.B) {
 	v := rng.New(5).NormVec(make([]float64, 100_000), 0, 1)
 	dst := make([]float64, len(v))
 	r := rng.New(6)
+	bits := bitvec.New(len(v))
+	b.Run("bits", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SSDMBitsInto(bits, v, r)
+		}
+	})
 	b.Run("branch-free", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			SSDMSignsInto(dst, v, r)

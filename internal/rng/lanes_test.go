@@ -61,7 +61,8 @@ func TestHighHalfDecision(t *testing.T) {
 // FuzzBernoulliLanesMasked pins the masked lane routine to the dense one
 // and to the scalar definition: whatever need is, the lanes it names
 // read as one Uint64()>>11 < t draw each at their own stream positions,
-// the others read 0, and the stream is left n draws on.
+// the others read 0, and the stream is left n draws on. LanesBelow, given
+// each lane's threshold, reads every lane the same way.
 func FuzzBernoulliLanesMasked(f *testing.F) {
 	const half = 1 << 52
 	third := BernoulliThreshold(1.0 / 3)
@@ -74,17 +75,21 @@ func FuzzBernoulliLanesMasked(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, need, sel, t0, t1 uint64, nRaw uint8) {
 		n := int(nRaw) % 65
 		t0, t1 = t0%(1<<53+1), t1%(1<<53+1)
-		masked, dense, scalar := NewStream(seed, 3), NewStream(seed, 3), NewStream(seed, 3)
+		masked, dense, perLane, scalar := NewStream(seed, 3), NewStream(seed, 3), NewStream(seed, 3), NewStream(seed, 3)
 
 		var want uint64
+		var thr [64]uint64
 		for j := 0; j < n; j++ {
-			thr := t0
+			thr[j] = t0
 			if sel>>uint(j)&1 == 1 {
-				thr = t1
+				thr[j] = t1
 			}
-			if scalar.Uint64()>>11 < thr {
+			if scalar.Uint64()>>11 < thr[j] {
 				want |= 1 << uint(j)
 			}
+		}
+		if got := perLane.LanesBelow(thr[:n]); got != want {
+			t.Fatalf("n=%d sel=%#x t0=%#x t1=%#x: LanesBelow %#x, scalar draws %#x", n, sel, t0, t1, got, want)
 		}
 		all := dense.BernoulliLanes(^uint64(0), sel, t0, t1, n)
 		if all != want {
@@ -99,6 +104,9 @@ func FuzzBernoulliLanesMasked(f *testing.F) {
 		}
 		if g := dense.Uint64(); g != next {
 			t.Fatalf("n=%d: dense call left the stream at %#x, %d draws leave it at %#x", n, g, n, next)
+		}
+		if g := perLane.Uint64(); g != next {
+			t.Fatalf("n=%d: LanesBelow left the stream at %#x, %d draws leave it at %#x", n, g, n, next)
 		}
 	})
 }

@@ -322,6 +322,29 @@ func (p *PCG) BernoulliLanes(need, sel, t0, t1 uint64, n int) uint64 {
 	return w
 }
 
+// LanesBelow is the dense form of BernoulliLanes with a threshold per
+// lane: len(t) ≤ 64 lanes at consecutive stream positions in index
+// order, lane j set when its draw x = Uint64()>>11 is below t[j]. Every
+// lane is evaluated, so the lanes walk the stream serially, two steps a
+// lane (cheaper than a jump per lane when none is skipped), and the
+// stream is left exactly as len(t) Float64 calls leave it. t[j] = 0 is a
+// lane that is never set but still draws.
+func (p *PCG) LanesBelow(t []uint64) uint64 {
+	state, inc := p.state, p.inc
+	mul2, add2 := jumpMul[2], jumpAdd[2]*inc
+	var w uint64
+	for j, tj := range t {
+		below, tie := belowByHigh(pcgOutput(state), tj)
+		if tie {
+			below = belowByLow(pcgOutput(state*pcgMult+inc), tj)
+		}
+		w |= below << uint(j&63)
+		state = mul2*state + add2
+	}
+	p.state = state
+	return w
+}
+
 // BernoulliWord returns a 64-bit word whose bits are independently 1 with
 // probability prob. For prob exactly 1/2 a single Uint64 draw is used;
 // otherwise every bit is its own Float64-equivalent draw, in index order

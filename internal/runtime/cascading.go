@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"marsit/internal/bitvec"
 	"marsit/internal/collective"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
@@ -17,13 +18,18 @@ import (
 // as in collective.CascadingRing, and each rank's stochastic draws come
 // from its own goroutine-confined stream in the sequential order.
 //
-// The hot loop allocates nothing of segment size: sign and sum scratch
-// cycles through the shared transport pools (one live sign buffer plus
-// one sum buffer per rank, regardless of ring size or round count), and
+// The signs stay bits from the compressor to the write-back: SSDM
+// compresses straight into a segment bit vector (collective.
+// SSDMBitsInto), the frame is its marshalled words, a received segment
+// is decoded by reading norm·(±1) from a two-entry table per bit, and
+// the gather forwards the bits it received. A rank keeps two segment bit
+// vectors across hops (the one it sends, the one it receives; Resize
+// reuses their words) and one pooled float segment for the
+// decompress-add, so nothing of segment size is allocated per hop, and
 // each hop's payload can be chunk-pipelined (rankCtx.chunks). What
 // travels is what netsim charges — one bit per sign plus the ℓ2 norm,
-// the sign frame of ps.go (encodeSigns); every chunk of a hop carries
-// the norm.
+// the sign frame of ps.go (encodeSignScale); every chunk of a hop
+// carries the norm.
 
 // cascadingRingRank executes one rank's share of the cascading SSDM
 // ring. vec is replaced by the (error-laden) estimate of the mean; r
@@ -43,41 +49,37 @@ func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 	fn := float64(n)
 
 	// summed is the per-hop decompress-add scratch, sized once for the
-	// largest segment (Partition puts the remainder up front).
+	// largest segment (Partition puts the remainder up front). cur holds
+	// the payload this rank sends next, in the one it receives into, and
+	// part a chunk of either when a hop is pipelined.
 	summed := transport.GetFloats(segs[0].Len())
+	cur, in, part := new(bitvec.Vec), new(bitvec.Vec), new(bitvec.Vec)
+	var curNorm float64
+	encode := func(_, lo, hi int) []byte { return encodeSignScale(bitRange(cur, part, lo, hi), curNorm) }
 
 	// Reduce phase: at step s forward the payload covering segment
 	// (p−s) mod n, then decompress–add–recompress the received segment
-	// (p−s−1) mod n. The outgoing sign buffer is pooled and recycled
-	// after each recompression.
-	var curNorm float64
-	var curSigns []float64
+	// (p−s−1) mod n into cur, once the hop has sent all of it.
 	for s := 0; s < n-1; s++ {
 		out := segs[mod(rank-s, n)]
 		if s == 0 {
-			curSigns = transport.GetFloats(out.Len())
-			curNorm = collective.SSDMSignsInto(curSigns, out.Of(vec), r)
+			cur.Resize(out.Len())
+			curNorm = collective.SSDMBitsInto(cur, out.Of(vec), r)
 			rk.addCompress(out.Len())
 		}
-		in := segs[mod(rank-s-1, n)]
-		local := in.Of(vec)
-		sm := summed[:in.Len()]
-		rk.exchangeChunked(next, prev, out.Len(), in.Len(), collective.SignWireBytes(out.Len()),
-			func(_, lo, hi int) []byte {
-				return encodeSigns(curSigns[lo:hi], curNorm)
-			},
+		seg := segs[mod(rank-s-1, n)]
+		local := seg.Of(vec)
+		sm := summed[:seg.Len()]
+		rk.exchangeChunked(next, prev, out.Len(), seg.Len(), collective.SignWireBytes(out.Len()), encode,
 			func(_, lo, hi int, data []byte) {
-				// The received signs land in sm and are combined in place.
-				inNorm := decodeSigns(data, sm[lo:hi])
-				for i := lo; i < hi; i++ {
-					sm[i] = inNorm*sm[i] + local[i]
-				}
+				inNorm := decodeSignScaleInto(data, in, hi-lo)
+				neg, pos := signPair(inNorm)
+				in.UnpackPairAdd(sm[lo:hi], local[lo:hi], neg, pos)
 			})
-		rk.addDecompress(in.Len())
-		transport.PutFloats(curSigns)
-		curSigns = transport.GetFloats(in.Len())
-		curNorm = collective.SSDMSignsInto(curSigns, sm, r)
-		rk.addCompress(in.Len())
+		rk.addDecompress(seg.Len())
+		cur.Resize(seg.Len())
+		curNorm = collective.SSDMBitsInto(cur, sm, r)
+		rk.addCompress(seg.Len())
 	}
 	transport.PutFloats(summed)
 
@@ -86,35 +88,62 @@ func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 	// decoding each segment into the local vector as it arrives (the
 	// decompression is charged once at the end, exactly like the
 	// sequential schedule's closing decode).
-	writeCascadeSegment(segs[mod(rank+1, n)].Of(vec), curNorm, curSigns, fn)
+	writeCascadeSegment(segs[mod(rank+1, n)].Of(vec), cur, curNorm, fn)
 	for s := 0; s < n-1; s++ {
 		out := segs[mod(rank+1-s, n)]
-		in := segs[mod(rank-s, n)]
-		dst := in.Of(vec)
-		inSigns := transport.GetFloats(in.Len())
+		seg := segs[mod(rank-s, n)]
+		dst := seg.Of(vec)
+		in.Resize(seg.Len())
 		var inNorm float64
-		rk.exchangeChunked(next, prev, out.Len(), in.Len(), collective.SignWireBytes(out.Len()),
-			func(_, lo, hi int) []byte {
-				return encodeSigns(curSigns[lo:hi], curNorm)
-			},
+		rk.exchangeChunked(next, prev, out.Len(), seg.Len(), collective.SignWireBytes(out.Len()), encode,
 			func(_, lo, hi int, data []byte) {
-				inNorm = decodeSigns(data, inSigns[lo:hi])
-				writeCascadeSegment(dst[lo:hi], inNorm, inSigns[lo:hi], fn)
+				bits := in
+				if hi-lo != seg.Len() {
+					bits = part
+				}
+				inNorm = decodeSignScaleInto(data, bits, hi-lo)
+				writeCascadeSegment(dst[lo:hi], bits, inNorm, fn)
+				if bits != in {
+					in.Insert(lo, bits)
+				}
 			})
-		transport.PutFloats(curSigns)
-		curSigns, curNorm = inSigns, inNorm
+		cur, in = in, cur
+		curNorm = inNorm
 	}
-	transport.PutFloats(curSigns)
 	rk.addDecompress(d)
 	rk.finish()
 }
 
+// unitSigns are the ±1 a sign bit stood for when the signs travelled as
+// floats. They are a variable, not constants, so the products below stay
+// multiplications: the compiler may rewrite x·(−1) as a negation, which
+// flips a NaN's sign bit where the multiplication keeps it.
+var unitSigns = [2]float64{-1, 1}
+
+// signPair returns the two values a sign bit of a payload with scaling
+// constant norm decodes to, for a clear bit and a set bit: norm·(−1) and
+// norm·(+1), the very products the ±1 float decode formed, so every norm
+// — NaN and ±Inf included — decodes to the same bits.
+func signPair(norm float64) (neg, pos float64) {
+	return norm * unitSigns[0], norm * unitSigns[1]
+}
+
 // writeCascadeSegment decodes one final payload into its segment of the
-// local vector: dst[i] = norm · sign_i / n (the division stays a
-// division — a reciprocal multiply would not be bit-identical to the
-// sequential decode).
-func writeCascadeSegment(dst []float64, norm float64, signs []float64, fn float64) {
-	for i := range dst {
-		dst[i] = norm * signs[i] / fn
+// local vector: dst[i] = norm · sign_i / n, from the two values that
+// expression takes (the division stays a division — a reciprocal
+// multiply would not be bit-identical to the sequential decode).
+func writeCascadeSegment(dst []float64, bits *bitvec.Vec, norm, fn float64) {
+	neg, pos := signPair(norm)
+	bits.UnpackPair(dst, neg/fn, pos/fn)
+}
+
+// bitRange returns bits [lo, hi) of v: v itself when that is all of it,
+// otherwise scratch, filled by ExtractInto.
+func bitRange(v, scratch *bitvec.Vec, lo, hi int) *bitvec.Vec {
+	if lo == 0 && hi == v.Len() {
+		return v
 	}
+	scratch.Resize(hi - lo)
+	v.ExtractInto(scratch, lo)
+	return scratch
 }

@@ -60,9 +60,10 @@ func (e *Engine) Open(desc *registry.Descriptor, o *registry.Opts) (*Collective,
 // clocks are bit-identical to the descriptor's sequential leg. A dense
 // rank's output is its runner's own vector. Ranks whose one-bit results
 // hold the same bits and scale as rank 0's — every rank of a consensus
-// such as Marsit's — share one fresh vector, unpacked once, exactly as
-// the sequential leg hands its one g_t to every rank; a rank whose bits
-// differ gets a vector of its own. Every output is the caller's to keep.
+// such as Marsit's or a signsum majority — share one fresh vector,
+// unpacked once, exactly as the sequential leg hands its one g_t to
+// every rank; a rank whose bits differ gets a vector of its own. Every
+// output is the caller's to keep.
 func (cl *Collective) Run(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 	cl.e.checkShape(c, grads)
 	ups := make([]registry.Update, cl.e.n)

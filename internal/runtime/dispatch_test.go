@@ -144,23 +144,29 @@ func TestRunSeparatesDifferentBits(t *testing.T) {
 	}
 }
 
-// BenchmarkCollectiveRun times one Collective.Run of the one-bit Marsit
-// ring (K = 0, every round one-bit) and of the full-precision ring on the
-// loopback engine at M = 4, D = 2^16. B/op shows what a round allocates:
-// for marsit one shared g_t (8·D bytes) and two segment vectors a rank;
-// for rar nothing that grows with D, since each rank's output is its
-// reduced input.
+// BenchmarkCollectiveRun times one Collective.Run on the loopback engine
+// at M = 4, D = 2^16 of the one-bit Marsit ring (K = 0, every round
+// one-bit), the full-precision ring, the cascading SSDM ring and the
+// Elias-coded sign-sum ring. B/op shows what a round allocates: for
+// marsit and signsum one vector per consensus (8·D bytes, shared by every
+// rank), marsit's two segment bit vectors a rank beside it; for cascading
+// only its two segment bit vectors a rank (about 0.06 B/elem a rank),
+// and for rar nothing that grows with D, since each rank's output is its
+// own reduced input.
 func BenchmarkCollectiveRun(b *testing.B) {
 	const workers, dim = 4, 1 << 16
-	for _, name := range []string{"marsit", "rar"} {
-		b.Run(name, func(b *testing.B) {
-			desc, err := registry.Get(name)
+	for _, tc := range []struct {
+		name  string
+		elias bool
+	}{{"marsit", false}, {"rar", false}, {"cascading", false}, {"signsum", true}} {
+		b.Run(tc.name, func(b *testing.B) {
+			desc, err := registry.Get(tc.name)
 			if err != nil {
 				b.Fatal(err)
 			}
 			eng := runtime.New(workers)
 			defer eng.Close()
-			cl, err := eng.Open(desc, &registry.Opts{Dim: dim, Seed: 1, GlobalLR: 0.01})
+			cl, err := eng.Open(desc, &registry.Opts{Dim: dim, Seed: 1, GlobalLR: 0.01, Elias: tc.elias})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -174,8 +180,9 @@ func BenchmarkCollectiveRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// rar reduces in place; the content is irrelevant to the
-				// timing, so the inputs are reused as they come out.
+				// rar and cascading write in place; the content is
+				// irrelevant to the timing, so the inputs are reused as they
+				// come out.
 				copy(work, grads)
 				cl.Run(c, work)
 			}

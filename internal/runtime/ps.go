@@ -257,13 +257,13 @@ func ssdmPSRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng
 // netsim charges for, one bit per element plus the constant, is what
 // travels. A ±1 round-trips through its bit exactly.
 
-// encodeSigns packs ±1 signs — floats, or the integer votes of the
-// sign-vote family — and their scaling constant into a pooled sign
-// frame, with no bit vector in between.
-func encodeSigns[T float64 | int64](signs []T, scale float64) []byte {
-	out := transport.GetBuffer(8 + 4 + (len(signs)+7)/8)
+// encodeSigns packs the ±1 votes of the sign-vote family and their
+// scaling constant into a pooled sign frame, with no bit vector in
+// between.
+func encodeSigns(votes []int64, scale float64) []byte {
+	out := transport.GetBuffer(8 + 4 + (len(votes)+7)/8)
 	binary.LittleEndian.PutUint64(out, math.Float64bits(scale))
-	bitvec.MarshalSigns(out[8:], signs)
+	bitvec.MarshalSigns(out[8:], votes)
 	return out
 }
 
@@ -296,17 +296,25 @@ func encodeSignScale(bits *bitvec.Vec, scale float64) []byte {
 	return out
 }
 
-// decodeSignScale parses a sign frame of d bits into a bit vector (what
-// the majority hub votes on) and recycles it.
+// decodeSignScale parses a sign frame of d bits into a new bit vector
+// (what the majority hub votes on) and recycles it.
 func decodeSignScale(data []byte, d int) (*bitvec.Vec, float64) {
+	bits := new(bitvec.Vec)
+	scale := decodeSignScaleInto(data, bits, d)
+	return bits, scale
+}
+
+// decodeSignScaleInto is decodeSignScale into dst, which takes the
+// frame's length and keeps its words when they have room (the cascading
+// ring decodes every hop into one vector).
+func decodeSignScaleInto(data []byte, dst *bitvec.Vec, d int) float64 {
 	scale, body := signFrameScale(data)
-	bits, err := bitvec.Unmarshal(body)
-	if err != nil {
+	if err := bitvec.UnmarshalInto(dst, body); err != nil {
 		panic(fmt.Sprintf("runtime: sign-scale payload: %v", err))
 	}
-	if bits.Len() != d {
-		panic(fmt.Sprintf("runtime: sign-scale payload of %d bits for dim %d", bits.Len(), d))
+	if dst.Len() != d {
+		panic(fmt.Sprintf("runtime: sign-scale payload of %d bits for dim %d", dst.Len(), d))
 	}
 	transport.PutBuffer(data)
-	return bits, scale
+	return scale
 }

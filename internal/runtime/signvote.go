@@ -3,6 +3,7 @@ package runtime
 import (
 	"math"
 
+	"marsit/internal/bitvec"
 	"marsit/internal/collective"
 	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
@@ -39,13 +40,18 @@ import (
 // integer sign sums travel the bit-width-expansion ring (the torus when
 // Opts.Torus is set; ± Opts.Elias, Opts.Chunks) and decode by majority
 // vote — or linearly, mean scale × mean sign, once the signs are
-// stochastic or error-corrected. Every rank is charged the packing and
-// the decode, and the round ends in a barrier.
+// stochastic or error-corrected. A majority is one bit per coordinate,
+// the same on every rank, so the per-rank leg returns it as bits and
+// the mean scale (registry.Update.Signs): the engine unpacks one vector
+// per consensus, as the sequential leg hands its one update to every
+// rank. Every rank is charged the packing and the decode, and the round
+// ends in a barrier.
 func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry.Descriptor {
 	ps := base.Topology == registry.PS
-	decode := collective.MajorityDecode
-	if stochastic || errorFeedback {
-		decode = linearDecode
+	majority := !stochastic && !errorFeedback
+	decode := linearDecode
+	if majority {
+		decode = collective.MajorityDecode
 	}
 	compressor := func(o *registry.Opts, rank int) func(g tensor.Vec, votes []int64) float64 {
 		compress := voteScale
@@ -121,26 +127,39 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 	}
 	base.NewRank = func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 		compress := compressor(o, rank)
+		// A majority's consensus is the same D bits on every rank: the
+		// rank keeps them in consensus until its next round and returns
+		// them, as a one-bit Marsit rank does.
+		consensus := new(bitvec.Vec)
 		return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-			d := len(grad)
+			d, n := len(grad), ep.Size()
 			votes := transport.GetInt64s(d)
 			scale := compress(grad, votes)
 			c.AddCompress(rank, d)
-			var update tensor.Vec
-			switch {
-			case ps:
-				update = scaledSignPSRank(c, ep, votes, scale)
-			case o.Torus != nil:
-				total := signSumTorusRank(c, ep, o.Torus, votes, scale, o.Elias, o.Chunks)
-				update = decode(votes, total, ep.Size())
-			default:
-				total := signSumRingRank(c, ep, votes, scale, o.Elias, o.Chunks)
-				update = decode(votes, total, ep.Size())
+			var update registry.Update
+			if ps {
+				update.Vec = scaledSignPSRank(c, ep, votes, scale)
+			} else {
+				var total float64
+				if o.Torus != nil {
+					total = signSumTorusRank(c, ep, o.Torus, votes, scale, o.Elias, o.Chunks)
+				} else {
+					total = signSumRingRank(c, ep, votes, scale, o.Elias, o.Chunks)
+				}
+				if majority {
+					// Bit for bit MajorityDecode: a clear bit (a negative
+					// sum) is the mean scale with its IEEE sign flipped.
+					consensus.Resize(d)
+					consensus.PackVotes(votes)
+					update = registry.Update{Signs: consensus, Scale: total / float64(n)}
+				} else {
+					update.Vec = decode(votes, total, n)
+				}
 			}
 			transport.PutInt64s(votes)
 			c.AddDecompress(rank, d)
 			ClockBarrier(c, ep)
-			return registry.Update{Vec: update}
+			return update
 		}, nil
 	}
 	return base
