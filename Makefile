@@ -51,8 +51,9 @@
 #   make deadcode          golden check: the functions under internal/ that
 #                          no program reaches must match
 #                          tools/deadcode.golden (tools/deadcode.sh)
-#   make tcp-demo          4-rank multi-process Marsit run over local TCP,
-#                          verified bit-for-bit against the sequential engine
+#   make tcp-demo          4-rank multi-process Marsit runs over local TCP,
+#                          a ring and README's 2×2 torus, each verified
+#                          bit-for-bit against the sequential engine
 #   make shm-demo          4-rank multi-process Marsit run over the
 #                          shared-memory fabric (mmap'd rings, zero sockets
 #                          on the gradient path), verified bit-for-bit
@@ -206,25 +207,30 @@ deadcode:
 	@bash tools/deadcode.sh -check
 
 # tcp-demo launches one marsit-node process per rank on fixed local
-# ports; rank 0 gathers every rank's result, wire bytes and virtual
-# clock, replays the run on the sequential engine, and exits non-zero
-# unless everything is bit-identical.
+# ports, for two fleets in turn: the flat ring, then README's 2×2 torus
+# (-torus 2,2). In each, rank 0 gathers every rank's result, wire bytes
+# and virtual clock, replays the run on the sequential engine, and exits
+# non-zero unless everything is bit-identical.
 TCP_DEMO_PEERS := 127.0.0.1:7741,127.0.0.1:7742,127.0.0.1:7743,127.0.0.1:7744
+TCP_DEMO_TORUS_PEERS := 127.0.0.1:7745,127.0.0.1:7746,127.0.0.1:7747,127.0.0.1:7748
 
 tcp-demo:
 	$(GO) build -o bin/marsit-node ./cmd/marsit-node
-	@pids=""; \
-	for r in 1 2 3; do \
-		./bin/marsit-node -rank $$r -peers $(TCP_DEMO_PEERS) \
-			-collective marsit -dim 4096 -rounds 8 -k 4 -check -quiet & \
-		pids="$$pids $$!"; \
+	@for fleet in "$(TCP_DEMO_PEERS)|-dim 4096" "$(TCP_DEMO_TORUS_PEERS)|-torus 2,2"; do \
+		peers="$${fleet%%|*}"; shape="$${fleet#*|}"; \
+		pids=""; \
+		for r in 1 2 3; do \
+			./bin/marsit-node -rank $$r -peers $$peers \
+				-collective marsit $$shape -rounds 8 -k 4 -check -quiet & \
+			pids="$$pids $$!"; \
+		done; \
+		status=0; \
+		./bin/marsit-node -rank 0 -peers $$peers \
+			-collective marsit $$shape -rounds 8 -k 4 -check || status=$$?; \
+		for p in $$pids; do wait $$p || status=$$?; done; \
+		if [ $$status -ne 0 ]; then echo "tcp-demo: FAILED ($$shape)"; exit $$status; fi; \
 	done; \
-	status=0; \
-	./bin/marsit-node -rank 0 -peers $(TCP_DEMO_PEERS) \
-		-collective marsit -dim 4096 -rounds 8 -k 4 -check || status=$$?; \
-	for p in $$pids; do wait $$p || status=$$?; done; \
-	if [ $$status -ne 0 ]; then echo "tcp-demo: FAILED"; exit $$status; fi; \
-	echo "tcp-demo: 4-rank TCP fabric matches the sequential engine"
+	echo "tcp-demo: 4-rank TCP fabrics (ring and 2x2 torus) match the sequential engine"
 
 # shm-demo launches one marsit-node process per rank like tcp-demo, but
 # the gradient path runs entirely over mmap'd shared-memory rings in a

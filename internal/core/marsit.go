@@ -269,12 +269,7 @@ func New(cfg Config) (*Marsit, error) {
 			m.ranks[w] = newRankSync(cfg, w)
 		}
 		m.u = make([]tensor.Vec, cfg.Workers)
-		if tor := cfg.Torus; tor != nil {
-			m.addPhase(tor.RowGroups(), 1)
-			m.addPhase(tor.ColGroups(), tor.Cols())
-		} else {
-			m.addPhase([][]int{topology.AllRanks(cfg.Workers)}, 1)
-		}
+		m.addPhases()
 		return m, nil
 	}
 	// The registered per-rank leg, built from the whole Config (the
@@ -395,10 +390,11 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) registry.Upda
 	}
 
 	// Line 1, lines 4–8 and line 10 on lanes: packing by worker, the
-	// phases' merges by segment and write-backs by member, the
+	// phases' merges by segment and write-backs by segment, the
 	// compensation by worker, with the lanes meeting between dependent
-	// steps. Columns of a torus resolve disagreeing bits with independent
-	// draws; worker 0's aggregate is the consensus every worker decodes.
+	// steps. Every segment has one merge chain, and the last phase writes
+	// each final segment into worker 0's bits: the consensus every worker
+	// decodes, and every rank of the per-rank schedule holds.
 	lanes := tensor.Lanes(n)
 	consensus := m.ranks[0].bits
 	tensor.ForLanes(lanes, func(p int, b *tensor.Barrier) {
@@ -420,11 +416,7 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) registry.Upda
 	for w := range m.ranks {
 		c.AddCompress(w, d)
 	}
-	for i := range m.phases {
-		for _, msgs := range m.phases[i].steps {
-			c.Exchange(msgs)
-		}
-	}
+	m.exchangePhases(c)
 	for w := range m.ranks {
 		c.AddDecompress(w, d)
 	}
@@ -432,41 +424,93 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) registry.Upda
 	return registry.Update{Signs: consensus, Scale: m.cfg.GlobalLR}
 }
 
+// exchangePhases charges the one-bit round's hops in every rank's own
+// order: the reduce-scatters outward (the rows, then the columns), the
+// all-gathers back in.
+func (m *Marsit) exchangePhases(c *netsim.Cluster) {
+	for i := range m.phases {
+		for _, msgs := range m.phases[i].rs {
+			c.Exchange(msgs)
+		}
+	}
+	for i := len(m.phases) - 1; i >= 0; i-- {
+		for _, msgs := range m.phases[i].ag {
+			c.Exchange(msgs)
+		}
+	}
+}
+
 // ringPhase is one phase of the lock-step one-bit schedule: disjoint
-// rings of equal length — the whole cluster, or a torus's rows or
-// columns — run the one-bit reduce-scatter and all-gather side by side.
-// Each member's bits enter holding an aggregate covering base workers
-// and leave holding its ring's aggregate, covering base·len(ring),
-// identical within the ring; member w's merges draw from ranks[w].rng.
-// A Marsit builds its phases once, vectors and messages included, so a
-// round allocates neither.
+// rings of equal length — a torus's rows (the whole cluster for a flat
+// ring) or its columns — run the one-bit reduce-scatter side by side,
+// ring g over segs[g]. Members' bits enter covering base workers each;
+// segment k leaves in agg[g][k] covering base·len(ring), and member w's
+// merges draw from ranks[w].rng. The all-gather moves no bit the lock
+// step needs, so it is only charged. A Marsit builds its phases once,
+// vectors and messages included, so a round allocates neither.
 type ringPhase struct {
 	groups [][]int
 	base   int
-	segs   []tensor.Segment
+	// segs[g] partitions ring g's range of the bits into one absolute
+	// segment per member.
+	segs [][]tensor.Segment
 	// agg[g][k] is ring g's running aggregate of segment k, which travels
 	// the ring: position k starts it from its own bits, and at step s
 	// position k+s+1 merges its own bits of the segment into it.
 	// local[g][k] holds those own bits for the merge.
 	agg   [][]*bitvec.Vec
 	local [][]*bitvec.Vec
-	// steps[s] are the messages of exchange s: the reduce-scatter hops,
-	// then the all-gather hops.
-	steps [][]netsim.Message
+	// rs[s] and ag[s] are the messages of reduce-scatter step s and of
+	// all-gather step s.
+	rs, ag [][]netsim.Message
+	// last marks the schedule's final phase, whose segments are the
+	// consensus.
+	last bool
 }
 
-// addPhase appends the phase of rings groups, whose members' aggregates
-// enter covering base workers each, to a sequential Marsit. A ring of one
-// has nothing to exchange.
-func (m *Marsit) addPhase(groups [][]int, base int) {
+// addPhases builds the lock-step one-bit schedule from the torus layout,
+// the 1×M torus for a flat ring: the rows' rings over the row partition
+// of the bits, then the columns' rings, each over the row segment its
+// members own after the rows' reduce-scatter — (p+1) mod cols for
+// column p — with the row width as the base weight.
+func (m *Marsit) addPhases() {
+	tor := m.cfg.Torus
+	if tor == nil {
+		tor = topology.NewTorus(1, m.cfg.Workers)
+	}
+	cols := tor.Cols()
+	rowSegs := tensor.Partition(m.cfg.Dim, cols)
+	rows, colGroups := tor.RowGroups(), tor.ColGroups()
+	segs := make([][]tensor.Segment, len(rows))
+	for g := range rows {
+		segs[g] = rowSegs
+	}
+	m.addPhase(rows, 1, segs, tor.Rows() < 2)
+	segs = make([][]tensor.Segment, len(colGroups))
+	for p := range colGroups {
+		owned := rowSegs[(p+1)%cols]
+		segs[p] = tensor.Partition(owned.Len(), tor.Rows())
+		for i := range segs[p] {
+			segs[p][i].Lo += owned.Lo
+			segs[p][i].Hi += owned.Lo
+		}
+	}
+	m.addPhase(colGroups, cols, segs, true)
+}
+
+// addPhase appends the phase of rings groups over segs, whose members'
+// aggregates enter covering base workers each, to a sequential Marsit;
+// last marks the schedule's final phase. A ring of one has nothing to
+// exchange.
+func (m *Marsit) addPhase(groups [][]int, base int, segs [][]tensor.Segment, last bool) {
 	size := len(groups[0])
 	if size < 2 {
 		return
 	}
-	ph := ringPhase{groups: groups, base: base, segs: tensor.Partition(m.cfg.Dim, size)}
-	for range groups {
+	ph := ringPhase{groups: groups, base: base, segs: segs, last: last}
+	for g := range groups {
 		agg, local := make([]*bitvec.Vec, size), make([]*bitvec.Vec, size)
-		for k, seg := range ph.segs {
+		for k, seg := range segs[g] {
 			agg[k], local[k] = bitvec.New(seg.Len()), bitvec.New(seg.Len())
 		}
 		ph.agg = append(ph.agg, agg)
@@ -475,58 +519,69 @@ func (m *Marsit) addPhase(groups [][]int, base int) {
 	pos := func(i int) int { return ((i % size) + size) % size }
 	// Reduce-scatter step s: position p passes on its aggregate of
 	// segment p−s. All-gather step s: the final segment p+1−s.
-	for _, shift := range []int{0, 1} {
-		for s := 0; s < size-1; s++ {
-			var msgs []netsim.Message
-			for _, g := range groups {
+	steps := func(shift int) [][]netsim.Message {
+		out := make([][]netsim.Message, size-1)
+		for s := range out {
+			for gi, g := range groups {
 				for p := range g {
-					seg := ph.segs[pos(p+shift-s)]
-					msgs = append(msgs, netsim.Message{
+					seg := segs[gi][pos(p+shift-s)]
+					out[s] = append(out[s], netsim.Message{
 						From: g[p], To: g[pos(p+1)], Bytes: (seg.Len() + 7) / 8,
 					})
 				}
 			}
-			ph.steps = append(ph.steps, msgs)
 		}
+		return out
 	}
+	ph.rs, ph.ag = steps(0), steps(1)
 	m.phases = append(m.phases, ph)
 }
 
 // merge is lane p's share, of lanes that b synchronizes, of the phase's
-// one-bit ring reduce-scatter and of the write-back that stands for its
-// all-gather; the exchanges are the caller's to charge. The phase's rings
+// one-bit ring reduce-scatter and of the write-back of its final
+// segments; the exchanges are the caller's to charge. The phase's rings
 // hold len(groups)·size merge tasks, task g·size+k being ring g's
 // segment k, and lane p takes the tasks p, p+lanes, …: at step s it
 // merges each of its segments k alone, into agg[g][k] with local[g][k],
 // from the stream of member k+s+1, who merges no other segment in that
 // step. So no two lanes share a vector or a stream within a step, and
 // meeting at b after every step keeps each stream's draws in schedule
-// order. The write-back then runs by member, one task per member.
+// order. Segment k ends with member k−1, as in the per-rank schedule.
+// Before the last phase each final segment goes into that member's bits,
+// the local side of the next phase, one segment per member, by task. The
+// last phase writes every final segment once, into the consensus
+// (worker 0's bits), on lane 0 alone: segments of one vector may share a
+// word.
 func (ph *ringPhase) merge(ranks []*RankSync, p, lanes int, b *tensor.Barrier) {
-	size := len(ph.segs)
+	size := len(ph.groups[0])
 	tasks := len(ph.groups) * size
 	for i := p; i < tasks; i += lanes {
 		gi, k := i/size, i%size
-		ranks[ph.groups[gi][k]].bits.ExtractInto(ph.agg[gi][k], ph.segs[k].Lo)
+		ranks[ph.groups[gi][k]].bits.ExtractInto(ph.agg[gi][k], ph.segs[gi][k].Lo)
 	}
 	for s := 0; s < size-1; s++ {
 		for i := p; i < tasks; i += lanes {
 			gi, k := i/size, i%size
 			r, local := ranks[ph.groups[gi][(k+s+1)%size]], ph.local[gi][k]
-			r.bits.ExtractInto(local, ph.segs[k].Lo)
+			r.bits.ExtractInto(local, ph.segs[gi][k].Lo)
 			// The arriving aggregate covers (s+1)·base workers, the local
 			// side base.
 			MergeSigns(ph.agg[gi][k], local, (s+1)*ph.base, ph.base, r.rng)
 		}
 		b.Wait()
 	}
-	// Every member writes back every final segment; the all-gather
-	// exchanges only charge their circulation.
-	for i := p; i < tasks; i += lanes {
-		gi := i / size
-		bits := ranks[ph.groups[gi][i%size]].bits
-		for k, seg := range ph.segs {
-			bits.Insert(seg.Lo, ph.agg[gi][k])
+	switch {
+	case !ph.last:
+		for i := p; i < tasks; i += lanes {
+			gi, k := i/size, i%size
+			owner := ranks[ph.groups[gi][(k+size-1)%size]]
+			owner.bits.Insert(ph.segs[gi][k].Lo, ph.agg[gi][k])
+		}
+	case p == 0:
+		for gi, segs := range ph.segs {
+			for k, seg := range segs {
+				ranks[0].bits.Insert(seg.Lo, ph.agg[gi][k])
+			}
 		}
 	}
 	b.Wait()

@@ -9,8 +9,11 @@ import (
 	"marsit/internal/topology"
 )
 
-// TestTorusOneBitWireCost: the TAR one-bit sync also stays at ~1 bit
-// per element per hop-slot and far below full precision.
+// TestTorusOneBitWireCost: the TAR one-bit sync runs full-precision
+// TAR's schedule — row reduce-scatter, a column ring over the owned row
+// segment only, row all-gather — at one bit per element where TAR
+// charges four bytes. At 4×4 and D = 4096 every segment is whole bytes,
+// so the one-bit round moves exactly 1/32 of TAR's bytes.
 func TestTorusOneBitWireCost(t *testing.T) {
 	tor := topology.NewTorus(4, 4)
 	const d = 4096
@@ -24,8 +27,8 @@ func TestTorusOneBitWireCost(t *testing.T) {
 	mFull.Sync(cFull, randGrads(rng.New(1), 16, d))
 	full := cFull.TotalBytes()
 
-	if oneBit*16 > full {
-		t.Fatalf("torus one-bit %d B not ≪ full %d B", oneBit, full)
+	if oneBit*32 != full {
+		t.Fatalf("torus one-bit %d B × 32 = %d B, full-precision TAR %d B", oneBit, oneBit*32, full)
 	}
 }
 

@@ -295,10 +295,8 @@ func parentSync(m *Marsit, c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 	}
 	for i := range m.phases {
 		m.phases[i].merge(m.ranks, 0, 1, nil)
-		for _, msgs := range m.phases[i].steps {
-			c.Exchange(msgs)
-		}
 	}
+	m.exchangePhases(c)
 	gt := tensor.New(m.cfg.Dim)
 	for _, r := range m.ranks {
 		m.ranks[0].bits.UnpackScaled(gt, m.cfg.GlobalLR)
@@ -439,13 +437,16 @@ func TestOneBitUnbiasedSignAverage(t *testing.T) {
 	}
 }
 
-// TestTorusMatchesRingDistribution: TAR one-bit aggregation must have
-// the same unbiased sign-average distribution as RAR.
+// TestTorusOneBitUnbiased: TAR one-bit aggregation must have the same
+// unbiased sign-average distribution as RAR. A 2×3 torus is non-square,
+// and D = 7 splits into unequal row segments (3, 2, 2) and unequal
+// column sub-segments, so the column merges (weights 3·k against 3)
+// run over ranges of different lengths.
 func TestTorusOneBitUnbiased(t *testing.T) {
-	tor := topology.NewTorus(2, 2)
-	const n, trials = 4, 30000
-	d := 3
-	// Coordinate i has i+1 positive workers out of 4.
+	tor := topology.NewTorus(2, 3)
+	const n, trials = 6, 30000
+	d := 7
+	// Coordinate i has i positive workers out of 6.
 	counts := make([]int, d)
 	for trial := 0; trial < trials; trial++ {
 		m := MustNew(Config{Workers: n, Dim: d, K: 0, GlobalLR: 1, Torus: tor, Seed: uint64(trial)})
@@ -453,7 +454,7 @@ func TestTorusOneBitUnbiased(t *testing.T) {
 		for w := 0; w < n; w++ {
 			grads[w] = make(tensor.Vec, d)
 			for i := range grads[w] {
-				if w <= i {
+				if w < i {
 					grads[w][i] = 1
 				} else {
 					grads[w][i] = -1
@@ -468,7 +469,7 @@ func TestTorusOneBitUnbiased(t *testing.T) {
 		}
 	}
 	for i := 0; i < d; i++ {
-		want := float64(i+1) / 4
+		want := float64(i) / n
 		got := float64(counts[i]) / trials
 		if math.Abs(got-want) > 0.012 {
 			t.Fatalf("torus coordinate %d: P(+)=%v, want %v", i, got, want)

@@ -43,8 +43,11 @@ type RankSync struct {
 // NewRankSync validates cfg (the same configuration every rank of the
 // fabric must share) and returns rank's synchronizer with zero
 // compensation. A non-nil cfg.Torus selects the hierarchical 2D-torus
-// schedule (TAR full-precision rounds, row-then-column one-bit rings),
-// mirroring Marsit.Sync's topology switch.
+// schedule for both kinds of round: TAR at full precision, and the
+// one-bit all-reduce in TAR's shape (row reduce-scatter, a column ring
+// over the owned row segment, row all-gather), which leaves every rank
+// with the same bits. A nil Torus is the flat ring, the 1×M case of the
+// same one-bit schedule.
 func NewRankSync(cfg Config, rank int) (*RankSync, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -183,19 +186,7 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 	merge := func(_ int, agg, local *bitvec.Vec, aw, bw int) {
 		MergeSigns(agg, local, aw, bw, r.rng)
 	}
-	if r.cfg.Torus != nil {
-		runtime.OneBitTorusAllReduceRank(c, ep, r.cfg.Torus, bits, merge)
-		if r.cfg.Torus.Rows() >= 2 && r.cfg.Torus.Cols() >= 2 {
-			// Columns resolve disagreeing bits with independent draws;
-			// the sequential engine defines g_t from worker 0's
-			// aggregate, so align to it (control plane, nothing
-			// charged) before decoding.
-			runtime.AlignBitsToRank0(ep, bits)
-		}
-	} else {
-		runtime.OneBitRingAllReduceRank(c, ep, bits, merge)
-	}
-
+	runtime.OneBitAllReduceRank(c, ep, r.cfg.Torus, bits, merge)
 	r.endOneBit(c, bits)
 	runtime.ClockBarrier(c, ep)
 	return registry.Update{Signs: bits, Scale: r.cfg.GlobalLR}

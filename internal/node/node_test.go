@@ -170,11 +170,11 @@ func TestFourRankRARMatchesSequential(t *testing.T) {
 // TestCompressedFleetsMatchSequential is the process-level acceptance
 // check for the compressed collectives and the PS hub actor: sign-sum
 // fleets (majority signSGD and SSDM overflow, with and without Elias
-// coding on the wire), the rank-0-hosted push–pull, Marsit on a 2×2
-// torus and the one-bit tree must be bit-identical to the sequential
-// engine — results, wire bytes and virtual clocks — as verified by rank
-// 0's check protocol, across even and odd fabric sizes. The last two
-// return bits from every round and make the final update a vector once.
+// coding on the wire), the rank-0-hosted push–pull and the one-bit tree
+// must be bit-identical to the sequential engine — results, wire bytes
+// and virtual clocks — as verified by rank 0's check protocol, across
+// even and odd fabric sizes. The one-bit tree returns bits from every
+// round and makes the final update a vector once.
 func TestCompressedFleetsMatchSequential(t *testing.T) {
 	set := func(coll string, elias bool) func(int, *node.Config) {
 		return func(_ int, cfg *node.Config) {
@@ -193,9 +193,6 @@ func TestCompressedFleetsMatchSequential(t *testing.T) {
 		{"ssdm_elias_3", 3, set(node.CollectiveSSDM, true)},
 		{"ps_4", 4, set(node.CollectivePS, false)},
 		{"ps_3", 3, set(node.CollectivePS, false)},
-		{"marsit_torus_2x2", 4, func(_ int, cfg *node.Config) {
-			cfg.TorusRows, cfg.TorusCols, cfg.K = 2, 2, 4
-		}},
 		{"onebit-tree_4", 4, set("onebit-tree", false)},
 	}
 	for _, tc := range cases {
@@ -323,6 +320,51 @@ func TestFourRankShmMatchesSequential(t *testing.T) {
 				t.Fatalf("rank %d result diverges at %d", r, i)
 			}
 		}
+	}
+}
+
+// TestTorusMarsitFleetsMatchSequential runs README's 2×2 torus Marsit
+// fleet (one-bit rounds between full-precision TAR rounds) over TCP and
+// over shared memory. Rank 0's check must find each bit-identical to
+// the sequential engine, and every rank must end with the same update:
+// the one-bit torus reaches its consensus with no alignment step.
+func TestTorusMarsitFleetsMatchSequential(t *testing.T) {
+	torus := func(_ int, cfg *node.Config) {
+		cfg.Collective, cfg.TorusRows, cfg.TorusCols, cfg.Check = node.CollectiveMarsit, 2, 2, true
+	}
+	shm := shmFleet(t, node.TransportSHM, nil)
+	for _, tc := range []struct {
+		name string
+		mut  func(rank int, cfg *node.Config)
+	}{
+		{"tcp", torus},
+		{"shm", func(rank int, cfg *node.Config) { shm(rank, cfg); torus(rank, cfg) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := goruntime.NumGoroutine()
+			sums, errs := launch(t, 4, tc.mut)
+			for r, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", r, err)
+				}
+			}
+			for r, s := range sums {
+				if !s.Checked {
+					t.Fatalf("rank %d not verified", r)
+				}
+				if s.Bytes <= 0 || s.Clock <= 0 {
+					t.Fatalf("rank %d accounted nothing: %+v", r, s)
+				}
+			}
+			for r := 1; r < 4; r++ {
+				for i := range sums[0].Result {
+					if sums[0].Result[i] != sums[r].Result[i] {
+						t.Fatalf("rank %d result diverges at %d", r, i)
+					}
+				}
+			}
+			awaitGoroutines(t, before)
+		})
 	}
 }
 

@@ -33,11 +33,11 @@ func mergeWithStreams(seed uint64, n int) runtime.MergeFunc {
 	}
 }
 
-// oneBitAllReduce runs the per-rank one-bit entry points with a custom
+// oneBitAllReduce runs the per-rank one-bit all-reduce with a custom
 // merge on every worker of eng, through an ad-hoc descriptor opened like
 // any registered one (core.RankSync takes the same route with
-// core.MergeSigns): the ring, or the row-then-column torus schedule when
-// tor is non-nil. bits[rank] is reduced in place.
+// core.MergeSigns): over tor, or the flat ring when tor is nil.
+// bits[rank] is reduced in place.
 func oneBitAllReduce(t testing.TB, eng *runtime.Engine, c *netsim.Cluster, tor *topology.Torus, bits []*bitvec.Vec, merge runtime.MergeFunc) {
 	t.Helper()
 	desc := &registry.Descriptor{
@@ -46,11 +46,7 @@ func oneBitAllReduce(t testing.TB, eng *runtime.Engine, c *netsim.Cluster, tor *
 		Caps:     registry.Caps{Torus: true},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			return func(c *netsim.Cluster, ep transport.Endpoint, _ tensor.Vec) registry.Update {
-				if o.Torus != nil {
-					runtime.OneBitTorusAllReduceRank(c, ep, o.Torus, bits[rank], merge)
-				} else {
-					runtime.OneBitRingAllReduceRank(c, ep, bits[rank], merge)
-				}
+				runtime.OneBitAllReduceRank(c, ep, o.Torus, bits[rank], merge)
 				return registry.Update{}
 			}, nil
 		},
@@ -71,46 +67,78 @@ func extractBits(v *bitvec.Vec, seg tensor.Segment) *bitvec.Vec {
 
 func modPos(i, m int) int { return ((i % m) + m) % m }
 
-// seqOneBitGroups is a lockstep reference of the one-bit ring schedule
-// (the data flow of core's sequential path, without the netsim
-// substrate): reduce-scatter with per-hop merges drawing from the
-// owner's stream, then segment write-back. It mutates bits in place.
-func seqOneBitGroups(bits []*bitvec.Vec, d int, groups [][]int, baseWeight int, streams []*rng.PCG) {
-	for _, g := range groups {
-		m := len(g)
-		if m < 2 {
-			continue
+// seqOneBit is a lockstep reference of the one-bit all-reduce over tor
+// (nil: the flat ring over every rank), without the netsim substrate and
+// written apart from both engines: each row's reduce over the row
+// partition leaves every rank one row segment, then each column reduces
+// only the row segment its ranks own, with the row width as the base
+// weight, and the final segments make one consensus that every rank's
+// bits take. Each merge draws from the receiving rank's stream.
+func seqOneBit(bits []*bitvec.Vec, d int, tor *topology.Torus, streams []*rng.PCG) {
+	n := len(bits)
+	if tor == nil {
+		tor = topology.NewTorus(1, n)
+	}
+	rows, cols := tor.Rows(), tor.Cols()
+	rowSegs := tensor.Partition(d, cols)
+	// own[w] is rank w's row segment after its row's reduce.
+	own := make([]*bitvec.Vec, n)
+	for r := 0; r < rows; r++ {
+		g := make([]int, cols)
+		srcs := make([]*bitvec.Vec, cols)
+		for p := range g {
+			g[p] = tor.Rank(r, p)
+			srcs[p] = bits[g[p]]
 		}
-		segs := tensor.Partition(d, m)
-		agg := make([]*bitvec.Vec, m)
-		for s := 0; s < m-1; s++ {
-			outgoing := make([]*bitvec.Vec, m)
-			for p := 0; p < m; p++ {
-				if s == 0 {
-					seg := segs[modPos(p, m)]
-					outgoing[p] = extractBits(bits[g[p]], seg)
-				} else {
-					outgoing[p] = agg[p]
-				}
-			}
-			for p := 0; p < m; p++ {
-				in := outgoing[modPos(p-1, m)].Clone()
-				seg := segs[modPos(p-s-1, m)]
-				local := extractBits(bits[g[p]], seg)
-				core.MergeSigns(in, local, (s+1)*baseWeight, baseWeight, streams[g[p]])
-				agg[p] = in
-			}
-		}
-		final := make([]*bitvec.Vec, m)
-		for p := 0; p < m; p++ {
-			final[modPos(p+1, m)] = agg[p]
-		}
-		for p := 0; p < m; p++ {
-			for j, seg := range segs {
-				bits[g[p]].Insert(seg.Lo, final[j])
-			}
+		for k, agg := range ringReduce(srcs, g, rowSegs, 1, streams) {
+			own[g[modPos(k-1, cols)]] = agg
 		}
 	}
+	consensus := bitvec.New(d)
+	for p := 0; p < cols; p++ {
+		seg := rowSegs[modPos(p+1, cols)]
+		g := make([]int, rows)
+		srcs := make([]*bitvec.Vec, rows)
+		for r := range g {
+			g[r] = tor.Rank(r, p)
+			srcs[r] = own[g[r]]
+		}
+		sub := tensor.Partition(seg.Len(), rows)
+		for j, agg := range ringReduce(srcs, g, sub, cols, streams) {
+			consensus.Insert(seg.Lo+sub[j].Lo, agg)
+		}
+	}
+	for _, b := range bits {
+		b.Insert(0, consensus)
+	}
+}
+
+// ringReduce is the one-bit reduce over one ring g: srcs[p] is position
+// p's vector and segs partitions it. At hop s position p passes its
+// running aggregate of segment p−s on, and position p+1 merges its own
+// bits of that segment into it, covering (s+1)·base workers against
+// base. It returns every segment's final aggregate, by segment.
+func ringReduce(srcs []*bitvec.Vec, g []int, segs []tensor.Segment, base int, streams []*rng.PCG) []*bitvec.Vec {
+	m := len(g)
+	held := make([]*bitvec.Vec, m)
+	for p := range held {
+		held[p] = extractBits(srcs[p], segs[p])
+	}
+	for s := 0; s < m-1; s++ {
+		next := make([]*bitvec.Vec, m)
+		for p := range next {
+			in := held[modPos(p-1, m)].Clone()
+			local := extractBits(srcs[p], segs[modPos(p-s-1, m)])
+			core.MergeSigns(in, local, (s+1)*base, base, streams[g[p]])
+			next[p] = in
+		}
+		held = next
+	}
+	final := make([]*bitvec.Vec, m)
+	for p, agg := range held {
+		final[modPos(p+1, m)] = agg
+	}
+	return final
 }
 
 func requireSameBits(t *testing.T, want, got []*bitvec.Vec) {
@@ -147,7 +175,7 @@ func TestOneBitRingEquivalence(t *testing.T) {
 	}
 	bits1, c1 := run()
 	want := randBits(7, n, d)
-	seqOneBitGroups(want, d, [][]int{topology.AllRanks(n)}, 1, rng.Streams(99, n))
+	seqOneBit(want, d, nil, rng.Streams(99, n))
 	requireSameBits(t, want, bits1)
 	for w := 1; w < n; w++ {
 		if !bits1[0].Equal(bits1[w]) {
@@ -170,28 +198,11 @@ func TestOneBitRingEquivalence(t *testing.T) {
 	requireSameBits(t, bits1, bits2)
 }
 
-// torusGroups enumerates row groups and column groups of a torus.
-func torusGroups(tor *topology.Torus) (rows, cols [][]int) {
-	rows = make([][]int, tor.Rows())
-	for r := range rows {
-		for c := 0; c < tor.Cols(); c++ {
-			rows[r] = append(rows[r], tor.Rank(r, c))
-		}
-	}
-	cols = make([][]int, tor.Cols())
-	for c := range cols {
-		for r := 0; r < tor.Rows(); r++ {
-			cols[c] = append(cols[c], tor.Rank(r, c))
-		}
-	}
-	return rows, cols
-}
-
-// TestOneBitTorusEquivalence checks the two-phase torus schedule against
-// the sequential reference per rank. Ranks within a column share one
-// merge chain and must agree; ranks in different columns draw different
-// transients, so cluster-wide equality is not expected — exactly the
-// sequential semantics.
+// TestOneBitTorusEquivalence checks the torus schedule against the
+// sequential reference on every rank, cluster-wide consensus, the exact
+// wire bytes — each row reduces and gathers the row partition, each
+// column only its owned row segment's sub-partition — and determinism,
+// over square, non-square and degenerate shapes.
 func TestOneBitTorusEquivalence(t *testing.T) {
 	for _, sh := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {1, 4}, {4, 1}} {
 		rows, cols := sh[0], sh[1]
@@ -199,29 +210,35 @@ func TestOneBitTorusEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%d", rows, cols), func(t *testing.T) {
 			const d = 97
 			tor := topology.NewTorus(rows, cols)
-			run := func() []*bitvec.Vec {
+			run := func() ([]*bitvec.Vec, *netsim.Cluster) {
 				bits := randBits(11, n, d)
 				c := netsim.NewCluster(n, netsim.DefaultCostModel())
 				eng := runtime.New(n)
 				defer eng.Close()
 				oneBitAllReduce(t, eng, c, tor, bits, mergeWithStreams(5, n))
-				return bits
+				return bits, c
 			}
-			got := run()
+			got, c := run()
 			want := randBits(11, n, d)
-			streams := rng.Streams(5, n)
-			rowGroups, colGroups := torusGroups(tor)
-			seqOneBitGroups(want, d, rowGroups, 1, streams)
-			seqOneBitGroups(want, d, colGroups, tor.Cols(), streams)
+			seqOneBit(want, d, tor, rng.Streams(5, n))
 			requireSameBits(t, want, got)
-			for c := 0; c < cols; c++ {
-				for r := 1; r < rows; r++ {
-					if !got[tor.Rank(0, c)].Equal(got[tor.Rank(r, c)]) {
-						t.Fatalf("column %d: rank (%d,%d) disagrees", c, r, c)
-					}
+			for w := 1; w < n; w++ {
+				if !got[0].Equal(got[w]) {
+					t.Fatalf("rank %d disagrees with rank 0", w)
 				}
 			}
-			requireSameBits(t, got, run())
+			wantBytes := int64(0)
+			for _, seg := range tensor.Partition(d, cols) {
+				wantBytes += int64(rows * 2 * (cols - 1) * ((seg.Len() + 7) / 8))
+				for _, sub := range tensor.Partition(seg.Len(), rows) {
+					wantBytes += int64(2 * (rows - 1) * ((sub.Len() + 7) / 8))
+				}
+			}
+			if c.TotalBytes() != wantBytes {
+				t.Fatalf("wire bytes %d, want %d", c.TotalBytes(), wantBytes)
+			}
+			again, _ := run()
+			requireSameBits(t, got, again)
 		})
 	}
 }

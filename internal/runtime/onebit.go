@@ -20,22 +20,23 @@ import (
 // schedule reuses both at its next hop.
 type MergeFunc func(rank int, agg, local *bitvec.Vec, aggWeight, localWeight int)
 
-// OneBitTorusAllReduceRank executes one rank's share of the hierarchical
-// one-bit torus schedule: the row ring first (the rank's aggregate then
-// covers its full row), then the column ring with the row width as the
-// base merge weight. bits enters holding the rank's packed signs and
-// leaves holding the group-wide consensus; merge is invoked in the
-// sequential schedule's order for this rank.
-//
-// On a torus with both dimensions >= 2, the column rings resolve
-// disagreeing bits with per-column transient draws, so ranks in
-// different columns can end with slightly different aggregates — the
-// exact per-rank semantics of the sequential schedule. An algorithm
-// layer that needs one cluster-wide aggregate (core.Marsit takes
-// worker 0's) aligns afterwards with AlignBitsToRank0.
-func OneBitTorusAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, bits *bitvec.Vec, merge MergeFunc) {
+// OneBitAllReduceRank executes one rank's share of the Marsit one-bit
+// all-reduce over tor, or over the flat ring (the 1×M torus) when tor is
+// nil, in the bandwidth-optimal shape of TorusAllReduceRank: a one-bit
+// reduce-scatter along the row, which leaves the rank owning row
+// segment (p+1) mod cols merged over its row; a one-bit ring all-reduce
+// down the column of that owned segment only, with the row width as the
+// base merge weight; and the all-gather along the row. Every segment
+// has exactly one merge chain, so every rank ends with the same bits.
+// bits enters holding the rank's packed signs and leaves holding the
+// cluster-wide consensus; merge is invoked in the sequential schedule's
+// order for this rank.
+func OneBitAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, bits *bitvec.Vec, merge MergeFunc) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
+	if tor == nil {
+		tor = topology.NewTorus(1, n)
+	}
 	if tor.Size() != n {
 		panic("runtime: torus size mismatch")
 	}
@@ -43,80 +44,45 @@ func OneBitTorusAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *top
 		return
 	}
 	rows, cols := tor.Rows(), tor.Cols()
-	d := bits.Len()
 	rk := newRankCtx(c, ep, rank)
 	r, p := tor.Coord(rank)
-	if cols >= 2 {
-		rowSegs := tensor.Partition(d, cols)
-		next, prev := tor.Rank(r, p+1), tor.Rank(r, p-1)
-		oneBitRingRank(rk, next, prev, p, cols, bits, rowSegs, 1, merge)
+	// Two segment vectors carry every hop of every phase: agg the
+	// aggregate (received, merged, sent on), local the rank's own bits of
+	// the segment at hand.
+	agg, local := new(bitvec.Vec), new(bitvec.Vec)
+	rowSegs := tensor.Partition(bits.Len(), cols)
+	rowNext, rowPrev := tor.Rank(r, p+1), tor.Rank(r, p-1)
+	oneBitReduceScatter(rk, rowNext, rowPrev, p, cols, bits, rowSegs, 1, merge, agg, local)
+	// The column ring runs over the owned row segment's sub-partition,
+	// as absolute ranges of bits.
+	owned := rowSegs[mod(p+1, cols)]
+	sub := tensor.Partition(owned.Len(), rows)
+	for i := range sub {
+		sub[i].Lo += owned.Lo
+		sub[i].Hi += owned.Lo
 	}
-	if rows >= 2 {
-		colSegs := tensor.Partition(d, rows)
-		next, prev := tor.Rank(r+1, p), tor.Rank(r-1, p)
-		oneBitRingRank(rk, next, prev, r, rows, bits, colSegs, cols, merge)
-	}
+	colNext, colPrev := tor.Rank(r+1, p), tor.Rank(r-1, p)
+	oneBitReduceScatter(rk, colNext, colPrev, r, rows, bits, sub, cols, merge, agg, local)
+	oneBitAllGather(rk, colNext, colPrev, r, rows, bits, sub, agg)
+	oneBitAllGather(rk, rowNext, rowPrev, p, cols, bits, rowSegs, agg)
 	rk.finish()
 }
 
-// AlignBitsToRank0 overwrites every rank's aggregate with rank 0's over
-// control-plane frames (Wire = 0, no simulated bytes or time): the
-// distributed counterpart of the sequential engine handing bits[0] to
-// the whole cluster (Marsit.Sync's simulation shortcut), exactly like
-// ClockBarrier reproduces the implicit lock step. A flat ring and a
-// degenerate (single-row or single-column) torus reach an exact
-// consensus on their own and do not need it; a torus with both
-// dimensions >= 2 does, because its columns resolve disagreeing bits
-// with independent transient draws.
-func AlignBitsToRank0(ep transport.Endpoint, bits *bitvec.Vec) {
-	rank, n := ep.Rank(), ep.Size()
-	if n < 2 {
-		return
-	}
-	if rank == 0 {
-		for to := 1; to < n; to++ {
-			buf := transport.GetBuffer(bits.MarshalBytes())
-			bits.MarshalInto(buf)
-			if err := ep.Send(to, transport.Packet{Data: buf}); err != nil {
-				panic(fmt.Sprintf("runtime: consensus align to rank %d: %v", to, err))
-			}
-		}
-		return
-	}
-	pkt, err := ep.Recv(0)
-	if err != nil {
-		panic(fmt.Sprintf("runtime: rank %d consensus align: %v", rank, err))
-	}
-	in, err := bitvec.Unmarshal(pkt.Data)
-	if err != nil {
-		panic(fmt.Sprintf("runtime: rank %d consensus align: %v", rank, err))
-	}
-	transport.PutBuffer(pkt.Data)
-	// Insert copies whatever length arrives: a shorter aggregate would
-	// leave the tail unaligned without a word, a longer one index out of
-	// range inside bitvec.
-	if in.Len() != bits.Len() {
-		panic(fmt.Sprintf("runtime: rank %d consensus align: rank 0 sent %d bits, want %d", rank, in.Len(), bits.Len()))
-	}
-	bits.Insert(0, in)
-}
-
-// oneBitRingRank executes the one-bit schedule for one rank at position p
-// of an m-ring over its full bit vector partitioned into segs. The
-// rank's aggregate enters covering baseWeight workers per member and
-// leaves covering baseWeight·m. Two segment vectors carry every hop:
-// agg the aggregate (received, merged, sent on), local the rank's own
-// signs of the segment at hand; each frame is marshalled before the
-// next one is decoded into the same vector.
-func oneBitRingRank(rk *rankCtx, next, prev, p, m int, bits *bitvec.Vec, segs []tensor.Segment, baseWeight int, merge MergeFunc) {
+// oneBitReduceScatter runs the one-bit reduce-scatter for one rank at
+// position p of an m-ring over the segments segs, absolute ranges of
+// bits: the received aggregate is merged with the rank's own bits of the
+// segment at every hop, and the rank ends by inserting the segment it
+// owns, (p+1) mod m, into bits. The rank's bits enter covering
+// baseWeight workers per member; the owned segment leaves covering
+// baseWeight·m. Each frame is marshalled before the next one is decoded
+// into the same vector.
+func oneBitReduceScatter(rk *rankCtx, next, prev, p, m int, bits *bitvec.Vec, segs []tensor.Segment, baseWeight int, merge MergeFunc, agg, local *bitvec.Vec) {
 	if m < 2 {
 		return
 	}
-	// Reduce-scatter: merge the received aggregate with the local segment
-	// at every hop. bits itself is read-only during this phase, so
-	// ExtractInto sees the pre-collective signs exactly like the
-	// sequential schedule's snapshots.
-	agg, local := new(bitvec.Vec), new(bitvec.Vec)
+	// bits is read-only until the final insert, so ExtractInto sees the
+	// signs the phase started from, like the sequential schedule's
+	// snapshots.
 	extract := func(seg tensor.Segment) *bitvec.Vec {
 		local.Resize(seg.Len())
 		bits.ExtractInto(local, seg.Lo)
@@ -133,14 +99,23 @@ func oneBitRingRank(rk *rankCtx, next, prev, p, m int, bits *bitvec.Vec, segs []
 		// local side baseWeight.
 		merge(rk.rank, agg, extract(recvSeg), (s+1)*baseWeight, baseWeight)
 	}
-
-	// All-gather: position p holds the final aggregate of segment
-	// (p+1) mod m; circulate the final segments unchanged.
 	bits.Insert(segs[mod(p+1, m)].Lo, agg)
+}
+
+// oneBitAllGather circulates the final segments of an m-ring unchanged:
+// position p starts from its owned segment (p+1) mod m of bits and
+// inserts every segment it receives. buf carries the hops.
+func oneBitAllGather(rk *rankCtx, next, prev, p, m int, bits *bitvec.Vec, segs []tensor.Segment, buf *bitvec.Vec) {
+	if m < 2 {
+		return
+	}
+	owned := segs[mod(p+1, m)]
+	buf.Resize(owned.Len())
+	bits.ExtractInto(buf, owned.Lo)
 	for s := 0; s < m-1; s++ {
 		seg := segs[mod(p-s, m)]
-		rk.exchangeBits(next, agg, prev, agg, seg.Len())
-		bits.Insert(seg.Lo, agg)
+		rk.exchangeBits(next, buf, prev, buf, seg.Len())
+		bits.Insert(seg.Lo, buf)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"marsit/internal/bitvec"
 	"marsit/internal/netsim"
 	"marsit/internal/obs"
 	"marsit/internal/tensor"
@@ -43,23 +42,6 @@ func RingAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 		ringAllGather(rk, next, prev, rank, n, vec, segs)
 	}
 	tensor.Scale(vec, 1/float64(n))
-	rk.finish()
-}
-
-// OneBitRingAllReduceRank executes one rank's share of the Marsit
-// one-bit ring schedule: reduce-scatter with a merge at every hop, then
-// the all-gather of the final segments. bits enters holding the rank's
-// packed signs and leaves holding the group-wide consensus. merge is
-// invoked in the sequential schedule's order for this rank.
-func OneBitRingAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, bits *bitvec.Vec, merge MergeFunc) {
-	checkRankCluster(c, ep)
-	rank, n := ep.Rank(), ep.Size()
-	if n < 2 {
-		return
-	}
-	segs := tensor.Partition(bits.Len(), n)
-	rk := newRankCtx(c, ep, rank)
-	oneBitRingRank(rk, mod(rank+1, n), mod(rank-1, n), rank, n, bits, segs, 1, merge)
 	rk.finish()
 }
 

@@ -10,7 +10,6 @@ import (
 	"marsit/internal/rng"
 	"marsit/internal/runtime"
 	"marsit/internal/runtime/equivtest"
-	"marsit/internal/topology"
 	"marsit/internal/transport"
 	"marsit/internal/transport/tcp"
 )
@@ -49,7 +48,7 @@ func TestTCPOneBitRingEquivalence(t *testing.T) {
 	loopBits, loopC := run(runtime.New(n))
 
 	want := randBits(7, n, d)
-	seqOneBitGroups(want, d, [][]int{topology.AllRanks(n)}, 1, rng.Streams(99, n))
+	seqOneBit(want, d, nil, rng.Streams(99, n))
 	requireSameBits(t, want, tcpBits)
 	requireSameBits(t, loopBits, tcpBits)
 	for w := 1; w < n; w++ {

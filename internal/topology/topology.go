@@ -73,18 +73,6 @@ func (t *Torus) Rank(row, col int) int {
 	return ((row%t.rows)+t.rows)%t.rows*t.cols + ((col%t.cols)+t.cols)%t.cols
 }
 
-// RowNext returns the next rank along the row ring.
-func (t *Torus) RowNext(rank int) int {
-	row, col := t.Coord(rank)
-	return t.Rank(row, col+1)
-}
-
-// ColNext returns the next rank along the column ring.
-func (t *Torus) ColNext(rank int) int {
-	row, col := t.Coord(rank)
-	return t.Rank(row+1, col)
-}
-
 // RowGroups returns the torus's rows as ring groups: group r lists row
 // r's ranks in ring order. Together with ColGroups it is the phase
 // structure of every hierarchical collective over the torus.

@@ -19,32 +19,38 @@ func TestTorusCoordRankInverse(t *testing.T) {
 	}
 }
 
+// step returns the rank dr rows and dc columns away from rank.
+func step(tr *Torus, rank, dr, dc int) int {
+	row, col := tr.Coord(rank)
+	return tr.Rank(row+dr, col+dc)
+}
+
 func TestTorusRingSteps(t *testing.T) {
 	tr := NewTorus(2, 3)
 	// Row ring at rank 2 (row 0, col 2) wraps to rank 0.
-	if tr.RowNext(2) != 0 {
-		t.Fatalf("RowNext(2) = %d", tr.RowNext(2))
+	if got := step(tr, 2, 0, 1); got != 0 {
+		t.Fatalf("row step from 2 = %d", got)
 	}
 	// Column ring at rank 4 (row 1, col 1) wraps to rank 1.
-	if tr.ColNext(4) != 1 {
-		t.Fatalf("ColNext(4) = %d", tr.ColNext(4))
+	if got := step(tr, 4, 1, 0); got != 1 {
+		t.Fatalf("column step from 4 = %d", got)
 	}
 }
 
 func TestTorusRowColClosure(t *testing.T) {
 	tr := NewTorus(3, 5)
-	// Following RowNext cols times returns to start.
+	// Stepping along a row cols times returns to start.
 	for rank := 0; rank < tr.Size(); rank++ {
 		cur := rank
 		for i := 0; i < tr.Cols(); i++ {
-			cur = tr.RowNext(cur)
+			cur = step(tr, cur, 0, 1)
 		}
 		if cur != rank {
 			t.Fatalf("row ring from %d not closed", rank)
 		}
 		cur = rank
 		for i := 0; i < tr.Rows(); i++ {
-			cur = tr.ColNext(cur)
+			cur = step(tr, cur, 1, 0)
 		}
 		if cur != rank {
 			t.Fatalf("col ring from %d not closed", rank)
@@ -53,8 +59,8 @@ func TestTorusRowColClosure(t *testing.T) {
 }
 
 // TestTorusGroups pins the ring groups every hierarchical collective
-// reduces over: rows and columns in ring order (group g's next rank is
-// RowNext/ColNext of the previous one), and the flat ring's one group.
+// reduces over: rows and columns in ring order (each member's next is
+// one column or one row on, wrapping), and the flat ring's one group.
 func TestTorusGroups(t *testing.T) {
 	for _, tc := range []struct {
 		rows, cols           int
@@ -75,15 +81,15 @@ func TestTorusGroups(t *testing.T) {
 			}
 			for _, g := range tr.RowGroups() {
 				for p, rank := range g {
-					if next := g[(p+1)%len(g)]; tr.RowNext(rank) != next {
-						t.Fatalf("%dx%d row group %v: RowNext(%d) = %d", tc.rows, tc.cols, g, rank, tr.RowNext(rank))
+					if next := g[(p+1)%len(g)]; step(tr, rank, 0, 1) != next {
+						t.Fatalf("%dx%d row group %v: next of %d = %d", tc.rows, tc.cols, g, rank, step(tr, rank, 0, 1))
 					}
 				}
 			}
 			for _, g := range tr.ColGroups() {
 				for p, rank := range g {
-					if next := g[(p+1)%len(g)]; tr.ColNext(rank) != next {
-						t.Fatalf("%dx%d col group %v: ColNext(%d) = %d", tc.rows, tc.cols, g, rank, tr.ColNext(rank))
+					if next := g[(p+1)%len(g)]; step(tr, rank, 1, 0) != next {
+						t.Fatalf("%dx%d col group %v: next of %d = %d", tc.rows, tc.cols, g, rank, step(tr, rank, 1, 0))
 					}
 				}
 			}

@@ -51,7 +51,7 @@ func TestEngineEquivalence(t *testing.T) {
 		{method: MethodPSGD, topo: TopoTorus, golden: "e1d43f48200c59d8"},
 		{method: MethodPSGD, topo: TopoPS, golden: "26be245e5da41e21"},
 		{method: MethodMarsit, topo: TopoRing, golden: "eb072f4bc8e62df9"},
-		{method: MethodMarsit, topo: TopoTorus, golden: "b239e7685e5bfec2"},
+		{method: MethodMarsit, topo: TopoTorus, golden: "cf23afb2cd6e02aa"},
 		{method: MethodSignSGD, topo: TopoRing, golden: "5929256651f4627c"},
 		{method: MethodSignSGD, topo: TopoTorus, golden: "c7a24ef79feb40d8"},
 		{method: MethodSignSGD, topo: TopoPS, golden: "3dbf6bdc09ef20bd"},
