@@ -76,7 +76,6 @@ func main() {
 		globalLR  = flag.Float64("global-lr", 0.004, "Marsit global step η_s")
 		seed      = flag.Uint64("seed", 1, "shared root seed (must match on every rank)")
 		elias     = flag.Bool("elias", false, "Elias-gamma compaction of sign-sum payloads (Elias-capable collectives)")
-		chunks    = flag.Int("chunks", 0, "pipelined frames per ring hop (chunk-capable collectives; 0/1 = off; clock-invariant)")
 		powerRank = flag.Int("power-rank", 0, "low-rank approximation rank of the powersgd collective (0 = default rank 2)")
 		check     = flag.Bool("check", false, "rank 0 verifies the fabric against the sequential engine and prints the per-phase table")
 		calibrate = flag.Bool("calibrate", false, "time every round against the α–β cost model; rank 0 prints the predicted-vs-measured calibration table (implies -check)")
@@ -137,7 +136,6 @@ func main() {
 		GlobalLR:       *globalLR,
 		Seed:           *seed,
 		UseElias:       *elias,
-		Chunks:         *chunks,
 		PowerRank:      *powerRank,
 		Check:          *check,
 		Calibrate:      *calibrate,

@@ -71,13 +71,6 @@ type Caps struct {
 	// Streams: draws from per-rank stochastic compression streams
 	// (Opts.Streams, or the canonical derivation from Opts.Seed).
 	Streams bool
-	// Chunked: the per-rank leg supports chunk-pipelined ring hops
-	// (Opts.Chunks): each hop payload is split into S physical frames so
-	// a receiver merges chunk c while chunk c+1 is still in flight. The
-	// charged wire bytes and α–β clocks are invariant in S — only
-	// wall-clock behaviour changes (the equivalence matrix pins this at
-	// S ∈ {1, 3, 8}).
-	Chunked bool
 }
 
 // String renders the set capability flags as a stable comma list.
@@ -97,9 +90,6 @@ func (c Caps) String() string {
 	}
 	if c.Streams {
 		parts = append(parts, "streams")
-	}
-	if c.Chunked {
-		parts = append(parts, "chunks")
 	}
 	if len(parts) == 0 {
 		return "-"
@@ -132,12 +122,6 @@ type Opts struct {
 	// PowerRank is the low-rank approximation rank of the PowerSGD
 	// collective (0 means the default rank 2). All ranks must agree.
 	PowerRank int
-	// Chunks splits every ring-hop payload of a Caps.Chunked collective
-	// into this many pipelined frames on the parallel engine (0 and 1
-	// both mean one frame per hop). Results, wire bytes and virtual
-	// clocks are independent of the value; the sequential leg ignores
-	// it. All ranks must agree.
-	Chunks int
 	// Streams optionally overrides the canonical per-rank compression
 	// streams (one per rank, each confined to its rank). When nil,
 	// Stream derives them from Seed.
@@ -271,13 +255,6 @@ func Prepare(d *Descriptor, o *Opts) error {
 	}
 	if o.Elias && !d.Caps.Elias {
 		return fmt.Errorf("registry: %s does not support elias coding", d.Name)
-	}
-	if o.Chunks < 0 {
-		return fmt.Errorf("registry: %s: Chunks = %d, need >= 0", d.Name, o.Chunks)
-	}
-	if o.Chunks > 1 && !d.Caps.Chunked {
-		return fmt.Errorf("registry: %s does not support chunk-pipelined hops (Chunks = %d; caps: %s)",
-			d.Name, o.Chunks, d.Caps)
 	}
 	if o.PowerRank < 0 {
 		return fmt.Errorf("registry: %s: PowerRank = %d, need >= 0", d.Name, o.PowerRank)

@@ -286,9 +286,9 @@ func EliasEncodeIntsBuf(vals []int64, scratch []byte) ([]byte, int) {
 
 // EliasIntsBitLen returns the exact bit length EliasEncodeInts would
 // produce for vals, without materializing the code — one bits.Len64 per
-// value. Callers that must size a message before encoding it (the
-// chunk-pipelined sign-sum hops put the wire size on the first chunk)
-// use this instead of encoding twice.
+// value. Callers that must size a message before encoding it (a
+// sign-sum hop charges its wire size and sizes its pooled payload from
+// it) use this instead of encoding twice.
 func EliasIntsBitLen(vals []int64) int {
 	n := 0
 	for _, v := range vals {

@@ -63,9 +63,7 @@ func TestScaledCostModel(t *testing.T) {
 // TestChunkingPipelines: the cut-through model lets back-to-back
 // chunks stream — the sender's next send starts as soon as its NIC is
 // free, so splitting a transfer into four chunks costs exactly the
-// same as one big message (one latency, same serialization). This is
-// why the chunk-pipelined ring hops are byte- and time-neutral under
-// this model while shrinking peak buffer sizes.
+// same as one big message (one latency, same serialization).
 func TestChunkingPipelines(t *testing.T) {
 	m := model()
 	one := NewCluster(2, m)

@@ -130,11 +130,6 @@ type Config struct {
 	// UseElias enables Elias-gamma compaction of the sign-sum payloads
 	// (Elias-capable collectives); all ranks must agree.
 	UseElias bool
-	// Chunks splits every ring-hop payload into this many pipelined
-	// frames (chunk-capable collectives; 0/1 = off). Wire bytes and
-	// virtual clocks are invariant — the -check replay against the
-	// sequential engine holds for any value — and all ranks must agree.
-	Chunks int
 	// PowerRank is the low-rank approximation rank of the powersgd
 	// collective (0 = the collective's default rank 2); all ranks must
 	// agree.
@@ -297,7 +292,7 @@ func (cfg *Config) opts(n int) *registry.Opts {
 	}
 	return &registry.Opts{
 		Workers: n, Dim: cfg.Dim, Torus: tor, Elias: cfg.UseElias,
-		Seed: cfg.Seed, K: cfg.K, GlobalLR: cfg.GlobalLR, Chunks: cfg.Chunks,
+		Seed: cfg.Seed, K: cfg.K, GlobalLR: cfg.GlobalLR,
 		PowerRank: cfg.PowerRank,
 	}
 }

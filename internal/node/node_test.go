@@ -483,7 +483,6 @@ func TestValidation(t *testing.T) {
 		{Addrs: []string{"127.0.0.1:0"}, Dim: 4, Rounds: 0},
 		{Addrs: []string{"127.0.0.1:0"}, Dim: 4, Rounds: 1, Collective: "no-such-collective"},
 		{Addrs: []string{"127.0.0.1:0"}, Dim: 4, Rounds: 1, Collective: node.CollectiveMarsit, GlobalLR: 0},
-		{Addrs: []string{"127.0.0.1:0"}, Dim: 4, Rounds: 1, Collective: "gossip", Chunks: 2},
 		{Addrs: []string{"127.0.0.1:0"}, Dim: 4, Rounds: 1, Collective: "tree", TorusRows: 1, TorusCols: 1},
 	}
 	for i, cfg := range bad {
@@ -532,25 +531,6 @@ func TestValidationNamesTheFault(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestChunksRejectionNamesCollectiveAndCaps: asking a non-chunk-capable
-// collective for pipelined hops must fail at validation time — before
-// any fabric dial — with an error naming the collective and its actual
-// capability set, so a misconfigured fleet diagnoses itself.
-func TestChunksRejection(t *testing.T) {
-	_, err := node.Run(node.Config{
-		Rank: 0, Addrs: []string{"127.0.0.1:0"},
-		Collective: "gossip", Dim: 8, Rounds: 1, Chunks: 3,
-	})
-	if err == nil {
-		t.Fatal("chunked gossip accepted")
-	}
-	for _, want := range []string{"gossip", "chunk-pipelined", "caps:"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
-		}
 	}
 }
 

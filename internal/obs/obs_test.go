@@ -158,10 +158,10 @@ func TestTracerEmitAndLabels(t *testing.T) {
 	tr := NewTracer(2, 8)
 	tr.SetLabel(1, "marsit")
 	tr.SetPhase(1, "reduce-scatter")
-	tr.Emit(Event{Kind: KindHop, Rank: 1, Hop: 0, Chunk: -1, Bytes: 64, Wire: 32, VClock: 1.5,
+	tr.Emit(Event{Kind: KindHop, Rank: 1, Hop: 0, Bytes: 64, Wire: 32, VClock: 1.5,
 		Start: time.Now(), Dur: time.Millisecond})
 	tr.SetPhase(1, "all-gather")
-	tr.Emit(Event{Kind: KindHop, Rank: 1, Hop: 1, Chunk: -1})
+	tr.Emit(Event{Kind: KindHop, Rank: 1, Hop: 1})
 	ev := tr.Events(1)
 	if len(ev) != 2 {
 		t.Fatalf("got %d events, want 2", len(ev))
@@ -201,7 +201,7 @@ func TestTracerConcurrentSnapshot(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 1<<12; i++ {
-			tr.Emit(Event{Kind: KindChunk, Rank: 0, Hop: i, Bytes: i})
+			tr.Emit(Event{Kind: KindHop, Rank: 0, Hop: i, Bytes: i})
 		}
 	}()
 	for i := 0; i < 100; i++ {
@@ -220,9 +220,9 @@ func TestTraceJSON(t *testing.T) {
 	tr.SetLabel(0, "rar")
 	tr.SetPhase(0, "reduce-scatter")
 	base := time.Now()
-	tr.Emit(Event{Kind: KindHop, Rank: 0, Hop: 0, Chunk: -1, Bytes: 400, Wire: 200,
+	tr.Emit(Event{Kind: KindHop, Rank: 0, Hop: 0, Bytes: 400, Wire: 200,
 		VClock: 0.25, Start: base, Dur: 3 * time.Millisecond})
-	tr.Emit(Event{Kind: KindChunk, Rank: 1, Hop: 2, Chunk: 1, Bytes: 40, Wire: 20,
+	tr.Emit(Event{Kind: KindHop, Rank: 1, Hop: 2, Bytes: 40, Wire: 20,
 		Start: base.Add(time.Millisecond), Dur: time.Millisecond})
 
 	var b bytes.Buffer
@@ -263,7 +263,7 @@ func TestServeEndpoints(t *testing.T) {
 	fm := r.NewFabricMetrics("loopback", 2, nil)
 	fm.OnSend(0, 1, 10, 8)
 	tr := NewTracer(2, 8)
-	tr.Emit(Event{Kind: KindHop, Rank: 0, Chunk: -1})
+	tr.Emit(Event{Kind: KindHop, Rank: 0})
 	r.AttachTracer(tr)
 
 	srv, err := Serve("127.0.0.1:0", r)

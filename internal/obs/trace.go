@@ -13,7 +13,6 @@ type EventKind uint8
 // Event kinds emitted by the runtime engine.
 const (
 	KindHop     EventKind = iota // one ring-hop exchange (send+recv)
-	KindChunk                    // one pipelined frame of a chunked hop
 	KindCompute                  // local compress/decompress/fold work
 	KindHubPush                  // parameter-server worker push
 	KindHubPull                  // parameter-server worker pull
@@ -25,8 +24,6 @@ func (k EventKind) String() string {
 	switch k {
 	case KindHop:
 		return "hop"
-	case KindChunk:
-		return "chunk"
 	case KindCompute:
 		return "compute"
 	case KindHubPush:
@@ -41,14 +38,13 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// Event is one traced hop/chunk/compute step on one rank's timeline.
+// Event is one traced hop/compute step on one rank's timeline.
 // Wall-clock fields pair with the virtual α–β clock so predicted versus
 // measured skew is directly readable from a trace.
 type Event struct {
 	Kind       EventKind
 	Rank       int
 	Hop        int     // hop index within the collective (-1 if n/a)
-	Chunk      int     // chunk index within the hop (-1 if unchunked)
 	Bytes      int     // payload bytes moved
 	Wire       int     // cost-model wire bytes charged
 	VClock     float64 // rank's virtual clock after the step (seconds)
@@ -214,14 +210,11 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 			}
 			if e.Hop >= 0 {
 				name = fmt.Sprintf("%s %d", name, e.Hop)
-				if e.Chunk >= 0 {
-					name = fmt.Sprintf("%s.%d", name, e.Chunk)
-				}
 			}
 			if err := emit(`{"name":%q,"cat":%q,"ph":"X","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f,`+
-				`"args":{"collective":%q,"phase":%q,"hop":%d,"chunk":%d,"bytes":%d,"wire":%d,"vclock":%.9f}}`,
+				`"args":{"collective":%q,"phase":%q,"hop":%d,"bytes":%d,"wire":%d,"vclock":%.9f}}`,
 				name, e.Kind.String(), e.Rank, ts, dur,
-				e.Collective, e.Phase, e.Hop, e.Chunk, e.Bytes, e.Wire, e.VClock); err != nil {
+				e.Collective, e.Phase, e.Hop, e.Bytes, e.Wire, e.VClock); err != nil {
 				return err
 			}
 		}

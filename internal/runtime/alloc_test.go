@@ -238,8 +238,8 @@ func TestPSSignSteadyStateAllocs(t *testing.T) {
 // TestSignSumSteadyStateAllocs pins the sign-sum ring — signsum raw and
 // Elias-coded, and ssdm, which layers SSDM compression over the same
 // ring — to the bytes of what it returns. A rank's votes are written once
-// into a pooled []int64 that the ring then sums in place and every chunk
-// is added or decoded straight from its payload. signsum's majority is
+// into a pooled []int64 that the ring then sums in place and every hop's
+// payload is added or decoded straight from its bytes. signsum's majority is
 // one bit a coordinate, the same on every rank: a rank packs it into a
 // D-bit vector it keeps across rounds and returns, and the engine
 // unpacks one 8·D-byte vector for all of them. ssdm decodes into the
@@ -379,33 +379,37 @@ func TestTelemetryOnAllocsBounded(t *testing.T) {
 	}
 }
 
-// TestChunkedHopsDepthOneFabric pins the chunk loop's deadlock-freedom
-// contract: the send window is one frame, so even a pathological
-// depth-1 fabric (one buffered packet per link) must complete a
-// chunk-pipelined collective at the maximum degree rather than fill
-// every queue and stall. A regression here hangs, which the go test
-// timeout converts into a failure.
-func TestChunkedHopsDepthOneFabric(t *testing.T) {
-	const workers, dim, chunks = 4, 1 << 10, 16
-	desc, err := registry.Get("rar")
-	if err != nil {
-		t.Fatal(err)
+// TestEveryCollectiveOnDepthOneFabric runs every registered collective
+// over a pathological depth-1 fabric (one buffered packet per link) for
+// three rounds: each schedule must complete rather than fill every queue
+// and stall, and match its sequential leg bit for bit, results and
+// accounting. A regression here hangs, which the go test timeout
+// converts into a failure.
+func TestEveryCollectiveOnDepthOneFabric(t *testing.T) {
+	const workers, dim, rounds, seed = 4, 257, 3, 31
+	opts := func() *registry.Opts {
+		return &registry.Opts{Workers: workers, Dim: dim, Seed: seed, K: 2, GlobalLR: 0.01}
 	}
-	eng := runtime.NewWithOwnedTransport(transport.NewLoopbackDepth(workers, 1))
-	defer eng.Close()
-	cl, err := eng.Open(desc, &registry.Opts{Workers: workers, Dim: dim, Chunks: chunks})
-	if err != nil {
-		t.Fatal(err)
+	for _, desc := range registry.All() {
+		t.Run(desc.Name, func(t *testing.T) {
+			seqRun, err := desc.Seq(opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := runtime.NewWithOwnedTransport(transport.NewLoopbackDepth(workers, 1))
+			defer eng.Close()
+			cl, err := eng.Open(desc, opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqC := netsim.NewCluster(workers, netsim.DefaultCostModel())
+			parC := netsim.NewCluster(workers, netsim.DefaultCostModel())
+			for r := 0; r < rounds; r++ {
+				want := seqRun(seqC, equivtest.RoundVecs(seed, r, workers, dim))
+				got := cl.Run(parC, equivtest.RoundVecs(seed, r, workers, dim))
+				equivtest.RequireSameVecs(t, want, got)
+			}
+			equivtest.RequireSameClusters(t, seqC, parC)
+		})
 	}
-	parC := netsim.NewCluster(workers, netsim.DefaultCostModel())
-	parOut := cl.Run(parC, equivtest.RandVecs(31, workers, dim))
-
-	seqRun, err := desc.Seq(&registry.Opts{Workers: workers, Dim: dim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqC := netsim.NewCluster(workers, netsim.DefaultCostModel())
-	seqOut := seqRun(seqC, equivtest.RandVecs(31, workers, dim))
-	equivtest.RequireSameVecs(t, seqOut, parOut)
-	equivtest.RequireSameClusters(t, seqC, parC)
 }

@@ -25,18 +25,15 @@ import (
 // the gather forwards the bits it received. A rank keeps two segment bit
 // vectors across hops (the one it sends, the one it receives; Resize
 // reuses their words) and one pooled float segment for the
-// decompress-add, so nothing of segment size is allocated per hop, and
-// each hop's payload can be chunk-pipelined (rankCtx.chunks). What
+// decompress-add, so nothing of segment size is allocated per hop. What
 // travels is what netsim charges — one bit per sign plus the ℓ2 norm,
-// the sign frame of ps.go (encodeSignScale); every chunk of a hop
-// carries the norm.
+// the sign frame of ps.go (encodeSignScale), one frame per hop.
 
 // cascadingRingRank executes one rank's share of the cascading SSDM
 // ring. vec is replaced by the (error-laden) estimate of the mean; r
-// must be the rank's own SSDM stream. chunks is the hop-pipelining
-// degree (Opts.Chunks). The caller owns the closing barrier
-// (sequential collective.CascadingRing ends in c.Barrier()).
-func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG, chunks int) {
+// must be the rank's own SSDM stream. The caller owns the closing
+// barrier (sequential collective.CascadingRing ends in c.Barrier()).
+func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if n == 1 {
@@ -45,21 +42,19 @@ func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 	d := len(vec)
 	segs := tensor.Partition(d, n)
 	next, prev := mod(rank+1, n), mod(rank-1, n)
-	rk := newRankCtxChunks(c, ep, rank, chunks)
+	rk := newRankCtx(c, ep, rank)
 	fn := float64(n)
 
 	// summed is the per-hop decompress-add scratch, sized once for the
 	// largest segment (Partition puts the remainder up front). cur holds
-	// the payload this rank sends next, in the one it receives into, and
-	// part a chunk of either when a hop is pipelined.
+	// the payload this rank sends next, in the one it receives into.
 	summed := transport.GetFloats(segs[0].Len())
-	cur, in, part := new(bitvec.Vec), new(bitvec.Vec), new(bitvec.Vec)
+	cur, in := new(bitvec.Vec), new(bitvec.Vec)
 	var curNorm float64
-	encode := func(_, lo, hi int) []byte { return encodeSignScale(bitRange(cur, part, lo, hi), curNorm) }
 
 	// Reduce phase: at step s forward the payload covering segment
 	// (p−s) mod n, then decompress–add–recompress the received segment
-	// (p−s−1) mod n into cur, once the hop has sent all of it.
+	// (p−s−1) mod n into cur.
 	for s := 0; s < n-1; s++ {
 		out := segs[mod(rank-s, n)]
 		if s == 0 {
@@ -70,12 +65,9 @@ func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 		seg := segs[mod(rank-s-1, n)]
 		local := seg.Of(vec)
 		sm := summed[:seg.Len()]
-		rk.exchangeChunked(next, prev, out.Len(), seg.Len(), collective.SignWireBytes(out.Len()), encode,
-			func(_, lo, hi int, data []byte) {
-				inNorm := decodeSignScaleInto(data, in, hi-lo)
-				neg, pos := signPair(inNorm)
-				in.UnpackPairAdd(sm[lo:hi], local[lo:hi], neg, pos)
-			})
+		data := rk.exchange(next, encodeSignScale(cur, curNorm), collective.SignWireBytes(out.Len()), prev)
+		neg, pos := signPair(decodeSignScaleInto(data, in, seg.Len()))
+		in.UnpackPairAdd(sm, local, neg, pos)
 		rk.addDecompress(seg.Len())
 		cur.Resize(seg.Len())
 		curNorm = collective.SSDMBitsInto(cur, sm, r)
@@ -92,21 +84,9 @@ func cascadingRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec,
 	for s := 0; s < n-1; s++ {
 		out := segs[mod(rank+1-s, n)]
 		seg := segs[mod(rank-s, n)]
-		dst := seg.Of(vec)
-		in.Resize(seg.Len())
-		var inNorm float64
-		rk.exchangeChunked(next, prev, out.Len(), seg.Len(), collective.SignWireBytes(out.Len()), encode,
-			func(_, lo, hi int, data []byte) {
-				bits := in
-				if hi-lo != seg.Len() {
-					bits = part
-				}
-				inNorm = decodeSignScaleInto(data, bits, hi-lo)
-				writeCascadeSegment(dst[lo:hi], bits, inNorm, fn)
-				if bits != in {
-					in.Insert(lo, bits)
-				}
-			})
+		data := rk.exchange(next, encodeSignScale(cur, curNorm), collective.SignWireBytes(out.Len()), prev)
+		inNorm := decodeSignScaleInto(data, in, seg.Len())
+		writeCascadeSegment(seg.Of(vec), in, inNorm, fn)
 		cur, in = in, cur
 		curNorm = inNorm
 	}
@@ -135,15 +115,4 @@ func signPair(norm float64) (neg, pos float64) {
 func writeCascadeSegment(dst []float64, bits *bitvec.Vec, norm, fn float64) {
 	neg, pos := signPair(norm)
 	bits.UnpackPair(dst, neg/fn, pos/fn)
-}
-
-// bitRange returns bits [lo, hi) of v: v itself when that is all of it,
-// otherwise scratch, filled by ExtractInto.
-func bitRange(v, scratch *bitvec.Vec, lo, hi int) *bitvec.Vec {
-	if lo == 0 && hi == v.Len() {
-		return v
-	}
-	scratch.Resize(hi - lo)
-	v.ExtractInto(scratch, lo)
-	return scratch
 }

@@ -14,16 +14,13 @@ func mod(i, m int) int { return ((i % m) + m) % m }
 // one rank at ring position p of an m-ring: at step s it sends segment
 // (p−s) mod m downstream and accumulates the received segment
 // (p−s−1) mod m. Encoding the outgoing segment before receiving snapshots
-// it exactly like the sequential schedule (out and in segments are
-// disjoint, so chunked interleaving preserves the snapshot semantics).
+// it exactly like the sequential schedule.
 func ringReduceScatter(rk *rankCtx, next, prev, p, m int, vec tensor.Vec, segs []tensor.Segment) {
 	rk.setPhase("reduce-scatter")
 	for s := 0; s < m-1; s++ {
 		outV := segs[mod(p-s, m)].Of(vec)
 		inV := segs[mod(p-s-1, m)].Of(vec)
-		rk.exchangeChunked(next, prev, len(outV), len(inV), len(outV)*floatWireBytes,
-			func(_, lo, hi int) []byte { return encodeFloats(outV[lo:hi]) },
-			func(_, lo, hi int, data []byte) { addFloats(inV[lo:hi], data) })
+		addFloats(inV, rk.exchange(next, encodeFloats(outV), len(outV)*floatWireBytes, prev))
 	}
 }
 
@@ -35,9 +32,7 @@ func ringAllGather(rk *rankCtx, next, prev, p, m int, vec tensor.Vec, segs []ten
 	for s := 0; s < m-1; s++ {
 		outV := segs[mod(p+1-s, m)].Of(vec)
 		inV := segs[mod(p-s, m)].Of(vec)
-		rk.exchangeChunked(next, prev, len(outV), len(inV), len(outV)*floatWireBytes,
-			func(_, lo, hi int) []byte { return encodeFloats(outV[lo:hi]) },
-			func(_, lo, hi int, data []byte) { copyFloats(inV[lo:hi], data) })
+		copyFloats(inV, rk.exchange(next, encodeFloats(outV), len(outV)*floatWireBytes, prev))
 	}
 }
 
@@ -45,18 +40,16 @@ func ringAllGather(rk *rankCtx, next, prev, p, m int, vec tensor.Vec, segs []ten
 // 2D-torus all-reduce (the hierarchical TAR of collective.TorusAllReduce):
 // ring reduce-scatter along the rank's row, ring all-reduce along its
 // column restricted to the owned segment, ring all-gather along the row,
-// then the 1/M scaling. vec holds the element-wise mean on return.
-// chunks is the hop-pipelining degree (the registry leg passes
-// Opts.Chunks; 1 means one frame per hop). The caller owns the closing
-// barrier (ClockBarrier).
-func TorusAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, vec tensor.Vec, chunks int) {
+// then the 1/M scaling. vec holds the element-wise mean on return. The
+// caller owns the closing barrier (ClockBarrier).
+func TorusAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, vec tensor.Vec) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if tor.Size() != n {
 		panic("runtime: torus size mismatch")
 	}
 	rows, cols := tor.Rows(), tor.Cols()
-	rk := newRankCtxChunks(c, ep, rank, chunks)
+	rk := newRankCtx(c, ep, rank)
 	r, p := tor.Coord(rank)
 
 	if cols == 1 {

@@ -204,15 +204,10 @@ type rankCtx struct {
 	ep   transport.Endpoint
 	rank int
 	clk  float64
-	// chunks is the hop-pipelining degree: every exchangeChunked hop is
-	// split into this many physical frames (1 = one frame per hop, the
-	// historical behaviour). Purely a wall-clock knob — the charged
-	// Wire/Clock arithmetic is computed once per hop either way.
-	chunks int
-	// tracer, when non-nil, receives one event per hop (and per chunk)
-	// pairing the virtual α–β clock with wall-clock timing. Resolved once
-	// at context creation so the hot loops pay a nil check, nothing more;
-	// events never influence results, bytes or clocks.
+	// tracer, when non-nil, receives one event per hop pairing the
+	// virtual α–β clock with wall-clock timing. Resolved once at context
+	// creation so the hot loops pay a nil check, nothing more; events
+	// never influence results, bytes or clocks.
 	tracer *obs.Tracer
 	// rec, when non-nil, is the calibration recorder: exchange spans
 	// accumulate into commNanos and finish flushes the total, giving
@@ -224,30 +219,9 @@ type rankCtx struct {
 	hops int
 }
 
-// maxHopChunks caps the pipelining degree: beyond this the frames are
-// so small that per-frame overhead wins back everything pipelining
-// saves, and the cap keeps exchangeChunked's bookkeeping bounded. It is
-// deliberately not a deadlock guard — the chunk loop keeps its send
-// window at one frame, so any link depth ≥ 1 is safe at any degree.
-const maxHopChunks = 16
-
 func newRankCtx(c *netsim.Cluster, ep transport.Endpoint, rank int) *rankCtx {
-	return &rankCtx{c: c, ep: ep, rank: rank, clk: c.Clock(rank), chunks: 1,
+	return &rankCtx{c: c, ep: ep, rank: rank, clk: c.Clock(rank),
 		tracer: obs.ActiveTracer(), rec: obs.ActiveCalib()}
-}
-
-// newRankCtxChunks is newRankCtx with a hop-pipelining degree; values
-// below 1 mean unchunked and values above maxHopChunks are clamped
-// (clamping is invisible to the cost model).
-func newRankCtxChunks(c *netsim.Cluster, ep transport.Endpoint, rank, chunks int) *rankCtx {
-	rk := newRankCtx(c, ep, rank)
-	if chunks > maxHopChunks {
-		chunks = maxHopChunks
-	}
-	if chunks > 1 {
-		rk.chunks = chunks
-	}
-	return rk
 }
 
 // exchange performs one symmetric ring step — post data to next, block on
@@ -300,133 +274,10 @@ func (r *rankCtx) exchange(next int, data []byte, outWire int, prev int) []byte 
 		r.clk = recvDone
 	}
 	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{Kind: obs.KindHop, Rank: r.rank, Hop: hop, Chunk: -1,
+		r.tracer.Emit(obs.Event{Kind: obs.KindHop, Rank: r.rank, Hop: hop,
 			Bytes: outBytes, Wire: outWire, VClock: r.clk, Start: t0, Dur: span})
 	}
 	return p.Data
-}
-
-// exchangeChunked is one ring hop whose payload is logically the same
-// message as exchange(enc(0, outN), outWire) but physically segmented
-// into rk.chunks frames, so the receiver's merge of chunk c overlaps
-// the transfer of chunk c+1 (and, across ranks, hop h+1's transmission
-// overlaps hop h's merge). outN and inN are the element counts of the
-// outgoing and incoming segments; both sides derive identical
-// tensor.Partition chunk boundaries, so prev's send chunks line up with
-// our consume chunks. enc(ci, lo, hi) encodes elements [lo, hi) of the
-// outgoing segment into a pooled payload for chunk index ci (ownership
-// passes at Send); consume(ci, lo, hi, data) merges the received
-// elements [lo, hi) and must recycle data. Sideband values that ride a
-// single frame (a scale constant, a norm) key off ci == 0 — chunk
-// indices agree on both sides even when a degenerate segment makes
-// element offsets ambiguous.
-//
-// The cost model sees exactly one message: the first frame carries the
-// hop's start clock and the full simulated wire size, trailing frames
-// carry Wire = 0, and the closing arithmetic below is the verbatim
-// arithmetic of exchange — so results, wire bytes and α–β clocks are
-// bit-identical for every chunk count (the equivalence matrix pins
-// S ∈ {1, 3, 8}).
-//
-// The send window is one frame: chunk c's receive is consumed before
-// chunk c+1 is posted, so at most one unconsumed frame sits on a link
-// per rank and the schedule is deadlock-free at any link depth ≥ 1
-// (including a pathological Depth-1 fabric). The ranks still pipeline
-// against each other — every rank works chunk c while chunk c±1 moves
-// on its neighbours' links — which is where the overlap lives.
-func (r *rankCtx) exchangeChunked(next, prev, outN, inN, outWire int,
-	enc func(ci, lo, hi int) []byte,
-	consume func(ci, lo, hi int, data []byte)) {
-	if r.chunks <= 1 {
-		consume(0, 0, inN, r.exchange(next, enc(0, 0, outN), outWire, prev))
-		return
-	}
-	start := r.clk
-	hop := r.hops
-	r.hops++
-	timed := r.tracer != nil || r.rec != nil
-	var hopT0 time.Time
-	if r.tracer != nil {
-		hopT0 = time.Now()
-	}
-	sentBytes := 0
-	outParts := tensor.Partition(outN, r.chunks)
-	inParts := tensor.Partition(inN, r.chunks)
-	var firstWire int
-	var firstClock float64
-	recvd := 0
-	recvOne := func() {
-		var ct0 time.Time
-		if timed {
-			ct0 = time.Now()
-		}
-		p, err := r.ep.Recv(prev)
-		if err != nil {
-			panic(fmt.Sprintf("runtime: rank %d recv from %d: %v", r.rank, prev, err))
-		}
-		if r.rec != nil {
-			// The comm share of the span ends at delivery; the consume
-			// below is local merge work. The tracer's chunk Dur keeps
-			// including it — the trace reads as "time to land this chunk".
-			r.commNanos += int64(time.Since(ct0))
-		}
-		if recvd == 0 {
-			firstWire, firstClock = p.Wire, p.Clock
-		}
-		seg := inParts[recvd]
-		ci := recvd
-		recvd++
-		inBytes := len(p.Data)
-		consume(ci, seg.Lo, seg.Hi, p.Data)
-		if r.tracer != nil {
-			r.tracer.Emit(obs.Event{Kind: obs.KindChunk, Rank: r.rank, Hop: hop, Chunk: ci,
-				Bytes: inBytes, Wire: p.Wire, VClock: r.clk, Start: ct0, Dur: time.Since(ct0)})
-		}
-	}
-	for ci, seg := range outParts {
-		if ci > 0 {
-			recvOne() // consume chunk ci−1 before posting ci: window of one
-		}
-		wire, clock := 0, 0.0
-		if ci == 0 {
-			wire, clock = outWire, start
-		}
-		payload := enc(ci, seg.Lo, seg.Hi)
-		sentBytes += len(payload)
-		var st0 time.Time
-		if r.rec != nil {
-			st0 = time.Now()
-		}
-		err := r.ep.Send(next, transport.Packet{Data: payload, Wire: wire, Clock: clock})
-		if err != nil {
-			panic(fmt.Sprintf("runtime: rank %d send to %d: %v", r.rank, next, err))
-		}
-		if r.rec != nil {
-			r.commNanos += int64(time.Since(st0))
-		}
-		if ci == 0 {
-			r.c.AccountBytes(r.rank, outWire)
-		}
-	}
-	recvOne()
-
-	alpha, beta := r.c.Model.Latency, r.c.Model.BytePeriod
-	sendDone := start + float64(outWire)*beta
-	recvStart := firstClock + alpha
-	if start > recvStart {
-		recvStart = start
-	}
-	recvDone := recvStart + float64(firstWire)*beta
-	if sendDone > r.clk {
-		r.clk = sendDone
-	}
-	if recvDone > r.clk {
-		r.clk = recvDone
-	}
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{Kind: obs.KindHop, Rank: r.rank, Hop: hop, Chunk: -1,
-			Bytes: sentBytes, Wire: outWire, VClock: r.clk, Start: hopT0, Dur: time.Since(hopT0)})
-	}
 }
 
 // send posts one raw frame to rank to, stamping the given send-start

@@ -306,3 +306,117 @@ func TestWorkerPanicMidCollectiveUnmasked(t *testing.T) {
 		agg.Or(local)
 	})
 }
+
+// recordingFabric is a loopback fabric whose endpoints record every
+// frame they post: its Wire charge and its payload length.
+type recordingFabric struct {
+	*transport.Loopback
+	eps []*recordingEndpoint
+}
+
+type recordingEndpoint struct {
+	transport.Endpoint
+	frames []sentFrame
+}
+
+type sentFrame struct{ to, wire, payload int }
+
+func newRecordingFabric(n int) *recordingFabric {
+	f := &recordingFabric{Loopback: transport.NewLoopback(n)}
+	for r := 0; r < n; r++ {
+		f.eps = append(f.eps, &recordingEndpoint{Endpoint: f.Loopback.Endpoint(r)})
+	}
+	return f
+}
+
+func (f *recordingFabric) Endpoint(rank int) transport.Endpoint { return f.eps[rank] }
+
+func (e *recordingEndpoint) Send(to int, p transport.Packet) error {
+	e.frames = append(e.frames, sentFrame{to: to, wire: p.Wire, payload: len(p.Data)})
+	return e.Endpoint.Send(to, p)
+}
+
+// TestRoundCarriesNoHiddenPayload records every frame of two rounds
+// (K = 2: a full-precision round, then a one-bit one) of every registered
+// collective, Elias-coded too where the caps allow, on the flat ring and
+// on every torus shape a torus-capable collective takes: the only frames
+// the cost model does not charge (Wire = 0) must be control frames no
+// larger than a ClockBarrier's, and the charged frames must add up to
+// the cluster's wire bytes. The PS family's hub charges its own push and
+// pull without sending a frame, so there the frames add up to (M−1)/M of
+// them. A rank that moved data outside the schedule — a hop split into
+// an uncharged trailing frame, or bits aligned to another rank's — would
+// post uncharged payload frames that no wire or clock figure shows.
+func TestRoundCarriesNoHiddenPayload(t *testing.T) {
+	const d, rounds = 97, 2
+	barrier := newRecordingFabric(2)
+	bc := netsim.NewCluster(2, netsim.DefaultCostModel())
+	done := make(chan struct{})
+	go func() { runtime.ClockBarrier(bc, barrier.Endpoint(1)); close(done) }()
+	runtime.ClockBarrier(bc, barrier.Endpoint(0))
+	<-done
+	barrierPayload := 0
+	for _, ep := range barrier.eps {
+		for _, f := range ep.frames {
+			barrierPayload = max(barrierPayload, f.payload)
+		}
+	}
+	barrier.Close()
+
+	tori := []*topology.Torus{topology.NewTorus(2, 2), topology.NewTorus(2, 3),
+		topology.NewTorus(3, 2), topology.NewTorus(1, 4), topology.NewTorus(4, 1)}
+	for _, desc := range registry.All() {
+		layouts := []*topology.Torus{nil}
+		switch {
+		case desc.Topology == registry.Torus:
+			layouts = tori
+		case desc.Caps.Torus:
+			layouts = append(layouts, tori...)
+		}
+		eliases := []bool{false}
+		if desc.Caps.Elias {
+			eliases = append(eliases, true)
+		}
+		for _, elias := range eliases {
+			for _, tor := range layouts {
+				n, name := 4, desc.Name+"/ring"
+				if tor != nil {
+					n, name = tor.Size(), fmt.Sprintf("%s/%dx%d", desc.Name, tor.Rows(), tor.Cols())
+				}
+				if elias {
+					name += "/elias"
+				}
+				t.Run(name, func(t *testing.T) {
+					fabric := newRecordingFabric(n)
+					eng := runtime.NewWithOwnedTransport(fabric)
+					defer eng.Close()
+					cl, err := eng.Open(desc, &registry.Opts{Dim: d, K: 2, GlobalLR: 0.1, Torus: tor, Elias: elias, Seed: 3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					c := netsim.NewCluster(n, netsim.DefaultCostModel())
+					for r := 0; r < rounds; r++ {
+						cl.Run(c, equivtest.RoundVecs(9, r, n, d))
+					}
+					charged := int64(0)
+					for from, ep := range fabric.eps {
+						for _, f := range ep.frames {
+							charged += int64(f.wire)
+							if f.wire == 0 && f.payload > barrierPayload {
+								t.Errorf("rank %d → %d: uncharged frame with a %d-byte payload (a barrier's is %d)",
+									from, f.to, f.payload, barrierPayload)
+							}
+						}
+					}
+					want := c.TotalBytes()
+					if desc.Caps.PSFamily {
+						want = want * int64(n-1) / int64(n)
+					}
+					if charged != want {
+						t.Fatalf("frames charge %d wire bytes, want %d of the cluster's %d", charged, want, c.TotalBytes())
+					}
+				})
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package runtime_test
 
 import (
-	"fmt"
 	"testing"
 
 	"marsit/internal/collective/registry"
@@ -29,22 +28,6 @@ func TestCollectiveEquivalence(t *testing.T) {
 	equivtest.RunRegistry(t)
 }
 
-// TestCollectiveEquivalenceChunked proves chunk-pipelined hops are
-// purely a wall-clock optimization: every chunk-capable descriptor
-// (RAR, TAR, sign-sum ring/torus ± Elias, SSDM overflow, cascading)
-// re-runs the full acceptance matrix with each hop payload split into
-// 3 and then 8 pipelined frames, and must stay bit-identical to the
-// sequential engine on results, wire bytes, clocks and phase splits.
-// Together with the base matrix (Chunks ∈ {0, 1}) this pins the
-// clock-invariance contract at Chunks ∈ {1, 3, 8}.
-func TestCollectiveEquivalenceChunked(t *testing.T) {
-	for _, chunks := range []int{3, 8} {
-		t.Run(fmt.Sprintf("S=%d", chunks), func(t *testing.T) {
-			equivtest.RunRegistryChunked(t, chunks)
-		})
-	}
-}
-
 // TestCollectiveEquivalenceJitter is the fault-injection leg of the
 // acceptance matrix: every registered collective re-runs over both
 // fabrics wrapped in the faultwrap delay middleware (seeded per-pair
@@ -53,18 +36,6 @@ func TestCollectiveEquivalenceChunked(t *testing.T) {
 // α–β clocks. Injected delay may move wall time only.
 func TestCollectiveEquivalenceJitter(t *testing.T) {
 	equivtest.RunBackends(t, equivtest.RegistrySpecs(), equivtest.JitterBackends)
-}
-
-// TestCollectiveEquivalenceChunkedJitter re-runs the chunk-pipelined
-// variants (S ∈ {3, 8}) under the same fault injection: the window-of-
-// one chunk schedule must neither deadlock nor drift under arbitrary
-// per-frame delays.
-func TestCollectiveEquivalenceChunkedJitter(t *testing.T) {
-	for _, chunks := range []int{3, 8} {
-		t.Run(fmt.Sprintf("S=%d", chunks), func(t *testing.T) {
-			equivtest.RunBackends(t, equivtest.RegistryChunkSpecs(chunks), equivtest.JitterBackends)
-		})
-	}
 }
 
 // TestCostModelEquivalence runs every registered collective under a

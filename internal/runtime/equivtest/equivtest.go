@@ -115,10 +115,10 @@ var Backends = []string{"loopback", "tcp", "shm", "hybrid"}
 // bit-identical — injected delay may only move wall time.
 var JitterBackends = []string{"loopback-jitter", "tcp-jitter", "shm-jitter", "hybrid-jitter"}
 
-// Run executes every spec over its shape × dim × backend matrix. Any
-// backend other than plain loopback runs the full shape set at the last
-// (largest) dimension only, keeping socket churn and injected sleeps
-// bounded while still proving every schedule over real frames.
+// Run executes every spec over its full shape × dim × backend matrix.
+// Every backend runs every dimension: the small ones are where real
+// fabrics carry empty hop frames and frames of a few bytes (D=1 leaves
+// most ring segments empty).
 func Run(t *testing.T, specs []Spec) {
 	RunBackends(t, specs, Backends)
 }
@@ -146,12 +146,8 @@ func RunBackends(t *testing.T, specs []Spec, backends []string) {
 				runSub(t, &backendsDone, overlap, backend, func(t *testing.T) {
 					var casesDone sync.WaitGroup
 					defer casesDone.Wait()
-					caseDims := dims
-					if backend != "loopback" {
-						caseDims = dims[len(dims)-1:]
-					}
 					for _, sh := range shapes {
-						for _, d := range caseDims {
+						for _, d := range dims {
 							runSub(t, &casesDone, overlap, fmt.Sprintf("%s_D=%d", sh.Name, d), func(t *testing.T) {
 								runCase(t, spec, backend, sh, d)
 							})
@@ -356,7 +352,7 @@ const (
 // RunRegistry executes the full cross-engine acceptance matrix for
 // every collective registered in internal/collective/registry: each
 // descriptor's sequential and per-rank legs run over
-// {loopback, tcp} × shapes × dims (plus an Elias variant and a torus
+// every backend × shape × dim (plus an Elias variant and a torus
 // variant where the descriptor's caps allow them) and must agree bit
 // for bit. The caller must import the registering packages
 // (internal/runtime, internal/core) so the registry is populated — a
@@ -378,42 +374,9 @@ func RegistrySpecs() []Spec {
 			eliases = append(eliases, true)
 		}
 		for _, elias := range eliases {
-			specs = append(specs, registrySpec(d, elias, false, 0))
+			specs = append(specs, registrySpec(d, elias, false))
 			if d.Caps.Torus {
-				specs = append(specs, registrySpec(d, elias, true, 0))
-			}
-		}
-	}
-	return specs
-}
-
-// RunRegistryChunked re-runs the acceptance matrix for every
-// Caps.Chunked descriptor with the given hop-pipelining degree: the
-// parallel legs split each ring-hop payload into `chunks` frames and
-// must still reproduce the sequential engine bit for bit — results,
-// wire bytes, clocks and phase splits. With the base matrix (chunks
-// ≤ 1) this proves chunking is purely a wall-clock knob.
-func RunRegistryChunked(t *testing.T, chunks int) {
-	Run(t, RegistryChunkSpecs(chunks))
-}
-
-// RegistryChunkSpecs generates the chunked variants of every
-// Caps.Chunked descriptor (base, Elias, torus, and Elias-torus where
-// the caps allow), named with a "-chunksS" suffix.
-func RegistryChunkSpecs(chunks int) []Spec {
-	var specs []Spec
-	for _, d := range registry.All() {
-		if !d.Caps.Chunked {
-			continue
-		}
-		eliases := []bool{false}
-		if d.Caps.Elias {
-			eliases = append(eliases, true)
-		}
-		for _, elias := range eliases {
-			specs = append(specs, registrySpec(d, elias, false, chunks))
-			if d.Caps.Torus {
-				specs = append(specs, registrySpec(d, elias, true, chunks))
+				specs = append(specs, registrySpec(d, elias, true))
 			}
 		}
 	}
@@ -423,10 +386,8 @@ func RegistryChunkSpecs(chunks int) []Spec {
 // registrySpec builds the Spec for one descriptor variant. Both legs
 // derive identical Opts and per-round inputs from the case seed; the
 // runners are created once per case so stateful collectives carry
-// their state across the EquivRounds rounds. chunks > 1 runs the
-// parallel leg with chunk-pipelined hops (the sequential leg ignores
-// it by construction).
-func registrySpec(d *registry.Descriptor, elias, torus bool, chunks int) Spec {
+// their state across the EquivRounds rounds.
+func registrySpec(d *registry.Descriptor, elias, torus bool) Spec {
 	name := d.Name
 	if elias {
 		name += "-elias"
@@ -434,9 +395,6 @@ func registrySpec(d *registry.Descriptor, elias, torus bool, chunks int) Spec {
 	var shapes []Shape
 	if torus {
 		name += "-torus"
-	}
-	if chunks > 1 {
-		name += fmt.Sprintf("-chunks%d", chunks)
 	}
 	if torus || d.Topology == registry.Torus {
 		shapes = TorusShapes()
@@ -448,7 +406,7 @@ func registrySpec(d *registry.Descriptor, elias, torus bool, chunks int) Spec {
 	opts := func(sh Shape, dim int, seed uint64) *registry.Opts {
 		return &registry.Opts{
 			Workers: sh.Workers, Dim: dim, Torus: sh.Torus, Elias: elias,
-			Seed: seed, K: registryK, GlobalLR: registryGlobalLR, Chunks: chunks,
+			Seed: seed, K: registryK, GlobalLR: registryGlobalLR,
 		}
 	}
 	return Spec{

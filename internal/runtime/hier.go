@@ -19,8 +19,7 @@ import (
 //
 // The caller owns the closing barrier (ClockBarrier in the registry
 // leg, matching the sequential engine's c.Barrier()).
-func hierAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus,
-	vec tensor.Vec, chunks int) {
+func hierAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, vec tensor.Vec) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if tor.Size() != n {
@@ -29,7 +28,7 @@ func hierAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.T
 	hosts, local := tor.Rows(), tor.Cols()
 	h, g := tor.Coord(rank)
 	d := len(vec)
-	rk := newRankCtxChunks(c, ep, rank, chunks)
+	rk := newRankCtx(c, ep, rank)
 
 	// Phase 1: intra-host ring sum (no scaling — the delegate scales
 	// once the global sum is in).

@@ -5,11 +5,9 @@ import (
 	"testing"
 
 	"marsit/internal/bitvec"
-	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
 	"marsit/internal/runtime"
-	"marsit/internal/runtime/equivtest"
 	"marsit/internal/tensor"
 	"marsit/internal/topology"
 	"marsit/internal/transport"
@@ -88,95 +86,5 @@ func TestOneBitFramesCheckLength(t *testing.T) {
 				site.run(c, fabric.Endpoint(site.rank), bitvec.New(dim))
 			})
 		}
-	}
-}
-
-// recordingFabric is a loopback fabric whose endpoints record every
-// frame they post: its Wire charge and its payload length.
-type recordingFabric struct {
-	*transport.Loopback
-	eps []*recordingEndpoint
-}
-
-type recordingEndpoint struct {
-	transport.Endpoint
-	frames []sentFrame
-}
-
-type sentFrame struct{ to, wire, payload int }
-
-func newRecordingFabric(n int) *recordingFabric {
-	f := &recordingFabric{Loopback: transport.NewLoopback(n)}
-	for r := 0; r < n; r++ {
-		f.eps = append(f.eps, &recordingEndpoint{Endpoint: f.Loopback.Endpoint(r)})
-	}
-	return f
-}
-
-func (f *recordingFabric) Endpoint(rank int) transport.Endpoint { return f.eps[rank] }
-
-func (e *recordingEndpoint) Send(to int, p transport.Packet) error {
-	e.frames = append(e.frames, sentFrame{to: to, wire: p.Wire, payload: len(p.Data)})
-	return e.Endpoint.Send(to, p)
-}
-
-// TestOneBitRoundCarriesNoHiddenPayload records every frame of a one-bit
-// "marsit" round on the flat ring and on every torus shape: the only
-// frames the cost model does not charge (Wire = 0) must be control
-// frames no larger than a ClockBarrier's, and the charged frames must
-// add up to the cluster's wire bytes. A rank that moved data outside
-// the schedule — aligning its bits to another rank's, say — would post
-// uncharged payload frames that no wire or clock figure shows.
-func TestOneBitRoundCarriesNoHiddenPayload(t *testing.T) {
-	const d = 97
-	barrier := newRecordingFabric(2)
-	bc := netsim.NewCluster(2, netsim.DefaultCostModel())
-	done := make(chan struct{})
-	go func() { runtime.ClockBarrier(bc, barrier.Endpoint(1)); close(done) }()
-	runtime.ClockBarrier(bc, barrier.Endpoint(0))
-	<-done
-	barrierPayload := 0
-	for _, ep := range barrier.eps {
-		for _, f := range ep.frames {
-			barrierPayload = max(barrierPayload, f.payload)
-		}
-	}
-	barrier.Close()
-
-	desc, err := registry.Get("marsit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tor := range []*topology.Torus{nil,
-		topology.NewTorus(2, 2), topology.NewTorus(2, 3), topology.NewTorus(3, 2),
-		topology.NewTorus(1, 4), topology.NewTorus(4, 1)} {
-		n, name := 4, "ring"
-		if tor != nil {
-			n, name = tor.Size(), fmt.Sprintf("%dx%d", tor.Rows(), tor.Cols())
-		}
-		t.Run(name, func(t *testing.T) {
-			fabric := newRecordingFabric(n)
-			eng := runtime.NewWithOwnedTransport(fabric)
-			defer eng.Close()
-			cl, err := eng.Open(desc, &registry.Opts{Dim: d, GlobalLR: 0.1, Torus: tor, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := netsim.NewCluster(n, netsim.DefaultCostModel())
-			cl.Run(c, equivtest.RandVecs(9, n, d))
-			charged := int64(0)
-			for from, ep := range fabric.eps {
-				for _, f := range ep.frames {
-					charged += int64(f.wire)
-					if f.wire == 0 && f.payload > barrierPayload {
-						t.Errorf("rank %d → %d: uncharged frame with a %d-byte payload (a barrier's is %d)",
-							from, f.to, f.payload, barrierPayload)
-					}
-				}
-			}
-			if charged != c.TotalBytes() {
-				t.Fatalf("frames charge %d wire bytes, the cluster %d", charged, c.TotalBytes())
-			}
-		})
 	}
 }

@@ -21,7 +21,7 @@ import (
 // the c.Barrier() inside the sequential collective.RingAllReduce; the
 // caller owns the final barrier after the reconstruction.
 func powerSGDRingRank(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec,
-	st *collective.PowerSGDRingState, chunks int) {
+	st *collective.PowerSGDRingState) {
 	checkRankCluster(c, ep)
 	rank := ep.Rank()
 	d := len(grad)
@@ -29,7 +29,7 @@ func powerSGDRingRank(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec,
 	// Step 1: P = M·Q, first all-reduce (mean).
 	p := st.ComputeP(grad)
 	c.AddCompress(rank, d)
-	RingAllReduceRank(c, ep, p, chunks)
+	RingAllReduceRank(c, ep, p)
 	ClockBarrier(c, ep)
 
 	// Step 2: identical orthonormalization everywhere (uncharged, as in
@@ -39,7 +39,7 @@ func powerSGDRingRank(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec,
 	// Step 3: Q' = Mᵀ·P, second (dependent) all-reduce.
 	q := st.ComputeQ(grad, p)
 	c.AddCompress(rank, d)
-	RingAllReduceRank(c, ep, q, chunks)
+	RingAllReduceRank(c, ep, q)
 	ClockBarrier(c, ep)
 
 	// Step 4: warm-start and reconstruct.

@@ -69,7 +69,7 @@ func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, down
 				rec.AddCommWall(rank, int64(span))
 			}
 			if tracer != nil {
-				tracer.Emit(obs.Event{Kind: obs.KindHubPush, Rank: rank, Hop: -1, Chunk: -1,
+				tracer.Emit(obs.Event{Kind: obs.KindHubPush, Rank: rank, Hop: -1,
 					Bytes: pushBytes, Wire: upBytes, VClock: c.Clock(rank), Start: t0, Dur: span})
 			}
 			t0 = time.Now()
@@ -86,7 +86,7 @@ func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, down
 				rec.AddCommWall(rank, int64(span))
 			}
 			if tracer != nil {
-				tracer.Emit(obs.Event{Kind: obs.KindHubPull, Rank: rank, Hop: -1, Chunk: -1,
+				tracer.Emit(obs.Event{Kind: obs.KindHubPull, Rank: rank, Hop: -1,
 					Bytes: len(p.Data), Wire: downBytes, VClock: p.Clock, Start: t0, Dur: span})
 			}
 		}
@@ -140,7 +140,7 @@ func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, down
 			rec.AddCommWall(hubRank, int64(span))
 		}
 		if tracer != nil {
-			tracer.Emit(obs.Event{Kind: obs.KindHub, Rank: hubRank, Hop: -1, Chunk: -1,
+			tracer.Emit(obs.Event{Kind: obs.KindHub, Rank: hubRank, Hop: -1,
 				Bytes: (n - 1) * len(down), Wire: upBytes + downBytes, VClock: arrivals[hubRank],
 				Start: hubT0, Dur: span})
 		}

@@ -28,13 +28,12 @@ func checkRankCluster(c *netsim.Cluster, ep transport.Endpoint) {
 // RingAllReduceRank executes one rank's share of the full-precision ring
 // all-reduce: reduce-scatter, all-gather, 1/M scaling and the virtual-
 // time write-back. vec is the rank's local vector and holds the
-// element-wise mean on return. chunks is the hop-pipelining degree (the
-// registry leg passes Opts.Chunks; 1 means one frame per hop). The
-// caller owns the closing barrier (ClockBarrier).
-func RingAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, chunks int) {
+// element-wise mean on return. The caller owns the closing barrier
+// (ClockBarrier).
+func RingAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
-	rk := newRankCtxChunks(c, ep, rank, chunks)
+	rk := newRankCtx(c, ep, rank)
 	if n >= 2 {
 		segs := tensor.Partition(len(vec), n)
 		next, prev := mod(rank+1, n), mod(rank-1, n)
@@ -68,7 +67,7 @@ func ClockBarrier(c *netsim.Cluster, ep transport.Endpoint) {
 				rec.AddCommWall(rank, int64(span))
 			}
 			if tracer != nil {
-				tracer.Emit(obs.Event{Kind: obs.KindBarrier, Rank: rank, Hop: -1, Chunk: -1,
+				tracer.Emit(obs.Event{Kind: obs.KindBarrier, Rank: rank, Hop: -1,
 					VClock: c.Clock(rank), Start: t0, Dur: span})
 			}
 		}()

@@ -26,7 +26,6 @@ func init() {
 		Summary:  "full-precision ring all-reduce (PSGD baseline)",
 		Topology: registry.Ring,
 		Wire:     "4 B/elem float32",
-		Caps:     registry.Caps{Chunked: true},
 		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
 			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 				collective.RingAllReduce(c, grads)
@@ -35,7 +34,7 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				RingAllReduceRank(c, ep, grad, o.Chunks)
+				RingAllReduceRank(c, ep, grad)
 				ClockBarrier(c, ep)
 				return registry.Update{Vec: grad}
 			}, nil
@@ -47,7 +46,6 @@ func init() {
 		Summary:  "full-precision hierarchical 2D-torus all-reduce",
 		Topology: registry.Torus,
 		Wire:     "4 B/elem float32",
-		Caps:     registry.Caps{Chunked: true},
 		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
 			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 				collective.TorusAllReduce(c, o.Torus, grads)
@@ -56,7 +54,7 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				TorusAllReduceRank(c, ep, o.Torus, grad, o.Chunks)
+				TorusAllReduceRank(c, ep, o.Torus, grad)
 				ClockBarrier(c, ep)
 				return registry.Update{Vec: grad}
 			}, nil
@@ -68,7 +66,7 @@ func init() {
 		Summary:  "majority-vote signSGD over the sign-sum ring or torus",
 		Topology: registry.Ring,
 		Wire:     "ceil(log2 m)+1 bits/elem, optionally Elias-coded",
-		Caps:     registry.Caps{Elias: true, Torus: true, Chunked: true},
+		Caps:     registry.Caps{Elias: true, Torus: true},
 	}, false, false))
 
 	registry.Register(registry.Descriptor{
@@ -76,7 +74,7 @@ func init() {
 		Summary:  "SSDM (Overflow): stochastic signs with bit-width expansion",
 		Topology: registry.Ring,
 		Wire:     "ceil(log2 m)+1 bits/elem, optionally Elias-coded",
-		Caps:     registry.Caps{Elias: true, Streams: true, Chunked: true},
+		Caps:     registry.Caps{Elias: true, Streams: true},
 		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
 			streams := o.AllStreams()
 			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
@@ -87,7 +85,7 @@ func init() {
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			stream := o.Stream(rank)
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				overflowRingRank(c, ep, grad, stream, o.Elias, o.Chunks)
+				overflowRingRank(c, ep, grad, stream, o.Elias)
 				ClockBarrier(c, ep)
 				return registry.Update{Vec: grad}
 			}, nil
@@ -99,7 +97,7 @@ func init() {
 		Summary:  "cascading SSDM: decompress-add-recompress at every ring hop",
 		Topology: registry.Ring,
 		Wire:     "1 bit/elem + norm per hop",
-		Caps:     registry.Caps{Streams: true, Chunked: true},
+		Caps:     registry.Caps{Streams: true},
 		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
 			streams := o.AllStreams()
 			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
@@ -110,7 +108,7 @@ func init() {
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			stream := o.Stream(rank)
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				cascadingRingRank(c, ep, grad, stream, o.Chunks)
+				cascadingRingRank(c, ep, grad, stream)
 				ClockBarrier(c, ep)
 				return registry.Update{Vec: grad}
 			}, nil
@@ -164,7 +162,6 @@ func init() {
 		Summary:  "PowerSGD low-rank compression: two dependent ring all-reduces per round",
 		Topology: registry.Ring,
 		Wire:     "4 B/elem of P then Q' (rank-limited)",
-		Caps:     registry.Caps{Chunked: true},
 		// Three rounds exercise the warm-started Q across synchronizations.
 		EquivRounds: 3,
 		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
@@ -180,7 +177,7 @@ func init() {
 			// the sequential engine's single shared state exactly.
 			st := collective.NewPowerSGDRingState(powerRankOrDefault(o), o.Dim)
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				powerSGDRingRank(c, ep, grad, st, o.Chunks)
+				powerSGDRingRank(c, ep, grad, st)
 				ClockBarrier(c, ep)
 				return registry.Update{Vec: grad}
 			}, nil
@@ -192,7 +189,6 @@ func init() {
 		Summary:  "two-level hierarchical all-reduce: intra-host rings, one delegate per host",
 		Topology: registry.Torus,
 		Wire:     "4 B/elem float32 (hosts = rows, local ranks = cols)",
-		Caps:     registry.Caps{Chunked: true},
 		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
 			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 				collective.HierarchicalAllReduce(c, o.Torus, grads)
@@ -201,7 +197,7 @@ func init() {
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				hierAllReduceRank(c, ep, o.Torus, grad, o.Chunks)
+				hierAllReduceRank(c, ep, o.Torus, grad)
 				ClockBarrier(c, ep)
 				return registry.Update{Vec: grad}
 			}, nil

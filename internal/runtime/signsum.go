@@ -36,21 +36,17 @@ import (
 // constant and can form the total in rank order — the exact float
 // summation order of the sequential engine.
 
-// encodeSignSumChunk serializes one sign-sum chunk: the scale payload
-// riding along (a small float64 vector, empty on trailing chunks)
-// followed by the chunk's integer sums — raw little-endian int64s, or
-// the exact Elias-gamma bytes when useElias is set (the paper's
-// compaction, actually on the wire, encoded straight into the pooled
-// payload). eliasBits sizes the coded chunk; pass a negative value to
-// have it computed here (callers that already sized the whole hop —
-// the unchunked common case — hand it down instead of re-scanning).
-// The buffer comes from the shared payload pool.
+// encodeSignSumChunk serializes one hop's sign-sum chunk: the scale
+// payload riding along (a small float64 vector, empty in the
+// all-gather) followed by the segment's integer sums — raw
+// little-endian int64s, or the exact Elias-gamma bytes when useElias is
+// set (the paper's compaction, actually on the wire, encoded straight
+// into the pooled payload). eliasBits is the coded length signSumHopWire
+// already measured for the hop. The buffer comes from the shared
+// payload pool.
 func encodeSignSumChunk(vals []int64, scales []float64, useElias bool, eliasBits int) []byte {
 	sumBytes := 8 * len(vals)
 	if useElias {
-		if eliasBits < 0 {
-			eliasBits = compress.EliasIntsBitLen(vals)
-		}
 		sumBytes = (eliasBits + 7) / 8
 	}
 	out := transport.GetBuffer(4 + 8*len(scales) + sumBytes)
@@ -71,10 +67,10 @@ func encodeSignSumChunk(vals []int64, scales []float64, useElias bool, eliasBits
 	return out
 }
 
-// signSumHopWire sizes one hop's whole logical message: the exact Elias
-// bit length when coded (computed once, without materializing the
-// stream, and returned so the single-chunk encoder can reuse it), the
-// bit-width-expansion formula otherwise — the same shared formulas
+// signSumHopWire sizes one hop's message: the exact Elias bit length
+// when coded (computed once, without materializing the stream, and
+// returned so the encoder can reuse it), the bit-width-expansion
+// formula otherwise — the same shared formulas
 // collective.SignSumSegBytes charges sequentially. eliasBits is -1
 // without Elias.
 func signSumHopWire(workers int, vals []int64, useElias bool) (wire, eliasBits int) {
@@ -177,39 +173,18 @@ func signSumPhase(rk *rankCtx, next, prev, p, m int, sums []int64, baseCount int
 	segs := tensor.Partition(len(sums), m)
 
 	// Reduce-scatter: at step s send segment (p−s) mod m downstream with
-	// the scale payload that originated at position (p−s) mod m (riding
-	// the hop's first chunk), and accumulate the received segment
-	// (p−s−1) mod m straight from the payload bytes.
+	// the scale payload that originated at position (p−s) mod m, and
+	// accumulate the received segment (p−s−1) mod m straight from the
+	// payload bytes.
 	for s := 0; s < m-1; s++ {
 		out := segs[mod(p-s, m)]
 		outVals := sums[out.Lo:out.Hi]
 		outScales := scalesByPos[mod(p-s, m)]
 		wire, hopBits := signSumHopWire((s+1)*baseCount, outVals, useElias)
 		in := segs[mod(p-s-1, m)]
-		var gotScales []float64
-		rk.exchangeChunked(next, prev, out.Len(), in.Len(), wire,
-			func(ci, lo, hi int) []byte {
-				var sc []float64
-				if ci == 0 {
-					sc = outScales
-				}
-				bits := hopBits
-				if hi-lo != len(outVals) {
-					bits = -1 // partial chunk: size it locally
-				}
-				return encodeSignSumChunk(outVals[lo:hi], sc, useElias, bits)
-			},
-			func(ci, lo, hi int, data []byte) {
-				want := 0
-				if ci == 0 {
-					want = len(ownScales) // every member of a phase contributes as many
-				}
-				sc := addSignSumChunk(rk.rank, prev, sums[in.Lo+lo:in.Lo+hi], data, useElias, want)
-				if ci == 0 {
-					gotScales = sc
-				}
-			})
-		scalesByPos[mod(p-1-s, m)] = gotScales
+		data := rk.exchange(next, encodeSignSumChunk(outVals, outScales, useElias, hopBits), wire, prev)
+		// Every member of a phase contributes as many scales as this rank.
+		scalesByPos[mod(p-1-s, m)] = addSignSumChunk(rk.rank, prev, sums[in.Lo:in.Hi], data, useElias, len(ownScales))
 	}
 
 	// All-gather: position p now owns the consensus of segment
@@ -220,17 +195,8 @@ func signSumPhase(rk *rankCtx, next, prev, p, m int, sums []int64, baseCount int
 		outVals := sums[out.Lo:out.Hi]
 		wire, hopBits := signSumHopWire(m*baseCount, outVals, useElias)
 		in := segs[mod(p-s, m)]
-		rk.exchangeChunked(next, prev, out.Len(), in.Len(), wire,
-			func(_, lo, hi int) []byte {
-				bits := hopBits
-				if hi-lo != len(outVals) {
-					bits = -1
-				}
-				return encodeSignSumChunk(outVals[lo:hi], nil, useElias, bits)
-			},
-			func(_, lo, hi int, data []byte) {
-				copySignSumChunk(rk.rank, prev, sums[in.Lo+lo:in.Lo+hi], data, useElias)
-			})
+		data := rk.exchange(next, encodeSignSumChunk(outVals, nil, useElias, hopBits), wire, prev)
+		copySignSumChunk(rk.rank, prev, sums[in.Lo:in.Hi], data, useElias)
 	}
 	return scalesByPos
 }
@@ -240,15 +206,14 @@ func signSumPhase(rk *rankCtx, next, prev, p, m int, sums []int64, baseCount int
 // per-coordinate sums; scale is the rank's scaling constant (ℓ2 norm for
 // SSDM, ℓ1/D for signSGD) and the returned total is its sum over all
 // ranks. Both are identical on every rank and bit-identical to
-// collective.SignSumRing. chunks is the hop-pipelining degree
-// (Opts.Chunks). The caller owns any closing barrier.
-func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, sums []int64, scale float64, useElias bool, chunks int) float64 {
+// collective.SignSumRing. The caller owns any closing barrier.
+func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, sums []int64, scale float64, useElias bool) float64 {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if n == 1 {
 		return scale
 	}
-	rk := newRankCtxChunks(c, ep, rank, chunks)
+	rk := newRankCtx(c, ep, rank)
 	scalesByPos := signSumPhase(rk, mod(rank+1, n), mod(rank-1, n), rank, n, sums, 1, useElias, []float64{scale})
 	rk.finish()
 	// Total in rank order 0..n−1: the sequential engine's exact float
@@ -263,7 +228,7 @@ func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, sums []int64, sca
 // signSumTorusRank is signSumRingRank over a 2D torus: a row-ring phase
 // first, then a column-ring phase whose payload width starts at the row
 // width — exactly the hierarchical schedule of collective.SignSumTorus.
-func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, sums []int64, scale float64, useElias bool, chunks int) float64 {
+func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, sums []int64, scale float64, useElias bool) float64 {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if tor.Size() != n {
@@ -274,7 +239,7 @@ func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.To
 	}
 	rows, cols := tor.Rows(), tor.Cols()
 	r, p := tor.Coord(rank)
-	rk := newRankCtxChunks(c, ep, rank, chunks)
+	rk := newRankCtx(c, ep, rank)
 
 	// Row phase: each member contributes its own constant; afterwards
 	// the rank knows its whole row's constants by row position.
@@ -304,7 +269,7 @@ func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.To
 // must be the rank's own SSDM stream, consumed exactly as the
 // sequential engine would. The caller owns the closing barrier
 // (sequential collective.OverflowRing ends in c.Barrier()).
-func overflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG, useElias bool, chunks int) {
+func overflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG, useElias bool) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if n == 1 {
@@ -314,7 +279,7 @@ func overflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, 
 	sums := transport.GetInt64s(d)
 	norm := collective.SSDMVotesInto(sums, vec, r)
 	c.AddCompress(rank, d)
-	totalNorm := signSumRingRank(c, ep, sums, norm, useElias, chunks)
+	totalNorm := signSumRingRank(c, ep, sums, norm, useElias)
 	meanNorm := totalNorm / float64(n)
 	for i := 0; i < d; i++ {
 		vec[i] = meanNorm * float64(sums[i]) / float64(n)

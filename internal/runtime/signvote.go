@@ -38,7 +38,7 @@ import (
 // The exchange follows base: a PS topology pushes signs and scale to
 // the rank-0 hub and pulls the dense norm-weighted mean; otherwise the
 // integer sign sums travel the bit-width-expansion ring (the torus when
-// Opts.Torus is set; ± Opts.Elias, Opts.Chunks) and decode by majority
+// Opts.Torus is set; ± Opts.Elias) and decode by majority
 // vote — or linearly, mean scale × mean sign, once the signs are
 // stochastic or error-corrected. A majority is one bit per coordinate,
 // the same on every rank, so the per-rank leg returns it as bits and
@@ -142,9 +142,9 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 			} else {
 				var total float64
 				if o.Torus != nil {
-					total = signSumTorusRank(c, ep, o.Torus, votes, scale, o.Elias, o.Chunks)
+					total = signSumTorusRank(c, ep, o.Torus, votes, scale, o.Elias)
 				} else {
-					total = signSumRingRank(c, ep, votes, scale, o.Elias, o.Chunks)
+					total = signSumRingRank(c, ep, votes, scale, o.Elias)
 				}
 				if majority {
 					// Bit for bit MajorityDecode: a clear bit (a negative

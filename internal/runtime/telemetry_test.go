@@ -11,8 +11,7 @@ import (
 
 // This file pins the telemetry layer's non-interference contract from
 // the engine side: with a registry and tracer active, the full
-// cross-engine acceptance matrix — including chunk-pipelined hops —
-// must still reproduce the sequential engine bit for bit, because
+// cross-engine acceptance matrix must still reproduce the sequential engine bit for bit, because
 // trace events and transport counters observe the schedule without
 // touching results, wire bytes or α–β clocks.
 
@@ -32,18 +31,5 @@ func TestCollectiveEquivalenceTelemetryOn(t *testing.T) {
 	}
 	if len(reg.Fabrics()) == 0 {
 		t.Fatal("equivalence matrix built no instrumented fabrics: transport metrics are not wired")
-	}
-}
-
-// TestCollectiveEquivalenceChunkedTelemetryOn pins the same contract on
-// the chunk-pipelined matrix at S ∈ {3, 8}, where per-chunk events
-// interleave with the frame trains.
-func TestCollectiveEquivalenceChunkedTelemetryOn(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.AttachTracer(obs.NewTracer(8, 1<<14))
-	defer obs.SetActive(reg)()
-
-	for _, chunks := range []int{3, 8} {
-		equivtest.RunRegistryChunked(t, chunks)
 	}
 }

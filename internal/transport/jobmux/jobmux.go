@@ -53,9 +53,8 @@ import (
 )
 
 // DefaultQueue is the per-(job, link) receive queue bound in frames.
-// Deep enough for the chunk pipeline's in-flight frames (S ≤ 8 in the
-// equivalence matrix) plus slack; shallow enough that a stalled job
-// exerts backpressure within a few frames.
+// Deep enough for a schedule's in-flight frames plus slack; shallow
+// enough that a stalled job exerts backpressure within a few frames.
 const DefaultQueue = 16
 
 // Config parameterizes a Mux.

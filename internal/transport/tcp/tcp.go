@@ -554,9 +554,8 @@ func helloVersionErr(got []byte, rank int) error {
 }
 
 // readBufBytes sizes the per-connection read buffer: one kernel read
-// can deliver many back-to-back frames (chunk-pipelined hops produce
-// trains of small ones), so headers and small payloads parse out of
-// the buffer instead of costing a syscall each.
+// can deliver many back-to-back frames, so headers and small payloads
+// parse out of the buffer instead of costing a syscall each.
 const readBufBytes = 64 << 10
 
 // readLoop parses frames off conn into lk.recvq until the fabric closes.
@@ -606,9 +605,9 @@ func (f *Fabric) readLoop(conn net.Conn, lk *link) {
 	}
 }
 
-// writeBatch bounds how many queued frames one writev coalesces. A
-// chunk-pipelined hop enqueues a train of frames back to back; draining
-// them into a single vectored write turns S syscalls into one.
+// writeBatch bounds how many queued frames one writev coalesces: frames
+// a sender enqueued back to back while the socket was busy drain in a
+// single vectored write, one syscall instead of one per frame.
 const writeBatch = 16
 
 // frameWriter coalesces queued frames into vectored writes: frame
@@ -677,8 +676,8 @@ func (w *frameWriter) flush() bool {
 
 // writeLoop drains lk.sendq onto conn. Each wakeup opportunistically
 // batches every frame already queued (bounded by writeBatch) into one
-// vectored write, so a pipelined train of chunks costs one syscall
-// instead of one per frame. Sent payload buffers are recycled: the
+// vectored write, so a train of queued frames costs one syscall instead
+// of one per frame. Sent payload buffers are recycled: the
 // sender gave them up at Send and the bytes are on the socket. After
 // Close the queue's remaining frames are still flushed (Close holds the
 // sockets open for the flush window), so farewell messages enqueued

@@ -195,7 +195,6 @@ type runConfig struct {
 	seed                 uint64
 	k                    int
 	globalLR             float64
-	chunks               int
 	powerRank            int
 	cluster              *Cluster
 }
@@ -229,14 +228,6 @@ func WithK(k int) RunOption { return func(rc *runConfig) { rc.k = k } }
 // WithGlobalLR sets the Marsit global step η_s (default 0.01 for
 // collectives that need it).
 func WithGlobalLR(lr float64) RunOption { return func(rc *runConfig) { rc.globalLR = lr } }
-
-// WithChunks splits every ring-hop payload into n pipelined frames on
-// the parallel engine (chunk-capable collectives), overlapping one
-// hop's merge with the next chunk's transfer. Results, wire bytes and
-// simulated clocks are unaffected — the equivalence matrix pins them
-// bit-identical for every chunk count — only wall-clock behaviour
-// changes; the sequential engine ignores it.
-func WithChunks(n int) RunOption { return func(rc *runConfig) { rc.chunks = n } }
 
 // WithPowerRank sets the low-rank approximation rank of the PowerSGD
 // collective (0 = the default rank 2). All workers share it.
@@ -281,7 +272,7 @@ func Run(name string, grads []Vec, opts ...RunOption) ([]Vec, error) {
 	}
 	o := &registry.Opts{
 		Workers: n, Dim: d, Torus: tor, Elias: rc.elias,
-		Seed: rc.seed, K: rc.k, GlobalLR: rc.globalLR, Chunks: rc.chunks,
+		Seed: rc.seed, K: rc.k, GlobalLR: rc.globalLR,
 		PowerRank: rc.powerRank,
 	}
 	c := rc.cluster

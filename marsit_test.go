@@ -21,25 +21,6 @@ func facadeGrads(seed uint64, n, d int) []marsit.Vec {
 	return out
 }
 
-// TestFacadeRejectsChunksOnUnchunkedCollective: WithChunks on a
-// collective whose per-rank leg has no chunk-pipelined path must fail
-// fast through the facade, naming the collective and its capability
-// set — on both engines, since the same Prepare guards both legs.
-func TestFacadeRejectsChunksOnUnchunkedCollective(t *testing.T) {
-	for _, engine := range []marsit.EngineKind{marsit.EngineSeq, marsit.EnginePar} {
-		_, err := marsit.Run("gossip", facadeGrads(3, 4, 8),
-			marsit.WithEngine(engine), marsit.WithChunks(3))
-		if err == nil {
-			t.Fatalf("engine %s accepted chunked gossip", engine)
-		}
-		for _, want := range []string{"gossip", "chunk-pipelined", "caps:"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("engine %s error %q does not mention %q", engine, err, want)
-			}
-		}
-	}
-}
-
 // TestFacadeNewCollectives smoke-runs every newly registered scenario
 // through the public facade on both engines and checks cross-engine
 // bit-equality (the deep equivalence matrix lives in
