@@ -33,7 +33,7 @@ import (
 // TestMatrixCoversEveryDescriptor asserts the generated equivalence
 // matrix contains at least one spec per registered collective, and that
 // the thirteen legacy hand-written specs all have generated successors
-// (plus the marsit specs the registry added).
+// (plus the marsit specs the registry added, at K = 3, 0 and 1).
 func TestMatrixCoversEveryDescriptor(t *testing.T) {
 	specs := equivtest.RegistrySpecs()
 	have := map[string]bool{}
@@ -51,7 +51,7 @@ func TestMatrixCoversEveryDescriptor(t *testing.T) {
 		"rar", "tar", "cascading", "ps", "ps-sign", "ps-ssdm", "ps-scaledsign",
 		"signsum", "signsum-torus", "signsum-elias", "signsum-elias-torus",
 		"ssdm", "ssdm-elias",
-		"marsit", "marsit-torus",
+		"marsit", "marsit-torus", "marsit-k0", "marsit-torus-k0", "marsit-k1", "marsit-torus-k1",
 		"gossip", "tree", "onebit-tree", "powersgd", "hier",
 	}
 	for _, name := range want {

@@ -343,7 +343,9 @@ func CloneVecs(vecs []tensor.Vec) []tensor.Vec {
 
 // The fixed schedule parameters the generated matrix uses for
 // K-periodic collectives: three rounds with K = 3 cover the
-// full-precision round (t = 0) and two one-bit rounds.
+// full-precision round (t = 0) and two one-bit rounds. Caps.NeedsK
+// descriptors also run every round one-bit (K = 0, the paper's Marsit)
+// and every round full precision (K = 1, fig3's PSGD row).
 const (
 	registryK        = 3
 	registryGlobalLR = 0.01
@@ -363,9 +365,10 @@ func RunRegistry(t *testing.T) {
 
 // RegistrySpecs generates one equivalence Spec per registered
 // collective variant: the base spec, an "-elias" spec for Caps.Elias
-// descriptors, and a "-torus" spec (over the torus shape set) for
-// ring descriptors with Caps.Torus. Torus-based descriptors run over
-// the torus shape set directly.
+// descriptors, a "-torus" spec (over the torus shape set) for ring
+// descriptors with Caps.Torus, and for Caps.NeedsK descriptors each of
+// those again at K = 0 and K = 1 ("-k0", "-k1"). Torus-based
+// descriptors run over the torus shape set directly.
 func RegistrySpecs() []Spec {
 	var specs []Spec
 	for _, d := range registry.All() {
@@ -373,10 +376,16 @@ func RegistrySpecs() []Spec {
 		if d.Caps.Elias {
 			eliases = append(eliases, true)
 		}
-		for _, elias := range eliases {
-			specs = append(specs, registrySpec(d, elias, false))
-			if d.Caps.Torus {
-				specs = append(specs, registrySpec(d, elias, true))
+		ks := []int{registryK}
+		if d.Caps.NeedsK {
+			ks = append(ks, 0, 1)
+		}
+		for _, k := range ks {
+			for _, elias := range eliases {
+				specs = append(specs, registrySpec(d, elias, false, k))
+				if d.Caps.Torus {
+					specs = append(specs, registrySpec(d, elias, true, k))
+				}
 			}
 		}
 	}
@@ -387,7 +396,7 @@ func RegistrySpecs() []Spec {
 // derive identical Opts and per-round inputs from the case seed; the
 // runners are created once per case so stateful collectives carry
 // their state across the EquivRounds rounds.
-func registrySpec(d *registry.Descriptor, elias, torus bool) Spec {
+func registrySpec(d *registry.Descriptor, elias, torus bool, k int) Spec {
 	name := d.Name
 	if elias {
 		name += "-elias"
@@ -395,6 +404,9 @@ func registrySpec(d *registry.Descriptor, elias, torus bool) Spec {
 	var shapes []Shape
 	if torus {
 		name += "-torus"
+	}
+	if k != registryK {
+		name += fmt.Sprintf("-k%d", k)
 	}
 	if torus || d.Topology == registry.Torus {
 		shapes = TorusShapes()
@@ -406,7 +418,7 @@ func registrySpec(d *registry.Descriptor, elias, torus bool) Spec {
 	opts := func(sh Shape, dim int, seed uint64) *registry.Opts {
 		return &registry.Opts{
 			Workers: sh.Workers, Dim: dim, Torus: sh.Torus, Elias: elias,
-			Seed: seed, K: registryK, GlobalLR: registryGlobalLR,
+			Seed: seed, K: k, GlobalLR: registryGlobalLR,
 		}
 	}
 	return Spec{

@@ -1,6 +1,7 @@
 package marsit_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -39,28 +40,68 @@ func TestFacadeNewCollectives(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seqOut, err := marsit.Run(tc.name, facadeGrads(7, n, d),
-				append([]marsit.RunOption{marsit.WithSeed(7)}, tc.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parOut, err := marsit.Run(tc.name, facadeGrads(7, n, d),
-				append([]marsit.RunOption{marsit.WithSeed(7), marsit.WithEngine(marsit.EnginePar)}, tc.opts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(seqOut) != n || len(parOut) != n {
-				t.Fatalf("outputs %d/%d, want %d", len(seqOut), len(parOut), n)
-			}
-			for w := 0; w < n; w++ {
-				for i := 0; i < d; i++ {
-					if seqOut[w][i] != parOut[w][i] {
-						t.Fatalf("worker %d coordinate %d: seq %v != par %v",
-							w, i, seqOut[w][i], parOut[w][i])
+			requireSameOutputs(t, facadeRun(t, tc.name, n, d, marsit.EngineSeq, tc.opts...),
+				facadeRun(t, tc.name, n, d, marsit.EnginePar, tc.opts...))
+		})
+	}
+}
+
+// TestFacadeMarsitPeriod pins WithK and WithTorus through the facade on
+// both engines. At K = 1 every round is full precision, so a marsit
+// round is bit for bit the ring all-reduce, and on a 2×4 torus the
+// torus all-reduce; at K = 0 the first round is already one-bit, so
+// every element is ±η_s.
+func TestFacadeMarsitPeriod(t *testing.T) {
+	const n, d, eta = 8, 33, 0.05
+	for _, eng := range []marsit.EngineKind{marsit.EngineSeq, marsit.EnginePar} {
+		t.Run(string(eng), func(t *testing.T) {
+			t.Run("K=1_ring_is_rar", func(t *testing.T) {
+				requireSameOutputs(t, facadeRun(t, "rar", n, d, eng),
+					facadeRun(t, "marsit", n, d, eng, marsit.WithK(1)))
+			})
+			t.Run("K=1_torus_is_tar", func(t *testing.T) {
+				torus := marsit.WithTorus(2, 4)
+				requireSameOutputs(t, facadeRun(t, "tar", n, d, eng, torus),
+					facadeRun(t, "marsit", n, d, eng, marsit.WithK(1), torus))
+			})
+			t.Run("K=0_is_one_bit", func(t *testing.T) {
+				out := facadeRun(t, "marsit", n, d, eng, marsit.WithK(0), marsit.WithGlobalLR(eta))
+				for w := range out {
+					for i, x := range out[w] {
+						if x != eta && x != -eta {
+							t.Fatalf("worker %d coordinate %d: %v, want ±%v", w, i, x, eta)
+						}
 					}
 				}
-			}
+			})
 		})
+	}
+}
+
+// facadeRun runs one round of the named collective through marsit.Run
+// on engine over facadeGrads(7, n, d) with seed 7.
+func facadeRun(t *testing.T, name string, n, d int, engine marsit.EngineKind, opts ...marsit.RunOption) []marsit.Vec {
+	t.Helper()
+	out, err := marsit.Run(name, facadeGrads(7, n, d),
+		append([]marsit.RunOption{marsit.WithSeed(7), marsit.WithEngine(engine)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != n {
+		t.Fatalf("%s: %d outputs, want %d", name, len(out), n)
+	}
+	return out
+}
+
+// requireSameOutputs fails unless want and got are bit for bit equal.
+func requireSameOutputs(t *testing.T, want, got []marsit.Vec) {
+	t.Helper()
+	for w := range want {
+		for i := range want[w] {
+			if math.Float64bits(want[w][i]) != math.Float64bits(got[w][i]) {
+				t.Fatalf("worker %d coordinate %d: want %v, got %v", w, i, want[w][i], got[w][i])
+			}
+		}
 	}
 }
 
