@@ -1,7 +1,8 @@
 # Development targets for the Marsit reproduction.
 #
 #   make check             fmt + vet + build + test + collective-listing golden
-#                          + no-shims guard + dead-code golden (what CI runs)
+#                          + no-shims and single-path guards + dead-code
+#                          golden (what CI runs)
 #   make race              race-detector pass over the concurrency-bearing
 #                          packages (the lane helper in internal/tensor and
 #                          the range-split optimizer steps included)
@@ -73,9 +74,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark ab bench-smoke fuzz-smoke list-collectives no-shims deadcode tcp-demo shm-demo tree-demo trace-demo calib-demo
+.PHONY: check fmt vet build test race benchmark ab bench-smoke fuzz-smoke list-collectives no-shims single-path deadcode tcp-demo shm-demo tree-demo trace-demo calib-demo
 
-check: fmt vet build test list-collectives no-shims deadcode
+check: fmt vet build test list-collectives no-shims single-path deadcode
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -196,6 +197,20 @@ no-shims:
 		echo "no-shims: Deprecated: markers in non-test Go:"; echo "$$out"; exit 1; \
 	fi
 	@echo "no-shims: no Deprecated: markers"
+
+# single-path keeps rankCtx the one code in internal/runtime that
+# touches an endpoint or a clock: an endpoint Send or Recv outside
+# rankCtx.post/take, or a time.Now() outside rankCtx.begin and RunRank,
+# would be a frame no trace shows or a span no timer bounds.
+single-path:
+	@out="$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[ \t]*\/\// { next } \
+		/\.(Send|Recv)\(/ && fn !~ /^func \(r \*rankCtx\) (post|take)\(/ { print FILENAME ":" FNR ": " $$0 } \
+		/time\.Now\(\)/ && fn !~ /^func (\(r \*rankCtx\) begin|RunRank)\(/ { print FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/runtime/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$out" ]; then \
+		echo "single-path: endpoint I/O or a clock read outside rankCtx.post/take/begin and RunRank:"; echo "$$out"; exit 1; \
+	fi
+	@echo "single-path: every frame and every timer goes through rankCtx"
 
 # deadcode links every program with inlining off and the linker's
 # reachability graph dumped, and lists the non-test functions under

@@ -544,18 +544,11 @@ func runRounds(cfg *Config, c *netsim.Cluster, ep transport.Endpoint) (result te
 	}
 	grads := gradStream(cfg.Seed, rank)
 
-	// Telemetry: label this rank's trace timeline (we are its goroutine)
-	// and count completed rounds on the active registry.
+	// Telemetry: count completed rounds on the active registry
+	// (RunRank labels the trace and the calibration per round).
 	var rounds *obs.Counter
 	if reg := obs.Active(); reg != nil {
 		rounds = reg.Counter("marsit_rounds_total", "rank", fmt.Sprint(rank))
-		if t := reg.Tracer(); t != nil {
-			t.SetLabel(rank, cfg.Collective)
-		}
-	}
-	rec := obs.ActiveCalib()
-	if rec != nil {
-		rec.SetLabel(rank, cfg.Collective)
 	}
 
 	var last registry.Update
@@ -565,11 +558,7 @@ func runRounds(cfg *Config, c *netsim.Cluster, ep transport.Endpoint) (result te
 			return nil, ErrRankDied
 		}
 		grad := grads.NormVec(make(tensor.Vec, d), 0, 1)
-		if rec != nil {
-			runtime.CalibStep(rec, c, rank, func() { last = step(c, ep, grad) })
-		} else {
-			last = step(c, ep, grad)
-		}
+		last = runtime.RunRank(cfg.Collective, step, c, ep, grad)
 		if rounds != nil {
 			rounds.Inc()
 		}

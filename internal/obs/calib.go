@@ -12,9 +12,10 @@ import (
 // harness: a CalibRecorder accumulates, per rank and per collective,
 // the predicted virtual seconds of each cost-model phase next to the
 // measured wall-clock nanoseconds of the same run, plus per-phase
-// wall-time histograms. The runtime engine feeds it (CalibStep wraps
-// every collective run; exchange/hub/barrier spans feed the transmit
-// split); internal/calib turns snapshots into tables and JSON blocks.
+// wall-time histograms. The runtime engine feeds it (RunRank wraps
+// every collective round; the hop, frame and barrier spans feed the
+// transmit split); internal/calib turns snapshots into tables and JSON
+// blocks.
 //
 // Like the Tracer, the recorder is attached to a Registry and resolved
 // once per collective via ActiveCalib — with none attached every hook
@@ -74,8 +75,8 @@ type calibRank struct {
 type CalibRecorder struct {
 	ranks []calibRank
 	// comm is per-rank scratch: communication wall nanoseconds
-	// accumulated by exchange/hub/barrier spans since the last
-	// TakeComm. CalibStep drains it to split a run's wall time into
+	// accumulated by hop, frame and barrier spans since the last
+	// TakeComm. RunRank drains it to split a round's wall time into
 	// transmit vs. local work.
 	comm []atomic.Int64
 }
@@ -108,8 +109,7 @@ func (cr *CalibRecorder) SetLabel(rank int, collective string) {
 }
 
 // AddCommWall adds nanos of measured communication wall time to rank's
-// scratch accumulator (exchange send+recv spans, hub push–pull spans,
-// barrier spans).
+// scratch accumulator (hop, send, recv and barrier spans).
 func (cr *CalibRecorder) AddCommWall(rank int, nanos int64) {
 	if rank < 0 || rank >= len(cr.ranks) || nanos <= 0 {
 		return

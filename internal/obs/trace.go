@@ -10,13 +10,13 @@ import (
 // EventKind classifies one traced operation.
 type EventKind uint8
 
-// Event kinds emitted by the runtime engine.
+// Event kinds emitted by the runtime engine: every frame a rank posts
+// shows once, in a hop or a send (a barrier's control frames in its
+// barrier event).
 const (
 	KindHop     EventKind = iota // one ring-hop exchange (send+recv)
-	KindCompute                  // local compress/decompress/fold work
-	KindHubPush                  // parameter-server worker push
-	KindHubPull                  // parameter-server worker pull
-	KindHub                      // hub actor gather+fold+reply
+	KindSend                     // one posted frame outside a ring hop
+	KindRecv                     // one received frame outside a ring hop
 	KindBarrier                  // clock barrier
 )
 
@@ -24,21 +24,17 @@ func (k EventKind) String() string {
 	switch k {
 	case KindHop:
 		return "hop"
-	case KindCompute:
-		return "compute"
-	case KindHubPush:
-		return "push"
-	case KindHubPull:
-		return "pull"
-	case KindHub:
-		return "hub"
+	case KindSend:
+		return "send"
+	case KindRecv:
+		return "recv"
 	case KindBarrier:
 		return "barrier"
 	}
 	return "?"
 }
 
-// Event is one traced hop/compute step on one rank's timeline.
+// Event is one traced hop, frame or barrier on one rank's timeline.
 // Wall-clock fields pair with the virtual α–β clock so predicted versus
 // measured skew is directly readable from a trace.
 type Event struct {
@@ -47,7 +43,7 @@ type Event struct {
 	Hop        int     // hop index within the collective (-1 if n/a)
 	Bytes      int     // payload bytes moved
 	Wire       int     // cost-model wire bytes charged
-	VClock     float64 // rank's virtual clock after the step (seconds)
+	VClock     float64 // rank's virtual clock after the step, or the frame's (seconds)
 	Start      time.Time
 	Dur        time.Duration
 	Collective string // label in force when the event was emitted

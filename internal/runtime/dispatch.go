@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
@@ -68,25 +69,50 @@ func (cl *Collective) Run(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 	cl.e.checkShape(c, grads)
 	ups := make([]registry.Update, cl.e.n)
 	cl.e.run(func(rank int, ep transport.Endpoint) {
-		// Label the rank's trace timeline from its own goroutine (the
-		// tracer's single-writer contract).
-		if t := obs.ActiveTracer(); t != nil {
-			t.SetLabel(rank, cl.desc.Name)
-			t.SetPhase(rank, "")
-		}
-		// With calibration on, time the round; the direct call below is
-		// the disabled path, kept closure-free so the steady-state
-		// allocation caps hold.
-		if rec := obs.ActiveCalib(); rec != nil {
-			rec.SetLabel(rank, cl.desc.Name)
-			CalibStep(rec, c, rank, func() {
-				ups[rank] = cl.runners[rank](c, ep, grads[rank])
-			})
-			return
-		}
-		ups[rank] = cl.runners[rank](c, ep, grads[rank])
+		ups[rank] = RunRank(cl.desc.Name, cl.runners[rank], c, ep, grads[rank])
 	})
 	return densify(ups)
+}
+
+// RunRank runs one round of the per-rank leg run of the collective
+// registered as name on rank ep.Rank(): the one per-round telemetry
+// wrapper, shared by the engine's workers and a distributed rank. It
+// must be called from the rank's own goroutine (the tracer's
+// single-writer contract). It labels the rank's trace timeline and, with
+// a calibration recorder active, times the round and records the
+// measured wall split next to the cluster's virtual charges over the
+// same round. The split mirrors the cost model's in-collective charges:
+// transmit gets the communication spans the round's rankCtx.end calls
+// summed, compress everything else (compression, decoding and the PS
+// hub's fold are the model's only local in-collective charges), and
+// compute stays zero — the model charges compute outside collectives.
+// With telemetry off it is a direct call.
+func RunRank(name string, run registry.RankRunner, c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
+	rank := ep.Rank()
+	if t := obs.ActiveTracer(); t != nil {
+		t.SetLabel(rank, name)
+		t.SetPhase(rank, "")
+	}
+	rec := obs.ActiveCalib()
+	if rec == nil {
+		return run(c, ep, grad)
+	}
+	rec.SetLabel(rank, name)
+	rec.TakeComm(rank) // drop scratch from uncalibrated work
+	before := c.PhaseBreakdown(rank)
+	t0 := time.Now()
+	u := run(c, ep, grad)
+	total := int64(time.Since(t0))
+	after := c.PhaseBreakdown(rank)
+	comm := min(rec.TakeComm(rank), total)
+	var wall [obs.NumCalibPhases]int64
+	wall[netsim.PhaseCompress], wall[netsim.PhaseTransmit] = total-comm, comm
+	var virt [obs.NumCalibPhases]float64
+	for i := range virt {
+		virt[i] = after[i] - before[i]
+	}
+	rec.ObserveRun(rank, wall, virt)
+	return u
 }
 
 // densify turns a round's per-rank results into vectors. A one-bit rank 0

@@ -198,21 +198,25 @@ func (e *Engine) checkShape(c *netsim.Cluster, vecs []tensor.Vec) int {
 
 // rankCtx is a worker's view of one collective: its endpoint, its virtual
 // clock, and the cluster it charges. All cluster touches are confined to
-// the rank's own entries.
+// the rank's own entries. post and take are the package's one Send and
+// one Recv, begin and end its one in-collective timer (RunRank times
+// whole rounds), and every hop, frame and barrier is built from them —
+// so a span has one place to be timed and one place to be bounded.
 type rankCtx struct {
 	c    *netsim.Cluster
 	ep   transport.Endpoint
 	rank int
 	clk  float64
-	// tracer, when non-nil, receives one event per hop pairing the
-	// virtual α–β clock with wall-clock timing. Resolved once at context
-	// creation so the hot loops pay a nil check, nothing more; events
-	// never influence results, bytes or clocks.
+	// tracer, when non-nil, receives one event per hop, frame and
+	// barrier pairing the virtual α–β clock with wall-clock timing.
+	// Resolved once at context creation so the hot loops pay a nil
+	// check, nothing more; events never influence results, bytes or
+	// clocks.
 	tracer *obs.Tracer
-	// rec, when non-nil, is the calibration recorder: exchange spans
-	// accumulate into commNanos and finish flushes the total, giving
-	// CalibStep the measured communication share of the run's wall time.
-	// Same nil-check discipline as the tracer.
+	// rec, when non-nil, is the calibration recorder: the spans end
+	// closes accumulate into commNanos and finish flushes the total,
+	// giving RunRank the measured communication share of the round's
+	// wall time. Same nil-check discipline as the tracer.
 	rec       *obs.CalibRecorder
 	commNanos int64
 	// hops numbers the rank's exchanges within the current collective.
@@ -224,98 +228,101 @@ func newRankCtx(c *netsim.Cluster, ep transport.Endpoint, rank int) *rankCtx {
 		tracer: obs.ActiveTracer(), rec: obs.ActiveCalib()}
 }
 
+// post sends p to rank to; a failed send (a poisoned fabric, a dead
+// peer) panics, which the engine's join or a node's round loop reports.
+func (r *rankCtx) post(to int, p transport.Packet) {
+	if err := r.ep.Send(to, p); err != nil {
+		panic(fmt.Sprintf("runtime: rank %d send to %d: %v", r.rank, to, err))
+	}
+}
+
+// take blocks on the next frame from rank from, panicking like post.
+func (r *rankCtx) take(from int) transport.Packet {
+	p, err := r.ep.Recv(from)
+	if err != nil {
+		panic(fmt.Sprintf("runtime: rank %d recv from %d: %v", r.rank, from, err))
+	}
+	return p
+}
+
+// begin opens a communication span: the wall clock when telemetry is on,
+// the zero time (and no clock read) when it is off.
+func (r *rankCtx) begin() time.Time {
+	if r.tracer == nil && r.rec == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// end closes the span begun at t0: it adds the span to the rank's
+// communication time and emits e on the rank's timeline. A no-op when
+// telemetry is off.
+func (r *rankCtx) end(t0 time.Time, e obs.Event) {
+	if r.tracer == nil && r.rec == nil {
+		return
+	}
+	span := time.Since(t0)
+	r.commNanos += int64(span)
+	if r.tracer != nil {
+		e.Rank, e.Start, e.Dur = r.rank, t0, span
+		r.tracer.Emit(e)
+	}
+}
+
+// arrival is when frame p lands on a NIC that is free from avail: the
+// transfer starts at max(sender clock + α, avail) and takes p.Wire·β —
+// netsim.Cluster.Exchange's cut-through receive, with α and β the
+// cluster's CostModel Latency and BytePeriod, one pair for every link.
+func (r *rankCtx) arrival(p transport.Packet, avail float64) float64 {
+	start := p.Clock + r.c.Model.Latency
+	if avail > start {
+		start = avail
+	}
+	return start + float64(p.Wire)*r.c.Model.BytePeriod
+}
+
 // exchange performs one symmetric ring step — post data to next, block on
 // prev — and advances the virtual clock with exactly the arithmetic of
 // netsim.Cluster.Exchange for a one-send, one-receive round:
 //
 //	sendDone  = start + outWire·β
-//	recvStart = max(sender start + α, start)
-//	recvDone  = recvStart + inWire·β
+//	recvDone  = arrival(in, start)
 //	clock     = max(start, sendDone, recvDone)
 //
-// α and β are the cluster's CostModel Latency and BytePeriod, one pair
-// for every link, as in netsim. The sender's step-start clock rides on
-// the packet. Wire bytes are accounted to the sender, as in netsim.
+// The sender's step-start clock rides on the packet. Wire bytes are
+// accounted to the sender, as in netsim.
 func (r *rankCtx) exchange(next int, data []byte, outWire int, prev int) []byte {
-	start := r.clk
-	hop := r.hops
-	r.hops++
-	var t0 time.Time
-	outBytes := len(data)
-	timed := r.tracer != nil || r.rec != nil
-	if timed {
-		t0 = time.Now()
-	}
-	err := r.ep.Send(next, transport.Packet{Data: data, Wire: outWire, Clock: start})
-	if err != nil {
-		panic(fmt.Sprintf("runtime: rank %d send to %d: %v", r.rank, next, err))
-	}
+	start, outBytes := r.clk, len(data)
+	t0 := r.begin()
+	r.post(next, transport.Packet{Data: data, Wire: outWire, Clock: start})
 	r.c.AccountBytes(r.rank, outWire)
-	p, err := r.ep.Recv(prev)
-	if err != nil {
-		panic(fmt.Sprintf("runtime: rank %d recv from %d: %v", r.rank, prev, err))
-	}
-	var span time.Duration
-	if timed {
-		span = time.Since(t0)
-		r.commNanos += int64(span)
-	}
-	alpha, beta := r.c.Model.Latency, r.c.Model.BytePeriod
-	sendDone := start + float64(outWire)*beta
-	recvStart := p.Clock + alpha
-	if start > recvStart {
-		recvStart = start
-	}
-	recvDone := recvStart + float64(p.Wire)*beta
-	if sendDone > r.clk {
-		r.clk = sendDone
-	}
-	if recvDone > r.clk {
-		r.clk = recvDone
-	}
-	if r.tracer != nil {
-		r.tracer.Emit(obs.Event{Kind: obs.KindHop, Rank: r.rank, Hop: hop,
-			Bytes: outBytes, Wire: outWire, VClock: r.clk, Start: t0, Dur: span})
-	}
+	p := r.take(prev)
+	r.clk = max(start, start+float64(outWire)*r.c.Model.BytePeriod, r.arrival(p, start))
+	r.end(t0, obs.Event{Kind: obs.KindHop, Hop: r.hops, Bytes: outBytes, Wire: outWire, VClock: r.clk})
+	r.hops++
 	return p.Data
 }
 
-// send posts one raw frame to rank to, stamping the given send-start
-// clock and charging the wire bytes to this rank. It is the
-// asymmetric-schedule primitive behind gossip's double send, the tree's
-// fan-in/fan-out and the hierarchical chain: the caller owns the α–β
-// clock arithmetic, which must replicate what netsim.Cluster.Exchange
-// computes for the message pattern at hand (exchange covers only the
-// symmetric one-send-one-receive ring step).
-func (r *rankCtx) send(to int, data []byte, wire int, clock float64) {
-	var t0 time.Time
-	if r.rec != nil {
-		t0 = time.Now()
-	}
-	if err := r.ep.Send(to, transport.Packet{Data: data, Wire: wire, Clock: clock}); err != nil {
-		panic(fmt.Sprintf("runtime: rank %d send to %d: %v", r.rank, to, err))
-	}
-	if r.rec != nil {
-		r.commNanos += int64(time.Since(t0))
-	}
-	r.c.AccountBytes(r.rank, wire)
+// send posts one raw frame to rank to, stamped with the send-start clock
+// at — the asymmetric-schedule primitive behind gossip's double send, the
+// tree's fan-in/fan-out, the hierarchical chain and the PS hub. The
+// caller owns the α–β clock arithmetic and the byte charge, which must
+// replicate what netsim computes for the message pattern at hand
+// (exchange covers only the symmetric one-send-one-receive ring step; a
+// hub reply is charged to the worker it goes to).
+func (r *rankCtx) send(to int, data []byte, wire int, at float64) {
+	t0 := r.begin()
+	r.post(to, transport.Packet{Data: data, Wire: wire, Clock: at})
+	r.end(t0, obs.Event{Kind: obs.KindSend, Hop: -1, Bytes: len(data), Wire: wire, VClock: at})
 }
 
 // recv blocks on one raw frame from rank from — the receive half of
 // send. The caller applies the arrival arithmetic (and recycles the
 // payload).
 func (r *rankCtx) recv(from int) transport.Packet {
-	var t0 time.Time
-	if r.rec != nil {
-		t0 = time.Now()
-	}
-	p, err := r.ep.Recv(from)
-	if err != nil {
-		panic(fmt.Sprintf("runtime: rank %d recv from %d: %v", r.rank, from, err))
-	}
-	if r.rec != nil {
-		r.commNanos += int64(time.Since(t0))
-	}
+	t0 := r.begin()
+	p := r.take(from)
+	r.end(t0, obs.Event{Kind: obs.KindRecv, Hop: -1, Bytes: len(p.Data), Wire: p.Wire, VClock: p.Clock})
 	return p
 }
 
@@ -350,7 +357,7 @@ func (r *rankCtx) addDecompress(elems int) {
 // everything beyond the charges already applied is transmit time, exactly
 // how the sequential Exchange attributes it. With calibration active it
 // also flushes the rank's measured communication wall time to the
-// recorder's scratch, where CalibStep picks it up.
+// recorder's scratch, where RunRank picks it up.
 func (r *rankCtx) finish() {
 	r.c.AdvanceTransmit(r.rank, r.clk)
 	if r.rec != nil && r.commNanos > 0 {

@@ -9,6 +9,7 @@ import (
 	"marsit/internal/collective/registry"
 	"marsit/internal/core"
 	"marsit/internal/netsim"
+	"marsit/internal/obs"
 	"marsit/internal/rng"
 	"marsit/internal/runtime"
 	"marsit/internal/runtime/equivtest"
@@ -346,7 +347,10 @@ func (e *recordingEndpoint) Send(to int, p transport.Packet) error {
 // pull without sending a frame, so there the frames add up to (M−1)/M of
 // them. A rank that moved data outside the schedule — a hop split into
 // an uncharged trailing frame, or bits aligned to another rank's — would
-// post uncharged payload frames that no wire or clock figure shows.
+// post uncharged payload frames that no wire or clock figure shows. The
+// rounds run with a tracer attached, and every frame must show in its
+// rank's trace too: the payload bytes of a rank's hop and send events
+// add up to the bytes the rank posted.
 func TestRoundCarriesNoHiddenPayload(t *testing.T) {
 	const d, rounds = 97, 2
 	barrier := newRecordingFabric(2)
@@ -387,6 +391,10 @@ func TestRoundCarriesNoHiddenPayload(t *testing.T) {
 					name += "/elias"
 				}
 				t.Run(name, func(t *testing.T) {
+					reg := obs.NewRegistry()
+					tracer := obs.NewTracer(n, 1<<12)
+					reg.AttachTracer(tracer)
+					defer obs.SetActive(reg)()
 					fabric := newRecordingFabric(n)
 					eng := runtime.NewWithOwnedTransport(fabric)
 					defer eng.Close()
@@ -414,6 +422,23 @@ func TestRoundCarriesNoHiddenPayload(t *testing.T) {
 					}
 					if charged != want {
 						t.Fatalf("frames charge %d wire bytes, want %d of the cluster's %d", charged, want, c.TotalBytes())
+					}
+					for rank, ep := range fabric.eps {
+						posted, traced := 0, 0
+						for _, f := range ep.frames {
+							posted += f.payload
+						}
+						for _, e := range tracer.Events(rank) {
+							if e.Kind == obs.KindHop || e.Kind == obs.KindSend {
+								traced += e.Bytes
+							}
+						}
+						if dropped := tracer.Dropped(rank); dropped > 0 {
+							t.Fatalf("rank %d: %d trace events dropped", rank, dropped)
+						}
+						if traced != posted {
+							t.Errorf("rank %d posted %d payload bytes, its hop and send events show %d", rank, posted, traced)
+						}
 					}
 				})
 			}

@@ -1,8 +1,11 @@
 package runtime_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"marsit/internal/collective"
 	"marsit/internal/collective/registry"
 	"marsit/internal/netsim"
 	"marsit/internal/obs"
@@ -126,6 +129,56 @@ func TestCalibrationObservation(t *testing.T) {
 		}
 		if e.VirtSeconds[2] <= 0 {
 			t.Fatalf("rank %d: no predicted transmit time", e.Rank)
+		}
+	}
+}
+
+// TestSSDMSeqMatchesOverflowRing pins the registered "ssdm" — SignVote's
+// stochastic ring member — to collective.OverflowRing, the SSDM
+// (Overflow) baseline the fig1 experiment runs: over three rounds of one
+// stateful runner, the descriptor's sequential leg must reproduce the
+// oracle's results, clocks, wire bytes and phase breakdowns bit for bit,
+// for raw and Elias-coded sign sums. (The per-rank leg is held to the
+// sequential one by the equivalence matrix.)
+func TestSSDMSeqMatchesOverflowRing(t *testing.T) {
+	desc, err := registry.Get("ssdm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, rounds = 21, 3
+	for _, m := range []int{2, 3, 4, 8} {
+		for _, d := range equivtest.DefaultDims {
+			for _, elias := range []bool{false, true} {
+				t.Run(fmt.Sprintf("M=%d/D=%d/elias=%v", m, d, elias), func(t *testing.T) {
+					o := &registry.Opts{Workers: m, Dim: d, Elias: elias, Seed: seed}
+					if err := registry.Prepare(desc, o); err != nil {
+						t.Fatal(err)
+					}
+					run, err := desc.Seq(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					streams := (&registry.Opts{Workers: m, Seed: seed}).AllStreams()
+					got := netsim.NewCluster(m, netsim.DefaultCostModel())
+					want := netsim.NewCluster(m, netsim.DefaultCostModel())
+					for r := 0; r < rounds; r++ {
+						outs := run(got, equivtest.RoundVecs(seed, r, m, d))
+						vecs := equivtest.RoundVecs(seed, r, m, d)
+						collective.OverflowRing(want, vecs, streams, elias)
+						equivtest.RequireSameVecs(t, vecs, outs)
+						for w := 0; w < m; w++ {
+							if got.BytesSent(w) != want.BytesSent(w) {
+								t.Fatalf("round %d worker %d bytes: %d, oracle %d", r, w, got.BytesSent(w), want.BytesSent(w))
+							}
+							gb, wb := got.PhaseBreakdown(w), want.PhaseBreakdown(w)
+							if math.Float64bits(got.Clock(w)) != math.Float64bits(want.Clock(w)) || gb != wb {
+								t.Fatalf("round %d worker %d: clock %v phases %v, oracle %v %v",
+									r, w, got.Clock(w), gb, want.Clock(w), wb)
+							}
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -50,12 +50,13 @@ func gossipAverageRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec)
 		t1, t2 = t2, t1
 	}
 	start := rk.clk
-	alpha, beta := c.Model.Latency, c.Model.BytePeriod
+	beta := c.Model.BytePeriod
 	// Both packets carry the same pre-step snapshot of the vector.
 	rk.send(t1, encodeFloats(vec), wire, start)
 	sendAvail := start + float64(wire)*beta
 	rk.send(t2, encodeFloats(vec), wire, sendAvail)
 	sendAvail += float64(wire) * beta
+	c.AccountBytes(rank, 2*wire)
 
 	// Arrivals serialize in ascending sender order.
 	u1, u2 := next, prev
@@ -66,11 +67,7 @@ func gossipAverageRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec)
 	payloads := make(map[int][]byte, 2)
 	for _, u := range []int{u1, u2} {
 		p := rk.recv(u)
-		recvStart := p.Clock + alpha
-		if recvAvail > recvStart {
-			recvStart = recvAvail
-		}
-		recvAvail = recvStart + float64(p.Wire)*beta
+		recvAvail = rk.arrival(p, recvAvail)
 		payloads[u] = p.Data
 	}
 	rk.clk = start

@@ -57,21 +57,15 @@ func hierAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.T
 	if local >= 2 {
 		rk.setPhase("chain")
 		wire := d * floatWireBytes
-		alpha, beta := c.Model.Latency, c.Model.BytePeriod
 		if g >= 1 {
-			from := tor.Rank(h, g-1)
-			p := rk.recv(from)
-			recvStart := p.Clock + alpha
-			if rk.clk > recvStart {
-				recvStart = rk.clk
-			}
-			rk.clk = recvStart + float64(p.Wire)*beta
+			p := rk.recv(tor.Rank(h, g-1))
+			rk.clk = rk.arrival(p, rk.clk)
 			copyFloats(vec, p.Data)
 		}
 		if g < local-1 {
-			to := tor.Rank(h, g+1)
-			rk.send(to, encodeFloats(vec), wire, rk.clk)
-			rk.clk += float64(wire) * beta
+			rk.send(tor.Rank(h, g+1), encodeFloats(vec), wire, rk.clk)
+			rk.clk += float64(wire) * c.Model.BytePeriod
+			c.AccountBytes(rank, wire)
 		}
 	}
 	rk.finish()

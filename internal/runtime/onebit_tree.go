@@ -38,7 +38,7 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 	}
 	wire := bits.WireBytes()
 	rk := newRankCtx(c, ep, rank)
-	alpha, beta := c.Model.Latency, c.Model.BytePeriod
+	beta := c.Model.BytePeriod
 	parent := tr.Parent(rank)
 	children := tr.Children(rank)
 	size := treeSubtreeSizes(tr)
@@ -53,11 +53,7 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 		recvAvail := rk.clk
 		for _, ch := range children {
 			p := rk.recv(ch)
-			recvStart := p.Clock + alpha
-			if recvAvail > recvStart {
-				recvStart = recvAvail
-			}
-			recvAvail = recvStart + float64(p.Wire)*beta
+			recvAvail = rk.arrival(p, recvAvail)
 			agg := unmarshalBits(rank, ch, p.Data, bits.Len())
 			merge(rank, agg, bits, size[ch], absorbed)
 			bits = agg
@@ -68,6 +64,7 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 	if parent >= 0 {
 		rk.send(parent, marshalBits(bits), wire, rk.clk)
 		rk.clk += float64(wire) * beta
+		c.AccountBytes(rank, wire)
 	}
 
 	// Broadcast down: every non-root overwrites with the parent's copy
@@ -75,16 +72,13 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 	rk.setPhase("broadcast-down")
 	if parent >= 0 {
 		p := rk.recv(parent)
-		recvStart := p.Clock + alpha
-		if rk.clk > recvStart {
-			recvStart = rk.clk
-		}
-		rk.clk = recvStart + float64(p.Wire)*beta
+		rk.clk = rk.arrival(p, rk.clk)
 		bits = unmarshalBits(rank, parent, p.Data, bits.Len())
 	}
 	for _, ch := range children {
 		rk.send(ch, marshalBits(bits), wire, rk.clk)
 		rk.clk += float64(wire) * beta
+		c.AccountBytes(rank, wire)
 	}
 	rk.finish()
 	return bits

@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"time"
 
 	"marsit/internal/bitvec"
 	"marsit/internal/collective"
 	"marsit/internal/netsim"
-	"marsit/internal/obs"
 	"marsit/internal/rng"
 	"marsit/internal/tensor"
 	"marsit/internal/transport"
@@ -42,59 +40,25 @@ const hubRank = 0
 // (which it must consume/recycle), then reply must return the pooled
 // downlink payload. Every rank returns its downlink payload (caller
 // consumes/recycles) after charging the hub-serialized arrival time and
-// the round's wire bytes.
+// the round's wire bytes, up plus down, once. The push, every gather,
+// every reply and the pull are frames of the rank's rankCtx, so the
+// hub's fold falls outside them: its wall time is local work.
 func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, downBytes int,
 	fold func(rank int, payload []byte), reply func() []byte) []byte {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
-	tracer := obs.ActiveTracer()
-	rec := obs.ActiveCalib()
-	timed := tracer != nil || rec != nil
-	// The Packet.Wire fields below are stamped with the simulated per-
-	// direction sizes so transport metrics attribute PS traffic; the
-	// receivers only consume Clock (arrival arithmetic runs through
-	// collective.HubSchedule), so the stamps cannot perturb results.
+	rk := newRankCtx(c, ep, rank)
+	defer rk.finish()
+	c.AccountBytes(rank, upBytes+downBytes)
+	// The frames' wire stamps are the simulated per-direction sizes, so
+	// transport metrics attribute PS traffic; the receivers only consume
+	// Clock (arrival arithmetic runs through collective.HubSchedule), so
+	// the stamps cannot perturb results.
 	if rank != hubRank {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		pushBytes := len(push)
-		if err := ep.Send(hubRank, transport.Packet{Data: push, Wire: upBytes, Clock: c.Clock(rank)}); err != nil {
-			panic(fmt.Sprintf("runtime: rank %d push to hub: %v", rank, err))
-		}
-		if timed {
-			span := time.Since(t0)
-			if rec != nil {
-				rec.AddCommWall(rank, int64(span))
-			}
-			if tracer != nil {
-				tracer.Emit(obs.Event{Kind: obs.KindHubPush, Rank: rank, Hop: -1,
-					Bytes: pushBytes, Wire: upBytes, VClock: c.Clock(rank), Start: t0, Dur: span})
-			}
-			t0 = time.Now()
-		}
-		p, err := ep.Recv(hubRank)
-		if err != nil {
-			panic(fmt.Sprintf("runtime: rank %d pull from hub: %v", rank, err))
-		}
-		c.AdvanceTransmit(rank, p.Clock)
-		c.AccountBytes(rank, upBytes+downBytes)
-		if timed {
-			span := time.Since(t0)
-			if rec != nil {
-				rec.AddCommWall(rank, int64(span))
-			}
-			if tracer != nil {
-				tracer.Emit(obs.Event{Kind: obs.KindHubPull, Rank: rank, Hop: -1,
-					Bytes: len(p.Data), Wire: downBytes, VClock: p.Clock, Start: t0, Dur: span})
-			}
-		}
+		rk.send(hubRank, push, upBytes, rk.clk)
+		p := rk.recv(hubRank)
+		rk.clk = p.Clock
 		return p.Data
-	}
-	var hubT0 time.Time
-	if timed {
-		hubT0 = time.Now()
 	}
 
 	// Hub side: gather every rank's payload and clock, in rank order.
@@ -104,16 +68,13 @@ func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, down
 	for w := 0; w < n; w++ {
 		ups[w], downs[w] = upBytes, downBytes
 	}
-	clocks[hubRank] = c.Clock(hubRank)
+	clocks[hubRank] = rk.clk
 	fold(hubRank, push)
 	for w := 0; w < n; w++ {
 		if w == hubRank {
 			continue
 		}
-		p, err := ep.Recv(w)
-		if err != nil {
-			panic(fmt.Sprintf("runtime: hub gather from rank %d: %v", w, err))
-		}
+		p := rk.recv(w)
 		clocks[w] = p.Clock
 		fold(w, p.Data)
 	}
@@ -125,26 +86,9 @@ func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, down
 		}
 		buf := transport.GetBuffer(len(down))
 		copy(buf, down)
-		if err := ep.Send(w, transport.Packet{Data: buf, Wire: downBytes, Clock: arrivals[w]}); err != nil {
-			panic(fmt.Sprintf("runtime: hub reply to rank %d: %v", w, err))
-		}
+		rk.send(w, buf, downBytes, arrivals[w])
 	}
-	c.AdvanceTransmit(hubRank, arrivals[hubRank])
-	c.AccountBytes(hubRank, upBytes+downBytes)
-	if timed {
-		// The hub span necessarily includes the fold work interleaved
-		// with the gather — serving and folding are one loop here, so
-		// the split is not separable on the hub rank.
-		span := time.Since(hubT0)
-		if rec != nil {
-			rec.AddCommWall(hubRank, int64(span))
-		}
-		if tracer != nil {
-			tracer.Emit(obs.Event{Kind: obs.KindHub, Rank: hubRank, Hop: -1,
-				Bytes: (n - 1) * len(down), Wire: upBytes + downBytes, VClock: arrivals[hubRank],
-				Start: hubT0, Dur: span})
-		}
-	}
+	rk.clk = arrivals[hubRank]
 	return down
 }
 

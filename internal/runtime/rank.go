@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"marsit/internal/netsim"
 	"marsit/internal/obs"
@@ -50,53 +49,26 @@ func RingAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec)
 // wait to transmission exactly like the coordinator barrier. The
 // messages carry Wire = 0, so no simulated bytes or time are charged —
 // the barrier is control plane, like the sequential engine's implicit
-// lock step.
+// lock step — and the whole exchange is one barrier event.
 func ClockBarrier(c *netsim.Cluster, ep transport.Endpoint) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
 	if n < 2 {
 		return
 	}
-	tracer := obs.ActiveTracer()
-	rec := obs.ActiveCalib()
-	if tracer != nil || rec != nil {
-		t0 := time.Now()
-		defer func() {
-			span := time.Since(t0)
-			if rec != nil {
-				rec.AddCommWall(rank, int64(span))
-			}
-			if tracer != nil {
-				tracer.Emit(obs.Event{Kind: obs.KindBarrier, Rank: rank, Hop: -1,
-					VClock: c.Clock(rank), Start: t0, Dur: span})
-			}
-		}()
-	}
+	rk := newRankCtx(c, ep, rank)
+	t0 := rk.begin()
 	if rank == 0 {
-		t := c.Clock(0)
 		for from := 1; from < n; from++ {
-			p, err := ep.Recv(from)
-			if err != nil {
-				panic(fmt.Sprintf("runtime: barrier recv from %d: %v", from, err))
-			}
-			if p.Clock > t {
-				t = p.Clock
-			}
+			rk.clk = max(rk.clk, rk.take(from).Clock)
 		}
 		for to := 1; to < n; to++ {
-			if err := ep.Send(to, transport.Packet{Clock: t}); err != nil {
-				panic(fmt.Sprintf("runtime: barrier send to %d: %v", to, err))
-			}
+			rk.post(to, transport.Packet{Clock: rk.clk})
 		}
-		c.AdvanceTransmit(0, t)
-		return
+	} else {
+		rk.post(0, transport.Packet{Clock: rk.clk})
+		rk.clk = rk.take(0).Clock
 	}
-	if err := ep.Send(0, transport.Packet{Clock: c.Clock(rank)}); err != nil {
-		panic(fmt.Sprintf("runtime: rank %d barrier send: %v", rank, err))
-	}
-	p, err := ep.Recv(0)
-	if err != nil {
-		panic(fmt.Sprintf("runtime: rank %d barrier recv: %v", rank, err))
-	}
-	c.AdvanceTransmit(rank, p.Clock)
+	rk.end(t0, obs.Event{Kind: obs.KindBarrier, Hop: -1, VClock: rk.clk})
+	rk.finish()
 }

@@ -69,28 +69,13 @@ func init() {
 		Caps:     registry.Caps{Elias: true, Torus: true},
 	}, false, false))
 
-	registry.Register(registry.Descriptor{
+	registry.Register(SignVote(registry.Descriptor{
 		Name:     "ssdm",
 		Summary:  "SSDM (Overflow): stochastic signs with bit-width expansion",
 		Topology: registry.Ring,
 		Wire:     "ceil(log2 m)+1 bits/elem, optionally Elias-coded",
 		Caps:     registry.Caps{Elias: true, Streams: true},
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			streams := o.AllStreams()
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
-				collective.OverflowRing(c, grads, streams, o.Elias)
-				return grads
-			}, nil
-		},
-		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			stream := o.Stream(rank)
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				overflowRingRank(c, ep, grad, stream, o.Elias)
-				ClockBarrier(c, ep)
-				return registry.Update{Vec: grad}
-			}, nil
-		},
-	})
+	}, true, false))
 
 	registry.Register(registry.Descriptor{
 		Name:     "cascading",

@@ -8,7 +8,6 @@ import (
 	"marsit/internal/collective"
 	"marsit/internal/compress"
 	"marsit/internal/netsim"
-	"marsit/internal/rng"
 	"marsit/internal/tensor"
 	"marsit/internal/topology"
 	"marsit/internal/transport"
@@ -260,30 +259,4 @@ func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.To
 		total += colScales[wr][wp]
 	}
 	return total
-}
-
-// overflowRingRank executes one rank's share of the "SSDM (Overflow)"
-// baseline: SSDM-compress once, circulate integer sign sums with
-// bit-width expansion (± Elias), and decode with the mean norm standing
-// in for per-worker norms. vec is replaced by the decoded estimate. r
-// must be the rank's own SSDM stream, consumed exactly as the
-// sequential engine would. The caller owns the closing barrier
-// (sequential collective.OverflowRing ends in c.Barrier()).
-func overflowRingRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec, r *rng.PCG, useElias bool) {
-	checkRankCluster(c, ep)
-	rank, n := ep.Rank(), ep.Size()
-	if n == 1 {
-		return
-	}
-	d := len(vec)
-	sums := transport.GetInt64s(d)
-	norm := collective.SSDMVotesInto(sums, vec, r)
-	c.AddCompress(rank, d)
-	totalNorm := signSumRingRank(c, ep, sums, norm, useElias)
-	meanNorm := totalNorm / float64(n)
-	for i := 0; i < d; i++ {
-		vec[i] = meanNorm * float64(sums[i]) / float64(n)
-	}
-	transport.PutInt64s(sums)
-	c.AddDecompress(rank, d)
 }

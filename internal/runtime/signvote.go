@@ -20,7 +20,8 @@ import (
 // — and differ only in how a rank compresses and in which exchange
 // carries the signs. SignVote builds both execution legs of that round
 // for any member; the registered "signsum" and "ps-scaledsign"
-// collectives are its default (plain signSGD) members, and
+// collectives are its default (plain signSGD) members, "ssdm" its
+// stochastic ring member (collective.OverflowRing is its oracle), and
 // internal/train derives ef-signsgd and ssdm from the same two bases.
 
 // SignVote returns base with both legs replaced by a sign-vote round.
@@ -40,7 +41,8 @@ import (
 // integer sign sums travel the bit-width-expansion ring (the torus when
 // Opts.Torus is set; ± Opts.Elias) and decode by majority
 // vote — or linearly, mean scale × mean sign, once the signs are
-// stochastic or error-corrected. A majority is one bit per coordinate,
+// stochastic or error-corrected, into the rank's gradient, dead once
+// compressed. A majority is one bit per coordinate,
 // the same on every rank, so the per-rank leg returns it as bits and
 // the mean scale (registry.Update.Signs): the engine unpacks one vector
 // per consensus, as the sequential leg hands its one update to every
@@ -49,7 +51,9 @@ import (
 func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry.Descriptor {
 	ps := base.Topology == registry.PS
 	majority := !stochastic && !errorFeedback
-	decode := linearDecode
+	decode := func(sums []int64, total float64, n int) tensor.Vec {
+		return linearDecode(tensor.New(len(sums)), sums, total, n)
+	}
 	if majority {
 		decode = collective.MajorityDecode
 	}
@@ -153,7 +157,7 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 					consensus.PackVotes(votes)
 					update = registry.Update{Signs: consensus, Scale: total / float64(n)}
 				} else {
-					update.Vec = decode(votes, total, n)
+					update.Vec = linearDecode(grad, votes, total, n)
 				}
 			}
 			transport.PutInt64s(votes)
@@ -187,10 +191,10 @@ func voteScale(g tensor.Vec, votes []int64) float64 {
 
 // linearDecode is the decode of stochastic or error-corrected sign
 // sums, where a majority vote would discard the magnitudes the signs
-// encode: mean scale × mean sign, per coordinate.
-func linearDecode(sums []int64, totalScale float64, workers int) tensor.Vec {
+// encode: mean scale × mean sign, per coordinate, written into and
+// returning out.
+func linearDecode(out tensor.Vec, sums []int64, totalScale float64, workers int) tensor.Vec {
 	meanScale := totalScale / float64(workers)
-	out := make(tensor.Vec, len(sums))
 	for i, s := range sums {
 		out[i] = meanScale * float64(s) / float64(workers)
 	}

@@ -35,7 +35,7 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 	}
 	wire := len(vec) * floatWireBytes
 	rk := newRankCtx(c, ep, rank)
-	alpha, beta := c.Model.Latency, c.Model.BytePeriod
+	beta := c.Model.BytePeriod
 	parent := tr.Parent(rank)
 	children := tr.Children(rank)
 
@@ -46,11 +46,7 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 		recvAvail := rk.clk
 		for _, ch := range children {
 			p := rk.recv(ch)
-			recvStart := p.Clock + alpha
-			if recvAvail > recvStart {
-				recvStart = recvAvail
-			}
-			recvAvail = recvStart + float64(p.Wire)*beta
+			recvAvail = rk.arrival(p, recvAvail)
 			addFloats(vec, p.Data)
 		}
 		rk.clk = recvAvail
@@ -58,6 +54,7 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 	if parent >= 0 {
 		rk.send(parent, encodeFloats(vec), wire, rk.clk)
 		rk.clk += float64(wire) * beta
+		c.AccountBytes(rank, wire)
 	} else {
 		tensor.Scale(vec, 1/float64(n))
 	}
@@ -67,16 +64,13 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 	rk.setPhase("broadcast-down")
 	if parent >= 0 {
 		p := rk.recv(parent)
-		recvStart := p.Clock + alpha
-		if rk.clk > recvStart {
-			recvStart = rk.clk
-		}
-		rk.clk = recvStart + float64(p.Wire)*beta
+		rk.clk = rk.arrival(p, rk.clk)
 		copyFloats(vec, p.Data)
 	}
 	for _, ch := range children {
 		rk.send(ch, encodeFloats(vec), wire, rk.clk)
 		rk.clk += float64(wire) * beta
+		c.AccountBytes(rank, wire)
 	}
 	rk.finish()
 }
