@@ -201,7 +201,10 @@ no-shims:
 # single-path keeps rankCtx the one code in internal/runtime that
 # touches an endpoint or a clock: an endpoint Send or Recv outside
 # rankCtx.post/take, or a time.Now() outside rankCtx.begin and RunRank,
-# would be a frame no trace shows or a span no timer bounds.
+# would be a frame no trace shows or a span no timer bounds. Its second
+# rule keeps transport.Retry the one rendezvous wait of the wire
+# fabrics: outside the shm data path's waiter.wait and Close's drain, a
+# time.Sleep in non-test tcp or shm code is a fixed poll.
 single-path:
 	@out="$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[ \t]*\/\// { next } \
 		/\.(Send|Recv)\(/ && fn !~ /^func \(r \*rankCtx\) (post|take)\(/ { print FILENAME ":" FNR ": " $$0 } \
@@ -211,6 +214,15 @@ single-path:
 		echo "single-path: endpoint I/O or a clock read outside rankCtx.post/take/begin and RunRank:"; echo "$$out"; exit 1; \
 	fi
 	@echo "single-path: every frame and every timer goes through rankCtx"
+	@out="$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[ \t]*\/\// { next } \
+		/time\.Sleep\(/ && !(FILENAME ~ /\/shm\// && fn ~ /^func \((w \*waiter\) wait|f \*Fabric\) drain)\(/) { \
+			name = fn; sub(/^func (\([^)]*\) )?/, "", name); sub(/\(.*/, "", name); \
+			print FILENAME ":" FNR ": in " name ": " $$0 }' \
+		$$(ls internal/transport/tcp/*.go internal/transport/shm/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$out" ]; then \
+		echo "single-path: a fixed sleep in the tcp or shm fabric outside shm's waiter.wait and drain (wait through transport.Retry):"; echo "$$out"; exit 1; \
+	fi
+	@echo "single-path: every rendezvous wait goes through transport.Retry"
 
 # deadcode links every program with inlining off and the linker's
 # reachability graph dumped, and lists the non-test functions under

@@ -180,7 +180,8 @@ type Config struct {
 	// 127.0.0.1) exercise a genuine multi-host split. All ranks must
 	// agree.
 	Hosts []int
-	// DialTimeout bounds the fabric rendezvous (0 = tcp default).
+	// DialTimeout bounds the fabric rendezvous (0 =
+	// transport.DefaultDialTimeout).
 	DialTimeout time.Duration
 	// Cost overrides the default netsim cost model when non-nil.
 	Cost *netsim.CostModel

@@ -106,30 +106,35 @@ func createRing(dir string, from, to, capacity int) (*ring, error) {
 	return r, nil
 }
 
-// openRing polls for the peer-created ring file until the deadline, then
-// maps it. This is the filesystem rendezvous replacing the socket
-// handshake: every fabric creates all its outbound rings before opening
-// any inbound one, so the poll always terminates once the peers launch.
+// ringPollCap is the longest pause between looks for a peer's ring
+// file while the peer has not created it yet.
+const ringPollCap = 2 * time.Millisecond
+
+// openRing waits for the peer-created ring file on transport.Retry's
+// schedule until the deadline, then maps it. This is the filesystem
+// rendezvous replacing the socket handshake: every fabric creates all
+// its outbound rings before opening any inbound one, so the wait
+// always ends once the peers launch.
 func openRing(dir string, from, to int, deadline time.Time) (*ring, error) {
 	final := filepath.Join(dir, ringName(from, to))
-	for {
-		f, err := os.OpenFile(final, os.O_RDWR, 0)
-		if err == nil {
-			r, merr := mapRing(f)
-			if merr != nil {
-				f.Close()
-				return nil, merr
-			}
-			return r, nil
-		}
-		if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("shm: open ring: %w", err)
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("shm: rendezvous timed out waiting for %s (peer rank %d not up?)", final, from)
-		}
-		time.Sleep(2 * time.Millisecond)
+	var f *os.File
+	err := transport.Retry(deadline, ringPollCap, func() (bool, error) {
+		var err error
+		f, err = os.OpenFile(final, os.O_RDWR, 0)
+		return os.IsNotExist(err), err
+	})
+	switch {
+	case os.IsNotExist(err):
+		return nil, fmt.Errorf("shm: rendezvous timed out waiting for %s (peer rank %d not up?): %w", final, from, err)
+	case err != nil:
+		return nil, fmt.Errorf("shm: open ring: %w", err)
 	}
+	r, err := mapRing(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return r, nil
 }
 
 // mapRing validates the header and maps the file. It takes ownership of

@@ -8,7 +8,8 @@
 //
 // Rendezvous is the filesystem: every fabric first creates the ring
 // files it writes (outbound pairs, atomically via temp-file + rename),
-// then polls for the rings its peers write (inbound pairs) until
+// then waits for the rings its peers write (inbound pairs), looking on
+// transport.Retry's schedule — pauses from 1 ms doubling to 2 ms — until
 // Config.DialTimeout. Because creation strictly precedes opening in
 // every process, the fleet assembles without a barrier.
 //
@@ -52,10 +53,6 @@ import (
 // not memory.
 const DefaultRingBytes = 1 << 22
 
-// DefaultDialTimeout bounds the rendezvous poll for peer ring files,
-// mirroring tcp.DefaultDialTimeout.
-const DefaultDialTimeout = 10 * time.Second
-
 // closeDrainTimeout bounds how long Close waits for in-flight Send/Recv
 // calls to notice the poison before it gives up unmapping (the mapping
 // then leaks until process exit — safe, never dangling).
@@ -80,7 +77,8 @@ type Config struct {
 	// RingBytes is the per-ring data capacity (0 = DefaultRingBytes).
 	// A Send whose frame exceeds it fails loudly rather than deadlock.
 	RingBytes int
-	// DialTimeout bounds the rendezvous poll (0 = DefaultDialTimeout).
+	// DialTimeout bounds the rendezvous wait for peer ring files (0 =
+	// transport.DefaultDialTimeout).
 	DialTimeout time.Duration
 }
 
@@ -135,7 +133,7 @@ func New(cfg Config) (*Fabric, error) {
 	}
 	timeout := cfg.DialTimeout
 	if timeout <= 0 {
-		timeout = DefaultDialTimeout
+		timeout = transport.DefaultDialTimeout
 	}
 
 	f := &Fabric{

@@ -16,9 +16,6 @@ import (
 // DefaultRingBytes mirrors the unix build's per-ring capacity.
 const DefaultRingBytes = 1 << 24
 
-// DefaultDialTimeout mirrors the unix build's rendezvous bound.
-const DefaultDialTimeout = 10 * time.Second
-
 // ErrUnsupported is returned by New and NewLocal on platforms without
 // shared-memory mappings.
 var ErrUnsupported = errors.New("shm: shared-memory transport requires a unix platform")

@@ -4,6 +4,8 @@ package shm
 
 import (
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -113,6 +115,60 @@ func TestCrossProcessShape(t *testing.T) {
 			}
 		case <-time.After(30 * time.Second):
 			t.Fatal("cross-fabric exchange stalled")
+		}
+	}
+}
+
+// TestLatePeerAssembles starts rank 1's fabric only once rank 0 has
+// created its outbound ring and is waiting for ring-1-0: the ring file
+// appears after the opener started looking, and the fabric still
+// assembles and carries frames both ways.
+func TestLatePeerAssembles(t *testing.T) {
+	dir := t.TempDir()
+	cfg := func(rank int) Config {
+		return Config{Dir: dir, Ranks: 2, LocalRanks: []int{rank}, DialTimeout: 10 * time.Second}
+	}
+	type built struct {
+		f   *Fabric
+		err error
+	}
+	first := make(chan built, 1)
+	go func() {
+		f, err := New(cfg(0))
+		first <- built{f, err}
+	}()
+	// ring-0-1 exists once rank 0 is past creating and into its wait;
+	// the extra pause lets its first looks for ring-1-0 miss.
+	for {
+		if _, err := os.Stat(filepath.Join(dir, ringName(0, 1))); err == nil {
+			break
+		}
+		select {
+		case b := <-first:
+			t.Fatalf("rank 0 returned before its peer started: %v", b.err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	time.Sleep(20 * time.Millisecond)
+	f1, err := New(cfg(1))
+	if err != nil {
+		t.Fatalf("late rank 1: %v", err)
+	}
+	defer f1.Close()
+	b := <-first
+	if b.err != nil {
+		t.Fatalf("rank 0 waiting for the late peer: %v", b.err)
+	}
+	defer b.f.Close()
+	for from, f := range []*Fabric{b.f, f1} {
+		to := 1 - from
+		if err := f.Endpoint(from).Send(to, transport.Packet{Data: []byte{byte(from)}, Wire: 1}); err != nil {
+			t.Fatalf("rank %d send: %v", from, err)
+		}
+	}
+	for to, f := range []*Fabric{b.f, f1} {
+		if p, err := f.Endpoint(to).Recv(1 - to); err != nil || len(p.Data) != 1 || p.Data[0] != byte(1-to) {
+			t.Fatalf("rank %d recv: %v %v", to, p.Data, err)
 		}
 	}
 }

@@ -16,9 +16,11 @@
 //
 // All ranks listen; for the pair {i, j} with i < j, rank i dials rank
 // j's address (deterministic dial direction, so exactly one connection
-// exists per pair and no tie-breaking is needed). Dialers retry until
-// DialTimeout, tolerating peers that start late. Each connection opens
-// with a hello exchange
+// exists per pair and no tie-breaking is needed). A dialer whose peer
+// is not listening yet retries on transport.Retry's schedule — pauses
+// from 1 ms doubling to dialRetryCap — until DialTimeout, so a peer
+// that starts a few milliseconds late costs a few milliseconds. Each
+// connection opens with a hello exchange
 //
 //	dialer → "MTP" | version byte | uint32 dialer rank | uint32 target rank
 //	target → "MTP" | version byte | uint32 target rank | uint32 dialer rank
@@ -96,13 +98,9 @@ var magic = [4]byte{'M', 'T', 'P', '2'}
 // clock bits, job ID.
 const headerBytes = 4 + 4 + 8 + 4
 
-// DefaultDialTimeout bounds the rendezvous: how long dialers retry and
-// listeners wait for the fabric to assemble.
-const DefaultDialTimeout = 10 * time.Second
-
-// dialRetryInterval is the pause between dial attempts while a peer's
-// listener is not up yet.
-const dialRetryInterval = 20 * time.Millisecond
+// dialRetryCap is the longest pause between dial attempts while a
+// peer's listener is not up yet.
+const dialRetryCap = 20 * time.Millisecond
 
 // Config parameterizes a fabric. Addrs is required; the zero value of
 // every other field selects a sensible default.
@@ -113,7 +111,8 @@ type Config struct {
 	// LocalRanks lists the ranks this process hosts. nil hosts all ranks
 	// (the in-process configuration).
 	LocalRanks []int
-	// DialTimeout bounds the rendezvous; 0 selects DefaultDialTimeout.
+	// DialTimeout bounds the rendezvous; 0 selects
+	// transport.DefaultDialTimeout.
 	DialTimeout time.Duration
 }
 
@@ -246,7 +245,7 @@ func assemble(addrs []string, listeners map[int]net.Listener, local []int, timeo
 	n := len(addrs)
 	depth := transport.DefaultDepth
 	if timeout == 0 {
-		timeout = DefaultDialTimeout
+		timeout = transport.DefaultDialTimeout
 	}
 	deadline := time.Now().Add(timeout)
 
@@ -359,8 +358,8 @@ func assemble(addrs []string, listeners map[int]net.Listener, local []int, timeo
 		}(r, count)
 	}
 
-	// Dial loops: hosted lower ranks connect out, retrying while the
-	// peer's listener is not up yet.
+	// Dial loops: hosted lower ranks connect out, retrying on
+	// transport.Retry's schedule while the peer's listener is not up yet.
 	for r, targets := range dialsFrom {
 		for _, p := range targets {
 			wg.Add(1)
@@ -466,21 +465,17 @@ func (f *Fabric) startConn(conn net.Conn, owner, peer int) {
 	go f.writeLoop(conn, lk)
 }
 
-// dialHello connects to addr, retrying until deadline, and performs the
-// dialer's half of the hello exchange.
+// dialHello connects to addr, retrying on transport.Retry's schedule
+// until deadline, and performs the dialer's half of the hello exchange.
 func dialHello(addr string, from, to int, deadline time.Time) (net.Conn, error) {
 	var conn net.Conn
-	var err error
-	for {
-		d := net.Dialer{Deadline: deadline}
+	d := net.Dialer{Deadline: deadline}
+	if err := transport.Retry(deadline, dialRetryCap, func() (bool, error) {
+		var err error
 		conn, err = d.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("tcp: rank %d dial rank %d (%s): %w", from, to, addr, err)
-		}
-		time.Sleep(dialRetryInterval)
+		return true, err
+	}); err != nil {
+		return nil, fmt.Errorf("tcp: rank %d dial rank %d (%s): %w", from, to, addr, err)
 	}
 	conn.SetDeadline(deadline)
 	var hello [12]byte

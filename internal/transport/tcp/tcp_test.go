@@ -24,12 +24,17 @@ func TestTCPConformance(t *testing.T) {
 	})
 }
 
+// lateStart is how long the late rank of buildSplitFabrics waits: long
+// enough for its peers to listen and see their first dials refused.
+const lateStart = 50 * time.Millisecond
+
 // buildSplitFabrics assembles one logical fabric from per-rank Fabric
 // instances — the multi-process shape, each rank with its own listener
-// and sockets. The reserve-then-rebind address pattern can collide with
-// other test binaries' ephemeral listeners, so assembly retries on
-// fresh ports.
-func buildSplitFabrics(t *testing.T, n int) []*tcp.Fabric {
+// and sockets. Rank late (none when negative) starts lateStart after
+// its peers, whose dials to it are then refused until it listens. The
+// reserve-then-rebind address pattern can collide with other test
+// binaries' ephemeral listeners, so assembly retries on fresh ports.
+func buildSplitFabrics(t *testing.T, n, late int) []*tcp.Fabric {
 	t.Helper()
 	const attempts = 3
 	var errs []error
@@ -42,6 +47,9 @@ func buildSplitFabrics(t *testing.T, n int) []*tcp.Fabric {
 			build.Add(1)
 			go func(rank int) {
 				defer build.Done()
+				if rank == late {
+					time.Sleep(lateStart)
+				}
 				fabrics[rank], errs[rank] = tcp.New(tcp.Config{
 					Addrs:       addrs,
 					LocalRanks:  []int{rank},
@@ -74,7 +82,7 @@ func buildSplitFabrics(t *testing.T, n int) []*tcp.Fabric {
 // exchange with a large payload across the per-rank fabrics.
 func TestTCPSplitFabrics(t *testing.T) {
 	const n = 4
-	fabrics := buildSplitFabrics(t, n)
+	fabrics := buildSplitFabrics(t, n, -1)
 	defer func() {
 		for _, f := range fabrics {
 			f.Close()
@@ -133,10 +141,40 @@ func TestTCPSplitFabrics(t *testing.T) {
 	}
 }
 
+// TestTCPLatePeerAssembles starts rank 1's fabric after its peers':
+// rank 0's dial to it is refused until it listens, and the fabric still
+// assembles and carries a frame around the ring.
+func TestTCPLatePeerAssembles(t *testing.T) {
+	const n = 3
+	fabrics := buildSplitFabrics(t, n, 1)
+	defer func() {
+		for _, f := range fabrics {
+			f.Close()
+		}
+	}()
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for r := 0; r < n; r++ {
+		go func(rank int) {
+			defer wg.Done()
+			ep := fabrics[rank].Endpoint(rank)
+			if err := ep.Send((rank+1)%n, transport.Packet{Data: []byte{byte(rank)}, Wire: 1}); err != nil {
+				t.Errorf("rank %d send: %v", rank, err)
+				return
+			}
+			prev := (rank + n - 1) % n
+			if p, err := ep.Recv(prev); err != nil || len(p.Data) != 1 || p.Data[0] != byte(prev) {
+				t.Errorf("rank %d recv: %v %v", rank, p.Data, err)
+			}
+		}(r)
+	}
+	wg.Wait()
+}
+
 // TestTCPPeerDeathPoisonsFabric checks that a peer disappearing mid-run
 // surfaces as ErrClosed on the survivor instead of hanging it.
 func TestTCPPeerDeathPoisonsFabric(t *testing.T) {
-	fabrics := buildSplitFabrics(t, 2)
+	fabrics := buildSplitFabrics(t, 2, -1)
 	a, b := fabrics[0], fabrics[1]
 	defer a.Close()
 
@@ -179,8 +217,10 @@ func TestTCPConfigValidation(t *testing.T) {
 	if err == nil {
 		t.Fatal("unreachable peer accepted")
 	}
-	if time.Since(start) > 10*time.Second {
-		t.Fatalf("timeout not honored (%v)", time.Since(start))
+	// The dial gives up at the deadline: at most one capped pause (20 ms)
+	// past it would be an overshoot, and 1 s covers a loaded machine.
+	if bound := 300*time.Millisecond + 20*time.Millisecond + time.Second; time.Since(start) > bound {
+		t.Fatalf("timeout not honored: %v, bound %v", time.Since(start), bound)
 	}
 	if !strings.Contains(err.Error(), "dial") {
 		t.Fatalf("unexpected error: %v", err)
