@@ -40,7 +40,8 @@
 #                          word kernel against its per-element oracle on
 #                          NaN, ±Inf, ±0 and one-hot inputs, the
 #                          word-parallel bitvec/Elias kernels (the Elias word-store
-#                          encoder at every buffer edge included), the
+#                          encoder at every buffer edge and the multi-code
+#                          table decoder included), the
 #                          masked Bernoulli lanes, the word-at-a-time ⊙
 #                          merge, the bit-sliced majority vote and the
 #                          one-bit update's SubScaled/MatchCount vs their
@@ -162,6 +163,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasDecodeRobust' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasIntsIntoAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzEliasEncodeBufAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
+	$(GO) test -run '^$$' -fuzz 'FuzzEliasTableAgainstScalar' -fuzztime $(FUZZTIME) ./internal/compress
 	$(GO) test -run '^$$' -fuzz 'FuzzSignSumChunkRobust' -fuzztime $(FUZZTIME) ./internal/runtime
 	$(GO) test -run '^$$' -fuzz 'FuzzSignFrameRobust' -fuzztime $(FUZZTIME) ./internal/runtime
 	$(GO) test -run '^$$' -fuzz 'FuzzPackUnpackSigns' -fuzztime $(FUZZTIME) ./internal/bitvec

@@ -12,90 +12,11 @@ import (
 // (the SSDM bit-width-expansion scheme). Gamma codes suit small positive
 // integers such as per-coordinate sign sums.
 
-// BitWriter accumulates individual bits into a byte slice, MSB-first
-// within each byte.
-type BitWriter struct {
-	buf  []byte
-	nbit int
-}
-
-// WriteBit appends one bit.
-func (w *BitWriter) WriteBit(b uint) {
-	if w.nbit%8 == 0 {
-		w.buf = append(w.buf, 0)
-	}
-	if b != 0 {
-		w.buf[len(w.buf)-1] |= 1 << uint(7-w.nbit%8)
-	}
-	w.nbit++
-}
-
-// WriteBits appends the low n bits of v, most significant first. It
-// works a byte at a time — up to 8 bits land per iteration instead of
-// one — and is bit-exact with a WriteBit loop (the scalar oracle the
-// fuzz tests compare against).
-func (w *BitWriter) WriteBits(v uint64, n int) {
-	for n > 0 {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
-		}
-		free := 8 - w.nbit%8
-		take := free
-		if n < take {
-			take = n
-		}
-		chunk := byte(v>>uint(n-take)) & (1<<uint(take) - 1)
-		w.buf[len(w.buf)-1] |= chunk << uint(free-take)
-		w.nbit += take
-		n -= take
-	}
-}
-
-// writeZeros appends n zero bits: the current partial byte is skipped
-// over and whole zero bytes are appended directly.
-func (w *BitWriter) writeZeros(n int) {
-	if rem := w.nbit % 8; rem != 0 {
-		take := 8 - rem
-		if n < take {
-			take = n
-		}
-		w.nbit += take
-		n -= take
-	}
-	for n > 0 {
-		w.buf = append(w.buf, 0)
-		take := 8
-		if n < take {
-			take = n
-		}
-		w.nbit += take
-		n -= take
-	}
-}
-
-// Len returns the number of bits written so far.
-func (w *BitWriter) Len() int { return w.nbit }
-
-// Bytes returns the encoded bytes (the final byte may be partially used).
-func (w *BitWriter) Bytes() []byte { return w.buf }
-
-// BitReader consumes bits produced by BitWriter.
+// BitReader reads an MSB-first bit stream: the decode kernel's fallback
+// for codes that do not fit its window, and the tests' reference reader.
 type BitReader struct {
 	buf []byte
 	pos int
-}
-
-// NewBitReader wraps data for reading.
-func NewBitReader(data []byte) *BitReader { return &BitReader{buf: data} }
-
-// ReadBit returns the next bit.
-func (r *BitReader) ReadBit() (uint, error) {
-	if r.pos >= 8*len(r.buf) {
-		return 0, fmt.Errorf("compress: bit stream exhausted at %d", r.pos)
-	}
-	b := (r.buf[r.pos/8] >> uint(7-r.pos%8)) & 1
-	r.pos++
-	return uint(b), nil
 }
 
 // ReadBits reads n bits MSB-first, a byte at a time (bit-exact with a
@@ -121,28 +42,6 @@ func (r *BitReader) ReadBits(n int) (uint64, error) {
 		n -= take
 	}
 	return v, nil
-}
-
-// EliasGammaEncode appends the Elias gamma code of v (v ≥ 1) to w:
-// ⌊log2 v⌋ zeros followed by the binary representation of v.
-func EliasGammaEncode(w *BitWriter, v uint64) {
-	if v == 0 {
-		panic("compress: Elias gamma undefined for 0")
-	}
-	n := bits.Len64(v) // position of the highest set bit, 1-based
-	w.writeZeros(n - 1)
-	w.WriteBits(v, n)
-}
-
-// GammaBitLen returns the bit length of the gamma code of v ≥ 1
-// (2·⌊log2 v⌋ + 1) without producing it — the sizing half of the
-// encoder, so a caller can charge a payload's exact wire size before
-// (or without) materializing the code.
-func GammaBitLen(v uint64) int {
-	if v == 0 {
-		panic("compress: Elias gamma undefined for 0")
-	}
-	return 2*bits.Len64(v) - 1
 }
 
 // EliasGammaDecode reads one gamma-coded value. The zero-run prefix is
@@ -284,96 +183,176 @@ func EliasEncodeIntsBuf(vals []int64, scratch []byte) ([]byte, int) {
 	return buf, total
 }
 
-// EliasIntsBitLen returns the exact bit length EliasEncodeInts would
-// produce for vals, without materializing the code — one bits.Len64 per
-// value. Callers that must size a message before encoding it (a
-// sign-sum hop charges its wire size and sizes its pooled payload from
-// it) use this instead of encoding twice.
-func EliasIntsBitLen(vals []int64) int {
-	n := 0
-	for _, v := range vals {
-		n += GammaBitLen(ZigZag(v))
-	}
-	return n
-}
-
-// EliasDecodeInts decodes n signed integers from data.
-func EliasDecodeInts(data []byte, n int) ([]int64, error) {
-	out := make([]int64, n)
-	if err := EliasDecodeIntsInto(data, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // EliasDecodeIntsInto decodes len(out) signed integers from data into
 // out — the allocation-free form used by pooled per-hop scratch.
 func EliasDecodeIntsInto(data []byte, out []int64) error {
-	return eliasDecodeInts(data, out, 0)
+	_, err := EliasDecodeIntsLen(data, out)
+	return err
+}
+
+// EliasDecodeIntsLen is EliasDecodeIntsInto returning the number of bits
+// the len(out) codes occupy: the bit count the sender's encoder
+// returned, so a receiver can check a frame's length against it and
+// charge the frame again without sizing it.
+func EliasDecodeIntsLen(data []byte, out []int64) (int, error) {
+	return eliasDecodeInts(data, out, false)
 }
 
 // EliasDecodeAddInto decodes len(dst) signed integers from data and adds
 // each to its slot, dst[i] += v_i — the sign-sum ring's reduce step
-// straight off the payload, with no decoded slice in between. On error
-// dst holds the sums of the values decoded before it.
-func EliasDecodeAddInto(data []byte, dst []int64) error {
-	return eliasDecodeInts(data, dst, -1)
+// straight off the payload, with no decoded slice in between — and
+// returns the bits the codes occupy, as EliasDecodeIntsLen does. On
+// error dst holds the sums of the values decoded before it.
+func EliasDecodeAddInto(data []byte, dst []int64) (int, error) {
+	return eliasDecodeInts(data, dst, true)
+}
+
+// The decode table resolves up to eliasGroup whole gamma codes at once
+// from the next eliasTableBits bits of the stream. Entry x (those bits,
+// MSB first) holds the bits the codes consume in its low four bits,
+// their count in the next four and their values as int8s in bytes 1..4
+// (0 past the count); a count of 0 means the first code is longer than
+// the index. A code within 12 bits is at most 11 bits wide, so its
+// value lies in [−31, 31]. 4096 entries of 8 bytes: 32 KB, inside L2
+// and, on most cores, L1.
+const (
+	eliasTableBits = 12
+	eliasGroup     = 4
+)
+
+var eliasTable = func() (t [1 << eliasTableBits]uint64) {
+	for x := range t {
+		w := uint64(x) << (64 - eliasTableBits)
+		used, n := 0, 0
+		for ; n < eliasGroup; n++ {
+			code := 2*bits.LeadingZeros64(w) + 1
+			if used+code > eliasTableBits {
+				break
+			}
+			v := UnZigZag(w >> (64 - code))
+			t[x] |= uint64(uint8(int8(v))) << (8 + 8*n)
+			w <<= code
+			used += code
+		}
+		t[x] |= uint64(used) | uint64(n)<<4
+	}
+	return t
+}()
+
+// eliasWindow is the decode kernel's read position: the next bits of
+// the stream, MSB-aligned in acc, of which the top nacc are counted, and
+// the next byte to load.
+type eliasWindow struct {
+	acc     uint64
+	nacc    int
+	byteIdx int
+}
+
+// refill tops a window up from the eight bytes of data at byteIdx with
+// one unconditional big-endian word load, to at least 56 counted bits:
+// the whole bytes that fit are counted in, and the bits of the next byte
+// that ride along are genuine stream bits the following load ORs in
+// again.
+func refill(data []byte, acc uint64, nacc, byteIdx int) (uint64, int, int) {
+	acc |= binary.BigEndian.Uint64(data[byteIdx:]) >> (uint(nacc) & 63)
+	k := (63 - nacc) >> 3
+	return acc, nacc + k<<3, byteIdx + k
+}
+
+// table is the decode kernel's fast path. While eight bytes of stream
+// remain, it refills the window once per four table lookups of at most
+// 12 bits each, so the load sits once per four lookups on the
+// dependency chain instead of once per value. Each lookup writes a
+// whole group of eliasGroup slots branch-free, and the slots past its
+// count get 0 (or, adding, +0), which the next lookup overwrites. It
+// returns the index of the next value once fewer than 4·eliasGroup
+// values or eight bytes are left, or when a round of lookups makes no
+// progress (a code wider than the index). It has no calls, so its
+// window stays in registers.
+func (r *eliasWindow) table(data []byte, out []int64, i int, add bool) int {
+	acc, nacc, byteIdx := r.acc, r.nacc, r.byteIdx
+	for byteIdx+8 <= len(data) && i+4*eliasGroup <= len(out) {
+		acc, nacc, byteIdx = refill(data, acc, nacc, byteIdx)
+		i0 := i
+		for range 4 {
+			e := eliasTable[acc>>(64-eliasTableBits)]
+			g := out[i : i+eliasGroup : i+eliasGroup]
+			if add {
+				g[0] += int64(int8(e >> 8))
+				g[1] += int64(int8(e >> 16))
+				g[2] += int64(int8(e >> 24))
+				g[3] += int64(int8(e >> 32))
+			} else {
+				g[0] = int64(int8(e >> 8))
+				g[1] = int64(int8(e >> 16))
+				g[2] = int64(int8(e >> 24))
+				g[3] = int64(int8(e >> 32))
+			}
+			used := uint(e) & 15
+			acc <<= used
+			nacc -= int(used)
+			i += int(e>>4) & 15
+		}
+		if i == i0 {
+			break
+		}
+	}
+	r.acc, r.nacc, r.byteIdx = acc, nacc, byteIdx
+	return i
 }
 
 // eliasDecodeInts is the wire path's decode kernel, one loop under both
-// entry points: out[i] = out[i]&keep + v_i, so keep = 0 overwrites and
-// keep = −1 accumulates.
+// entry points: it overwrites out with the len(out) values coded in data,
+// or adds them to it, and returns the bits the codes occupy.
 //
-// A 64-bit window holds the next bits MSB-aligned, so a whole gamma code
-// (prefix, terminator and mantissa) resolves with one LeadingZeros64 and
-// one shift when it fits the window — the common case, since sign sums
-// are bounded by the worker count. The window is topped up before every
-// value by one unconditional big-endian word load: the whole bytes that
-// fit are counted in, and the bits of the next byte that ride along are
-// genuine stream bits the following load ORs in again. The last eight
-// bytes of the stream refill a byte at a time. Codes longer than the
-// window, zero runs crossing it and stream exhaustion fall back to the
-// scalar reader at the current bit position (the oracle the fuzz tests
-// compare against).
-func eliasDecodeInts(data []byte, out []int64, keep int64) error {
-	var acc uint64 // next bits, MSB-aligned; only the top nacc are counted
-	nacc := 0
-	byteIdx := 0
-	for i := range out {
-		if byteIdx+8 <= len(data) {
-			acc |= binary.BigEndian.Uint64(data[byteIdx:]) >> (uint(nacc) & 63)
-			k := (63 - nacc) >> 3
-			byteIdx += k
-			nacc += k << 3
+// Runs of values go through the table (eliasWindow.table). The rest —
+// the last values of out, the last eight bytes of the stream, whose
+// window is refilled a byte at a time, and codes wider than the index —
+// resolve one at a time: a whole code that fits the window takes one
+// LeadingZeros64 and one shift, and anything else (a code longer than
+// the window, a zero run crossing it, stream exhaustion) falls back to
+// the scalar reader at the current bit position, the oracle the fuzz
+// tests compare against.
+func eliasDecodeInts(data []byte, out []int64, add bool) (int, error) {
+	keep := int64(0) // out[i] = out[i]&keep + v: keep = −1 adds
+	if add {
+		keep = -1
+	}
+	var r eliasWindow
+	for i := 0; i < len(out); i++ {
+		if i = r.table(data, out, i, add); i == len(out) {
+			break
+		}
+		if r.byteIdx+8 <= len(data) {
+			r.acc, r.nacc, r.byteIdx = refill(data, r.acc, r.nacc, r.byteIdx)
 		} else {
-			for nacc <= 56 && byteIdx < len(data) {
-				acc |= uint64(data[byteIdx]) << uint(56-nacc)
-				byteIdx++
-				nacc += 8
+			for r.nacc <= 56 && r.byteIdx < len(data) {
+				r.acc |= uint64(data[r.byteIdx]) << uint(56-r.nacc)
+				r.byteIdx++
+				r.nacc += 8
 			}
 		}
-		lz := bits.LeadingZeros64(acc)
-		if w := 2*lz + 1; w <= nacc {
-			u := acc >> (uint(64-w) & 63)
-			acc <<= uint(w) & 63
-			nacc -= w
+		lz := bits.LeadingZeros64(r.acc)
+		if w := 2*lz + 1; w <= r.nacc {
+			u := r.acc >> (uint(64-w) & 63)
+			r.acc <<= uint(w) & 63
+			r.nacc -= w
 			out[i] = out[i]&keep + UnZigZag(u)
 			continue
 		}
 		// Slow path: long prefix, wide mantissa, or end of stream.
-		r := &BitReader{buf: data, pos: byteIdx<<3 - nacc}
-		u, err := EliasGammaDecode(r)
+		br := &BitReader{buf: data, pos: r.byteIdx<<3 - r.nacc}
+		u, err := EliasGammaDecode(br)
 		if err != nil {
-			return fmt.Errorf("compress: value %d: %w", i, err)
+			return 0, fmt.Errorf("compress: value %d: %w", i, err)
 		}
 		out[i] = out[i]&keep + UnZigZag(u)
-		byteIdx = r.pos >> 3
-		acc, nacc = 0, 0
-		if rem := r.pos & 7; rem != 0 {
-			acc = uint64(data[byteIdx]&(0xff>>uint(rem))) << uint(56+rem)
-			nacc = 8 - rem
-			byteIdx++
+		r = eliasWindow{byteIdx: br.pos >> 3}
+		if rem := br.pos & 7; rem != 0 {
+			r.acc = uint64(data[r.byteIdx]&(0xff>>uint(rem))) << uint(56+rem)
+			r.nacc = 8 - rem
+			r.byteIdx++
 		}
 	}
-	return nil
+	return r.byteIdx<<3 - r.nacc, nil
 }

@@ -164,13 +164,55 @@ func FuzzGammaDecodeAgainstScalar(f *testing.F) {
 	})
 }
 
+// checkDecodeAgainstScalar decodes n values from data with both entry
+// points of the wire decoder — overwriting a dirty out, and adding into
+// a dirty dst — and with a scalar per-value loop, and demands the same
+// error presence, the same values and the same bit count (the scalar
+// reader's position after the n-th code).
+func checkDecodeAgainstScalar(t *testing.T, label string, data []byte, n int) {
+	t.Helper()
+	want := make([]int64, n)
+	r := NewBitReader(data)
+	var refErr error
+	for i := range want {
+		u, e := refGammaDecode(r)
+		if e != nil {
+			refErr = e
+			break
+		}
+		want[i] = UnZigZag(u)
+	}
+	base := func(i int) int64 { return int64(i)*0x9e3779b9 - 7 }
+	got, sum := make([]int64, n), make([]int64, n)
+	for i := range got {
+		got[i], sum[i] = -base(i), base(i)
+	}
+	bits, err := EliasDecodeIntsLen(data, got)
+	addBits, addErr := EliasDecodeAddInto(data, sum)
+	if (err == nil) != (refErr == nil) || (addErr == nil) != (refErr == nil) {
+		t.Fatalf("%s: decode err %v, decode-add err %v, oracle err %v", label, err, addErr, refErr)
+	}
+	if err != nil {
+		return
+	}
+	if bits != r.pos || addBits != r.pos {
+		t.Fatalf("%s: decode reports %d bits, decode-add %d, oracle read %d", label, bits, addBits, r.pos)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s value %d: fast %d, oracle %d", label, i, got[i], want[i])
+		}
+		if sum[i] != base(i)+want[i] {
+			t.Fatalf("%s value %d: decode-add %d, want %d + %d", label, i, sum[i], base(i), want[i])
+		}
+	}
+}
+
 // FuzzEliasIntsIntoAgainstScalar throws arbitrary bytes at the windowed
-// integer decoder and a scalar per-value loop: decoded values and error
-// presence must agree everywhere. The decode-add entry point runs on the
-// same bytes (dst[i] += v_i must equal decode-then-add, with the same
-// error presence), and both repeat with 1–8 bytes appended, which moves
-// the point where the window stops refilling a word at a time across
-// every offset from the last code.
+// integer decoder and a scalar per-value loop (checkDecodeAgainstScalar),
+// and repeats with 1–8 bytes appended, which moves the point where the
+// window stops refilling a word at a time across every offset from the
+// last code.
 func FuzzEliasIntsIntoAgainstScalar(f *testing.F) {
 	f.Add([]byte{}, uint16(3))
 	f.Add([]byte{0x00, 0x00}, uint16(1))
@@ -181,43 +223,53 @@ func FuzzEliasIntsIntoAgainstScalar(f *testing.F) {
 		n := int(nRaw) % 1024
 		for pad := 0; pad <= 8; pad++ {
 			data := append(raw[:len(raw):len(raw)], bytes.Repeat([]byte{0xff}, pad)...)
-			got := make([]int64, n)
-			err := EliasDecodeIntsInto(data, got)
+			checkDecodeAgainstScalar(t, fmt.Sprintf("pad %d", pad), data, n)
+		}
+	})
+}
 
-			want := make([]int64, n)
-			r := NewBitReader(data)
-			var refErr error
-			for i := range want {
-				u, e := refGammaDecode(r)
-				if e != nil {
-					refErr = e
-					break
-				}
-				want[i] = UnZigZag(u)
-			}
-			if (err == nil) != (refErr == nil) {
-				t.Fatalf("pad %d: fast err %v, oracle err %v", pad, err, refErr)
-			}
+// tableVals derives a sign-sum-like stream from fuzz input, one value a
+// byte: mostly sums of up to eight ±1 votes (codes of 1–9 bits, several
+// to a table lookup), some in [−32, 31] (up to 13 bits, around the
+// 12-bit index) and some up to ±2^40 (codes wider than the table, and
+// than the rest of a refilled window).
+func tableVals(raw []byte) []int64 {
+	vals := make([]int64, 0, len(raw))
+	for _, b := range raw {
+		switch x := int64(b >> 2); b & 3 {
+		case 0, 1:
+			vals = append(vals, x%17-8)
+		case 2:
+			vals = append(vals, x-32)
+		default:
+			vals = append(vals, (x-32)<<(x%41))
+		}
+	}
+	return vals
+}
 
-			sum := make([]int64, n)
-			for i := range sum {
-				sum[i] = int64(i)*0x9e3779b9 - 7
+// FuzzEliasTableAgainstScalar drives the multi-code table path against
+// the scalar reader in both keep modes on encoder output: decoding the
+// whole stream, stopping one to 17 values short of it (so a lookup
+// group would run past len(out)), and asking for values past its end;
+// on the stream as encoded, cut by one to eight bytes (so it ends
+// mid-window) and with stray bytes appended.
+func FuzzEliasTableAgainstScalar(f *testing.F) {
+	f.Add([]byte{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64}, uint8(0))
+	f.Add(bytes.Repeat([]byte{0x20, 0x24, 0x1c, 0x64}, 40), uint8(16)) // sums of ±1 and 0s, out ending mid-stream
+	f.Add(bytes.Repeat([]byte{0x01, 0x82, 0x03, 0x44}, 60), uint8(17)) // wide codes among narrow
+	f.Add(bytes.Repeat([]byte{0xfe, 0x02}, 50), uint8(40))             // 11–13-bit codes
+	f.Fuzz(func(t *testing.T, raw []byte, shape uint8) {
+		vals := tableVals(raw)
+		enc, _ := EliasEncodeInts(vals)
+		for _, short := range []int{0, int(shape%17) + 1, -int(shape%5) - 1} {
+			n := max(len(vals)-short, 0)
+			checkDecodeAgainstScalar(t, fmt.Sprintf("n=%d of %d", n, len(vals)), enc, n)
+			for cut := 1; cut <= 8 && cut <= len(enc); cut++ {
+				checkDecodeAgainstScalar(t, fmt.Sprintf("n=%d, cut %d", n, cut), enc[:len(enc)-cut], n)
 			}
-			addErr := EliasDecodeAddInto(data, sum)
-			if (addErr == nil) != (refErr == nil) {
-				t.Fatalf("pad %d: decode-add err %v, oracle err %v", pad, addErr, refErr)
-			}
-			if err != nil {
-				continue
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("pad %d value %d: fast %d, oracle %d", pad, i, got[i], want[i])
-				}
-				if base := int64(i)*0x9e3779b9 - 7; sum[i] != base+want[i] {
-					t.Fatalf("pad %d value %d: decode-add %d, want %d + %d", pad, i, sum[i], base, want[i])
-				}
-			}
+			stray := append(enc[:len(enc):len(enc)], raw[:min(len(raw), int(shape%9))]...)
+			checkDecodeAgainstScalar(t, fmt.Sprintf("n=%d, %d stray bytes", n, len(stray)-len(enc)), stray, n)
 		}
 	})
 }
@@ -323,7 +375,7 @@ func TestEliasDecodeAddInto(t *testing.T) {
 		for i := range dst {
 			dst[i] = int64(3*i) - 100
 		}
-		if err := EliasDecodeAddInto(data, dst); err != nil {
+		if _, err := EliasDecodeAddInto(data, dst); err != nil {
 			t.Fatalf("pad %d: %v", pad, err)
 		}
 		for i, v := range vals {
@@ -335,7 +387,7 @@ func TestEliasDecodeAddInto(t *testing.T) {
 	for cut := 1; cut <= 9; cut++ {
 		data := enc[:len(enc)-cut]
 		dst := make([]int64, len(vals))
-		if EliasDecodeAddInto(data, dst) == nil || EliasDecodeIntsInto(data, dst) == nil {
+		if _, err := EliasDecodeAddInto(data, dst); err == nil || EliasDecodeIntsInto(data, dst) == nil {
 			t.Fatalf("stream cut by %d bytes decoded without error", cut)
 		}
 	}
@@ -379,7 +431,51 @@ func BenchmarkEliasEncodeInts(b *testing.B) {
 	})
 }
 
+// benchCorrSums returns n seeded sums of w correlated ±1 votes: each
+// vote is a shared sign flipped with probability 0.1 (≈ 18 % pairwise
+// disagreement, as on the benchmark's correlated gradients). At M = 4
+// the ring ships w = 1, 2 and 3 on its reduce-scatter hops and w = 4 on
+// the all-gather.
+func benchCorrSums(n, w int) []int64 {
+	r := rng.New(uint64(7 + w))
+	vals := make([]int64, n)
+	for i := range vals {
+		s := 1 - 2*int64(r.Uint64()>>63)
+		for k := 0; k < w; k++ {
+			if r.Float64() < 0.1 {
+				vals[i] -= s
+			} else {
+				vals[i] += s
+			}
+		}
+	}
+	return vals
+}
+
 func BenchmarkEliasDecodeInts(b *testing.B) {
+	for w := 1; w <= 4; w++ {
+		sums := benchCorrSums(100_000, w)
+		enc, _ := EliasEncodeInts(sums)
+		out := make([]int64, len(sums))
+		b.Run(fmt.Sprintf("corr-sum-%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := EliasDecodeIntsInto(enc, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/int")
+		})
+		b.Run(fmt.Sprintf("corr-sum-%d-add", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := EliasDecodeAddInto(enc, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(out)), "ns/int")
+		})
+	}
 	vals := benchVals(100_000)
 	enc, _ := EliasEncodeInts(vals)
 	out := make([]int64, len(vals))
@@ -394,7 +490,7 @@ func BenchmarkEliasDecodeInts(b *testing.B) {
 	b.Run("fast-add", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := EliasDecodeAddInto(enc, out); err != nil {
+			if _, err := EliasDecodeAddInto(enc, out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"marsit/internal/collective"
 	"marsit/internal/compress"
@@ -19,7 +20,10 @@ import (
 // reduce-scatter + all-gather ring whose payload width grows with the
 // number of aggregated workers, optionally compacted with Elias gamma
 // coding — in which case the entropy-coded bytes genuinely travel the
-// wire. Results, wire bytes and α–β clocks are bit-identical to
+// wire. Each reduce-scatter hop and the first all-gather hop encode
+// their segment; every later all-gather hop forwards the frame it
+// received on the hop before, which already carries the segment due out.
+// Results, wire bytes and α–β clocks are bit-identical to
 // collective.SignSumRing / SignSumTorus / OverflowRing.
 //
 // A rank's whole state is one []int64 of length D that its caller draws
@@ -35,49 +39,46 @@ import (
 // constant and can form the total in rank order — the exact float
 // summation order of the sequential engine.
 
-// encodeSignSumChunk serializes one hop's sign-sum chunk: the scale
-// payload riding along (a small float64 vector, empty in the
-// all-gather) followed by the segment's integer sums — raw
-// little-endian int64s, or the exact Elias-gamma bytes when useElias is
-// set (the paper's compaction, actually on the wire, encoded straight
-// into the pooled payload). eliasBits is the coded length signSumHopWire
-// already measured for the hop. The buffer comes from the shared
-// payload pool.
-func encodeSignSumChunk(vals []int64, scales []float64, useElias bool, eliasBits int) []byte {
-	sumBytes := 8 * len(vals)
+// encodeSignSumChunk serializes one hop's sign-sum chunk and returns it
+// with its wire charge: the scale payload riding along (a small float64
+// vector, empty in the all-gather) followed by the segment's integer
+// sums aggregated over workers workers — raw little-endian int64s, or the
+// exact Elias-gamma bytes when useElias is set (the paper's compaction,
+// actually on the wire). The buffer comes from the shared payload pool.
+//
+// The Elias path sizes nothing in advance. A sum of workers ±1 votes has
+// |v| ≤ workers, so its code is at most 2·Len64(2·workers+1)−1 bits; the
+// payload is allocated for that bound (plus the eight bytes the
+// encoder's word store wants past its last code), encoded in place,
+// charged by the bit count the encoder returns and trimmed to whole
+// bytes. A payload past the bound would have left the buffer with the
+// header behind, so it panics by name instead.
+func encodeSignSumChunk(rank int, vals []int64, scales []float64, workers int, useElias bool) ([]byte, int) {
+	head := 4 + 8*len(scales)
+	sumBytes, maxBits := 8*len(vals), 0
 	if useElias {
-		sumBytes = (eliasBits + 7) / 8
+		maxBits = len(vals) * (2*bits.Len64(2*uint64(workers)+1) - 1)
+		sumBytes = (maxBits+7)/8 + 8
 	}
-	out := transport.GetBuffer(4 + 8*len(scales) + sumBytes)
+	out := transport.GetBuffer(head + sumBytes)
 	binary.LittleEndian.PutUint32(out, uint32(len(scales)))
 	off := 4
 	for _, s := range scales {
 		binary.LittleEndian.PutUint64(out[off:], math.Float64bits(s))
 		off += 8
 	}
-	if useElias {
-		compress.EliasEncodeIntsBuf(vals, out[off:off])
-	} else {
+	if !useElias {
 		for _, v := range vals {
 			binary.LittleEndian.PutUint64(out[off:], uint64(v))
 			off += 8
 		}
+		return out, collective.SignSumSegBytes(workers, vals, false)
 	}
-	return out
-}
-
-// signSumHopWire sizes one hop's message: the exact Elias bit length
-// when coded (computed once, without materializing the stream, and
-// returned so the encoder can reuse it), the bit-width-expansion
-// formula otherwise — the same shared formulas
-// collective.SignSumSegBytes charges sequentially. eliasBits is -1
-// without Elias.
-func signSumHopWire(workers int, vals []int64, useElias bool) (wire, eliasBits int) {
-	if useElias {
-		bits := compress.EliasIntsBitLen(vals)
-		return collective.EliasWireBytes(bits), bits
+	_, n := compress.EliasEncodeIntsBuf(vals, out[head:head])
+	if n > maxBits {
+		panic(fmt.Sprintf("runtime: rank %d: sign-sum elias payload of %d bits past the %d-worker bound of %d", rank, n, workers, maxBits))
 	}
-	return collective.SignSumSegBytes(workers, vals, false), -1
+	return out[:head+(n+7)/8], collective.EliasWireBytes(n)
 }
 
 // parseSignSumScales reads the scale header of a chunk that rank
@@ -114,6 +115,18 @@ func checkRawSums(rank, peer int, body []byte, n int) {
 	}
 }
 
+// checkEliasBody rejects an Elias body that is not exactly the ⌈bits/8⌉
+// bytes its codes occupy: a forwarded frame must carry what its sender
+// was charged for, and nothing past it.
+func checkEliasBody(rank, peer int, body []byte, n int, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d: sign-sum elias payload: %v", rank, peer, err))
+	}
+	if len(body) != (n+7)/8 {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d: sign-sum elias payload of %d bytes for %d bits", rank, peer, len(body), n))
+	}
+}
+
 // addSignSumChunk merges a chunk that rank received from peer into dst
 // (dst[i] += v_i) straight from the payload bytes: no decoded slice
 // materializes on either path, the Elias one decodes and adds in one
@@ -123,9 +136,8 @@ func addSignSumChunk(rank, peer int, dst []int64, data []byte, useElias bool, wa
 	scales, off := parseSignSumScales(rank, peer, data, wantScales)
 	body := data[off:]
 	if useElias {
-		if err := compress.EliasDecodeAddInto(body, dst); err != nil {
-			panic(fmt.Sprintf("runtime: rank %d: peer %d: sign-sum elias payload: %v", rank, peer, err))
-		}
+		n, err := compress.EliasDecodeAddInto(body, dst)
+		checkEliasBody(rank, peer, body, n, err)
 	} else {
 		checkRawSums(rank, peer, body, len(dst))
 		for i := range dst {
@@ -138,21 +150,24 @@ func addSignSumChunk(rank, peer int, dst []int64, data []byte, useElias bool, wa
 
 // copySignSumChunk overwrites dst with the sums of a chunk that rank
 // received from peer (the all-gather combine, which carries no scales);
-// the Elias path decodes directly into dst.
-func copySignSumChunk(rank, peer int, dst []int64, data []byte, useElias bool) {
+// the Elias path decodes directly into dst. It returns the wire charge
+// of sending the chunk on unchanged, as sums over workers workers: the
+// Elias bit length the decode reported, or the bit-width-expansion
+// formula. The payload is not recycled: the caller forwards it or puts
+// it back.
+func copySignSumChunk(rank, peer int, dst []int64, data []byte, workers int, useElias bool) int {
 	_, off := parseSignSumScales(rank, peer, data, 0)
 	body := data[off:]
 	if useElias {
-		if err := compress.EliasDecodeIntsInto(body, dst); err != nil {
-			panic(fmt.Sprintf("runtime: rank %d: peer %d: sign-sum elias payload: %v", rank, peer, err))
-		}
-	} else {
-		checkRawSums(rank, peer, body, len(dst))
-		for i := range dst {
-			dst[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
-		}
+		n, err := compress.EliasDecodeIntsLen(body, dst)
+		checkEliasBody(rank, peer, body, n, err)
+		return collective.EliasWireBytes(n)
 	}
-	transport.PutBuffer(data)
+	checkRawSums(rank, peer, body, len(dst))
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	return collective.SignSumSegBytes(workers, dst, false)
 }
 
 // signSumPhase runs one ring phase of the integer-sum schedule for this
@@ -177,26 +192,28 @@ func signSumPhase(rk *rankCtx, next, prev, p, m int, sums []int64, baseCount int
 	// payload bytes.
 	for s := 0; s < m-1; s++ {
 		out := segs[mod(p-s, m)]
-		outVals := sums[out.Lo:out.Hi]
-		outScales := scalesByPos[mod(p-s, m)]
-		wire, hopBits := signSumHopWire((s+1)*baseCount, outVals, useElias)
+		data, wire := encodeSignSumChunk(rk.rank, sums[out.Lo:out.Hi], scalesByPos[mod(p-s, m)], (s+1)*baseCount, useElias)
 		in := segs[mod(p-s-1, m)]
-		data := rk.exchange(next, encodeSignSumChunk(outVals, outScales, useElias, hopBits), wire, prev)
+		data = rk.exchange(next, data, wire, prev)
 		// Every member of a phase contributes as many scales as this rank.
 		scalesByPos[mod(p-1-s, m)] = addSignSumChunk(rk.rank, prev, sums[in.Lo:in.Hi], data, useElias, len(ownScales))
 	}
 
 	// All-gather: position p now owns the consensus of segment
-	// (p+1) mod m; circulate the final segments (no scales left to learn,
-	// but the constant still rides each payload in the wire accounting).
+	// (p+1) mod m and circulates the final segments (no scales left to
+	// learn, but the constant still rides each payload in the wire
+	// accounting). Only the first hop encodes: the segment due out at
+	// hop s ≥ 1, (p+1−s) mod m, is the one received at hop s−1, so that
+	// frame goes on as it came, charged as the sequential engine charges
+	// the segment. Only the last frame is recycled.
+	out := segs[mod(p+1, m)]
+	data, wire := encodeSignSumChunk(rk.rank, sums[out.Lo:out.Hi], nil, m*baseCount, useElias)
 	for s := 0; s < m-1; s++ {
-		out := segs[mod(p+1-s, m)]
-		outVals := sums[out.Lo:out.Hi]
-		wire, hopBits := signSumHopWire(m*baseCount, outVals, useElias)
 		in := segs[mod(p-s, m)]
-		data := rk.exchange(next, encodeSignSumChunk(outVals, nil, useElias, hopBits), wire, prev)
-		copySignSumChunk(rk.rank, prev, sums[in.Lo:in.Hi], data, useElias)
+		data = rk.exchange(next, data, wire, prev)
+		wire = copySignSumChunk(rk.rank, prev, sums[in.Lo:in.Hi], data, m*baseCount, useElias)
 	}
+	transport.PutBuffer(data)
 	return scalesByPos
 }
 

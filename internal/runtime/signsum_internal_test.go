@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"marsit/internal/collective"
 	"marsit/internal/compress"
 	"marsit/internal/rng"
 	"marsit/internal/tensor"
@@ -117,8 +118,62 @@ func FuzzSignSumChunkRobust(f *testing.F) {
 				})
 			}
 			try(fmt.Sprintf("copy elias=%v", useElias), func(dst []int64, frame []byte) {
-				copySignSumChunk(rank, peer, dst, frame, useElias)
+				copySignSumChunk(rank, peer, dst, frame, 4, useElias)
 			})
 		}
 	})
+}
+
+// mustPanicWith runs f and demands a panic whose message contains every
+// one of parts.
+func mustPanicWith(t *testing.T, name string, f func(), parts ...string) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg, _ := recover().(string)
+		for _, p := range parts {
+			if !strings.Contains(msg, p) {
+				t.Fatalf("%s: panic %q, want it to contain %q", name, msg, p)
+			}
+		}
+	}()
+	f()
+}
+
+// TestSignSumEliasTrailingByte pins the length check that makes
+// forwarding charge-exact: an Elias body one byte longer than its codes
+// occupy is rejected by name on both decode paths, before the frame can
+// be forwarded or recycled, while the exact frame decodes.
+func TestSignSumEliasTrailingByte(t *testing.T) {
+	vals := []int64{1, -1, 3, 0, -2, 4, 1, -3, 2, 2, -4}
+	enc, n := compress.EliasEncodeInts(vals)
+	if wire := copySignSumChunk(2, 1, make([]int64, len(vals)), signSumFrame(0, nil, enc), 4, true); wire != collective.EliasWireBytes(n) {
+		t.Fatalf("exact frame of %d bits charged %d bytes to forward", n, wire)
+	}
+	long := append(enc[:len(enc):len(enc)], 0)
+	mustPanicWith(t, "copy", func() {
+		copySignSumChunk(2, 1, make([]int64, len(vals)), signSumFrame(0, nil, long), 4, true)
+	}, "rank 2", "peer 1", "sign-sum elias payload", fmt.Sprintf("%d bytes", len(long)))
+	mustPanicWith(t, "add", func() {
+		addSignSumChunk(2, 1, make([]int64, len(vals)), signSumFrame(1, []float64{0.5}, long), true, 1)
+	}, "rank 2", "peer 1", "sign-sum elias payload", fmt.Sprintf("%d bytes", len(long)))
+}
+
+// TestSignSumEncodeBound checks the encoder's self-sizing: a chunk within
+// the worker bound is charged what the encoder counted and trimmed to
+// whole bytes, and sums past the bound panic by name instead of leaving
+// the pooled buffer (and its header) behind.
+func TestSignSumEncodeBound(t *testing.T) {
+	vals := []int64{4, -4, 0, 2, -3, 1, 4, 4, -4}
+	data, wire := encodeSignSumChunk(0, vals, []float64{1.5}, 4, true)
+	enc, n := compress.EliasEncodeInts(vals)
+	if want := signSumFrame(1, []float64{1.5}, enc); string(data) != string(want) {
+		t.Fatalf("frame %x, want %x", data, want)
+	}
+	if wire != collective.EliasWireBytes(n) {
+		t.Fatalf("charged %d bytes for %d bits", wire, n)
+	}
+	mustPanicWith(t, "past the bound", func() {
+		encodeSignSumChunk(3, []int64{9, 9, 9, 9, 9, 9, 9, 9}, nil, 4, true)
+	}, "rank 3", "sign-sum elias payload", "4-worker bound")
 }

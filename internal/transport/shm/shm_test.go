@@ -246,7 +246,7 @@ func TestOversizedFrameFailsLoudly(t *testing.T) {
 // fails assembly loudly instead of silently splicing two fleets.
 func TestStaleRingFileRejected(t *testing.T) {
 	dir := t.TempDir()
-	f, err := New(Config{Dir: dir, Ranks: 2, LocalRanks: []int{0}, Group: []int{0, 1}, DialTimeout: time.Second})
+	f, err := New(Config{Dir: dir, Ranks: 2, LocalRanks: []int{0}, Group: []int{0, 1}, DialTimeout: 100 * time.Millisecond})
 	if err == nil {
 		// Rank 0 created ring-0-1 but times out waiting for ring-1-0.
 		f.Close()
@@ -256,7 +256,7 @@ func TestStaleRingFileRejected(t *testing.T) {
 		t.Fatalf("lone rank: %v, want rendezvous timeout", err)
 	}
 	// ring-0-1 is now stale in dir; a rerun must refuse it.
-	_, err = New(Config{Dir: dir, Ranks: 2, LocalRanks: []int{0}, Group: []int{0, 1}, DialTimeout: time.Second})
+	_, err = New(Config{Dir: dir, Ranks: 2, LocalRanks: []int{0}, Group: []int{0, 1}, DialTimeout: 100 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "stale ring file") {
 		t.Fatalf("stale dir reuse: %v, want stale-ring error", err)
 	}
