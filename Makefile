@@ -206,7 +206,12 @@ no-shims:
 # would be a frame no trace shows or a span no timer bounds. Its second
 # rule keeps transport.Retry the one rendezvous wait of the wire
 # fabrics: outside the shm data path's waiter.wait and Close's drain, a
-# time.Sleep in non-test tcp or shm code is a fixed poll.
+# time.Sleep in non-test tcp or shm code is a fixed poll. Its third rule
+# keeps one ring/torus schedule per payload and engine: in non-test
+# internal/core, runtime and collective code (registry and equivtest
+# aside), an `if … Torus != nil {`, a `case … tor != nil:` or an
+# `if cols == 1 {` is a second schedule beside the one that takes a nil
+# torus as the flat ring.
 single-path:
 	@out="$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[ \t]*\/\// { next } \
 		/\.(Send|Recv)\(/ && fn !~ /^func \(r \*rankCtx\) (post|take)\(/ { print FILENAME ":" FNR ": " $$0 } \
@@ -225,6 +230,13 @@ single-path:
 		echo "single-path: a fixed sleep in the tcp or shm fabric outside shm's waiter.wait and drain (wait through transport.Retry):"; echo "$$out"; exit 1; \
 	fi
 	@echo "single-path: every rendezvous wait goes through transport.Retry"
+	@out="$$(awk '/^[ \t]*\/\// { next } \
+		/(Torus|tor) != nil( \{|:)$$|cols == 1 \{/ { print FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/core/*.go internal/runtime/*.go internal/collective/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$out" ]; then \
+		echo "single-path: a ring/torus fork above a schedule (pass the torus, nil for the ring):"; echo "$$out"; exit 1; \
+	fi
+	@echo "single-path: each payload has one ring/torus schedule per engine, a nil torus the ring"
 
 # deadcode links every program with inlining off and the linker's
 # reachability graph dumped, and lists the non-test functions under

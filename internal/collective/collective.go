@@ -119,91 +119,13 @@ func checkShape(c *netsim.Cluster, vecs []tensor.Vec) int {
 }
 
 // ---------------------------------------------------------------------------
-// Full-precision ring all-reduce
+// Full-precision ring and 2D-torus all-reduce
 
-// RingAllReduce performs full-precision ring all-reduce over all
-// workers: a reduce-scatter pass (M−1 steps) followed by an all-gather
-// pass (M−1 steps). On return every vector holds the element-wise mean.
-func RingAllReduce(c *netsim.Cluster, vecs []tensor.Vec) {
-	checkShape(c, vecs)
-	groups := [][]int{topology.AllRanks(c.Size())}
-	ringAllReduceGroups(c, vecs, groups, float32WireBytes)
-	scaleAll(vecs, 1/float64(c.Size()))
-	c.Barrier()
-}
-
-func scaleAll(vecs []tensor.Vec, alpha float64) {
-	for _, v := range vecs {
-		tensor.Scale(v, alpha)
-	}
-}
-
-// ringAllReduceGroups runs the classic ring all-reduce *sum* within each
-// group simultaneously (groups must be disjoint). Vectors end holding
-// the group-wise sum. elemBytes sets the wire width per element.
-func ringAllReduceGroups(c *netsim.Cluster, vecs []tensor.Vec, groups [][]int, elemBytes int) {
-	d := len(vecs[0])
-	for _, g := range groups {
-		if len(g) < 2 {
-			continue
-		}
-		reduceScatterGather(c, vecs, g, d, elemBytes)
-	}
-}
-
-// reduceScatterGather implements sum-all-reduce within the ranks of
-// group (a logical ring in the given order).
-func reduceScatterGather(c *netsim.Cluster, vecs []tensor.Vec, group []int, d, elemBytes int) {
-	m := len(group)
-	segs := tensor.Partition(d, m)
-	pos := func(i int) int { return ((i % m) + m) % m }
-
-	// Reduce-scatter: at step s, ring position p sends segment (p−s) mod m
-	// downstream and accumulates the segment (p−s−1) mod m it receives.
-	for s := 0; s < m-1; s++ {
-		msgs := make([]netsim.Message, 0, m)
-		// Snapshot outgoing segments before mutation.
-		outgoing := make([]tensor.Vec, m)
-		for p := 0; p < m; p++ {
-			seg := segs[pos(p-s)]
-			outgoing[p] = tensor.Clone(seg.Of(vecs[group[p]]))
-			msgs = append(msgs, netsim.Message{
-				From:  group[p],
-				To:    group[pos(p+1)],
-				Bytes: seg.Len() * elemBytes,
-			})
-		}
-		c.Exchange(msgs)
-		for p := 0; p < m; p++ {
-			recvSeg := segs[pos(p-s-1)]
-			tensor.Add(recvSeg.Of(vecs[group[p]]), outgoing[pos(p-1)])
-		}
-	}
-
-	// All-gather: at step s, position p sends its freshest segment
-	// (p+1−s) mod m; the receiver overwrites.
-	for s := 0; s < m-1; s++ {
-		msgs := make([]netsim.Message, 0, m)
-		outgoing := make([]tensor.Vec, m)
-		for p := 0; p < m; p++ {
-			seg := segs[pos(p+1-s)]
-			outgoing[p] = tensor.Clone(seg.Of(vecs[group[p]]))
-			msgs = append(msgs, netsim.Message{
-				From:  group[p],
-				To:    group[pos(p+1)],
-				Bytes: seg.Len() * elemBytes,
-			})
-		}
-		c.Exchange(msgs)
-		for p := 0; p < m; p++ {
-			seg := segs[pos(p-s)]
-			copy(seg.Of(vecs[group[p]]), outgoing[pos(p-1)])
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Full-precision 2D-torus all-reduce
+// RingAllReduce performs full-precision ring all-reduce (RAR) over all
+// workers: the 1×M case of TorusAllReduce, whose row reduce-scatter and
+// all-gather (M−1 steps each) are then the ring's two passes. On return
+// every vector holds the element-wise mean.
+func RingAllReduce(c *netsim.Cluster, vecs []tensor.Vec) { TorusAllReduce(c, nil, vecs) }
 
 // TorusAllReduce performs full-precision 2D-torus all-reduce (TAR) in
 // the bandwidth-optimal hierarchical form (Mikami et al.):
@@ -216,128 +138,87 @@ func reduceScatterGather(c *netsim.Cluster, vecs []tensor.Vec, group []int, d, e
 //
 // Total bytes match flat RAR (~2D per worker) but the step count drops
 // from 2(M−1) to 2(cols−1)+2(rows−1), which is why TAR communicates
-// faster (Figure 5). On return every vector holds the element-wise
-// mean. The torus size must equal the cluster size.
+// faster (Figure 5). A nil tor is the flat ring, the 1×M torus, whose
+// column phase is empty; an M×1 torus's column ring is the ring too. On
+// return every vector holds the element-wise mean. The torus size must
+// equal the cluster size.
 func TorusAllReduce(c *netsim.Cluster, tor *topology.Torus, vecs []tensor.Vec) {
 	d := checkShape(c, vecs)
+	if tor == nil {
+		tor = topology.NewTorus(1, c.Size())
+	}
 	if tor.Size() != c.Size() {
 		panic("collective: torus size mismatch")
 	}
-	rows, cols := tor.Rows(), tor.Cols()
-	if cols == 1 {
-		ringAllReduceGroups(c, vecs, tor.ColGroups(), float32WireBytes)
-		scaleAll(vecs, 1/float64(c.Size()))
-		c.Barrier()
-		return
-	}
+	cols, whole := tor.Cols(), tensor.Segment{Hi: d}
 	rowSegs := tensor.Partition(d, cols)
-	pos := func(i, m int) int { return ((i % m) + m) % m }
-
-	// Phase 1: row reduce-scatter.
-	for s := 0; s < cols-1; s++ {
-		var msgs []netsim.Message
-		type pend struct {
-			dst, src int
-			seg      tensor.Segment
-			vals     tensor.Vec
-		}
-		var pends []pend
-		for r := 0; r < rows; r++ {
-			for p := 0; p < cols; p++ {
-				self := tor.Rank(r, p)
-				next := tor.Rank(r, p+1)
-				seg := rowSegs[pos(p-s, cols)]
-				msgs = append(msgs, netsim.Message{From: self, To: next, Bytes: seg.Len() * float32WireBytes})
-				recvSeg := rowSegs[pos(p-s, cols)]
-				pends = append(pends, pend{dst: next, src: self, seg: recvSeg,
-					vals: tensor.Clone(recvSeg.Of(vecs[self]))})
-			}
-		}
-		c.Exchange(msgs)
-		for _, pd := range pends {
-			tensor.Add(pd.seg.Of(vecs[pd.dst]), pd.vals)
-		}
+	rowGroups := tor.RowGroups()
+	for _, g := range rowGroups {
+		ringPass(c, g, viewsOf(vecs, g, whole), rowSegs, false)
 	}
-	// Worker (r, p) now owns row segment (p+1) mod cols.
-	owned := func(p int) tensor.Segment { return rowSegs[pos(p+1, cols)] }
-
-	// Phase 2: column all-reduce on the owned segment (itself a ring
-	// reduce-scatter + all-gather over rows sub-segments).
-	if rows > 1 {
-		for p := 0; p < cols; p++ {
-			seg := owned(p)
-			sub := tensor.Partition(seg.Len(), rows)
-			// Views into each column member's owned slice.
-			colRanks := make([]int, rows)
-			views := make([]tensor.Vec, rows)
-			for r := 0; r < rows; r++ {
-				colRanks[r] = tor.Rank(r, p)
-				views[r] = seg.Of(vecs[colRanks[r]])
-			}
-			columnRingSum(c, colRanks, views, sub)
-		}
+	// Worker (r, p) now owns row segment (p+1) mod cols; the column ring
+	// sums it, after which every member of column p holds the global sum
+	// of that segment.
+	for p, g := range tor.ColGroups() {
+		ringSum(c, g, viewsOf(vecs, g, rowSegs[(p+1)%cols]))
 	}
-
-	// All members of a column now share the same globally summed owned
-	// segment. Phase 3: row all-gather.
-	for s := 0; s < cols-1; s++ {
-		var msgs []netsim.Message
-		type pend struct {
-			dst  int
-			seg  tensor.Segment
-			vals tensor.Vec
-		}
-		var pends []pend
-		for r := 0; r < rows; r++ {
-			for p := 0; p < cols; p++ {
-				self := tor.Rank(r, p)
-				next := tor.Rank(r, p+1)
-				seg := rowSegs[pos(p+1-s, cols)]
-				msgs = append(msgs, netsim.Message{From: self, To: next, Bytes: seg.Len() * float32WireBytes})
-				pends = append(pends, pend{dst: next, seg: seg, vals: tensor.Clone(seg.Of(vecs[self]))})
-			}
-		}
-		c.Exchange(msgs)
-		for _, pd := range pends {
-			copy(pd.seg.Of(vecs[pd.dst]), pd.vals)
-		}
+	for _, g := range rowGroups {
+		ringPass(c, g, viewsOf(vecs, g, whole), rowSegs, true)
 	}
-	scaleAll(vecs, 1/float64(c.Size()))
+	for _, v := range vecs {
+		tensor.Scale(v, 1/float64(c.Size()))
+	}
 	c.Barrier()
 }
 
-// columnRingSum runs ring all-reduce (sum) over the views (one slice
-// per rank in ranks), partitioned into sub. Afterwards every view
-// holds the sum.
-func columnRingSum(c *netsim.Cluster, ranks []int, views []tensor.Vec, sub []tensor.Segment) {
+// viewsOf returns seg of each listed worker's vector, in list order.
+func viewsOf(vecs []tensor.Vec, ranks []int, seg tensor.Segment) []tensor.Vec {
+	views := make([]tensor.Vec, len(ranks))
+	for i, w := range ranks {
+		views[i] = seg.Of(vecs[w])
+	}
+	return views
+}
+
+// ringSum runs ring all-reduce (sum) over views, one slice per rank of
+// ranks in ring order: a reduce-scatter and an all-gather pass over the
+// views' partition into len(ranks) segments. Afterwards every view holds
+// the sum.
+func ringSum(c *netsim.Cluster, ranks []int, views []tensor.Vec) {
+	segs := tensor.Partition(len(views[0]), len(ranks))
+	ringPass(c, ranks, views, segs, false)
+	ringPass(c, ranks, views, segs, true)
+}
+
+// ringPass runs the m−1 steps of one pass of ring all-reduce over one
+// ring group: ring position p holds views[p] of worker ranks[p]. At step
+// s of the reduce-scatter, p sends segment (p−s) mod m downstream and the
+// receiver adds it; at step s of the all-gather, p sends its freshest
+// segment (p+1−s) mod m and the receiver overwrites. Every outgoing
+// segment is snapshotted before any receiver mutates.
+func ringPass(c *netsim.Cluster, ranks []int, views []tensor.Vec, segs []tensor.Segment, gather bool) {
 	m := len(ranks)
 	pos := func(i int) int { return ((i % m) + m) % m }
-	for s := 0; s < m-1; s++ {
-		msgs := make([]netsim.Message, 0, m)
-		outgoing := make([]tensor.Vec, m)
-		for p := 0; p < m; p++ {
-			seg := sub[pos(p-s)]
-			outgoing[p] = tensor.Clone(seg.Of(views[p]))
-			msgs = append(msgs, netsim.Message{From: ranks[p], To: ranks[pos(p+1)], Bytes: seg.Len() * float32WireBytes})
-		}
-		c.Exchange(msgs)
-		for p := 0; p < m; p++ {
-			seg := sub[pos(p-s-1)]
-			tensor.Add(seg.Of(views[p]), outgoing[pos(p-1)])
-		}
+	shift := 0
+	if gather {
+		shift = 1
 	}
 	for s := 0; s < m-1; s++ {
 		msgs := make([]netsim.Message, 0, m)
 		outgoing := make([]tensor.Vec, m)
 		for p := 0; p < m; p++ {
-			seg := sub[pos(p+1-s)]
+			seg := segs[pos(p+shift-s)]
 			outgoing[p] = tensor.Clone(seg.Of(views[p]))
 			msgs = append(msgs, netsim.Message{From: ranks[p], To: ranks[pos(p+1)], Bytes: seg.Len() * float32WireBytes})
 		}
 		c.Exchange(msgs)
 		for p := 0; p < m; p++ {
-			seg := sub[pos(p-s)]
-			copy(seg.Of(views[p]), outgoing[pos(p-1)])
+			dst := segs[pos(p+shift-s-1)].Of(views[p])
+			if gather {
+				copy(dst, outgoing[pos(p-1)])
+			} else {
+				tensor.Add(dst, outgoing[pos(p-1)])
+			}
 		}
 	}
 }
@@ -718,43 +599,15 @@ func CascadingRing(c *netsim.Cluster, vecs []tensor.Vec, rs []*rng.PCG) {
 // Bit-width-expansion SSDM under RAR ("SSDM (Overflow)", Section 3.1)
 
 // SignSumRing circulates per-coordinate integer sign sums around the
-// full ring (reduce-scatter + all-gather). signs[w] must hold ±1 per
-// coordinate; scales[w] is the worker's scaling constant (ℓ2 norm for
-// SSDM, ℓ1/D for signSGD), whose sum rides along each payload. The
-// payload width grows with the number of aggregated workers — the
-// "bit-length expansion" of Section 3.1 — up to ⌈log2 m⌉+1 bits per
-// element, or the exact Elias-gamma size when useElias is set.
-// It returns the consensus sums and the total scale.
+// full ring (reduce-scatter + all-gather): SignSumTorus over the 1×M
+// torus. signs[w] must hold ±1 per coordinate; scales[w] is the worker's
+// scaling constant (ℓ2 norm for SSDM, ℓ1/D for signSGD), whose sum rides
+// along each payload. The payload width grows with the number of
+// aggregated workers — the "bit-length expansion" of Section 3.1 — up to
+// ⌈log2 m⌉+1 bits per element, or the exact Elias-gamma size when
+// useElias is set. It returns the consensus sums and the total scale.
 func SignSumRing(c *netsim.Cluster, signs [][]float64, scales []float64, useElias bool) ([]int64, float64) {
-	n := c.Size()
-	if len(signs) != n || len(scales) != n {
-		panic("collective: SignSumRing needs one sign vector and scale per worker")
-	}
-	d := len(signs[0])
-	sums := make([][]int64, n)
-	for w := 0; w < n; w++ {
-		if len(signs[w]) != d {
-			panic("collective: SignSumRing dim mismatch")
-		}
-		s := make([]int64, d)
-		for i, sg := range signs[w] {
-			if sg >= 0 {
-				s[i] = 1
-			} else {
-				s[i] = -1
-			}
-		}
-		sums[w] = s
-	}
-	totalScale := 0.0
-	for _, sc := range scales {
-		totalScale += sc
-	}
-	if n == 1 {
-		return sums[0], totalScale
-	}
-	final := signSumGroups(c, sums, [][]int{topology.AllRanks(n)}, 1, useElias)
-	return final, totalScale
+	return SignSumTorus(c, nil, signs, scales, useElias)
 }
 
 // signSumGroups runs the integer-sum ring schedule within each disjoint
@@ -819,10 +672,15 @@ func signSumGroups(c *netsim.Cluster, sums [][]int64, groups [][]int, baseCount 
 	return sums[0]
 }
 
-// SignSumTorus is SignSumRing over a 2D torus: row rings first, then
-// column rings with accordingly wider payloads.
+// SignSumTorus is the sign-sum schedule over a 2D torus: row rings
+// first, then column rings with accordingly wider payloads. A nil tor is
+// the flat ring, the 1×M torus, whose columns are single workers; an M×1
+// torus's one column is the ring too.
 func SignSumTorus(c *netsim.Cluster, tor *topology.Torus, signs [][]float64, scales []float64, useElias bool) ([]int64, float64) {
 	n := c.Size()
+	if tor == nil {
+		tor = topology.NewTorus(1, n)
+	}
 	if tor.Size() != n {
 		panic("collective: torus size mismatch")
 	}
@@ -832,6 +690,9 @@ func SignSumTorus(c *netsim.Cluster, tor *topology.Torus, signs [][]float64, sca
 	d := len(signs[0])
 	sums := make([][]int64, n)
 	for w := 0; w < n; w++ {
+		if len(signs[w]) != d {
+			panic("collective: SignSumTorus dim mismatch")
+		}
 		s := make([]int64, d)
 		for i, sg := range signs[w] {
 			if sg >= 0 {
@@ -845,9 +706,6 @@ func SignSumTorus(c *netsim.Cluster, tor *topology.Torus, signs [][]float64, sca
 	totalScale := 0.0
 	for _, sc := range scales {
 		totalScale += sc
-	}
-	if n == 1 {
-		return sums[0], totalScale
 	}
 	signSumGroups(c, sums, tor.RowGroups(), 1, useElias)
 	final := signSumGroups(c, sums, tor.ColGroups(), tor.Cols(), useElias)

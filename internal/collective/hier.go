@@ -33,14 +33,16 @@ func HierarchicalAllReduce(c *netsim.Cluster, tor *topology.Torus, vecs []tensor
 
 	// Phase 1: intra-host sum. Every rank of a host ends with the host
 	// sum (a size-1 host is skipped).
-	ringAllReduceGroups(c, vecs, tor.RowGroups(), float32WireBytes)
+	for _, g := range tor.RowGroups() {
+		ringSum(c, g, viewsOf(vecs, g, tensor.Segment{Hi: d}))
+	}
 
 	// Phase 2: delegate ring over local rank 0 of every host.
 	delegates := make([]int, hosts)
 	for h := 0; h < hosts; h++ {
 		delegates[h] = tor.Rank(h, 0)
 	}
-	ringAllReduceGroups(c, vecs, [][]int{delegates}, float32WireBytes)
+	ringSum(c, delegates, viewsOf(vecs, delegates, tensor.Segment{Hi: d}))
 
 	// Delegates hold the global sum; scale to the mean before fan-out.
 	for h := 0; h < hosts; h++ {

@@ -378,11 +378,7 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) registry.Upda
 		for w, r := range m.ranks {
 			u[w] = r.begin(c, grads[w])
 		}
-		if m.cfg.Torus != nil {
-			collective.TorusAllReduce(c, m.cfg.Torus, u)
-		} else {
-			collective.RingAllReduce(c, u)
-		}
+		collective.TorusAllReduce(c, m.cfg.Torus, u)
 		for _, r := range m.ranks {
 			r.endFull()
 		}

@@ -170,11 +170,7 @@ func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Ve
 	}
 	if u := r.begin(c, grad); u != nil {
 		// Full-precision all-reduce (RAR or TAR) of u.
-		if r.cfg.Torus != nil {
-			runtime.TorusAllReduceRank(c, ep, r.cfg.Torus, u)
-		} else {
-			runtime.RingAllReduceRank(c, ep, u)
-		}
+		runtime.TorusAllReduceRank(c, ep, r.cfg.Torus, u)
 		r.endFull()
 		runtime.ClockBarrier(c, ep)
 		return registry.Update{Vec: u}

@@ -40,30 +40,22 @@ func ringAllGather(rk *rankCtx, next, prev, p, m int, vec tensor.Vec, segs []ten
 // 2D-torus all-reduce (the hierarchical TAR of collective.TorusAllReduce):
 // ring reduce-scatter along the rank's row, ring all-reduce along its
 // column restricted to the owned segment, ring all-gather along the row,
-// then the 1/M scaling. vec holds the element-wise mean on return. The
-// caller owns the closing barrier (ClockBarrier).
+// then the 1/M scaling. A nil tor is the flat ring (RAR), the 1×M torus
+// with no column phase; on an M×1 torus the column ring is the ring. vec
+// holds the element-wise mean on return. The caller owns the closing
+// barrier (ClockBarrier).
 func TorusAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, vec tensor.Vec) {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
+	if tor == nil {
+		tor = topology.NewTorus(1, n)
+	}
 	if tor.Size() != n {
 		panic("runtime: torus size mismatch")
 	}
 	rows, cols := tor.Rows(), tor.Cols()
 	rk := newRankCtx(c, ep, rank)
 	r, p := tor.Coord(rank)
-
-	if cols == 1 {
-		// Degenerate torus: a single column ring over the full vector.
-		if rows >= 2 {
-			segs := tensor.Partition(len(vec), rows)
-			next, prev := tor.Rank(r+1, 0), tor.Rank(r-1, 0)
-			ringReduceScatter(rk, next, prev, r, rows, vec, segs)
-			ringAllGather(rk, next, prev, r, rows, vec, segs)
-		}
-		tensor.Scale(vec, 1/float64(n))
-		rk.finish()
-		return
-	}
 
 	rowSegs := tensor.Partition(len(vec), cols)
 	rowNext, rowPrev := tor.Rank(r, p+1), tor.Rank(r, p-1)

@@ -11,6 +11,8 @@ import (
 	"marsit/internal/obs"
 	"marsit/internal/runtime"
 	"marsit/internal/runtime/equivtest"
+	"marsit/internal/tensor"
+	"marsit/internal/topology"
 
 	// Populate the collective registry: internal/runtime registers the
 	// ported ring/torus/PS collectives via its own init, and
@@ -175,6 +177,87 @@ func TestSSDMSeqMatchesOverflowRing(t *testing.T) {
 								t.Fatalf("round %d worker %d: clock %v phases %v, oracle %v %v",
 									r, w, got.Clock(w), gb, want.Clock(w), wb)
 							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRingIsDegenerateTorus pins the convention every ring/torus
+// schedule rests on: the flat ring is the 1×M torus, whose column phase
+// is empty, and equally the M×1 torus, whose one column ring is the
+// ring. For each payload — full precision (rar against tar), the sign
+// sums raw and Elias-coded, and Marsit at K = 3 over three rounds, so
+// the one-bit rounds run too — the ring and each degenerate torus must
+// agree bit for bit on both engines: results, per-rank wire bytes,
+// clocks and phase breakdowns.
+func TestRingIsDegenerateTorus(t *testing.T) {
+	const workers, dim, rounds, seed = 4, 37, 3, 0x7a5
+	run := func(c *netsim.Cluster, step func(c *netsim.Cluster, vecs []tensor.Vec) []tensor.Vec) []tensor.Vec {
+		var outs []tensor.Vec
+		for r := 0; r < rounds; r++ {
+			outs = step(c, equivtest.RoundVecs(seed, r, workers, dim))
+		}
+		return outs
+	}
+	engines := []struct {
+		name string
+		run  func(t *testing.T, desc *registry.Descriptor, o *registry.Opts, c *netsim.Cluster) []tensor.Vec
+	}{
+		{"seq", func(t *testing.T, desc *registry.Descriptor, o *registry.Opts, c *netsim.Cluster) []tensor.Vec {
+			step, err := desc.Seq(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run(c, step)
+		}},
+		{"par", func(t *testing.T, desc *registry.Descriptor, o *registry.Opts, c *netsim.Cluster) []tensor.Vec {
+			eng := runtime.New(workers)
+			defer eng.Close()
+			cl, err := eng.Open(desc, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return run(c, cl.Run)
+		}},
+	}
+	for _, pair := range []struct {
+		name, ring, torus string
+		elias             bool
+	}{
+		{"rar-tar", "rar", "tar", false},
+		{"signsum", "signsum", "signsum", false},
+		{"signsum-elias", "signsum", "signsum", true},
+		{"marsit-k3", "marsit", "marsit", false},
+	} {
+		opts := func(tor *topology.Torus) *registry.Opts {
+			return &registry.Opts{Workers: workers, Dim: dim, Torus: tor, Elias: pair.elias,
+				Seed: seed, K: 3, GlobalLR: 0.01}
+		}
+		ringDesc, err := registry.Get(pair.ring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torusDesc, err := registry.Get(pair.torus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tor := range []*topology.Torus{topology.NewTorus(1, workers), topology.NewTorus(workers, 1)} {
+			for _, e := range engines {
+				t.Run(fmt.Sprintf("%s/%dx%d/%s", pair.name, tor.Rows(), tor.Cols(), e.name), func(t *testing.T) {
+					ringC := netsim.NewCluster(workers, netsim.DefaultCostModel())
+					torusC := netsim.NewCluster(workers, netsim.DefaultCostModel())
+					want := e.run(t, ringDesc, opts(nil), ringC)
+					got := e.run(t, torusDesc, opts(tor), torusC)
+					equivtest.RequireSameVecs(t, want, got)
+					for w := 0; w < workers; w++ {
+						rb, tb := ringC.PhaseBreakdown(w), torusC.PhaseBreakdown(w)
+						if ringC.BytesSent(w) != torusC.BytesSent(w) ||
+							math.Float64bits(ringC.Clock(w)) != math.Float64bits(torusC.Clock(w)) || rb != tb {
+							t.Fatalf("worker %d: ring %d B, clock %v, phases %v; torus %d B, clock %v, phases %v",
+								w, ringC.BytesSent(w), ringC.Clock(w), rb, torusC.BytesSent(w), torusC.Clock(w), tb)
 						}
 					}
 				})

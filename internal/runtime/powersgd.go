@@ -29,7 +29,7 @@ func powerSGDRingRank(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec,
 	// Step 1: P = M·Q, first all-reduce (mean).
 	p := st.ComputeP(grad)
 	c.AddCompress(rank, d)
-	RingAllReduceRank(c, ep, p)
+	TorusAllReduceRank(c, ep, nil, p)
 	ClockBarrier(c, ep)
 
 	// Step 2: identical orthonormalization everywhere (uncharged, as in
@@ -39,7 +39,7 @@ func powerSGDRingRank(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec,
 	// Step 3: Q' = Mᵀ·P, second (dependent) all-reduce.
 	q := st.ComputeQ(grad, p)
 	c.AddCompress(rank, d)
-	RingAllReduceRank(c, ep, q)
+	TorusAllReduceRank(c, ep, nil, q)
 	ClockBarrier(c, ep)
 
 	// Step 4: warm-start and reconstruct.

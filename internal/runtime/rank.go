@@ -5,7 +5,6 @@ import (
 
 	"marsit/internal/netsim"
 	"marsit/internal/obs"
-	"marsit/internal/tensor"
 	"marsit/internal/transport"
 )
 
@@ -22,25 +21,6 @@ func checkRankCluster(c *netsim.Cluster, ep transport.Endpoint) {
 	if c.Size() != ep.Size() {
 		panic(fmt.Sprintf("runtime: cluster size %d != fabric size %d", c.Size(), ep.Size()))
 	}
-}
-
-// RingAllReduceRank executes one rank's share of the full-precision ring
-// all-reduce: reduce-scatter, all-gather, 1/M scaling and the virtual-
-// time write-back. vec is the rank's local vector and holds the
-// element-wise mean on return. The caller owns the closing barrier
-// (ClockBarrier).
-func RingAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec) {
-	checkRankCluster(c, ep)
-	rank, n := ep.Rank(), ep.Size()
-	rk := newRankCtx(c, ep, rank)
-	if n >= 2 {
-		segs := tensor.Partition(len(vec), n)
-		next, prev := mod(rank+1, n), mod(rank-1, n)
-		ringReduceScatter(rk, next, prev, rank, n, vec, segs)
-		ringAllGather(rk, next, prev, rank, n, vec, segs)
-	}
-	tensor.Scale(vec, 1/float64(n))
-	rk.finish()
 }
 
 // ClockBarrier reproduces netsim.Cluster.Barrier for a distributed rank:

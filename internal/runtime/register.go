@@ -26,19 +26,8 @@ func init() {
 		Summary:  "full-precision ring all-reduce (PSGD baseline)",
 		Topology: registry.Ring,
 		Wire:     "4 B/elem float32",
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
-				collective.RingAllReduce(c, grads)
-				return grads
-			}, nil
-		},
-		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				RingAllReduceRank(c, ep, grad)
-				ClockBarrier(c, ep)
-				return registry.Update{Vec: grad}
-			}, nil
-		},
+		NewSeq:   newAllReduceSeq,
+		NewRank:  newAllReduceRank,
 	})
 
 	registry.Register(registry.Descriptor{
@@ -46,19 +35,8 @@ func init() {
 		Summary:  "full-precision hierarchical 2D-torus all-reduce",
 		Topology: registry.Torus,
 		Wire:     "4 B/elem float32",
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
-				collective.TorusAllReduce(c, o.Torus, grads)
-				return grads
-			}, nil
-		},
-		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
-				TorusAllReduceRank(c, ep, o.Torus, grad)
-				ClockBarrier(c, ep)
-				return registry.Update{Vec: grad}
-			}, nil
-		},
+		NewSeq:   newAllReduceSeq,
+		NewRank:  newAllReduceRank,
 	})
 
 	registry.Register(SignVote(registry.Descriptor{
@@ -267,4 +245,22 @@ func powerRankOrDefault(o *registry.Opts) int {
 		return o.PowerRank
 	}
 	return 2
+}
+
+// newAllReduceSeq and newAllReduceRank are the legs of both
+// full-precision all-reduces: TAR over o.Torus, which for "rar" is nil,
+// the flat ring.
+func newAllReduceSeq(o *registry.Opts) (registry.SeqRunner, error) {
+	return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+		collective.TorusAllReduce(c, o.Torus, grads)
+		return grads
+	}, nil
+}
+
+func newAllReduceRank(o *registry.Opts, rank int) (registry.RankRunner, error) {
+	return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
+		TorusAllReduceRank(c, ep, o.Torus, grad)
+		ClockBarrier(c, ep)
+		return registry.Update{Vec: grad}
+	}, nil
 }

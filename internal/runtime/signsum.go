@@ -24,7 +24,7 @@ import (
 // their segment; every later all-gather hop forwards the frame it
 // received on the hop before, which already carries the segment due out.
 // Results, wire bytes and α–β clocks are bit-identical to
-// collective.SignSumRing / SignSumTorus / OverflowRing.
+// collective.SignSumTorus (SignSumRing its 1×M case) and OverflowRing.
 //
 // A rank's whole state is one []int64 of length D that its caller draws
 // from the shared pool: it enters holding the rank's ±1 votes, every
@@ -217,36 +217,21 @@ func signSumPhase(rk *rankCtx, next, prev, p, m int, sums []int64, baseCount int
 	return scalesByPos
 }
 
-// signSumRingRank executes one rank's share of the sign-sum ring. sums
-// enters holding the rank's ±1 votes and leaves holding the consensus
+// signSumTorusRank executes one rank's share of the sign-sum schedule
+// over tor, or over the flat ring (the 1×M torus) when tor is nil: a
+// row-ring phase first, then a column-ring phase whose payload width
+// starts at the row width — exactly collective.SignSumTorus. sums enters
+// holding the rank's ±1 votes and leaves holding the consensus
 // per-coordinate sums; scale is the rank's scaling constant (ℓ2 norm for
 // SSDM, ℓ1/D for signSGD) and the returned total is its sum over all
-// ranks. Both are identical on every rank and bit-identical to
-// collective.SignSumRing. The caller owns any closing barrier.
-func signSumRingRank(c *netsim.Cluster, ep transport.Endpoint, sums []int64, scale float64, useElias bool) float64 {
-	checkRankCluster(c, ep)
-	rank, n := ep.Rank(), ep.Size()
-	if n == 1 {
-		return scale
-	}
-	rk := newRankCtx(c, ep, rank)
-	scalesByPos := signSumPhase(rk, mod(rank+1, n), mod(rank-1, n), rank, n, sums, 1, useElias, []float64{scale})
-	rk.finish()
-	// Total in rank order 0..n−1: the sequential engine's exact float
-	// summation order.
-	total := 0.0
-	for w := 0; w < n; w++ {
-		total += scalesByPos[w][0]
-	}
-	return total
-}
-
-// signSumTorusRank is signSumRingRank over a 2D torus: a row-ring phase
-// first, then a column-ring phase whose payload width starts at the row
-// width — exactly the hierarchical schedule of collective.SignSumTorus.
+// ranks, in rank order. Both are identical on every rank. The caller
+// owns any closing barrier.
 func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.Torus, sums []int64, scale float64, useElias bool) float64 {
 	checkRankCluster(c, ep)
 	rank, n := ep.Rank(), ep.Size()
+	if tor == nil {
+		tor = topology.NewTorus(1, n)
+	}
 	if tor.Size() != n {
 		panic("runtime: torus size mismatch")
 	}
@@ -270,6 +255,8 @@ func signSumTorusRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.To
 	colScales := signSumPhase(rk, tor.Rank(r+1, p), tor.Rank(r-1, p), r, rows, sums, cols, useElias, myRow)
 	rk.finish()
 
+	// Total in rank order 0..n−1: the sequential engine's exact float
+	// summation order.
 	total := 0.0
 	for w := 0; w < n; w++ {
 		wr, wp := tor.Coord(w)

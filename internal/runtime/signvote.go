@@ -99,8 +99,7 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 				c.AddCompress(w, d)
 			}
 			var update tensor.Vec
-			switch {
-			case ps:
+			if ps {
 				update = tensor.New(d)
 				for w := range signs {
 					for i := range update {
@@ -113,11 +112,8 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 					up[w], down[w] = collective.SignWireBytes(d), collective.DenseWireBytes(d)
 				}
 				collective.HubPushPull(c, up, down)
-			case o.Torus != nil:
+			} else {
 				sums, total := collective.SignSumTorus(c, o.Torus, signs, scales, o.Elias)
-				update = decode(sums, total, n)
-			default:
-				sums, total := collective.SignSumRing(c, signs, scales, o.Elias)
 				update = decode(sums, total, n)
 			}
 			outs := make([]tensor.Vec, n)
@@ -144,12 +140,7 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 			if ps {
 				update.Vec = scaledSignPSRank(c, ep, votes, scale)
 			} else {
-				var total float64
-				if o.Torus != nil {
-					total = signSumTorusRank(c, ep, o.Torus, votes, scale, o.Elias)
-				} else {
-					total = signSumRingRank(c, ep, votes, scale, o.Elias)
-				}
+				total := signSumTorusRank(c, ep, o.Torus, votes, scale, o.Elias)
 				if majority {
 					// Bit for bit MajorityDecode: a clear bit (a negative
 					// sum) is the mean scale with its IEEE sign flipped.

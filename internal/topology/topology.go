@@ -1,23 +1,14 @@
 // Package topology describes the interconnect shapes the paper's
 // synchronization paradigms run over beyond the flat ring: the 2D torus
 // used by 2D-torus all-reduce (TAR) and the binary tree of tree
-// all-reduce. A flat ring over n workers is the one group AllRanks(n).
+// all-reduce. A flat ring over n workers is the 1×n torus, whose one
+// row group is the ring.
 //
 // The collective layer decides the message schedule over these shapes;
 // the netsim layer charges every link the same α–β cost.
 package topology
 
 import "fmt"
-
-// AllRanks returns [0, 1, …, n−1]: the one group of a flat ring over n
-// workers, in ring order.
-func AllRanks(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
 
 // ---------------------------------------------------------------------------
 // 2D torus
