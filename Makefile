@@ -2,7 +2,7 @@
 #
 #   make check             fmt + vet + build + test + collective-listing golden
 #                          + no-shims and single-path guards + dead-code
-#                          golden (what CI runs)
+#                          golden + the portable build (what CI runs)
 #   make race              race-detector pass over the concurrency-bearing
 #                          packages (the lane helper in internal/tensor and
 #                          the range-split optimizer steps included)
@@ -29,7 +29,8 @@
 #                          workload's shape, one trainer round and the
 #                          whole train_marsit job (BenchmarkTrainJob,
 #                          ms/step) and one Collective.Run of marsit,
-#                          rar, cascading and Elias signsum
+#                          rar, tar on a 2×2 torus, cascading and Elias
+#                          signsum
 #                          (BenchmarkCollectiveRun: loopback, M = 4,
 #                          D = 2^16, B/op) once (-benchtime=1x) so they
 #                          are compiled and executed on every change
@@ -53,6 +54,11 @@
 #   make deadcode          golden check: the functions under internal/ that
 #                          no program reaches must match
 #                          tools/deadcode.golden (tools/deadcode.sh)
+#   make portable          the code amd64 never compiles: vet for a
+#                          big-endian target (s390x), a 32-bit (386)
+#                          build, and the bit-vector, compression and
+#                          full-precision equivalence tests under 386,
+#                          which run the portable float codec
 #   make tcp-demo          4-rank multi-process Marsit runs over local TCP,
 #                          a ring and README's 2×2 torus, each verified
 #                          bit-for-bit against the sequential engine
@@ -75,9 +81,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race benchmark ab bench-smoke fuzz-smoke list-collectives no-shims single-path deadcode tcp-demo shm-demo tree-demo trace-demo calib-demo
+.PHONY: check fmt vet build test race benchmark ab bench-smoke fuzz-smoke list-collectives no-shims single-path deadcode portable tcp-demo shm-demo tree-demo trace-demo calib-demo
 
-check: fmt vet build test list-collectives no-shims single-path deadcode
+check: fmt vet build test list-collectives no-shims single-path deadcode portable
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -141,10 +147,10 @@ ab:
 # train_marsit job itself (train's BenchmarkTrainJob: 120 rounds at
 # M = 4 on the lanes GOMAXPROCS allows, reported as ms/step) and of the
 # engine's dispatcher (runtime's BenchmarkCollectiveRun: one
-# Collective.Run of marsit and rar on loopback at M = 4, D = 2^16, with
-# B/op — one shared g_t a one-bit round) exactly once: cheap enough for
-# CI, and it proves the tools for measuring while working still compile
-# and run.
+# Collective.Run of each of its five collectives on loopback at M = 4,
+# D = 2^16, with B/op — one shared g_t a one-bit round) exactly once:
+# cheap enough for CI, and it proves the tools for measuring while
+# working still compile and run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/bitvec ./internal/compress ./internal/rng \
 		./internal/tensor ./internal/nn ./internal/core ./internal/train ./internal/runtime
@@ -246,6 +252,25 @@ single-path:
 # and deleting one must shrink the golden in the same change.
 deadcode:
 	@bash tools/deadcode.sh -check
+
+# portable compiles what amd64 and arm64 never do: the byte-order-
+# explicit float codec (internal/runtime/codec_portable.go) and every
+# int-width assumption a 32-bit int breaks. s390x is big-endian, 386 has
+# a 32-bit int. The 386 tests are a subset on purpose: the whole runtime
+# suite fails there with "shm: mmap ring: cannot allocate memory",
+# because the shared-memory fabric maps n² rings of 4 MiB each and a
+# 32-bit address space does not hold the many fabrics the jittered
+# matrix keeps open at once. The subset keeps the equivalence matrix on
+# all four fabrics (one case at a time), the degenerate-torus and
+# special-value full-precision checks, the frame-forwarding draw count
+# and the sign-frame fuzz seeds.
+PORTABLE_RUNTIME_TESTS := TestRingIsDegenerateTorus|TestCollectiveEquivalence$$|TestRoundCarriesNoHiddenPayload|FuzzSignFrameRobust|TestFullPrecisionSpecialValues|TestRARForwardsFrames
+
+portable:
+	GOARCH=s390x $(GO) vet ./internal/...
+	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/bitvec ./internal/compress
+	GOARCH=386 $(GO) test -run '$(PORTABLE_RUNTIME_TESTS)' ./internal/runtime
 
 # tcp-demo launches one marsit-node process per rank on fixed local
 # ports, for two fleets in turn: the flat ring, then README's 2×2 torus

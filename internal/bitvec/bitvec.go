@@ -492,13 +492,15 @@ func UnmarshalInto(dst *Vec, data []byte) error {
 	if len(data) < 4 {
 		return fmt.Errorf("bitvec: short header (%d bytes)", len(data))
 	}
-	n := int(binary.LittleEndian.Uint32(data))
+	// Checked in uint64: on a 32-bit int a header of 2³¹ bits or more
+	// would turn negative and reach Resize instead of an error.
+	n := uint64(binary.LittleEndian.Uint32(data))
 	payload := data[4:]
-	want := (n + 7) / 8
-	if len(payload) < want {
-		return fmt.Errorf("bitvec: want %d payload bytes, have %d", want, len(payload))
+	if need := (n + 7) / 8; uint64(len(payload)) < need || n > math.MaxInt {
+		return fmt.Errorf("bitvec: want %d payload bytes, have %d", need, len(payload))
 	}
-	dst.Resize(n)
+	want := int((n + 7) / 8)
+	dst.Resize(int(n))
 	full := want >> 3
 	for i := 0; i < full; i++ {
 		dst.words[i] = binary.LittleEndian.Uint64(payload[8*i:])

@@ -100,7 +100,7 @@ func FuzzUnmarshalRobust(f *testing.F) {
 		// UnmarshalSigns, given the length the header claims, accepts and
 		// rejects the same frames, and never one of another length.
 		if len(data) >= 4 {
-			if n := int(binary.LittleEndian.Uint32(data)); n <= 1<<16 {
+			if n := binary.LittleEndian.Uint32(data); n <= 1<<16 {
 				if errS := UnmarshalSigns(data, make([]float64, n)); (errS == nil) != (err == nil) {
 					t.Fatalf("UnmarshalSigns err %v, Unmarshal err %v", errS, err)
 				}

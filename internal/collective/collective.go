@@ -600,14 +600,14 @@ func CascadingRing(c *netsim.Cluster, vecs []tensor.Vec, rs []*rng.PCG) {
 
 // SignSumRing circulates per-coordinate integer sign sums around the
 // full ring (reduce-scatter + all-gather): SignSumTorus over the 1×M
-// torus. signs[w] must hold ±1 per coordinate; scales[w] is the worker's
-// scaling constant (ℓ2 norm for SSDM, ℓ1/D for signSGD), whose sum rides
-// along each payload. The payload width grows with the number of
+// torus. votes[w] must hold ±1 per coordinate and is overwritten with
+// the sums; scales[w] is the worker's scaling constant (ℓ2 norm for
+// SSDM, ℓ1/D for signSGD), whose sum rides along each payload. The payload width grows with the number of
 // aggregated workers — the "bit-length expansion" of Section 3.1 — up to
 // ⌈log2 m⌉+1 bits per element, or the exact Elias-gamma size when
 // useElias is set. It returns the consensus sums and the total scale.
-func SignSumRing(c *netsim.Cluster, signs [][]float64, scales []float64, useElias bool) ([]int64, float64) {
-	return SignSumTorus(c, nil, signs, scales, useElias)
+func SignSumRing(c *netsim.Cluster, votes [][]int64, scales []float64, useElias bool) ([]int64, float64) {
+	return SignSumTorus(c, nil, votes, scales, useElias)
 }
 
 // signSumGroups runs the integer-sum ring schedule within each disjoint
@@ -675,8 +675,10 @@ func signSumGroups(c *netsim.Cluster, sums [][]int64, groups [][]int, baseCount 
 // SignSumTorus is the sign-sum schedule over a 2D torus: row rings
 // first, then column rings with accordingly wider payloads. A nil tor is
 // the flat ring, the 1×M torus, whose columns are single workers; an M×1
-// torus's one column is the ring too.
-func SignSumTorus(c *netsim.Cluster, tor *topology.Torus, signs [][]float64, scales []float64, useElias bool) ([]int64, float64) {
+// torus's one column is the ring too. votes[w] holds worker w's ±1 vote
+// per coordinate and is where its sums accumulate, so the schedule
+// overwrites it; the returned consensus sums alias one of them.
+func SignSumTorus(c *netsim.Cluster, tor *topology.Torus, votes [][]int64, scales []float64, useElias bool) ([]int64, float64) {
 	n := c.Size()
 	if tor == nil {
 		tor = topology.NewTorus(1, n)
@@ -684,31 +686,20 @@ func SignSumTorus(c *netsim.Cluster, tor *topology.Torus, signs [][]float64, sca
 	if tor.Size() != n {
 		panic("collective: torus size mismatch")
 	}
-	if len(signs) != n || len(scales) != n {
-		panic("collective: SignSumTorus needs one sign vector and scale per worker")
+	if len(votes) != n || len(scales) != n {
+		panic("collective: SignSumTorus needs one vote vector and scale per worker")
 	}
-	d := len(signs[0])
-	sums := make([][]int64, n)
-	for w := 0; w < n; w++ {
-		if len(signs[w]) != d {
+	for w := range votes {
+		if len(votes[w]) != len(votes[0]) {
 			panic("collective: SignSumTorus dim mismatch")
 		}
-		s := make([]int64, d)
-		for i, sg := range signs[w] {
-			if sg >= 0 {
-				s[i] = 1
-			} else {
-				s[i] = -1
-			}
-		}
-		sums[w] = s
 	}
 	totalScale := 0.0
 	for _, sc := range scales {
 		totalScale += sc
 	}
-	signSumGroups(c, sums, tor.RowGroups(), 1, useElias)
-	final := signSumGroups(c, sums, tor.ColGroups(), tor.Cols(), useElias)
+	signSumGroups(c, votes, tor.RowGroups(), 1, useElias)
+	final := signSumGroups(c, votes, tor.ColGroups(), tor.Cols(), useElias)
 	return final, totalScale
 }
 
@@ -729,13 +720,14 @@ func OverflowRing(c *netsim.Cluster, vecs []tensor.Vec, rs []*rng.PCG, useElias 
 	if n == 1 {
 		return
 	}
-	signs := make([][]float64, n)
+	votes := make([][]int64, n)
 	scales := make([]float64, n)
 	for w := 0; w < n; w++ {
-		signs[w], scales[w] = ssdmCompressSeg(vecs[w], rs[w])
+		votes[w] = make([]int64, d)
+		scales[w] = SSDMVotesInto(votes[w], vecs[w], rs[w])
 		c.AddCompress(w, d)
 	}
-	finalSums, totalNorm := SignSumRing(c, signs, scales, useElias)
+	finalSums, totalNorm := SignSumRing(c, votes, scales, useElias)
 	meanNorm := totalNorm / float64(n)
 	for w := 0; w < n; w++ {
 		for i := 0; i < d; i++ {

@@ -69,12 +69,25 @@ func deterministicSigns(n, d int, positives []int) ([][]float64, []float64) {
 	return signs, scales
 }
 
+// votesOf converts ±1 float signs into the integer votes the sign-sum
+// schedule accumulates in, one fresh vector per worker.
+func votesOf(signs [][]float64) [][]int64 {
+	votes := make([][]int64, len(signs))
+	for w, sg := range signs {
+		votes[w] = make([]int64, len(sg))
+		for i, x := range sg {
+			votes[w][i] = int64(x)
+		}
+	}
+	return votes
+}
+
 func TestSignSumRingExactCounts(t *testing.T) {
 	const n, d = 4, 5
 	positives := []int{0, 1, 2, 3, 4}
 	signs, scales := deterministicSigns(n, d, positives)
 	c := cluster(n)
-	sums, total := SignSumRing(c, signs, scales, false)
+	sums, total := SignSumRing(c, votesOf(signs), scales, false)
 	if total != float64(n) {
 		t.Fatalf("scale sum %v", total)
 	}
@@ -94,9 +107,9 @@ func TestSignSumTorusMatchesRing(t *testing.T) {
 	signs, scales := deterministicSigns(n, d, positives)
 
 	cr := cluster(n)
-	ringSums, ringTotal := SignSumRing(cr, signs, scales, false)
+	ringSums, ringTotal := SignSumRing(cr, votesOf(signs), scales, false)
 	ct := cluster(n)
-	torusSums, torusTotal := SignSumTorus(ct, tor, signs, scales, false)
+	torusSums, torusTotal := SignSumTorus(ct, tor, votesOf(signs), scales, false)
 
 	if ringTotal != torusTotal {
 		t.Fatalf("scale totals differ: %v vs %v", ringTotal, torusTotal)
@@ -111,7 +124,7 @@ func TestSignSumTorusMatchesRing(t *testing.T) {
 func TestSignSumSingleWorker(t *testing.T) {
 	c := cluster(1)
 	signs := [][]float64{{1, -1}}
-	sums, total := SignSumRing(c, signs, []float64{2.5}, false)
+	sums, total := SignSumRing(c, votesOf(signs), []float64{2.5}, false)
 	if sums[0] != 1 || sums[1] != -1 || total != 2.5 {
 		t.Fatalf("singleton: %v %v", sums, total)
 	}
@@ -123,10 +136,10 @@ func TestSignSumSingleWorker(t *testing.T) {
 func TestSignSumValidation(t *testing.T) {
 	c := cluster(2)
 	for _, fn := range []func(){
-		func() { SignSumRing(c, [][]float64{{1}}, []float64{1}, false) },
-		func() { SignSumRing(c, [][]float64{{1}, {1, 2}}, []float64{1, 1}, false) },
+		func() { SignSumRing(c, votesOf([][]float64{{1}}), []float64{1}, false) },
+		func() { SignSumRing(c, votesOf([][]float64{{1}, {1, 2}}), []float64{1, 1}, false) },
 		func() {
-			SignSumTorus(c, topology.NewTorus(1, 3), [][]float64{{1}, {1}}, []float64{1, 1}, false)
+			SignSumTorus(c, topology.NewTorus(1, 3), votesOf([][]float64{{1}, {1}}), []float64{1, 1}, false)
 		},
 	} {
 		func() {
@@ -158,9 +171,9 @@ func TestSignSumEliasBytesSmaller(t *testing.T) {
 		scales[w] = 1
 	}
 	cFixed := cluster(n)
-	SignSumRing(cFixed, signs, scales, false)
+	SignSumRing(cFixed, votesOf(signs), scales, false)
 	cElias := cluster(n)
-	SignSumRing(cElias, signs, scales, true)
+	SignSumRing(cElias, votesOf(signs), scales, true)
 	if cElias.TotalBytes() >= cFixed.TotalBytes() {
 		t.Fatalf("Elias %d B not below fixed %d B", cElias.TotalBytes(), cFixed.TotalBytes())
 	}

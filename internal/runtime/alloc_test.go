@@ -318,6 +318,29 @@ func TestRARSteadyStateAllocs(t *testing.T) {
 	testSteadyStateAllocs(t, "rar", 1<<14)
 }
 
+// TestRARForwardsFrames pins the full-precision ring's frame forwarding:
+// each rank encodes one payload for the reduce-scatter (its own first
+// segment) and one for the all-gather (the segment it owns), and every
+// other hop sends on the frame it received. A round therefore draws
+// exactly 2 buffers per rank from the payload pool at any M; encoding
+// every hop's segment afresh drew 2(M−1).
+func TestRARForwardsFrames(t *testing.T) {
+	for _, workers := range []int{4, 8} {
+		t.Run(fmt.Sprintf("M=%d", workers), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			defer obs.SetActive(reg)()
+			run, done := allocRun(t, "rar", "loopback", workers, 1<<12)
+			defer done()
+			gets := reg.Pool.Gets.Value()
+			run()
+			if gets = reg.Pool.Gets.Value() - gets; gets != int64(2*workers) {
+				t.Fatalf("rar M=%d draws %d payload buffers in a round, want %d (2 per rank): a ring pass re-encodes instead of forwarding",
+					workers, gets, 2*workers)
+			}
+		})
+	}
+}
+
 // TestShmSteadyStateAllocs holds the shared-memory fabric to the same
 // bar as loopback: Send writes straight into the mmap'd ring and Recv
 // copies out into a pooled buffer, so a steady-state round must not

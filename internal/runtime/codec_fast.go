@@ -38,9 +38,23 @@ func addFloats(dst []float64, data []byte) {
 }
 
 func copyFloats(dst []float64, data []byte) {
+	readFloats(dst, data)
+	transport.PutBuffer(data)
+}
+
+func readFloats(dst []float64, data []byte) {
 	checkFloatPayload(len(dst), data)
 	if len(dst) > 0 {
 		copy(dst, unsafe.Slice((*float64)(unsafe.Pointer(&data[0])), len(dst)))
 	}
-	transport.PutBuffer(data)
+}
+
+func addIntoFrame(data []byte, local []float64) {
+	checkFloatPayload(len(local), data)
+	if len(local) > 0 {
+		frame := unsafe.Slice((*float64)(unsafe.Pointer(&data[0])), len(local))
+		for i, x := range local {
+			frame[i] = x + frame[i]
+		}
+	}
 }

@@ -31,9 +31,21 @@ func addFloats(dst []float64, data []byte) {
 }
 
 func copyFloats(dst []float64, data []byte) {
+	readFloats(dst, data)
+	transport.PutBuffer(data)
+}
+
+func readFloats(dst []float64, data []byte) {
 	checkFloatPayload(len(dst), data)
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 	}
-	transport.PutBuffer(data)
+}
+
+func addIntoFrame(data []byte, local []float64) {
+	checkFloatPayload(len(local), data)
+	for i, x := range local {
+		sum := x + math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(sum))
+	}
 }

@@ -146,27 +146,37 @@ func TestRunSeparatesDifferentBits(t *testing.T) {
 
 // BenchmarkCollectiveRun times one Collective.Run on the loopback engine
 // at M = 4, D = 2^16 of the one-bit Marsit ring (K = 0, every round
-// one-bit), the full-precision ring, the cascading SSDM ring and the
-// Elias-coded sign-sum ring. B/op shows what a round allocates: for
-// marsit and signsum one vector per consensus (8·D bytes, shared by every
-// rank), marsit's two segment bit vectors a rank beside it; for cascading
-// only its two segment bit vectors a rank (about 0.06 B/elem a rank),
-// and for rar nothing that grows with D, since each rank's output is its
-// own reduced input.
+// one-bit), the full-precision ring, the full-precision 2×2 torus, the
+// cascading SSDM ring and the Elias-coded sign-sum ring. B/op shows what
+// a round allocates: for marsit and signsum one vector per consensus
+// (8·D bytes, shared by every rank), marsit's two segment bit vectors a
+// rank beside it; for cascading only its two segment bit vectors a rank
+// (about 0.06 B/elem a rank), and for rar and tar nothing that grows
+// with D, since each rank's output is its own reduced input. A rar round
+// draws two payloads a rank from the pool, one per pass, because every
+// later hop forwards the frame it received (TestRARForwardsFrames); a
+// 2×2 tar round draws four, two for the row ring and two for the column.
 func BenchmarkCollectiveRun(b *testing.B) {
 	const workers, dim = 4, 1 << 16
 	for _, tc := range []struct {
-		name  string
-		elias bool
-	}{{"marsit", false}, {"rar", false}, {"cascading", false}, {"signsum", true}} {
+		name, desc string
+		elias      bool
+		tor        *topology.Torus
+	}{
+		{"marsit", "marsit", false, nil},
+		{"rar", "rar", false, nil},
+		{"tar-2x2", "tar", false, topology.NewTorus(2, 2)},
+		{"cascading", "cascading", false, nil},
+		{"signsum", "signsum", true, nil},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			desc, err := registry.Get(tc.name)
+			desc, err := registry.Get(tc.desc)
 			if err != nil {
 				b.Fatal(err)
 			}
 			eng := runtime.New(workers)
 			defer eng.Close()
-			cl, err := eng.Open(desc, &registry.Opts{Dim: dim, Seed: 1, GlobalLR: 0.01, Elias: tc.elias})
+			cl, err := eng.Open(desc, &registry.Opts{Dim: dim, Seed: 1, GlobalLR: 0.01, Elias: tc.elias, Torus: tc.tor})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -180,7 +190,7 @@ func BenchmarkCollectiveRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// rar and cascading write in place; the content is
+				// rar, tar and cascading write in place; the content is
 				// irrelevant to the timing, so the inputs are reused as they
 				// come out.
 				copy(work, grads)

@@ -383,6 +383,14 @@ const floatWireBytes = 4
 // combine) without materializing the decoded vector, copyFloats
 // overwrites dst (the all-gather combine), and both recycle the dead
 // payload into the buffer pool.
+//
+// A ring pass forwards the frame it received instead of re-encoding
+// what it just decoded: addIntoFrame sums the rank's local segment into
+// the payload in place (frame_i = local_i + frame_i, the operand order
+// of addFloats' dst_i += x_i) and readFloats decodes a payload that is
+// sent on afterwards. A forwarded frame is recycled by whoever consumes
+// it last — the rank whose hop ends the pass, through addFloats or
+// copyFloats — never by the rank that forwards it: Send gave it up.
 
 func checkFloatPayload(n int, data []byte) {
 	if len(data) != 8*n {

@@ -265,3 +265,103 @@ func TestRingIsDegenerateTorus(t *testing.T) {
 		}
 	}
 }
+
+// specialValueVecs returns one vector per rank of workers built from
+// per-rank value columns that stress the full-precision arithmetic:
+// signed zeros, infinities (alone, paired and opposed), a NaN on one
+// rank only, denormals, and 1e16, 1, −1e16 at one index on different
+// ranks, whose sum depends on association. There is no column of NaNs
+// on several ranks: which operand's payload an addition of two NaNs
+// keeps is up to the compiler (Go treats float addition as
+// commutative), and under -race even addFloats and tensor.Add keep
+// different ones. Each column is laid out once
+// per rotation of the ranks, so every segment of every ring sees every
+// column with a different rank holding each value.
+func specialValueVecs(workers int) []tensor.Vec {
+	negZero, inf, tiny := math.Copysign(0, -1), math.Inf(1), math.SmallestNonzeroFloat64
+	columns := [][]float64{
+		{0, 0, 0, 0},
+		{negZero, negZero, negZero, negZero},
+		{negZero, 0, negZero, negZero},
+		{inf, 1, 2, 3},
+		{-inf, 1, 2, 3},
+		{inf, -inf, 1, 1},
+		{inf, inf, -2, 0},
+		{math.NaN(), 1, 2, 3},
+		{tiny, tiny, tiny, tiny},
+		{3 * tiny, -tiny, 5 * tiny, negZero},
+		{0x1p-1022, -tiny, 0x1p-1023, tiny},
+		{1e16, 1, -1e16, 0},
+		{1, 1e16, 1, -1e16},
+		{-1e16, 0.5, 1e16, 1},
+	}
+	vecs := make([]tensor.Vec, workers)
+	for w := range vecs {
+		for rot := 0; rot < workers; rot++ {
+			for _, col := range columns {
+				vecs[w] = append(vecs[w], col[(w+rot)%len(col)])
+			}
+		}
+	}
+	return vecs
+}
+
+// TestFullPrecisionSpecialValues holds rar and tar to the sequential
+// engine bit for bit on values where an extra, missing or reordered
+// float operation shows: the per-rank legs forward partial sums in the
+// frames they received and scale each segment once, on the rank that
+// finishes its sum, and must still compute every element with the same
+// operations on the same operands as collective.TorusAllReduce. Each
+// torus shape runs both registry legs against a direct call of the
+// sequential reference; results must match bit for bit and the clusters
+// must be charged identically.
+func TestFullPrecisionSpecialValues(t *testing.T) {
+	const workers = 4
+	inputs := specialValueVecs(workers)
+	dim := len(inputs[0])
+	for _, tc := range []struct {
+		name string
+		tor  *topology.Torus
+	}{
+		{"rar", nil},
+		{"tar", topology.NewTorus(1, workers)},
+		{"tar", topology.NewTorus(2, 2)},
+		{"tar", topology.NewTorus(workers, 1)},
+	} {
+		desc, err := registry.Get(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape := topology.NewTorus(1, workers)
+		if tc.tor != nil {
+			shape = tc.tor
+		}
+		want := equivtest.CloneVecs(inputs)
+		wantC := netsim.NewCluster(workers, netsim.DefaultCostModel())
+		collective.TorusAllReduce(wantC, tc.tor, want)
+		for _, engine := range []string{"seq", "par"} {
+			t.Run(fmt.Sprintf("%s/%dx%d/%s", tc.name, shape.Rows(), shape.Cols(), engine), func(t *testing.T) {
+				o := &registry.Opts{Workers: workers, Dim: dim, Torus: tc.tor}
+				c := netsim.NewCluster(workers, netsim.DefaultCostModel())
+				var got []tensor.Vec
+				if engine == "seq" {
+					run, err := desc.Seq(o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = run(c, equivtest.CloneVecs(inputs))
+				} else {
+					eng := runtime.New(workers)
+					defer eng.Close()
+					cl, err := eng.Open(desc, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = cl.Run(c, equivtest.CloneVecs(inputs))
+				}
+				equivtest.RequireSameVecs(t, want, got)
+				equivtest.RequireSameClusters(t, wantC, c)
+			})
+		}
+	}
+}

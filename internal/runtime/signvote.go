@@ -86,24 +86,21 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 		}
 		return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
 			d := len(grads[0])
-			// The sequential references take the signs as ±1 floats.
-			votes := make([]int64, d)
-			signs := make([][]float64, n)
+			// Each worker votes into its own vector, where the sign-sum
+			// schedule then accumulates.
+			votes := make([][]int64, n)
 			scales := make([]float64, n)
 			for w, g := range grads {
-				scales[w] = compress[w](g, votes)
-				signs[w] = make([]float64, d)
-				for i, v := range votes {
-					signs[w][i] = float64(v)
-				}
+				votes[w] = make([]int64, d)
+				scales[w] = compress[w](g, votes[w])
 				c.AddCompress(w, d)
 			}
 			var update tensor.Vec
 			if ps {
 				update = tensor.New(d)
-				for w := range signs {
+				for w := range votes {
 					for i := range update {
-						update[i] += scales[w] * signs[w][i]
+						update[i] += scales[w] * float64(votes[w][i])
 					}
 				}
 				tensor.Scale(update, 1/float64(n))
@@ -113,7 +110,7 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 				}
 				collective.HubPushPull(c, up, down)
 			} else {
-				sums, total := collective.SignSumTorus(c, o.Torus, signs, scales, o.Elias)
+				sums, total := collective.SignSumTorus(c, o.Torus, votes, scales, o.Elias)
 				update = decode(sums, total, n)
 			}
 			outs := make([]tensor.Vec, n)

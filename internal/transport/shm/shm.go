@@ -413,7 +413,7 @@ func (e *endpoint) Size() int { return e.f.n }
 func (e *endpoint) Send(to int, p transport.Packet) error {
 	f := e.f
 	f.check(to)
-	if len(p.Data) > int(^uint32(0)) {
+	if uint64(len(p.Data)) > uint64(^uint32(0)) {
 		return fmt.Errorf("shm: payload of %d bytes exceeds frame format", len(p.Data))
 	}
 	if p.Wire < 0 || int64(p.Wire) > int64(^uint32(0)) {
