@@ -1,8 +1,11 @@
 # Development targets for the Marsit reproduction.
 #
 #   make check             fmt + vet + build + test + collective-listing golden
-#                          + no-shims and single-path guards + dead-code
-#                          golden + the portable build (what CI runs)
+#                          + no-shims and single-path guards (one place
+#                          each for endpoint I/O, clocks, rendezvous
+#                          waits, ring/torus schedules, α–β hops and
+#                          tree level loops) + dead-code golden + the
+#                          portable build (what CI runs)
 #   make race              race-detector pass over the concurrency-bearing
 #                          packages (the lane helper in internal/tensor and
 #                          the range-split optimizer steps included)
@@ -217,7 +220,12 @@ no-shims:
 # internal/core, runtime and collective code (registry and equivtest
 # aside), an `if … Torus != nil {`, a `case … tor != nil:` or an
 # `if cols == 1 {` is a second schedule beside the one that takes a nil
-# torus as the flat ring.
+# torus as the flat ring. Its fourth rule keeps one hop and one tree
+# schedule: in non-test internal/runtime code outside engine.go, a
+# BytePeriod or Model.Latency is an α–β charge written by hand beside
+# rankCtx's (a one-way hop is rankCtx.push/pull), and in non-test
+# internal/core, runtime and collective code a .Depth( outside
+# collective.TreeSchedule is a second level-by-level tree loop.
 single-path:
 	@out="$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[ \t]*\/\// { next } \
 		/\.(Send|Recv)\(/ && fn !~ /^func \(r \*rankCtx\) (post|take)\(/ { print FILENAME ":" FNR ": " $$0 } \
@@ -243,6 +251,14 @@ single-path:
 		echo "single-path: a ring/torus fork above a schedule (pass the torus, nil for the ring):"; echo "$$out"; exit 1; \
 	fi
 	@echo "single-path: each payload has one ring/torus schedule per engine, a nil torus the ring"
+	@out="$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[ \t]*\/\// { next } \
+		FILENAME ~ /\/runtime\// && FILENAME !~ /\/engine\.go$$/ && /BytePeriod|Model\.Latency/ { print FILENAME ":" FNR ": " $$0 } \
+		/\.Depth\(/ && fn !~ /^func TreeSchedule\(/ { print FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/core/*.go internal/runtime/*.go internal/collective/*.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$out" ]; then \
+		echo "single-path: an α–β hop charged outside rankCtx (use push/pull) or a tree level loop outside collective.TreeSchedule:"; echo "$$out"; exit 1; \
+	fi
+	@echo "single-path: every one-way hop is charged in rankCtx, every sequential tree walked by TreeSchedule"
 
 # deadcode links every program with inlining off and the linker's
 # reachability graph dumped, and lists the non-test functions under

@@ -28,11 +28,6 @@ import (
 	"marsit/internal/topology"
 )
 
-// compressEliasInts entropy-codes integer sign sums with Elias gamma.
-func compressEliasInts(vals []int64) ([]byte, int) {
-	return compress.EliasEncodeInts(vals)
-}
-
 // float32WireBytes is the wire width of one full-precision element.
 const float32WireBytes = 4
 
@@ -58,7 +53,7 @@ func SignWireBytes(d int) int { return (d+7)/8 + normWireBytes }
 // with Elias it is the exact entropy-coded size of vals.
 func SignSumSegBytes(workers int, vals []int64, useElias bool) int {
 	if useElias {
-		_, bits := compressEliasInts(vals)
+		_, bits := compress.EliasEncodeInts(vals)
 		return EliasWireBytes(bits)
 	}
 	perElem := bitsFor(workers) + 1
@@ -73,13 +68,13 @@ func SignSumSegBytes(workers int, vals []int64, useElias bool) int {
 func EliasWireBytes(bits int) int { return (bits+7)/8 + normWireBytes }
 
 // HubSchedule computes the parameter-server push–pull arrival times of
-// hubPushPull from the workers' clocks at push time: uplinks serialize
-// on the hub NIC in rank order, then the hub streams the replies back,
-// also in rank order. arrivals[w] is the simulated time worker w's
-// reply lands. Shared with the concurrent engine's hub actor
-// (internal/runtime), whose rank-0-hosted hub applies exactly this
-// arithmetic to the clocks carried on the push packets.
-func HubSchedule(model netsim.CostModel, clocks []float64, upBytes, downBytes []int) []float64 {
+// HubPushPull from the workers' clocks at push time: uplinks of upBytes
+// each serialize on the hub NIC in rank order, then the hub streams the
+// replies of downBytes each back, also in rank order. arrivals[w] is the
+// simulated time worker w's reply lands. Shared with the concurrent
+// engine's hub actor (internal/runtime), whose rank-0-hosted hub applies
+// exactly this arithmetic to the clocks carried on the push packets.
+func HubSchedule(model netsim.CostModel, clocks []float64, upBytes, downBytes int) []float64 {
 	beta := model.BytePeriod
 	alpha := model.Latency
 
@@ -90,14 +85,14 @@ func HubSchedule(model netsim.CostModel, clocks []float64, upBytes, downBytes []
 		if hub < arrive {
 			hub = arrive
 		}
-		hub += float64(upBytes[w]) * beta
+		hub += float64(upBytes) * beta
 	}
 	// Egress: hub sends replies in rank order (cut-through).
 	sendStart := hub
 	arrivals := make([]float64, len(clocks))
 	for w := range clocks {
-		arrivals[w] = sendStart + alpha + float64(downBytes[w])*beta
-		sendStart += float64(downBytes[w]) * beta
+		arrivals[w] = sendStart + alpha + float64(downBytes)*beta
+		sendStart += float64(downBytes) * beta
 	}
 	return arrivals
 }
@@ -154,7 +149,7 @@ func TorusAllReduce(c *netsim.Cluster, tor *topology.Torus, vecs []tensor.Vec) {
 	rowSegs := tensor.Partition(d, cols)
 	rowGroups := tor.RowGroups()
 	for _, g := range rowGroups {
-		ringPass(c, g, viewsOf(vecs, g, whole), rowSegs, false)
+		ringPass(c, g, viewsOf(vecs, g, whole), rowSegs, false, denseBytes)
 	}
 	// Worker (r, p) now owns row segment (p+1) mod cols; the column ring
 	// sums it, after which every member of column p holds the global sum
@@ -163,7 +158,7 @@ func TorusAllReduce(c *netsim.Cluster, tor *topology.Torus, vecs []tensor.Vec) {
 		ringSum(c, g, viewsOf(vecs, g, rowSegs[(p+1)%cols]))
 	}
 	for _, g := range rowGroups {
-		ringPass(c, g, viewsOf(vecs, g, whole), rowSegs, true)
+		ringPass(c, g, viewsOf(vecs, g, whole), rowSegs, true, denseBytes)
 	}
 	for _, v := range vecs {
 		tensor.Scale(v, 1/float64(c.Size()))
@@ -180,23 +175,33 @@ func viewsOf(vecs []tensor.Vec, ranks []int, seg tensor.Segment) []tensor.Vec {
 	return views
 }
 
+// denseBytes prices a full-precision ring message by its length.
+func denseBytes(_ int, seg tensor.Vec) int { return DenseWireBytes(len(seg)) }
+
 // ringSum runs ring all-reduce (sum) over views, one slice per rank of
 // ranks in ring order: a reduce-scatter and an all-gather pass over the
 // views' partition into len(ranks) segments. Afterwards every view holds
 // the sum.
 func ringSum(c *netsim.Cluster, ranks []int, views []tensor.Vec) {
 	segs := tensor.Partition(len(views[0]), len(ranks))
-	ringPass(c, ranks, views, segs, false)
-	ringPass(c, ranks, views, segs, true)
+	ringPass(c, ranks, views, segs, false, denseBytes)
+	ringPass(c, ranks, views, segs, true, denseBytes)
 }
 
 // ringPass runs the m−1 steps of one pass of ring all-reduce over one
-// ring group: ring position p holds views[p] of worker ranks[p]. At step
-// s of the reduce-scatter, p sends segment (p−s) mod m downstream and the
+// ring group, for full-precision floats and integer sign sums alike:
+// ring position p holds views[p] of worker ranks[p]. At step s of the
+// reduce-scatter, p sends segment (p−s) mod m downstream and the
 // receiver adds it; at step s of the all-gather, p sends its freshest
-// segment (p+1−s) mod m and the receiver overwrites. Every outgoing
-// segment is snapshotted before any receiver mutates.
-func ringPass(c *netsim.Cluster, ranks []int, views []tensor.Vec, segs []tensor.Segment, gather bool) {
+// segment (p+1−s) mod m and the receiver overwrites. bytes(s, seg)
+// prices the message carrying seg at step s.
+//
+// No message is snapshotted: within one step the segment a rank sends
+// is never the one it writes (they are one position apart), so each
+// receiver reads its sender's view directly, and the order in which the
+// receivers apply cannot matter.
+func ringPass[S ~[]E, E float64 | int64](c *netsim.Cluster, ranks []int, views []S, segs []tensor.Segment,
+	gather bool, bytes func(step int, seg S) int) {
 	m := len(ranks)
 	pos := func(i int) int { return ((i % m) + m) % m }
 	shift := 0
@@ -205,19 +210,20 @@ func ringPass(c *netsim.Cluster, ranks []int, views []tensor.Vec, segs []tensor.
 	}
 	for s := 0; s < m-1; s++ {
 		msgs := make([]netsim.Message, 0, m)
-		outgoing := make([]tensor.Vec, m)
 		for p := 0; p < m; p++ {
 			seg := segs[pos(p+shift-s)]
-			outgoing[p] = tensor.Clone(seg.Of(views[p]))
-			msgs = append(msgs, netsim.Message{From: ranks[p], To: ranks[pos(p+1)], Bytes: seg.Len() * float32WireBytes})
+			msgs = append(msgs, netsim.Message{From: ranks[p], To: ranks[pos(p+1)], Bytes: bytes(s, views[p][seg.Lo:seg.Hi])})
 		}
 		c.Exchange(msgs)
 		for p := 0; p < m; p++ {
-			dst := segs[pos(p+shift-s-1)].Of(views[p])
+			seg := segs[pos(p+shift-s-1)]
+			dst, src := views[p][seg.Lo:seg.Hi], views[pos(p-1)][seg.Lo:seg.Hi]
 			if gather {
-				copy(dst, outgoing[pos(p-1)])
-			} else {
-				tensor.Add(dst, outgoing[pos(p-1)])
+				copy(dst, src)
+				continue
+			}
+			for i := range dst {
+				dst[i] += src[i]
 			}
 		}
 	}
@@ -226,6 +232,50 @@ func ringPass(c *netsim.Cluster, ranks []int, views []tensor.Vec, segs []tensor.
 // ---------------------------------------------------------------------------
 // Full-precision tree all-reduce
 
+// TreeSchedule runs one reduce-and-broadcast over the binary tree tr in
+// lock step, the one level-by-level loop of every sequential tree
+// collective: the reduce goes up from the deepest level, one Exchange a
+// level in which every node of the level sends bytes to its parent, and
+// then up(parent, child) for each of them in ascending child order; root
+// runs once the root holds the reduction; the broadcast goes down from
+// level 1, one Exchange a level of bytes from every parent to each of
+// its children, and then down(parent, child) in ascending child order.
+// The caller owns the closing barrier.
+func TreeSchedule(c *netsim.Cluster, tr *topology.Tree, bytes int, up func(parent, child int), root func(),
+	down func(parent, child int)) {
+	depth := make([]int, c.Size())
+	maxDepth := 0
+	for w := range depth {
+		depth[w] = tr.Depth(w)
+		maxDepth = max(maxDepth, depth[w])
+	}
+	level := func(lvl int, upward bool, apply func(parent, child int)) {
+		var msgs []netsim.Message
+		for w, dep := range depth {
+			if dep == lvl {
+				m := netsim.Message{From: w, To: tr.Parent(w), Bytes: bytes}
+				if !upward {
+					m.From, m.To = m.To, m.From
+				}
+				msgs = append(msgs, m)
+			}
+		}
+		c.Exchange(msgs)
+		for w, dep := range depth {
+			if dep == lvl {
+				apply(tr.Parent(w), w)
+			}
+		}
+	}
+	for lvl := maxDepth; lvl >= 1; lvl-- {
+		level(lvl, true, up)
+	}
+	root()
+	for lvl := 1; lvl <= maxDepth; lvl++ {
+		level(lvl, false, down)
+	}
+}
+
 // TreeAllReduce reduces up a binary tree to rank 0 and broadcasts the
 // mean back down. On return every vector holds the element-wise mean.
 func TreeAllReduce(c *netsim.Cluster, tr *topology.Tree, vecs []tensor.Vec) {
@@ -233,62 +283,24 @@ func TreeAllReduce(c *netsim.Cluster, tr *topology.Tree, vecs []tensor.Vec) {
 	if tr.Size() != c.Size() {
 		panic("collective: tree size mismatch")
 	}
-	n := c.Size()
-	bytes := d * float32WireBytes
-
-	maxDepth := 0
-	for w := 0; w < n; w++ {
-		if dep := tr.Depth(w); dep > maxDepth {
-			maxDepth = dep
-		}
-	}
-	// Reduce up, one level at a time (deepest first).
-	for lvl := maxDepth; lvl >= 1; lvl-- {
-		var msgs []netsim.Message
-		var apply []struct{ parent, child int }
-		for w := 0; w < n; w++ {
-			if tr.Depth(w) == lvl {
-				p := tr.Parent(w)
-				msgs = append(msgs, netsim.Message{From: w, To: p, Bytes: bytes})
-				apply = append(apply, struct{ parent, child int }{p, w})
-			}
-		}
-		c.Exchange(msgs)
-		for _, a := range apply {
-			tensor.Add(vecs[a.parent], vecs[a.child])
-		}
-	}
-	tensor.Scale(vecs[0], 1/float64(n))
-	// Broadcast down.
-	for lvl := 1; lvl <= maxDepth; lvl++ {
-		var msgs []netsim.Message
-		var apply []struct{ parent, child int }
-		for w := 0; w < n; w++ {
-			if tr.Depth(w) == lvl {
-				p := tr.Parent(w)
-				msgs = append(msgs, netsim.Message{From: p, To: w, Bytes: bytes})
-				apply = append(apply, struct{ parent, child int }{p, w})
-			}
-		}
-		c.Exchange(msgs)
-		for _, a := range apply {
-			copy(vecs[a.child], vecs[a.parent])
-		}
-	}
+	TreeSchedule(c, tr, DenseWireBytes(d),
+		func(parent, child int) { tensor.Add(vecs[parent], vecs[child]) },
+		func() { tensor.Scale(vecs[0], 1/float64(c.Size())) },
+		func(parent, child int) { copy(vecs[child], vecs[parent]) })
 	c.Barrier()
 }
 
 // ---------------------------------------------------------------------------
 // Parameter server (virtual hub)
 
-// hubPushPull models a push–pull through a virtual parameter server:
-// every worker uploads upBytes[w], the hub ingests them serially
-// (single NIC), then replies downBytes[w] to each worker, serialized on
-// the hub's egress. Returns nothing; clocks and byte counters advance.
-// Both up and down traffic are accounted to the worker, since the hub
-// is not a cluster member (cluster-wide totals then match the paper's
-// 2·M·D accounting for PS).
-func hubPushPull(c *netsim.Cluster, upBytes, downBytes []int) {
+// HubPushPull models a push–pull through a virtual parameter server:
+// every worker uploads upBytes, the hub ingests them serially (single
+// NIC), then replies downBytes to each worker, serialized on the hub's
+// egress. Returns nothing; clocks and byte counters advance. Both up and
+// down traffic are accounted to the worker, since the hub is not a
+// cluster member (cluster-wide totals then match the paper's 2·M·D
+// accounting for PS).
+func HubPushPull(c *netsim.Cluster, upBytes, downBytes int) {
 	n := c.Size()
 	clocks := make([]float64, n)
 	for w := 0; w < n; w++ {
@@ -297,7 +309,7 @@ func hubPushPull(c *netsim.Cluster, upBytes, downBytes []int) {
 	arrivals := HubSchedule(c.Model, clocks, upBytes, downBytes)
 	for w := 0; w < n; w++ {
 		c.AdvanceTransmit(w, arrivals[w])
-		c.AccountBytes(w, upBytes[w]+downBytes[w])
+		c.AccountBytes(w, upBytes+downBytes)
 	}
 }
 
@@ -314,16 +326,7 @@ func PSAllReduce(c *netsim.Cluster, vecs []tensor.Vec) {
 	for _, v := range vecs {
 		copy(v, mean)
 	}
-	up := uniformBytes(n, DenseWireBytes(d))
-	hubPushPull(c, up, up)
-}
-
-func uniformBytes(n, b int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = b
-	}
-	return out
+	HubPushPull(c, DenseWireBytes(d), DenseWireBytes(d))
 }
 
 // ---------------------------------------------------------------------------
@@ -498,13 +501,6 @@ func ssdmKeep(x, norm float64) float64 {
 	return 0.5
 }
 
-// HubPushPull exposes the virtual parameter-server exchange: every
-// worker uploads upBytes[w] and receives downBytes[w], serialized on
-// the hub NIC. See PSAllReduce for the congestion semantics.
-func HubPushPull(c *netsim.Cluster, upBytes, downBytes []int) {
-	hubPushPull(c, upBytes, downBytes)
-}
-
 // CascadingRing is the cascading-compression workflow of Section 3.2:
 // ring reduce-scatter where each hop receives a compressed segment,
 // decompresses it, adds the local segment, re-compresses with SSDM and
@@ -611,65 +607,25 @@ func SignSumRing(c *netsim.Cluster, votes [][]int64, scales []float64, useElias 
 }
 
 // signSumGroups runs the integer-sum ring schedule within each disjoint
-// group simultaneously and returns the consensus sums (identical across
-// all workers once all groups cover everyone; the caller composes
-// phases for hierarchical topologies). sums[w] is updated in place to
-// the group-wide consensus for worker w.
-func signSumGroups(c *netsim.Cluster, sums [][]int64, groups [][]int, baseCount int, useElias bool) []int64 {
-	d := len(sums[0])
-	segBytes := func(_ tensor.Segment, workers int, vals []int64) int {
-		return SignSumSegBytes(workers, vals, useElias)
-	}
+// group simultaneously: sums[w] ends holding worker w's group-wide sums
+// (the caller composes phases for hierarchical topologies). A message of
+// the reduce-scatter's step s carries sums over (s+1)·baseCount workers,
+// one of the all-gather the group's len(g)·baseCount.
+func signSumGroups(c *netsim.Cluster, sums [][]int64, groups [][]int, baseCount int, useElias bool) {
 	for _, g := range groups {
 		m := len(g)
-		if m < 2 {
-			continue
+		segs := tensor.Partition(len(sums[0]), m)
+		views := make([][]int64, m)
+		for p, w := range g {
+			views[p] = sums[w]
 		}
-		segs := tensor.Partition(d, m)
-		pos := func(i int) int { return ((i % m) + m) % m }
-		// Reduce-scatter.
-		for s := 0; s < m-1; s++ {
-			msgs := make([]netsim.Message, 0, m)
-			outgoing := make([][]int64, m)
-			for p := 0; p < m; p++ {
-				seg := segs[pos(p-s)]
-				vals := append([]int64(nil), sums[g[p]][seg.Lo:seg.Hi]...)
-				outgoing[p] = vals
-				msgs = append(msgs, netsim.Message{
-					From: g[p], To: g[pos(p+1)], Bytes: segBytes(seg, (s+1)*baseCount, vals),
-				})
-			}
-			c.Exchange(msgs)
-			for p := 0; p < m; p++ {
-				in := outgoing[pos(p-1)]
-				seg := segs[pos(p-s-1)]
-				for i := seg.Lo; i < seg.Hi; i++ {
-					sums[g[p]][i] += in[i-seg.Lo]
-				}
-			}
-		}
-		// Assemble the consensus for the group and all-gather it.
-		final := make([]int64, d)
-		for p := 0; p < m; p++ {
-			seg := segs[pos(p+1)]
-			copy(final[seg.Lo:seg.Hi], sums[g[p]][seg.Lo:seg.Hi])
-		}
-		for s := 0; s < m-1; s++ {
-			msgs := make([]netsim.Message, 0, m)
-			for p := 0; p < m; p++ {
-				seg := segs[pos(p+1-s)]
-				msgs = append(msgs, netsim.Message{
-					From: g[p], To: g[pos(p+1)],
-					Bytes: segBytes(seg, m*baseCount, final[seg.Lo:seg.Hi]),
-				})
-			}
-			c.Exchange(msgs)
-		}
-		for p := 0; p < m; p++ {
-			copy(sums[g[p]], final)
-		}
+		ringPass(c, g, views, segs, false, func(s int, vals []int64) int {
+			return SignSumSegBytes((s+1)*baseCount, vals, useElias)
+		})
+		ringPass(c, g, views, segs, true, func(_ int, vals []int64) int {
+			return SignSumSegBytes(m*baseCount, vals, useElias)
+		})
 	}
-	return sums[0]
 }
 
 // SignSumTorus is the sign-sum schedule over a 2D torus: row rings
@@ -699,8 +655,8 @@ func SignSumTorus(c *netsim.Cluster, tor *topology.Torus, votes [][]int64, scale
 		totalScale += sc
 	}
 	signSumGroups(c, votes, tor.RowGroups(), 1, useElias)
-	final := signSumGroups(c, votes, tor.ColGroups(), tor.Cols(), useElias)
-	return final, totalScale
+	signSumGroups(c, votes, tor.ColGroups(), tor.Cols(), useElias)
+	return votes[0], totalScale
 }
 
 // OverflowRing extends SSDM to MAR by keeping the aggregation linear:
@@ -783,8 +739,7 @@ func SignMajorityPS(c *netsim.Cluster, vecs []tensor.Vec) {
 		}
 		c.AddDecompress(w, d)
 	}
-	oneBit := uniformBytes(n, SignWireBytes(d))
-	hubPushPull(c, oneBit, oneBit)
+	HubPushPull(c, SignWireBytes(d), SignWireBytes(d))
 }
 
 // SSDMPS is SSDM under PS: workers push stochastic signs + norm; the
@@ -809,9 +764,7 @@ func SSDMPS(c *netsim.Cluster, vecs []tensor.Vec, rs []*rng.PCG) {
 	for _, v := range vecs {
 		copy(v, mean)
 	}
-	up := uniformBytes(n, SignWireBytes(d))
-	down := uniformBytes(n, DenseWireBytes(d))
-	hubPushPull(c, up, down)
+	HubPushPull(c, SignWireBytes(d), DenseWireBytes(d))
 }
 
 // MajorityDecode is the signSGD majority decode shared by every layer

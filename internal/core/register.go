@@ -91,9 +91,12 @@ func init() {
 					c.AddCompress(w, d)
 				}
 				OneBitTreeAllReduce(c, tr, bits, streams)
+				// Every rank holds the root's consensus: unpack it once
+				// and hand that vector to every rank.
+				gt := registry.Update{Signs: bits[0], Scale: 1}.Dense()
 				outs := make([]tensor.Vec, n)
-				for w := 0; w < n; w++ {
-					outs[w] = registry.Update{Signs: bits[w], Scale: 1}.Dense()
+				for w := range outs {
+					outs[w] = gt
 					c.AddDecompress(w, d)
 				}
 				return outs

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"marsit/internal/bitvec"
+	"marsit/internal/collective"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
 	"marsit/internal/topology"
@@ -37,65 +38,23 @@ func OneBitTreeAllReduce(c *netsim.Cluster, tr *topology.Tree, bits []*bitvec.Ve
 	if n == 1 {
 		return
 	}
-	wire := (d + 7) / 8
-
-	// Subtree sizes (the merge weights).
-	size := make([]int, n)
-	for w := n - 1; w >= 0; w-- {
-		size[w] = 1
-		for _, ch := range tr.Children(w) {
-			size[w] += size[ch]
-		}
-	}
-	maxDepth := 0
-	for w := 0; w < n; w++ {
-		if dep := tr.Depth(w); dep > maxDepth {
-			maxDepth = dep
-		}
-	}
-
-	// Reduce up, deepest level first. The parent's current aggregate
-	// covers everything it has absorbed so far; absorbed children add
-	// their whole subtree.
+	// The reduce goes up from the deepest level: a parent's current
+	// aggregate covers everything it has absorbed so far, and an absorbed
+	// child adds its whole subtree. The root's consensus then broadcasts
+	// back down.
 	absorbed := make([]int, n)
 	for w := range absorbed {
 		absorbed[w] = 1
 	}
-	for lvl := maxDepth; lvl >= 1; lvl-- {
-		var msgs []netsim.Message
-		type pend struct{ parent, child int }
-		var pends []pend
-		for w := 0; w < n; w++ {
-			if tr.Depth(w) == lvl {
-				p := tr.Parent(w)
-				msgs = append(msgs, netsim.Message{From: w, To: p, Bytes: wire})
-				pends = append(pends, pend{p, w})
-			}
-		}
-		c.Exchange(msgs)
-		for _, pd := range pends {
+	collective.TreeSchedule(c, tr, (d+7)/8,
+		func(parent, child int) {
 			// Merge child (weight = its absorbed subtree) into parent.
-			agg := bits[pd.child].Clone()
-			MergeSigns(agg, bits[pd.parent], absorbed[pd.child], absorbed[pd.parent], rs[pd.parent])
-			bits[pd.parent] = agg
-			absorbed[pd.parent] += absorbed[pd.child]
-		}
-	}
-
-	// Broadcast the consensus down.
-	for lvl := 1; lvl <= maxDepth; lvl++ {
-		var msgs []netsim.Message
-		var dsts []int
-		for w := 0; w < n; w++ {
-			if tr.Depth(w) == lvl {
-				msgs = append(msgs, netsim.Message{From: tr.Parent(w), To: w, Bytes: wire})
-				dsts = append(dsts, w)
-			}
-		}
-		c.Exchange(msgs)
-		for _, w := range dsts {
-			bits[w] = bits[0].Clone()
-		}
-	}
+			agg := bits[child].Clone()
+			MergeSigns(agg, bits[parent], absorbed[child], absorbed[parent], rs[parent])
+			bits[parent] = agg
+			absorbed[parent] += absorbed[child]
+		},
+		func() {},
+		func(_, child int) { bits[child] = bits[0].Clone() })
 	c.Barrier()
 }

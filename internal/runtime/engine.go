@@ -303,13 +303,33 @@ func (r *rankCtx) exchange(next int, data []byte, outWire int, prev int) []byte 
 	return p.Data
 }
 
+// push is the send half of a one-way hop — the tree's fan-in and
+// fan-out, the hierarchical chain, gossip's double send: it posts data
+// to rank to at the rank's clock, then holds the rank's NIC for the
+// transfer (the clock advances by wire·β, so a second push starts where
+// netsim.Cluster.Exchange serializes it) and charges the wire bytes to
+// the sender.
+func (r *rankCtx) push(to int, data []byte, wire int) {
+	r.send(to, data, wire, r.clk)
+	r.clk += float64(wire) * r.c.Model.BytePeriod
+	r.c.AccountBytes(r.rank, wire)
+}
+
+// pull is the receive half of a one-way hop: it blocks on the next frame
+// from rank from, floors the rank's clock to the frame's arrival on a NIC
+// free from that clock (successive pulls serialize on it) and returns
+// the payload, which the caller consumes and recycles.
+func (r *rankCtx) pull(from int) []byte {
+	p := r.recv(from)
+	r.clk = r.arrival(p, r.clk)
+	return p.Data
+}
+
 // send posts one raw frame to rank to, stamped with the send-start clock
-// at — the asymmetric-schedule primitive behind gossip's double send, the
-// tree's fan-in/fan-out, the hierarchical chain and the PS hub. The
-// caller owns the α–β clock arithmetic and the byte charge, which must
-// replicate what netsim computes for the message pattern at hand
-// (exchange covers only the symmetric one-send-one-receive ring step; a
-// hub reply is charged to the worker it goes to).
+// at — push's primitive, and the PS hub's, whose replies carry the
+// arrival times collective.HubSchedule computes. The caller owns the
+// α–β clock arithmetic and the byte charge (a hub reply is charged to
+// the worker it goes to).
 func (r *rankCtx) send(to int, data []byte, wire int, at float64) {
 	t0 := r.begin()
 	r.post(to, transport.Packet{Data: data, Wire: wire, Clock: at})
@@ -391,6 +411,12 @@ const floatWireBytes = 4
 // sent on afterwards. A forwarded frame is recycled by whoever consumes
 // it last — the rank whose hop ends the pass, through addFloats or
 // copyFloats — never by the rank that forwards it: Send gave it up.
+//
+// The round trip is exact for every bit pattern, but one sum is not
+// reproducible: when two NaNs of different payloads meet at one index,
+// which payload the addition keeps depends on code generation (the race
+// detector's build keeps another than the plain one), so results are
+// bit-identical across engines everywhere except in NaN payloads.
 
 func checkFloatPayload(n int, data []byte) {
 	if len(data) != 8*n {

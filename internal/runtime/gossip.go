@@ -50,13 +50,9 @@ func gossipAverageRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec)
 		t1, t2 = t2, t1
 	}
 	start := rk.clk
-	beta := c.Model.BytePeriod
 	// Both packets carry the same pre-step snapshot of the vector.
-	rk.send(t1, encodeFloats(vec), wire, start)
-	sendAvail := start + float64(wire)*beta
-	rk.send(t2, encodeFloats(vec), wire, sendAvail)
-	sendAvail += float64(wire) * beta
-	c.AccountBytes(rank, 2*wire)
+	rk.push(t1, encodeFloats(vec), wire)
+	rk.push(t2, encodeFloats(vec), wire)
 
 	// Arrivals serialize in ascending sender order.
 	u1, u2 := next, prev
@@ -70,13 +66,9 @@ func gossipAverageRank(c *netsim.Cluster, ep transport.Endpoint, vec tensor.Vec)
 		recvAvail = rk.arrival(p, recvAvail)
 		payloads[u] = p.Data
 	}
-	rk.clk = start
-	if sendAvail > rk.clk {
-		rk.clk = sendAvail
-	}
-	if recvAvail > rk.clk {
-		rk.clk = recvAvail
-	}
+	// The step ends when the sends (the clock after both pushes) and the
+	// arrivals have.
+	rk.clk = max(rk.clk, recvAvail)
 
 	// Three-point average in the sequential association:
 	// (prev + own + next) / 3.

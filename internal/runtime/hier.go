@@ -56,16 +56,11 @@ func hierAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tor *topology.T
 	// the mean sweeps from the delegate to the last local rank).
 	if local >= 2 {
 		rk.setPhase("chain")
-		wire := d * floatWireBytes
 		if g >= 1 {
-			p := rk.recv(tor.Rank(h, g-1))
-			rk.clk = rk.arrival(p, rk.clk)
-			copyFloats(vec, p.Data)
+			copyFloats(vec, rk.pull(tor.Rank(h, g-1)))
 		}
 		if g < local-1 {
-			rk.send(tor.Rank(h, g+1), encodeFloats(vec), wire, rk.clk)
-			rk.clk += float64(wire) * c.Model.BytePeriod
-			c.AccountBytes(rank, wire)
+			rk.push(tor.Rank(h, g+1), encodeFloats(vec), d*floatWireBytes)
 		}
 	}
 	rk.finish()

@@ -14,9 +14,7 @@ import (
 // (core.OneBitTreeAllReduce): packed signs reduce upward, each parent
 // absorbing a child aggregate covering the child's whole subtree with
 // the weighted Bernoulli merge, then the root's consensus broadcasts
-// back down. The timing skeleton is treeAllReduceRank's (arrivals
-// serialize in ascending child order, downlink sends in ascending
-// child order) with one-bit payloads.
+// back down — treeRank with one-bit payloads.
 //
 // merge runs only on this rank's goroutine and — because a node's
 // children share a tree level and are absorbed in ascending order —
@@ -28,59 +26,21 @@ import (
 // descriptor (the weighted-merge semantics live there).
 func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tree,
 	bits *bitvec.Vec, merge MergeFunc) *bitvec.Vec {
-	checkRankCluster(c, ep)
-	rank, n := ep.Rank(), ep.Size()
-	if tr.Size() != n {
-		panic("runtime: tree size mismatch")
-	}
-	if n == 1 {
-		return bits
-	}
-	wire := bits.WireBytes()
-	rk := newRankCtx(c, ep, rank)
-	beta := c.Model.BytePeriod
-	parent := tr.Parent(rank)
-	children := tr.Children(rank)
-	size := treeSubtreeSizes(tr)
-
-	// Reduce up: absorb each child's subtree aggregate (ascending child
-	// order), weighted by the subtree sizes exactly like the sequential
-	// schedule (a child has finished its own subtree when it sends, so
-	// its absorbed count equals its subtree size).
-	rk.setPhase("reduce-up")
+	rank, d := ep.Rank(), bits.Len()
+	// A child has finished its own subtree when it sends, so its
+	// aggregate weighs its subtree size, as in the sequential schedule.
+	size := tr.SubtreeSizes()
 	absorbed := 1
-	if len(children) > 0 {
-		recvAvail := rk.clk
-		for _, ch := range children {
-			p := rk.recv(ch)
-			recvAvail = rk.arrival(p, recvAvail)
-			agg := unmarshalBits(rank, ch, p.Data, bits.Len())
-			merge(rank, agg, bits, size[ch], absorbed)
+	treeRank(c, ep, tr, bits.WireBytes(),
+		func(child int, data []byte) {
+			agg := unmarshalBits(rank, child, data, d)
+			merge(rank, agg, bits, size[child], absorbed)
 			bits = agg
-			absorbed += size[ch]
-		}
-		rk.clk = recvAvail
-	}
-	if parent >= 0 {
-		rk.send(parent, marshalBits(bits), wire, rk.clk)
-		rk.clk += float64(wire) * beta
-		c.AccountBytes(rank, wire)
-	}
-
-	// Broadcast down: every non-root overwrites with the parent's copy
-	// of the root consensus and forwards it.
-	rk.setPhase("broadcast-down")
-	if parent >= 0 {
-		p := rk.recv(parent)
-		rk.clk = rk.arrival(p, rk.clk)
-		bits = unmarshalBits(rank, parent, p.Data, bits.Len())
-	}
-	for _, ch := range children {
-		rk.send(ch, marshalBits(bits), wire, rk.clk)
-		rk.clk += float64(wire) * beta
-		c.AccountBytes(rank, wire)
-	}
-	rk.finish()
+			absorbed += size[child]
+		},
+		func() []byte { return marshalBits(bits) },
+		func() {},
+		func(parent int, data []byte) { bits = unmarshalBits(rank, parent, data, d) })
 	return bits
 }
 

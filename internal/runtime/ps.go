@@ -63,11 +63,6 @@ func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, down
 
 	// Hub side: gather every rank's payload and clock, in rank order.
 	clocks := make([]float64, n)
-	ups := make([]int, n)
-	downs := make([]int, n)
-	for w := 0; w < n; w++ {
-		ups[w], downs[w] = upBytes, downBytes
-	}
 	clocks[hubRank] = rk.clk
 	fold(hubRank, push)
 	for w := 0; w < n; w++ {
@@ -78,7 +73,7 @@ func runHub(c *netsim.Cluster, ep transport.Endpoint, push []byte, upBytes, down
 		clocks[w] = p.Clock
 		fold(w, p.Data)
 	}
-	arrivals := collective.HubSchedule(c.Model, clocks, ups, downs)
+	arrivals := collective.HubSchedule(c.Model, clocks, upBytes, downBytes)
 	down := reply()
 	for w := 0; w < n; w++ {
 		if w == hubRank {

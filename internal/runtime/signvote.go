@@ -104,11 +104,7 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 					}
 				}
 				tensor.Scale(update, 1/float64(n))
-				up, down := make([]int, n), make([]int, n)
-				for w := range up {
-					up[w], down[w] = collective.SignWireBytes(d), collective.DenseWireBytes(d)
-				}
-				collective.HubPushPull(c, up, down)
+				collective.HubPushPull(c, collective.SignWireBytes(d), collective.DenseWireBytes(d))
 			} else {
 				sums, total := collective.SignSumTorus(c, o.Torus, votes, scales, o.Elias)
 				update = decode(sums, total, n)

@@ -149,6 +149,19 @@ func (t *Tree) Depth(rank int) int {
 	return d
 }
 
+// SubtreeSizes returns the number of ranks in the subtree rooted at
+// every rank, itself included — the weights of the one-bit tree merge.
+func (t *Tree) SubtreeSizes() []int {
+	size := make([]int, t.n)
+	for w := t.n - 1; w >= 0; w-- {
+		size[w] = 1
+		for _, ch := range t.Children(w) {
+			size[w] += size[ch]
+		}
+	}
+	return size
+}
+
 func (t *Tree) check(rank int) {
 	if rank < 0 || rank >= t.n {
 		panic(fmt.Sprintf("topology: rank %d out of range [0,%d)", rank, t.n))

@@ -152,3 +152,30 @@ func TestTreeParentChildConsistency(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeSubtreeSizes checks SubtreeSizes against a brute-force count:
+// the subtree of rank r holds every rank whose chain of parents passes
+// through r, r itself included.
+func TestTreeSubtreeSizes(t *testing.T) {
+	for n := 1; n <= 64; n++ {
+		tr := NewTree(n)
+		got := tr.SubtreeSizes()
+		if len(got) != n {
+			t.Fatalf("n=%d: %d sizes", n, len(got))
+		}
+		for r := 0; r < n; r++ {
+			want := 0
+			for w := 0; w < n; w++ {
+				for a := w; a >= 0; a = tr.Parent(a) {
+					if a == r {
+						want++
+						break
+					}
+				}
+			}
+			if got[r] != want {
+				t.Fatalf("n=%d: subtree of rank %d has %d ranks, want %d", n, r, got[r], want)
+			}
+		}
+	}
+}
