@@ -24,7 +24,9 @@
 #   make bench-smoke       the kernel micro-benchmarks (MatchRate and NormVec
 #                          beside their oracles among them; SubScaled and
 #                          the bit-vector MatchCount beside the dense forms
-#                          they replace), the sequential one-bit Sync (ring
+#                          they replace, and PackSignsOfSubSum beside the
+#                          SubScaled + PackSignsOfSum passes it fuses), the
+#                          sequential one-bit Sync (ring
 #                          and torus) and SyncUpdate at the train_marsit
 #                          shape (BenchmarkSyncUpdateTrainShape: M = 4,
 #                          D = 99 402, K = 0, on lanes), the batched and
@@ -49,7 +51,8 @@
 #                          masked Bernoulli lanes, the word-at-a-time ⊙
 #                          merge, the bit-sliced majority vote and the
 #                          one-bit update's SubScaled/MatchCount vs their
-#                          scalar oracles, and the PowerSGD Gram–Schmidt
+#                          scalar oracles (and PackSignsOfSubSum vs
+#                          SubScaled + PackSignsOfSum), and the PowerSGD Gram–Schmidt
 #                          orthonormalization on degenerate inputs
 #   make list-collectives  golden check: the CLIs' collective listing must
 #                          match docs/collectives.golden, so help text cannot
@@ -139,9 +142,11 @@ ab:
 	SEED=$(SEED) SECS=$(SECS) bash tools/ab.sh $(A) $(B) $(W) $(PAIRS)
 
 # bench-smoke runs the word-parallel kernels' micro-benchmarks (fast
-# path vs scalar oracle, and bitvec's BenchmarkSubScaled and
+# path vs scalar oracle, bitvec's BenchmarkSubScaled and
 # BenchmarkMatchCountSigns: the one-bit update read from bits vs the dense
-# vector), the micro-benchmarks of Algorithm 1's own code (core's
+# vector, and BenchmarkPackSignsOfSubSum: one round's line 10 and the next
+# round's line 1 in one pass vs SubScaled then PackSignsOfSum), the
+# micro-benchmarks of Algorithm 1's own code (core's
 # BenchmarkSyncOneBitRing/Torus, BenchmarkSyncUpdateTrainShape — one
 # one-bit SyncUpdate at the trainer's M = 4, D = 99 402 on the lanes
 # GOMAXPROCS allows — and train's BenchmarkTrainRoundMarsit), of
@@ -278,9 +283,9 @@ deadcode:
 # 32-bit address space does not hold the many fabrics the jittered
 # matrix keeps open at once. The subset keeps the equivalence matrix on
 # all four fabrics (one case at a time), the degenerate-torus and
-# special-value full-precision checks, the frame-forwarding draw count
-# and the sign-frame fuzz seeds.
-PORTABLE_RUNTIME_TESTS := TestRingIsDegenerateTorus|TestCollectiveEquivalence$$|TestRoundCarriesNoHiddenPayload|FuzzSignFrameRobust|TestFullPrecisionSpecialValues|TestRARForwardsFrames
+# special-value full-precision checks, the frame-forwarding draw counts
+# of the ring and the tree, and the sign-frame fuzz seeds.
+PORTABLE_RUNTIME_TESTS := TestRingIsDegenerateTorus|TestCollectiveEquivalence$$|TestRoundCarriesNoHiddenPayload|FuzzSignFrameRobust|TestFullPrecisionSpecialValues|TestRARForwardsFrames|TestTreeForwardsFrames
 
 portable:
 	GOARCH=s390x $(GO) vet ./internal/...

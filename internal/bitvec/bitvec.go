@@ -268,6 +268,37 @@ func (v *Vec) PackSignsOfSum(acc, x []float64) {
 	}
 }
 
+// PackSignsOfSubSum is SubScaled followed by PackSignsOfSum in one pass:
+// acc[i] = (acc[i] − (±scale)) + x[i], ±scale read from bit i of v as
+// SubScaled reads it, and the sign of the result packed into the same
+// bit. It is line 10 of Algorithm 1's last round fused with line 1 of the
+// next: acc holds u and v the consensus on entry, and on return acc
+// holds the next u and v its signs. The operand order is the two passes'
+// own, so every value is bit for bit theirs. scale must not be negative.
+func (v *Vec) PackSignsOfSubSum(acc []float64, scale float64, x []float64) {
+	if len(acc) != v.n || len(x) != v.n {
+		panic(fmt.Sprintf("bitvec: PackSignsOfSubSum lengths %d, %d != %d", len(acc), len(x), v.n))
+	}
+	pm := [2]float64{math.Float64frombits(math.Float64bits(scale) | 1<<63), scale}
+	for wi, old := range v.words {
+		lo := wi << 6
+		hi := min(lo+64, v.n)
+		a, b := acc[lo:hi], x[lo:hi]
+		var w uint64
+		for j := range a {
+			s := (a[j] - pm[old&1]) + b[j]
+			old >>= 1
+			a[j] = s
+			var top uint64
+			if s >= 0 {
+				top = 1 << 63
+			}
+			w = w>>1 | top
+		}
+		v.words[wi] = w >> uint(64-len(a))
+	}
+}
+
 // SubScaled subtracts ±scale from acc (acc[i] −= scale where bit i is 1,
 // −scale where it is 0) without writing the ±scale vector anywhere: line
 // 10 of Algorithm 1 read straight from the consensus bits, with acc

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -182,6 +183,7 @@ func FuzzSignKernelsAgainstScalar(f *testing.F) {
 			}
 		}
 		requireSignKernels(t, fuzzVec(seed, n), fuzzFloats(seed^0xacc, n), ref, scale)
+		requireSubSum(t, fuzzVec(seed, n), fuzzFloats(seed^0x5b5, n), scale, ref)
 
 		// The sign packer on the same edge values: −0 packs as +1, a NaN
 		// of either sign as −1, whatever the word position and tail width.
@@ -241,6 +243,103 @@ func BenchmarkMatchCountSigns(b *testing.B) {
 		b.SetBytes(8 * benchBits)
 		for i := 0; i < b.N; i++ {
 			matchCountSink += tensor.MatchCount(dense, ref)
+		}
+	})
+}
+
+// subSumTwoPasses is what PackSignsOfSubSum fuses, and its oracle:
+// SubScaled, then PackSignsOfSum.
+func subSumTwoPasses(v *Vec, acc []float64, scale float64, x []float64) {
+	v.SubScaled(acc, scale)
+	v.PackSignsOfSum(acc, x)
+}
+
+// subSumEdges are the accumulator and gradient values the fused kernel
+// must carry through exactly as the two passes do: ±0, ±Inf, NaN,
+// denormals of both signs and the negative smallest normal.
+var subSumEdges = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, -5e-324, math.SmallestNonzeroFloat64 * 1024, -2.2250738585072014e-308,
+}
+
+// TestPackSignsOfSubSumMatchesTwoPasses holds the fused kernel to
+// SubScaled followed by PackSignsOfSum bit for bit — sums and signs — at
+// every tail width that matters and at tiny, typical and unit scales. One
+// column is the operand order itself: at acc = 2⁶⁰, x = −2⁶⁰ the ±scale
+// vanishes into acc's rounding when it is subtracted first, and survives
+// as the result when it is subtracted after the add.
+func TestPackSignsOfSubSumMatchesTwoPasses(t *testing.T) {
+	const big = 1 << 60
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		for _, scale := range []float64{1e-300, 0.05, 1} {
+			acc, x := fuzzFloats(uint64(n)^0x5b5, n), fuzzFloats(uint64(n)^0xc0de, n)
+			for i := range acc {
+				switch i % 7 {
+				case 2:
+					acc[i] = subSumEdges[i%len(subSumEdges)]
+				case 4:
+					x[i] = subSumEdges[(i/7)%len(subSumEdges)]
+				}
+			}
+			bits := fuzzVec(uint64(n*3+1), n)
+			if n > 0 {
+				col := n / 2
+				acc[col], x[col] = big, -big
+				if got, late := (acc[col]-scale)+x[col], (acc[col]+x[col])-scale; got == late {
+					t.Fatalf("scale %v: the order column does not tell (a−t)+b from (a+b)−t", scale)
+				}
+			}
+			requireSubSum(t, bits, acc, scale, x)
+		}
+	}
+}
+
+// requireSubSum runs PackSignsOfSubSum on bits and acc and the two
+// passes on copies, and requires the same signs and the same sums.
+func requireSubSum(t *testing.T, bits *Vec, acc []float64, scale float64, x []float64) {
+	t.Helper()
+	accRef := append([]float64(nil), acc...)
+	ref := bits.Clone()
+	bits.PackSignsOfSubSum(acc, scale, x)
+	subSumTwoPasses(ref, accRef, scale, x)
+	if !bits.Equal(ref) {
+		t.Fatalf("n=%d scale %v: PackSignsOfSubSum packs %v, two passes %v", bits.Len(), scale, bits, ref)
+	}
+	requireSameBits(t, fmt.Sprintf("n=%d scale %v: PackSignsOfSubSum sum", bits.Len(), scale), acc, accRef)
+}
+
+// TestPackSignsOfSubSumLengths: acc and x must both have the vector's
+// length.
+func TestPackSignsOfSubSumLengths(t *testing.T) {
+	v := New(65)
+	for _, l := range [][2]int{{64, 65}, {65, 64}, {66, 65}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("lengths %d, %d for 65 bits did not panic", l[0], l[1])
+				}
+			}()
+			v.PackSignsOfSubSum(make([]float64, l[0]), 0.05, make([]float64, l[1]))
+		}()
+	}
+}
+
+// BenchmarkPackSignsOfSubSum times the fused lines 10 and 1 of two
+// consecutive one-bit rounds against the two passes they replace, at the
+// bytes the fused pass must move (acc read and written, x read).
+func BenchmarkPackSignsOfSubSum(b *testing.B) {
+	bits := fuzzVec(8, benchBits)
+	acc, x := fuzzFloats(9, benchBits), fuzzFloats(10, benchBits)
+	b.Run("fused", func(b *testing.B) {
+		b.SetBytes(24 * benchBits)
+		for i := 0; i < b.N; i++ {
+			bits.PackSignsOfSubSum(acc, 0.04, x)
+		}
+	})
+	b.Run("twoPasses", func(b *testing.B) {
+		b.SetBytes(24 * benchBits)
+		for i := 0; i < b.N; i++ {
+			subSumTwoPasses(bits, acc, 0.04, x)
 		}
 	})
 }

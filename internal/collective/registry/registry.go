@@ -170,7 +170,10 @@ type SeqRunner func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec
 // Signs is the producer's own vector (a Marsit rank's consensus or a
 // signsum rank's majority, reused by its next round), so it is valid
 // until the next round on the same runner; a caller that keeps the
-// output longer calls Dense. Vec is the caller's to keep.
+// output longer calls Dense. It is read-only until then: a Marsit rank's
+// next round still reads its consensus, subtracting η_s·signs from the
+// compensation in the pass that packs the new signs. Vec is the caller's
+// to keep.
 type Update struct {
 	Signs *bitvec.Vec
 	Scale float64

@@ -46,12 +46,14 @@
 //
 // A one-bit round's global update is D bits and one scalar, ±η_s, and
 // both schedules return it as that (registry.Update): the compensation
-// subtracts ±η_s straight from the consensus bits, and a caller such as
+// subtracts ±η_s straight from the consensus bits — in the next one-bit
+// round's packing pass, or alone before anything else reads the
+// compensation or a full-precision round opens — and a caller such as
 // the trainer reads its metric from them and unpacks them into a vector
 // of its own for the optimizer step; RankSync.Sync hands its bits to the
 // engine's dispatcher, which unpacks one vector per consensus for all
-// ranks. The bits are the synchronizer's own and are valid only until
-// its next round. Sync is SyncUpdate followed by Update.Dense, one fresh
+// ranks. The bits are the synchronizer's own, read-only and valid only
+// until its next round. Sync is SyncUpdate followed by Update.Dense, one fresh
 // vector of ±η_s per round, bit-equal to the values the compensation
 // subtracted.
 package core
@@ -318,6 +320,7 @@ func (m *Marsit) Compensation(w int) tensor.Vec { return m.ranks[w].Compensation
 func (m *Marsit) MeanCompensation() tensor.Vec {
 	out := tensor.New(m.cfg.Dim)
 	for _, r := range m.ranks {
+		r.settle()
 		tensor.Add(out, r.comp)
 	}
 	tensor.Scale(out, 1/float64(m.cfg.Workers))
@@ -385,12 +388,14 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) registry.Upda
 		return registry.Update{Vec: u[0]}
 	}
 
-	// Line 1, lines 4–8 and line 10 on lanes: packing by worker, the
-	// phases' merges by segment and write-backs by segment, the
-	// compensation by worker, with the lanes meeting between dependent
-	// steps. Every segment has one merge chain, and the last phase writes
-	// each final segment into worker 0's bits: the consensus every worker
-	// decodes, and every rank of the per-rank schedule holds.
+	// Line 1 (after the last round's owed line 10), lines 4–8 and line 10
+	// on lanes: packing by worker, the phases' merges by segment and
+	// write-backs by segment, the compensation by worker, with the lanes
+	// meeting between dependent steps. Every segment has one merge chain,
+	// and the last phase writes each final segment into worker 0's bits:
+	// the consensus every worker decodes, and every rank of the per-rank
+	// schedule holds. Line 10 only copies it into a worker's own bits for
+	// that worker's next packing pass to subtract.
 	lanes := tensor.Lanes(n)
 	consensus := m.ranks[0].bits
 	tensor.ForLanes(lanes, func(p int, b *tensor.Barrier) {

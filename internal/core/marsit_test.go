@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"marsit/internal/bitvec"
+	"marsit/internal/collective"
 	"marsit/internal/netsim"
 	"marsit/internal/rng"
 	"marsit/internal/tensor"
@@ -220,10 +221,20 @@ func TestSyncKZeroNeverFullPrecision(t *testing.T) {
 // engines run this arithmetic through the same fused passes of RankSync,
 // so the equivalence tests cannot vouch for it; the reference here is the
 // unfused statement — Clone(grad), Add, Sub — which IEEE addition's
-// commutativity makes exact, not approximate. The same loop holds Sync
-// to its promise that grads come back untouched.
+// commutativity makes exact, not approximate, kept by the test itself
+// round after round. A full-precision round's update is held to
+// collective.TorusAllReduce of Clone(grad) + c_t.
+//
+// Line 10 is applied lazily, inside the next one-bit round's packing
+// pass, and settled alone before a full-precision round or a read of the
+// state. So the state is read — MeanCompensation first, then every
+// worker's Compensation — only after rounds 1 and 5 and the last: at
+// K = 3 round 3 opens a full-precision round on an unsettled debt and
+// round 5 packs through one, at K = 0 most rounds pack through one, and
+// rounds 2 and 6 open on a settled state. The same loop holds Sync to
+// its promise that grads come back untouched.
 func TestCompensationRecursion(t *testing.T) {
-	const d = 70 // a full word and a partial one
+	const d, rounds = 70, 7 // a full word and a partial one
 	sameBits := func(a, b tensor.Vec) bool {
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -235,7 +246,7 @@ func TestCompensationRecursion(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		for _, tor := range []*topology.Torus{nil, topology.NewTorus(2, 2)} {
 			for _, ablate := range []bool{false, true} {
-				for _, k := range []int{0, 2} {
+				for _, k := range []int{0, 2, 3} {
 					n, name := 3, "ring"
 					if tor != nil {
 						n, name = tor.Size(), "torus"
@@ -247,13 +258,15 @@ func TestCompensationRecursion(t *testing.T) {
 						})
 						defer m.Close()
 						r := rng.New(17)
-						for round := 0; round < 5; round++ {
+						ref := make([]tensor.Vec, n)
+						for w := range ref {
+							ref[w] = tensor.New(d)
+						}
+						for round := 0; round < rounds; round++ {
 							grads := randGrads(r, n, d)
 							passed := make([]tensor.Vec, n)
-							before := make([]tensor.Vec, n)
 							for w := 0; w < n; w++ {
 								passed[w] = tensor.Clone(grads[w])
-								before[w] = m.Compensation(w)
 							}
 							full := m.FullPrecisionNext()
 							gt := m.Sync(cluster(n), grads)
@@ -261,13 +274,40 @@ func TestCompensationRecursion(t *testing.T) {
 								if !sameBits(grads[w], passed[w]) {
 									t.Fatalf("round %d worker %d: Sync modified its gradient", round, w)
 								}
-								want := tensor.New(d)
-								if !full && !ablate {
-									copy(want, grads[w])
-									tensor.Add(want, before[w])
-									tensor.Sub(want, gt)
+							}
+							if full {
+								u := make([]tensor.Vec, n)
+								for w := range u {
+									u[w] = tensor.Clone(grads[w])
+									tensor.Add(u[w], ref[w])
 								}
-								if !sameBits(want, m.Compensation(w)) {
+								collective.TorusAllReduce(cluster(n), tor, u)
+								if !sameBits(gt, u[0]) {
+									t.Fatalf("round %d: full-precision update is not the all-reduce of η_l·g + c", round)
+								}
+							}
+							for w := range ref {
+								next := tensor.New(d)
+								if !full && !ablate {
+									copy(next, grads[w])
+									tensor.Add(next, ref[w])
+									tensor.Sub(next, gt)
+								}
+								ref[w] = next
+							}
+							if round%4 != 1 && round != rounds-1 {
+								continue
+							}
+							mean := tensor.New(d)
+							for _, c := range ref {
+								tensor.Add(mean, c)
+							}
+							tensor.Scale(mean, 1/float64(n))
+							if !sameBits(mean, m.MeanCompensation()) {
+								t.Fatalf("round %d: mean compensation violates the recursion", round)
+							}
+							for w := 0; w < n; w++ {
+								if !sameBits(ref[w], m.Compensation(w)) {
 									t.Fatalf("round %d worker %d compensation recursion violated", round, w)
 								}
 							}

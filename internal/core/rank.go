@@ -14,11 +14,11 @@ import (
 
 // RankSync is one worker's share of Algorithm 1: its compensation
 // vector, packed signs, transient stream and round counter, and — in
-// open, endFull and compensate — every line of the algorithm outside
-// the one-bit synchronization of lines 4–8. That arithmetic is stated
-// here and nowhere else; both engines run it on the same state. begin
-// and endOneBit are open and compensate with their compression charges,
-// the form a per-rank schedule calls.
+// open, endFull, compensate and settle — every line of the algorithm
+// outside the one-bit synchronization of lines 4–8. That arithmetic is
+// stated here and nowhere else; both engines run it on the same state.
+// begin and endOneBit are open and compensate with their compression
+// charges, the form a per-rank schedule calls.
 //
 // What each engine states for itself is the schedule of lines 4–8 (and
 // of the full-precision all-reduce): RankSync.Sync runs this rank's
@@ -35,7 +35,13 @@ type RankSync struct {
 	comp tensor.Vec
 	// bits carries a one-bit round's signs from packing to decoding; the
 	// RankSync owns it and reuses it every round.
-	bits  *bitvec.Vec
+	bits *bitvec.Vec
+	// owed marks line 10 of the last one-bit round as not yet applied:
+	// comp still holds that round's u, and bits the consensus whose
+	// η_s·signs it owes. The next one-bit round's packing pass subtracts
+	// them on its way (bitvec's PackSignsOfSubSum); settle does it alone
+	// for everything else that reads comp.
+	owed  bool
 	rng   *rng.PCG
 	round int
 }
@@ -74,7 +80,19 @@ func newRankSync(cfg Config, rank int) *RankSync {
 func (r *RankSync) Round() int { return r.round }
 
 // Compensation returns a copy of the rank's compensation vector.
-func (r *RankSync) Compensation() tensor.Vec { return tensor.Clone(r.comp) }
+func (r *RankSync) Compensation() tensor.Vec {
+	r.settle()
+	return tensor.Clone(r.comp)
+}
+
+// settle applies an owed line 10, c ← u − η_s·signs, in a pass of its
+// own: before a full-precision round and before comp is read.
+func (r *RankSync) settle() {
+	if r.owed {
+		r.bits.SubScaled(r.comp, r.cfg.GlobalLR)
+		r.owed = false
+	}
+}
 
 // FullPrecisionNext mirrors Marsit.FullPrecisionNext for this rank.
 func (r *RankSync) FullPrecisionNext() bool {
@@ -99,9 +117,11 @@ func (r *RankSync) begin(c *netsim.Cluster, grad tensor.Vec) tensor.Vec {
 // schedule can open every worker's round on lanes and charge them after
 // the join: it touches only this worker's compensation, bits and round
 // counter. On a one-bit round c += η_l·g turns the compensation vector
-// into u while its signs are packed, so u is never a vector of its own.
-// IEEE addition commutes, so this is bit for bit Clone(grad) + c (only
-// the payload of a NaN + NaN sum may differ, and a NaN packs as −1
+// into u while its signs are packed, so u is never a vector of its own;
+// when the last round's line 10 is still owed, the same pass subtracts
+// η_s·signs first, reading each sign from the word it packs the new one
+// into. IEEE addition commutes, so this is bit for bit Clone(grad) + c
+// (only the payload of a NaN + NaN sum may differ, and a NaN packs as −1
 // either way). Under the ablation c is zero and stays zero, so u's signs
 // are grad's.
 func (r *RankSync) open(grad tensor.Vec) tensor.Vec {
@@ -111,13 +131,18 @@ func (r *RankSync) open(grad tensor.Vec) tensor.Vec {
 	full := r.FullPrecisionNext()
 	r.round++
 	if full {
+		r.settle()
 		u := tensor.Clone(grad)
 		tensor.Add(u, r.comp)
 		return u
 	}
-	if r.cfg.DisableCompensation {
+	switch {
+	case r.cfg.DisableCompensation:
 		r.bits.PackSigns(grad)
-	} else {
+	case r.owed:
+		r.bits.PackSignsOfSubSum(r.comp, r.cfg.GlobalLR, grad)
+		r.owed = false
+	default:
 		r.bits.PackSignsOfSum(r.comp, grad)
 	}
 	return nil
@@ -134,17 +159,24 @@ func (r *RankSync) endOneBit(c *netsim.Cluster, consensus *bitvec.Vec) {
 	c.AddDecompress(r.rank, r.cfg.Dim)
 }
 
-// compensate is endOneBit's arithmetic, charging nothing — line 10:
-// c_{t+1} = u − g_t in place where u sits, with g_t = η_s·consensus
-// subtracted straight from the bits (skipped under the ablation, where c
-// stays zero). g_t itself is never written: the round's update is the
-// consensus and η_s (registry.Update). It writes only this worker's
-// compensation and reads consensus, so every worker's runs on lanes
-// against the same bits.
+// compensate is endOneBit's arithmetic, charging nothing — line 10,
+// c_{t+1} = u − g_t with g_t = η_s·consensus, recorded as owed rather
+// than applied (skipped under the ablation, where c stays zero): the
+// next open or settle subtracts it from the bits. g_t itself is never
+// written: the round's update is the consensus and η_s
+// (registry.Update). The rank's own bits must hold the consensus until
+// then, so a worker of the lock-step schedule, whose consensus is worker
+// 0's bits, copies it (D/8 bytes). It writes only this worker's bits and
+// reads consensus, so every worker's runs on lanes against the same
+// bits.
 func (r *RankSync) compensate(consensus *bitvec.Vec) {
-	if !r.cfg.DisableCompensation {
-		consensus.SubScaled(r.comp, r.cfg.GlobalLR)
+	if r.cfg.DisableCompensation {
+		return
 	}
+	if consensus != r.bits {
+		r.bits.Copy(consensus)
+	}
+	r.owed = true
 }
 
 // Sync executes one round of Algorithm 1 for this rank: grad is the
@@ -160,9 +192,11 @@ func (r *RankSync) compensate(consensus *bitvec.Vec) {
 // like the sequential engine, and the round ends in a ClockBarrier
 // (netsim's implicit lock step, over the wire).
 //
-// A one-bit round makes two passes over the rank's D-float vectors
-// (begin's packing and endOneBit's subtraction) and allocates none of
-// them.
+// A one-bit round makes one pass over the rank's D-float vectors and
+// allocates none of them: begin's packing, which also subtracts the last
+// one-bit round's η_s·signs (line 10, which endOneBit only records). A
+// round after a full-precision one or after a read of the compensation
+// packs without it, and a full-precision round settles it first.
 func (r *RankSync) Sync(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 	if ep.Rank() != r.rank || ep.Size() != r.cfg.Workers {
 		panic(fmt.Sprintf("core: endpoint %d/%d for RankSync %d/%d",

@@ -11,6 +11,7 @@ import (
 	"marsit/internal/runtime"
 	"marsit/internal/runtime/equivtest"
 	"marsit/internal/tensor"
+	"marsit/internal/topology"
 	"marsit/internal/transport"
 	"marsit/internal/transport/hybrid"
 	"marsit/internal/transport/shm"
@@ -338,6 +339,36 @@ func TestRARForwardsFrames(t *testing.T) {
 					workers, gets, 2*workers)
 			}
 		})
+	}
+}
+
+// TestTreeForwardsFrames pins the tree's downlink forwarding, for floats
+// and bits alike: a non-root sends on the frame it received from its
+// parent, the root encodes once, and every child but a node's last gets
+// one pooled copy. With one encoded uplink per non-root, a round draws
+// (M−1) + 1 + Σ max(children−1, 0) payload buffers; encoding every
+// downlink afresh drew 2(M−1).
+func TestTreeForwardsFrames(t *testing.T) {
+	for _, name := range []string{"tree", "onebit-tree"} {
+		for _, workers := range []int{4, 8} {
+			t.Run(fmt.Sprintf("%s/M=%d", name, workers), func(t *testing.T) {
+				want := int64(workers)
+				tr := topology.NewTree(workers)
+				for r := 0; r < workers; r++ {
+					want += int64(max(len(tr.Children(r))-1, 0))
+				}
+				reg := obs.NewRegistry()
+				defer obs.SetActive(reg)()
+				run, done := allocRun(t, name, "loopback", workers, 1<<12)
+				defer done()
+				gets := reg.Pool.Gets.Value()
+				run()
+				if gets = reg.Pool.Gets.Value() - gets; gets != want {
+					t.Fatalf("%s M=%d draws %d payload buffers in a round, want %d: a downlink re-encodes instead of forwarding",
+						name, workers, gets, want)
+				}
+			})
+		}
 	}
 }
 

@@ -34,6 +34,7 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 	treeRank(c, ep, tr, bits.WireBytes(),
 		func(child int, data []byte) {
 			agg := unmarshalBits(rank, child, data, d)
+			transport.PutBuffer(data)
 			merge(rank, agg, bits, size[child], absorbed)
 			bits = agg
 			absorbed += size[child]
@@ -53,8 +54,9 @@ func marshalBits(b *bitvec.Vec) []byte {
 }
 
 // unmarshalBits decodes the marshalBits payload rank received from peer
-// and recycles it. The schedule fixes every frame's length, so any other
-// is a peer running another dimension or partition: Insert would leave a
+// into a vector of its own; the payload stays the caller's to recycle or
+// send on. The schedule fixes every frame's length, so any other is a
+// peer running another dimension or partition: Insert would leave a
 // short segment's tail unmerged without a word and fail a long one on an
 // index inside bitvec, hence the named panic here.
 func unmarshalBits(rank, peer int, data []byte, want int) *bitvec.Vec {
@@ -65,6 +67,5 @@ func unmarshalBits(rank, peer int, data []byte, want int) *bitvec.Vec {
 	if v.Len() != want {
 		panic(fmt.Sprintf("runtime: rank %d: peer %d sent %d bits, want %d", rank, peer, v.Len(), want))
 	}
-	transport.PutBuffer(data)
 	return v
 }

@@ -20,9 +20,12 @@ import (
 //     its children's level and sends at its own, which is exactly the
 //     program order below.
 //   - broadcast down: a non-root takes its parent's frame into
-//     adopt(parent, frame) at its arrival, then its downlinks of encode()
-//     serialize in ascending child order, each packet carrying its own
-//     send-start clock.
+//     adopt(parent, frame) at its arrival and sends that frame on; the
+//     root encodes once. The downlinks serialize in ascending child
+//     order, each packet carrying its own send-start clock: every child
+//     but the last gets a pooled copy, made before the frame itself goes
+//     to the last, and a leaf recycles the frame. adopt reads the frame
+//     and must not recycle it.
 //
 // wire is the simulated size of every frame. The caller owns the
 // closing barrier (ClockBarrier in the registry legs, matching the
@@ -52,11 +55,23 @@ func treeRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tree, wire 
 	}
 
 	rk.setPhase("broadcast-down")
+	var frame []byte
 	if parent >= 0 {
-		adopt(parent, rk.pull(parent))
+		frame = rk.pull(parent)
+		adopt(parent, frame)
+	} else {
+		frame = encode()
 	}
-	for _, ch := range children {
-		rk.push(ch, encode(), wire)
+	if len(children) == 0 {
+		transport.PutBuffer(frame)
+	}
+	for i, ch := range children {
+		data := frame
+		if i < len(children)-1 {
+			data = transport.GetBuffer(len(frame))
+			copy(data, frame)
+		}
+		rk.push(ch, data, wire)
 	}
 	rk.finish()
 }
@@ -70,5 +85,5 @@ func treeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tr
 		func(_ int, data []byte) { addFloats(vec, data) },
 		func() []byte { return encodeFloats(vec) },
 		func() { tensor.Scale(vec, 1/float64(ep.Size())) },
-		func(_ int, data []byte) { copyFloats(vec, data) })
+		func(_ int, data []byte) { readFloats(vec, data) })
 }
