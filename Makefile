@@ -3,8 +3,9 @@
 #   make check             fmt + vet + build + test + collective-listing golden
 #                          + no-shims and single-path guards (one place
 #                          each for endpoint I/O, clocks, rendezvous
-#                          waits, ring/torus schedules, α–β hops and
-#                          tree level loops) + dead-code golden + the
+#                          waits, ring/torus schedules, α–β hops, tree
+#                          level loops, the trainer's synchronizer and
+#                          the densifier) + dead-code golden + the
 #                          portable build (what CI runs)
 #   make race              race-detector pass over the concurrency-bearing
 #                          packages (the lane helper in internal/tensor and
@@ -230,7 +231,12 @@ no-shims:
 # BytePeriod or Model.Latency is an α–β charge written by hand beside
 # rankCtx's (a one-way hop is rankCtx.push/pull), and in non-test
 # internal/core, runtime and collective code a .Depth( outside
-# collective.TreeSchedule is a second level-by-level tree loop.
+# collective.TreeSchedule is a second level-by-level tree loop. Its
+# fifth rule keeps one synchronizer path: a core.New or core.MustNew in
+# non-test internal/train is a synchronizer opened beside
+# core.OpenCollective, and a .Dense() in non-test internal/runtime,
+# internal/train or internal/core/register.go is a []Update made vectors
+# outside registry.Dense.
 single-path:
 	@out="$$(awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[ \t]*\/\// { next } \
 		/\.(Send|Recv)\(/ && fn !~ /^func \(r \*rankCtx\) (post|take)\(/ { print FILENAME ":" FNR ": " $$0 } \
@@ -264,6 +270,14 @@ single-path:
 		echo "single-path: an α–β hop charged outside rankCtx (use push/pull) or a tree level loop outside collective.TreeSchedule:"; echo "$$out"; exit 1; \
 	fi
 	@echo "single-path: every one-way hop is charged in rankCtx, every sequential tree walked by TreeSchedule"
+	@out="$$(awk '/^[ \t]*\/\// { next } \
+		FILENAME ~ /\/train\// && /core\.(New|MustNew)\(/ { print FILENAME ":" FNR ": " $$0 } \
+		/\.Dense\(\)/ { print FILENAME ":" FNR ": " $$0 }' \
+		$$(ls internal/runtime/*.go internal/train/*.go internal/core/register.go | grep -v '_test\.go$$'))"; \
+	if [ -n "$$out" ]; then \
+		echo "single-path: a second synchronizer path (a core.New in the trainer, or outputs made vectors outside registry.Dense):"; echo "$$out"; exit 1; \
+	fi
+	@echo "single-path: every trainer method opens through core.OpenCollective, and registry.Dense is the one densifier"
 
 # deadcode links every program with inlining off and the linker's
 # reachability graph dumped, and lists the non-test functions under

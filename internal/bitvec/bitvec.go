@@ -505,19 +505,10 @@ func (v *Vec) MarshalInto(out []byte) {
 	}
 }
 
-// Unmarshal parses data produced by Marshal, loading whole words with
-// one 8-byte read each.
-func Unmarshal(data []byte) (*Vec, error) {
-	v := new(Vec)
-	if err := UnmarshalInto(v, data); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// UnmarshalInto is Unmarshal into dst, which takes the frame's length
-// (Resize) and keeps its words when they have room: a ring hop that
-// receives a segment every step decodes into one vector. On an error dst
+// UnmarshalInto parses data produced by Marshal into dst, loading whole
+// words with one 8-byte read each. dst takes the frame's length (Resize)
+// and keeps its words when they have room: a ring hop that receives a
+// segment every step decodes into one vector. On an error dst
 // is left as it was.
 func UnmarshalInto(dst *Vec, data []byte) error {
 	if len(data) < 4 {
@@ -567,7 +558,7 @@ func MarshalSigns[T float64 | int64](out []byte, src []T) {
 	}
 }
 
-// UnmarshalSigns is Unmarshal followed by UnpackSigns into dst, without
+// UnmarshalSigns is UnmarshalInto followed by UnpackSigns into dst, without
 // the vector in between: data must be the Marshal form of exactly
 // len(dst) bits, and dst receives +1 for a set bit, −1 for a clear one.
 func UnmarshalSigns(data []byte, dst []float64) error {

@@ -154,7 +154,7 @@ func TestMarshalRoundtripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			v.Set(i, r.Bernoulli(0.5))
 		}
-		got, err := Unmarshal(v.Marshal())
+		got, err := unmarshal(v.Marshal())
 		return err == nil && got.Equal(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -163,12 +163,12 @@ func TestMarshalRoundtripProperty(t *testing.T) {
 }
 
 func TestUnmarshalErrors(t *testing.T) {
-	if _, err := Unmarshal([]byte{1, 2}); err == nil {
+	if _, err := unmarshal([]byte{1, 2}); err == nil {
 		t.Fatal("short header accepted")
 	}
 	v := New(100)
 	data := v.Marshal()
-	if _, err := Unmarshal(data[:8]); err == nil {
+	if _, err := unmarshal(data[:8]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }
@@ -291,4 +291,13 @@ func BenchmarkPackSigns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		v.PackSigns(src)
 	}
+}
+
+// unmarshal decodes a Marshal frame into a fresh vector.
+func unmarshal(data []byte) (*Vec, error) {
+	v := new(Vec)
+	if err := UnmarshalInto(v, data); err != nil {
+		return nil, err
+	}
+	return v, nil
 }

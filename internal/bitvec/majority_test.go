@@ -86,14 +86,15 @@ func FuzzUnmarshalRobust(f *testing.F) {
 	f.Add(fuzzVec(65, 65).Marshal())
 	f.Add(append(fuzzVec(64, 64).Marshal(), 0xaa, 0xbb))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := Unmarshal(data)
-		// UnmarshalInto agrees with it into a vector that held other bits,
-		// and leaves that vector alone when it refuses the frame.
+		v, err := unmarshal(data)
+		// Decoding into a vector that held other bits agrees with decoding
+		// into a fresh one, and leaves that vector alone when it refuses
+		// the frame.
 		into := fuzzVec(7, 130)
 		if errI := UnmarshalInto(into, data); (errI == nil) != (err == nil) {
-			t.Fatalf("UnmarshalInto err %v, Unmarshal err %v", errI, err)
+			t.Fatalf("UnmarshalInto err %v, into a fresh vector %v", errI, err)
 		} else if err == nil && !into.Equal(v) {
-			t.Fatalf("UnmarshalInto decoded %v, Unmarshal %v", into, v)
+			t.Fatalf("UnmarshalInto decoded %v, into a fresh vector %v", into, v)
 		} else if err != nil && !into.Equal(fuzzVec(7, 130)) {
 			t.Fatal("a refused frame changed the UnmarshalInto target")
 		}
@@ -102,7 +103,7 @@ func FuzzUnmarshalRobust(f *testing.F) {
 		if len(data) >= 4 {
 			if n := binary.LittleEndian.Uint32(data); n <= 1<<16 {
 				if errS := UnmarshalSigns(data, make([]float64, n)); (errS == nil) != (err == nil) {
-					t.Fatalf("UnmarshalSigns err %v, Unmarshal err %v", errS, err)
+					t.Fatalf("UnmarshalSigns err %v, UnmarshalInto err %v", errS, err)
 				}
 				if UnmarshalSigns(data, make([]float64, n+1)) == nil {
 					t.Fatalf("a %d-bit frame unmarshalled into %d signs", n, n+1)

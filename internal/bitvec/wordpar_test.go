@@ -183,9 +183,9 @@ func FuzzMarshalRoundTrip(f *testing.F) {
 			}
 		}
 
-		back, err := Unmarshal(got)
+		back, err := unmarshal(got)
 		if err != nil {
-			t.Fatalf("Unmarshal: %v", err)
+			t.Fatalf("UnmarshalInto: %v", err)
 		}
 		if !back.Equal(v) {
 			t.Fatalf("marshal round trip diverges at n=%d", n)

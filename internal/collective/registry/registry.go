@@ -24,6 +24,7 @@ package registry
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -152,12 +153,20 @@ func (o *Opts) AllStreams() []*rng.PCG {
 	return out
 }
 
-// SeqRunner executes one round of a collective on the sequential engine:
-// grads holds every rank's input gradient (runners may mutate the vectors
-// in place); the returned slice holds every rank's synchronized output,
-// and the ranks of a consensus may share one vector. Runners returned by
-// Descriptor.Seq keep state across rounds (compensation vectors,
-// compression streams), so one runner must drive a whole run.
+// UpdateRunner executes one round of a collective over every rank:
+// grads holds every rank's input gradient (runners may mutate the
+// vectors in place), and the result holds every rank's output in the
+// form its round produced it (Update). The ranks of a consensus may share
+// one Update, bits included. It is the shape of a descriptor's sequential
+// leg (NewSeq) and of a collective opened on the concurrent engine
+// (runtime.Collective.Updates). Runners keep state across rounds
+// (compensation vectors, compression streams), so one runner must drive
+// a whole run.
+type UpdateRunner func(c *netsim.Cluster, grads []tensor.Vec) []Update
+
+// SeqRunner is an UpdateRunner whose outputs are vectors (Dense):
+// Descriptor.Seq's form of the sequential leg, for callers that compare
+// or keep every rank's output.
 type SeqRunner func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec
 
 // Update is one rank's synchronized output in the form its round
@@ -202,6 +211,59 @@ func (u Update) Dense() tensor.Vec {
 // rounds and must only be used from one goroutine.
 type RankRunner func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) Update
 
+// Vecs wraps every rank's dense output: what a sequential leg whose
+// schedule reduces the vectors in place returns.
+func Vecs(outs []tensor.Vec) []Update {
+	ups := make([]Update, len(outs))
+	for w, v := range outs {
+		ups[w].Vec = v
+	}
+	return ups
+}
+
+// Consensus hands every one of n ranks the round's one update, bits
+// included: what a sequential leg of a consensus collective returns.
+func Consensus(u Update, n int) []Update {
+	ups := make([]Update, n)
+	for w := range ups {
+		ups[w] = u
+	}
+	return ups
+}
+
+// Dense turns a round's per-rank outputs into vectors, the one place a
+// []Update becomes them. A one-bit rank 0 is unpacked once, by
+// tensor.PartitionAligned range on min(M, GOMAXPROCS) lanes, into a
+// fresh vector that every rank with the same bits and the same scale
+// (bit for bit) receives, exactly as a consensus hands its one g_t to
+// every rank; any other rank gets its own Update.Dense. That is a
+// property of the outputs, not of the collective: a dense output passes
+// through untouched. Every output is the caller's to keep.
+func Dense(ups []Update) []tensor.Vec {
+	outs := make([]tensor.Vec, len(ups))
+	u0 := ups[0]
+	var shared tensor.Vec
+	if u0.Signs != nil {
+		shared = tensor.New(u0.Signs.Len())
+		segs := tensor.PartitionAligned(len(shared), tensor.Lanes(len(ups)), 64)
+		tensor.ForLanes(len(segs), func(p int, _ *tensor.Barrier) {
+			lo, hi := segs[p].Lo, segs[p].Hi
+			signs := u0.Signs.Slice(lo, hi)
+			signs.UnpackScaled(shared[lo:hi], u0.Scale)
+		})
+	}
+	for rank, u := range ups {
+		if shared != nil && u.Signs != nil &&
+			math.Float64bits(u.Scale) == math.Float64bits(u0.Scale) &&
+			(u.Signs == u0.Signs || u.Signs.Equal(u0.Signs)) {
+			outs[rank] = shared
+			continue
+		}
+		outs[rank] = u.Dense()
+	}
+	return outs
+}
+
 // Descriptor is one registered collective.
 type Descriptor struct {
 	// Name is the registry key (lowercase; the CLIs' -collective value).
@@ -220,18 +282,22 @@ type Descriptor struct {
 	// set it higher to cover their round-dependent paths).
 	EquivRounds int
 	// NewSeq builds the sequential leg for prepared Opts.
-	NewSeq func(o *Opts) (SeqRunner, error)
+	NewSeq func(o *Opts) (UpdateRunner, error)
 	// NewRank builds rank's per-rank leg for prepared Opts.
 	NewRank func(o *Opts, rank int) (RankRunner, error)
 }
 
 // Seq prepares o against the descriptor and builds the sequential
-// runner.
+// runner, its outputs made vectors by Dense.
 func (d *Descriptor) Seq(o *Opts) (SeqRunner, error) {
 	if err := Prepare(d, o); err != nil {
 		return nil, err
 	}
-	return d.NewSeq(o)
+	run, err := d.NewSeq(o)
+	if err != nil {
+		return nil, err
+	}
+	return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec { return Dense(run(c, grads)) }, nil
 }
 
 // Rank prepares o against the descriptor and builds rank's per-rank

@@ -36,13 +36,14 @@
 // clock charge and exchange follows on the caller in schedule order, so
 // it is bit-identical at every GOMAXPROCS. RankSync.Sync runs one rank's
 // share over a transport endpoint, on the concurrent engine's worker
-// goroutines in-process and in one marsit-node process per rank across
-// machines. A Marsit holds one RankSync per worker either way;
-// Config.Parallel only chooses which of the two schedules drives them.
-// Both charge wire bytes and simulated time to the netsim substrate
-// identically; because compression and reception overlap by design
-// (Section 4.1.1), a one-bit round charges only the initial sign packing
-// and the final unpacking as compression time.
+// goroutines in-process (the registered "marsit" collective opened on an
+// engine) and in one marsit-node process per rank across machines. A
+// Marsit holds one RankSync per worker and drives them in lock step;
+// OpenCollective is the one place that chooses between that and the
+// per-rank schedule. Both charge wire bytes and simulated time to the
+// netsim substrate identically; because compression and reception
+// overlap by design (Section 4.1.1), a one-bit round charges only the
+// initial sign packing and the final unpacking as compression time.
 //
 // A one-bit round's global update is D bits and one scalar, ±η_s, and
 // both schedules return it as that (registry.Update): the compensation
@@ -50,12 +51,11 @@
 // round's packing pass, or alone before anything else reads the
 // compensation or a full-precision round opens — and a caller such as
 // the trainer reads its metric from them and unpacks them into a vector
-// of its own for the optimizer step; RankSync.Sync hands its bits to the
-// engine's dispatcher, which unpacks one vector per consensus for all
-// ranks. The bits are the synchronizer's own, read-only and valid only
-// until its next round. Sync is SyncUpdate followed by Update.Dense, one fresh
-// vector of ±η_s per round, bit-equal to the values the compensation
-// subtracted.
+// of its own for the optimizer step. The bits are the synchronizer's
+// own, read-only and valid only until its next round; registry.Dense
+// unpacks one vector per consensus for every rank that holds it. Sync is
+// SyncUpdate followed by Update.Dense, one fresh vector of ±η_s per
+// round, bit-equal to the values the compensation subtracted.
 package core
 
 import (
@@ -128,19 +128,21 @@ func NewParallelEngine(workers int, kind Transport) (*runtime.Engine, error) {
 }
 
 // OpenCollective builds the runner of a collective on the chosen
-// execution engine — the one place marsit.Run, train.Run and a Parallel
-// Marsit pick between the two. Sequentially that is desc's lock-step
-// leg. In parallel it is a concurrent engine over the fabric kind with
-// desc opened on it, one per-rank runner per worker goroutine, whose
-// Run has the sequential runner's shape. Either way one runner drives a
-// whole multi-round job, and release frees what it holds (nothing,
-// sequentially). Either way the ranks of a consensus collective may share
-// one output vector: the sequential leg hands its one g_t to every rank,
-// and the parallel dispatcher unpacks one vector per distinct one-bit
-// result (runtime.Collective.Run).
-func OpenCollective(desc *registry.Descriptor, o *registry.Opts, parallel bool, kind Transport) (run registry.SeqRunner, release func() error, err error) {
+// execution engine — the one place marsit.Run and train.Run pick between
+// the two. Sequentially that is desc's lock-step leg. In parallel it is a
+// concurrent engine over the fabric kind with desc opened on it, one
+// per-rank runner per worker goroutine, whose Updates has the sequential
+// leg's shape. Either way one runner drives a whole multi-round job,
+// returns every rank's output in the form the round produced it — the
+// ranks of a one-bit consensus share its bits, which registry.Dense
+// unpacks once for all of them — and release frees what it holds
+// (nothing, sequentially).
+func OpenCollective(desc *registry.Descriptor, o *registry.Opts, parallel bool, kind Transport) (run registry.UpdateRunner, release func() error, err error) {
 	if !parallel {
-		run, err = desc.Seq(o)
+		if err := registry.Prepare(desc, o); err != nil {
+			return nil, nil, err
+		}
+		run, err = desc.NewSeq(o)
 		return run, func() error { return nil }, err
 	}
 	eng, err := NewParallelEngine(o.Workers, kind)
@@ -152,7 +154,7 @@ func OpenCollective(desc *registry.Descriptor, o *registry.Opts, parallel bool, 
 		eng.Close()
 		return nil, nil, err
 	}
-	return cl.Run, eng.Close, nil
+	return cl.Updates, eng.Close, nil
 }
 
 // MergeSigns merges two one-bit sign aggregates in place: agg covers
@@ -201,19 +203,6 @@ type Config struct {
 	// (ablation study; not part of the paper's algorithm). The sign
 	// aggregation still runs, but c_t stays zero.
 	DisableCompensation bool
-	// Parallel selects the concurrent execution engine
-	// (internal/runtime): every Sync runs one RankSync per worker on its
-	// own goroutine, exchanging messages over a pluggable transport,
-	// instead of the lock-step loop. Results, wire bytes and simulated
-	// clocks are bit-identical to the sequential path for a fixed Seed.
-	// Call Close when the instance is no longer needed to release the
-	// worker goroutines.
-	Parallel bool
-	// Transport selects the parallel engine's fabric backend
-	// (TransportLoopback, TransportTCP, TransportSHM or
-	// TransportHybrid; "" means loopback). Ignored unless Parallel is
-	// set.
-	Transport Transport
 }
 
 // validate checks the fields every form of the algorithm shares.
@@ -233,30 +222,36 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// fullPrecision reports whether round t runs at full precision
-// (Algorithm 1's mod(t, K) == 0 branch).
+// FullPrecisionRound reports whether round t (counted from 0) of a
+// synchronizer with period k runs at full precision: Algorithm 1's
+// mod(t, K) == 0 branch, never for k <= 0. It is the one K rule; a
+// trainer that schedules the learning-rate decay at full-precision
+// rounds reads it through its own round counter.
+func FullPrecisionRound(k, t int) bool {
+	return k > 0 && t%k == 0
+}
+
+// fullPrecision reports whether round t runs at full precision.
 func (cfg Config) fullPrecision(t int) bool {
-	return cfg.K > 0 && t%cfg.K == 0
+	return FullPrecisionRound(cfg.K, t)
 }
 
 // Marsit holds Algorithm 1's state for every worker of a cluster —
 // ranks[w] is worker w's RankSync, the only representation there is —
 // and executes one synchronization per Sync call.
 //
-// Sequentially, SyncUpdate drives the workers in lock step from the
-// calling goroutine: begin on each, internal/collective's full-precision
+// SyncUpdate drives the workers in lock step from the calling
+// goroutine: begin on each, internal/collective's full-precision
 // all-reduce and endFull on each, or a one-bit round on lanes (open, the
-// rings of phases, compensate) followed by its charges. A Parallel
-// instance drives each ranks[w].Sync on its own goroutine of the engine
-// that release frees, through run; run is nil sequentially.
+// rings of phases, compensate) followed by its charges. The per-rank
+// schedule of the same state is the "marsit" collective opened on an
+// engine (OpenCollective).
 type Marsit struct {
 	cfg   Config
 	ranks []*RankSync
 	// u holds the workers' u of the current full-precision round.
-	u       []tensor.Vec
-	phases  []ringPhase
-	run     registry.SeqRunner
-	release func() error
+	u      []tensor.Vec
+	phases []ringPhase
 }
 
 // New validates cfg and returns a fresh Marsit with zero compensation
@@ -265,38 +260,12 @@ func New(cfg Config) (*Marsit, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &Marsit{cfg: cfg, ranks: make([]*RankSync, cfg.Workers)}
-	if !cfg.Parallel {
-		for w := range m.ranks {
-			m.ranks[w] = newRankSync(cfg, w)
-		}
-		m.u = make([]tensor.Vec, cfg.Workers)
-		m.addPhases()
-		return m, nil
+	m := &Marsit{cfg: cfg, ranks: make([]*RankSync, cfg.Workers), u: make([]tensor.Vec, cfg.Workers)}
+	for w := range m.ranks {
+		m.ranks[w] = newRankSync(cfg, w)
 	}
-	// The registered per-rank leg, built from the whole Config (the
-	// registry's Opts do not carry the ablation flag) and kept reachable
-	// for the state accessors.
-	desc := marsitDescriptor()
-	desc.NewRank = func(_ *registry.Opts, rank int) (registry.RankRunner, error) {
-		m.ranks[rank] = newRankSync(cfg, rank)
-		return m.ranks[rank].Sync, nil
-	}
-	var err error
-	m.run, m.release, err = OpenCollective(&desc, cfg.opts(), true, cfg.Transport)
-	if err != nil {
-		return nil, err
-	}
+	m.addPhases()
 	return m, nil
-}
-
-// Close releases the worker goroutines of a Parallel instance; it is a
-// no-op in sequential mode. The Marsit must not be used afterwards.
-func (m *Marsit) Close() error {
-	if m.release == nil {
-		return nil
-	}
-	return m.release()
 }
 
 // MustNew is New that panics on configuration errors; convenient in
@@ -328,8 +297,8 @@ func (m *Marsit) MeanCompensation() tensor.Vec {
 }
 
 // FullPrecisionNext reports whether the upcoming Sync will run at full
-// precision (Algorithm 1's mod(t, K) == 0 branch). Trainers use it to
-// schedule the paper's learning-rate decay at full-precision rounds.
+// precision (Algorithm 1's mod(t, K) == 0 branch, FullPrecisionRound at
+// the completed round count).
 func (m *Marsit) FullPrecisionNext() bool { return m.ranks[0].FullPrecisionNext() }
 
 // Sync executes Algorithm 1 for one round and returns the consensus
@@ -344,11 +313,9 @@ func (m *Marsit) Sync(c *netsim.Cluster, grads []tensor.Vec) tensor.Vec {
 // worker w's locally scaled gradient η_l·g^(w)_t; the slice is not
 // modified. It advances the compensation state and returns the
 // consensus global update g_t in the form the round produced it
-// (registry.Update): a sequential one-bit round writes no D-float vector
-// and allocates nothing D-sized (only its lanes' closures and
-// goroutines), and its Signs — worker 0's bits — stay valid until the
-// next round. A Parallel instance returns the vector its engine's
-// dispatcher unpacked once for every rank.
+// (registry.Update): a one-bit round writes no D-float vector and
+// allocates nothing D-sized (only its lanes' closures and goroutines),
+// and its Signs — worker 0's bits — stay valid until the next round.
 // Simulated time and bytes are charged to c, which must have exactly
 // cfg.Workers workers.
 func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) registry.Update {
@@ -367,14 +334,7 @@ func (m *Marsit) SyncUpdate(c *netsim.Cluster, grads []tensor.Vec) registry.Upda
 			panic(fmt.Sprintf("core: worker %d gradient dim %d, want %d", w, len(g), d))
 		}
 	}
-	if m.run != nil {
-		// Every worker goroutine runs RankSync.Sync on its own gradient;
-		// the update is a consensus, so rank 0's stands for all (on a
-		// one-bit round it is the one vector every rank shares).
-		return registry.Update{Vec: m.run(c, grads)[0]}
-	}
-
-	if m.ranks[0].FullPrecisionNext() {
+	if m.FullPrecisionNext() {
 		// Line 1 on every worker, then lines 11–13: full-precision MAR;
 		// g_t = mean(u); c ← 0.
 		u := m.u

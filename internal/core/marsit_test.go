@@ -252,11 +252,10 @@ func TestCompensationRecursion(t *testing.T) {
 						n, name = tor.Size(), "torus"
 					}
 					t.Run(fmt.Sprintf("par=%v/%s/ablate=%v/K=%d", parallel, name, ablate, k), func(t *testing.T) {
-						m := MustNew(Config{
+						m := newSyncer(t, Config{
 							Workers: n, Dim: d, K: k, GlobalLR: 0.05, Seed: 4, Torus: tor,
-							DisableCompensation: ablate, Parallel: parallel,
-						})
-						defer m.Close()
+							DisableCompensation: ablate,
+						}, parallel)
 						r := rng.New(17)
 						ref := make([]tensor.Vec, n)
 						for w := range ref {
@@ -370,9 +369,7 @@ func TestSyncUpdateMatchesSync(t *testing.T) {
 							DisableCompensation: ablate,
 						}
 						ref := MustNew(cfg)
-						cfg.Parallel = parallel
-						m := MustNew(cfg)
-						defer m.Close()
+						m := newSyncer(t, cfg, parallel)
 						cRef, c := cluster(n), cluster(n)
 						r := rng.New(17)
 						for round := 0; round < 5; round++ {

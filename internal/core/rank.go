@@ -23,12 +23,13 @@ import (
 // What each engine states for itself is the schedule of lines 4–8 (and
 // of the full-precision all-reduce): RankSync.Sync runs this rank's
 // share over a transport endpoint — the registered "marsit" collective's
-// per-rank leg, a Parallel Marsit's workers and the processes that host
-// one rank each (cmd/marsit-node) — and the sequential Marsit.SyncUpdate
-// runs all workers' in lock step. The two are bit-identical in updates,
-// compensation, wire bytes and virtual clocks (the equivalence tests pin
-// this), so a change to a schedule — merge order, draw order, charge
-// order, barrier placement — must be made to both.
+// per-rank leg, on an engine's worker goroutines and in the processes
+// that host one rank each (cmd/marsit-node) — and the sequential
+// Marsit.SyncUpdate runs all workers' in lock step. The two are
+// bit-identical in updates, compensation, wire bytes and virtual clocks
+// (the equivalence tests pin this), so a change to a schedule — merge
+// order, draw order, charge order, barrier placement — must be made to
+// both.
 type RankSync struct {
 	cfg  Config
 	rank int
@@ -185,12 +186,12 @@ func (r *RankSync) compensate(consensus *bitvec.Vec) {
 // — on a full-precision round the reduced u, a vector of the rank's own
 // and the caller's to keep; on a one-bit round this rank's consensus bits
 // and η_s, which stay valid until its next round. It is the registered
-// "marsit" collective's per-rank leg: the engine's dispatcher unpacks the
-// bits once per distinct consensus and hands every rank that shares it
-// the same vector, as the sequential leg does. The endpoint must belong
-// to this rank on a fabric of cfg.Workers ranks; c is charged exactly
-// like the sequential engine, and the round ends in a ClockBarrier
-// (netsim's implicit lock step, over the wire).
+// "marsit" collective's per-rank leg: every rank returns the same
+// consensus bits, as the sequential leg hands its one update to every
+// rank, and registry.Dense unpacks them once for all. The endpoint must
+// belong to this rank on a fabric of cfg.Workers ranks; c is charged
+// exactly like the sequential engine, and the round ends in a
+// ClockBarrier (netsim's implicit lock step, over the wire).
 //
 // A one-bit round makes one pass over the rank's D-float vectors and
 // allocates none of them: begin's packing, which also subtracts the last

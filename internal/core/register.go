@@ -17,24 +17,22 @@ import (
 // counter) that this package implements: the sequential leg is a
 // Marsit instance, the per-rank leg a RankSync.
 
-// opts is the registry's view of cfg — the fields the "marsit"
-// descriptor reads — and configOf its inverse.
-func (cfg Config) opts() *registry.Opts {
-	return &registry.Opts{
-		Workers: cfg.Workers, Dim: cfg.Dim, K: cfg.K,
-		GlobalLR: cfg.GlobalLR, Torus: cfg.Torus, Seed: cfg.Seed,
-	}
-}
-
-func configOf(o *registry.Opts) Config {
+// configOf is the Config a "marsit" descriptor builds its legs from:
+// the fields of o it reads, and the ablation flag the registry's Opts do
+// not carry.
+func configOf(o *registry.Opts, disableCompensation bool) Config {
 	return Config{
 		Workers: o.Workers, Dim: o.Dim, K: o.K,
 		GlobalLR: o.GlobalLR, Torus: o.Torus, Seed: o.Seed,
+		DisableCompensation: disableCompensation,
 	}
 }
 
-// marsitDescriptor is the "marsit" registry entry.
-func marsitDescriptor() registry.Descriptor {
+// MarsitDescriptor is the "marsit" collective, registered as built with
+// compensation. With disableCompensation set it is the compensation
+// ablation (Config.DisableCompensation), which is not registered: the
+// trainer opens it as it opens any other method's descriptor.
+func MarsitDescriptor(disableCompensation bool) registry.Descriptor {
 	return registry.Descriptor{
 		Name:     "marsit",
 		Summary:  "one-bit Marsit all-reduce with global compensation (K-periodic full precision)",
@@ -44,22 +42,17 @@ func marsitDescriptor() registry.Descriptor {
 		// Three rounds with a small K cover both the full-precision and
 		// the one-bit path in the generated equivalence matrix.
 		EquivRounds: 3,
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			m, err := New(configOf(o))
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
+			m, err := New(configOf(o, disableCompensation))
 			if err != nil {
 				return nil, err
 			}
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
-				gt := m.Sync(c, grads)
-				outs := make([]tensor.Vec, len(grads))
-				for w := range outs {
-					outs[w] = gt // consensus: identical on every rank
-				}
-				return outs
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
+				return registry.Consensus(m.SyncUpdate(c, grads), len(grads))
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
-			rs, err := NewRankSync(configOf(o), rank)
+			rs, err := NewRankSync(configOf(o, disableCompensation), rank)
 			if err != nil {
 				return nil, err
 			}
@@ -69,7 +62,7 @@ func marsitDescriptor() registry.Descriptor {
 }
 
 func init() {
-	registry.Register(marsitDescriptor())
+	registry.Register(MarsitDescriptor(false))
 
 	registry.Register(registry.Descriptor{
 		Name:     "onebit-tree",
@@ -80,10 +73,10 @@ func init() {
 		// Two rounds confirm the per-rank Bernoulli streams stay aligned
 		// across synchronizations.
 		EquivRounds: 2,
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
 			tr := topology.NewTree(o.Workers)
 			streams := o.AllStreams()
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				n, d := len(grads), len(grads[0])
 				bits := make([]*bitvec.Vec, n)
 				for w, g := range grads {
@@ -91,15 +84,11 @@ func init() {
 					c.AddCompress(w, d)
 				}
 				OneBitTreeAllReduce(c, tr, bits, streams)
-				// Every rank holds the root's consensus: unpack it once
-				// and hand that vector to every rank.
-				gt := registry.Update{Signs: bits[0], Scale: 1}.Dense()
-				outs := make([]tensor.Vec, n)
-				for w := range outs {
-					outs[w] = gt
+				for w := range grads {
 					c.AddDecompress(w, d)
 				}
-				return outs
+				// Every rank holds the root's consensus bits at unit scale.
+				return registry.Consensus(registry.Update{Signs: bits[0], Scale: 1}, n)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -111,17 +100,19 @@ func init() {
 			merge := func(r int, agg, local *bitvec.Vec, aggWeight, localWeight int) {
 				MergeSigns(agg, local, aggWeight, localWeight, stream)
 			}
-			// The result is the rank's bits at unit scale: the dispatcher
-			// unpacks them into ±1, once for every rank that holds the
-			// same bits.
+			// The rank packs its signs into bits and decodes its peers'
+			// frames into bits and spare, both kept across rounds. The
+			// result is one of them at unit scale, valid until the next
+			// round packs into them.
+			bits, spare := bitvec.New(o.Dim), bitvec.New(o.Dim)
 			return func(c *netsim.Cluster, ep transport.Endpoint, grad tensor.Vec) registry.Update {
 				d := len(grad)
-				bits := bitvec.FromSigns(grad)
+				bits.PackSigns(grad)
 				c.AddCompress(rank, d)
-				bits = runtime.OneBitTreeAllReduceRank(c, ep, tr, bits, merge)
+				out := runtime.OneBitTreeAllReduceRank(c, ep, tr, bits, spare, merge)
 				runtime.ClockBarrier(c, ep)
 				c.AddDecompress(rank, d)
-				return registry.Update{Signs: bits, Scale: 1}
+				return registry.Update{Signs: out, Scale: 1}
 			}, nil
 		},
 	})

@@ -372,6 +372,60 @@ func TestTreeForwardsFrames(t *testing.T) {
 	}
 }
 
+// TestOneBitTreeSteadyStateAllocs pins the onebit-tree per-rank leg to
+// no bit vector of its own per round: a rank packs its signs into a
+// vector it keeps and decodes every child and downlink frame into that
+// one or a second one it keeps (bitvec.UnmarshalInto). So after the
+// warm-up a round through Collective.Updates — the ranks' own results,
+// nothing unpacked — allocates less than one D-bit vector in all, beside
+// what the payload pool's refills and misses cost (allowed for as in
+// TestMarsitSteadyStateAllocs; a payload here is D/8 bytes and a
+// header). Decoding a frame into a fresh vector (bitvec.Unmarshal) or
+// packing into one (bitvec.FromSigns) costs D/8 bytes each time and
+// fails. Loopback, M = 4, D = 2^16.
+func TestOneBitTreeSteadyStateAllocs(t *testing.T) {
+	const workers, dim, poolNewBytes = 4, 1 << 16, 512 + 24
+	goruntime.GC()
+	goruntime.GC()
+	reg := obs.NewRegistry()
+	defer obs.SetActive(reg)() // active before the engine is built
+	desc, err := registry.Get("onebit-tree")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := runtime.New(workers)
+	defer eng.Close()
+	cl, err := eng.Open(desc, &registry.Opts{Workers: workers, Dim: dim, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := netsim.NewCluster(workers, netsim.DefaultCostModel())
+	grads := equivtest.RandVecs(17, workers, dim)
+	for i := 0; i < 3; i++ {
+		cl.Updates(c, grads)
+	}
+	maxBytes, missBytes := uint64(dim/8), uint64(dim/8+4)
+	var before, after goruntime.MemStats
+	for round := 0; round < 6; round++ {
+		gets, hits := reg.Pool.Gets.Value(), reg.Pool.Hits.Value()
+		goruntime.ReadMemStats(&before)
+		ups := cl.Updates(c, grads)
+		goruntime.ReadMemStats(&after)
+		gets, hits = reg.Pool.Gets.Value()-gets, reg.Pool.Hits.Value()-hits
+		bytes := after.TotalAlloc - before.TotalAlloc
+		poolBytes := uint64(gets)*poolNewBytes + uint64(gets-hits)*missBytes
+		t.Logf("onebit-tree/loopback M=%d D=%d round %d: %d allocs, %d bytes (cap %d + %d for %d pool gets, %d misses)",
+			workers, dim, round, after.Mallocs-before.Mallocs, bytes, maxBytes, poolBytes, gets, gets-hits)
+		if bytes >= maxBytes+poolBytes {
+			t.Fatalf("onebit-tree allocates %d bytes in a round (cap %d = one D-bit vector, plus %d for the payload pool): a rank builds a bit vector per round or per frame",
+				bytes, maxBytes, poolBytes)
+		}
+		if ups[0].Signs == nil {
+			t.Fatal("onebit-tree round returned no bits")
+		}
+	}
+}
+
 // TestShmSteadyStateAllocs holds the shared-memory fabric to the same
 // bar as loopback: Send writes straight into the mmap'd ring and Recv
 // copies out into a pooled buffer, so a steady-state round must not

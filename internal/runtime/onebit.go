@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"marsit/internal/bitvec"
 	"marsit/internal/netsim"
 	"marsit/internal/tensor"
@@ -126,11 +124,6 @@ func oneBitAllGather(rk *rankCtx, next, prev, p, m int, bits *bitvec.Vec, segs [
 // marshal draws one and the consumed incoming one is returned.
 func (r *rankCtx) exchangeBits(next int, out *bitvec.Vec, prev int, in *bitvec.Vec, want int) {
 	data := r.exchange(next, marshalBits(out), out.WireBytes(), prev)
-	if err := bitvec.UnmarshalInto(in, data); err != nil {
-		panic(fmt.Sprintf("runtime: rank %d: peer %d: %v", r.rank, prev, err))
-	}
-	if in.Len() != want {
-		panic(fmt.Sprintf("runtime: rank %d: peer %d sent %d bits, want %d", r.rank, prev, in.Len(), want))
-	}
+	unmarshalBits(in, r.rank, prev, data, want)
 	transport.PutBuffer(data)
 }

@@ -29,7 +29,7 @@ func TestOneBitFramesCheckLength(t *testing.T) {
 		runtime.OneBitAllReduceRank(c, ep, nil, bits, orMerge)
 	}
 	tree := func(c *netsim.Cluster, ep transport.Endpoint, bits *bitvec.Vec) {
-		runtime.OneBitTreeAllReduceRank(c, ep, topology.NewTree(2), bits, orMerge)
+		runtime.OneBitTreeAllReduceRank(c, ep, topology.NewTree(2), bits, bitvec.New(bits.Len()), orMerge)
 	}
 	for _, site := range []struct {
 		name   string

@@ -19,13 +19,18 @@ import (
 // merge runs only on this rank's goroutine and — because a node's
 // children share a tree level and are absorbed in ascending order —
 // consumes the rank's Bernoulli stream in exactly the sequential
-// schedule's order. bits enters holding the rank's packed signs and
-// leaves holding the cluster-wide consensus (returned, since the
-// reduce swaps aggregates in). The caller owns the closing barrier.
-// Exported for internal/core, which registers the onebit-tree
-// descriptor (the weighted-merge semantics live there).
+// schedule's order. bits enters holding the rank's packed signs, and
+// spare is a vector of the same length. Both are the caller's, kept
+// across rounds: every child and downlink frame is decoded into one of
+// them (bitvec.UnmarshalInto), so a steady round allocates no bit
+// vector. The result is one of the two, holding the cluster-wide
+// consensus (the reduce swaps each merged aggregate into bits' place);
+// it stays valid until the caller packs its next round into them. The
+// caller owns the closing barrier. Exported for internal/core, which
+// registers the onebit-tree descriptor (the weighted-merge semantics
+// live there).
 func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topology.Tree,
-	bits *bitvec.Vec, merge MergeFunc) *bitvec.Vec {
+	bits, spare *bitvec.Vec, merge MergeFunc) *bitvec.Vec {
 	rank, d := ep.Rank(), bits.Len()
 	// A child has finished its own subtree when it sends, so its
 	// aggregate weighs its subtree size, as in the sequential schedule.
@@ -33,15 +38,15 @@ func OneBitTreeAllReduceRank(c *netsim.Cluster, ep transport.Endpoint, tr *topol
 	absorbed := 1
 	treeRank(c, ep, tr, bits.WireBytes(),
 		func(child int, data []byte) {
-			agg := unmarshalBits(rank, child, data, d)
+			unmarshalBits(spare, rank, child, data, d)
 			transport.PutBuffer(data)
-			merge(rank, agg, bits, size[child], absorbed)
-			bits = agg
+			merge(rank, spare, bits, size[child], absorbed)
+			bits, spare = spare, bits
 			absorbed += size[child]
 		},
 		func() []byte { return marshalBits(bits) },
 		func() {},
-		func(parent int, data []byte) { bits = unmarshalBits(rank, parent, data, d) })
+		func(parent int, data []byte) { unmarshalBits(bits, rank, parent, data, d) })
 	return bits
 }
 
@@ -54,18 +59,16 @@ func marshalBits(b *bitvec.Vec) []byte {
 }
 
 // unmarshalBits decodes the marshalBits payload rank received from peer
-// into a vector of its own; the payload stays the caller's to recycle or
-// send on. The schedule fixes every frame's length, so any other is a
+// into dst, reusing its words; the payload stays the caller's to recycle
+// or send on. The schedule fixes every frame's length, so any other is a
 // peer running another dimension or partition: Insert would leave a
 // short segment's tail unmerged without a word and fail a long one on an
 // index inside bitvec, hence the named panic here.
-func unmarshalBits(rank, peer int, data []byte, want int) *bitvec.Vec {
-	v, err := bitvec.Unmarshal(data)
-	if err != nil {
+func unmarshalBits(dst *bitvec.Vec, rank, peer int, data []byte, want int) {
+	if err := bitvec.UnmarshalInto(dst, data); err != nil {
 		panic(fmt.Sprintf("runtime: rank %d: peer %d: %v", rank, peer, err))
 	}
-	if v.Len() != want {
-		panic(fmt.Sprintf("runtime: rank %d: peer %d sent %d bits, want %d", rank, peer, v.Len(), want))
+	if dst.Len() != want {
+		panic(fmt.Sprintf("runtime: rank %d: peer %d sent %d bits, want %d", rank, peer, dst.Len(), want))
 	}
-	return v
 }

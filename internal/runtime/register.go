@@ -61,11 +61,11 @@ func init() {
 		Topology: registry.Ring,
 		Wire:     "1 bit/elem + norm per hop",
 		Caps:     registry.Caps{Streams: true},
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
 			streams := o.AllStreams()
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				collective.CascadingRing(c, grads, streams)
-				return grads
+				return registry.Vecs(grads)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -83,10 +83,10 @@ func init() {
 		Summary:  "one symmetric gossip step: three-point neighbor averaging on the ring",
 		Topology: registry.Ring,
 		Wire:     "4 B/elem float32 to each neighbor",
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				collective.GossipAverage(c, grads)
-				return grads
+				return registry.Vecs(grads)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -103,11 +103,11 @@ func init() {
 		Summary:  "full-precision binary-tree all-reduce (reduce up, broadcast down)",
 		Topology: registry.Tree,
 		Wire:     "4 B/elem float32",
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
 			tr := topology.NewTree(o.Workers)
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				collective.TreeAllReduce(c, tr, grads)
-				return grads
+				return registry.Vecs(grads)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -127,11 +127,11 @@ func init() {
 		Wire:     "4 B/elem of P then Q' (rank-limited)",
 		// Three rounds exercise the warm-started Q across synchronizations.
 		EquivRounds: 3,
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
 			st := collective.NewPowerSGDRingState(powerRankOrDefault(o), o.Dim)
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				collective.PowerSGDRing(c, grads, st)
-				return grads
+				return registry.Vecs(grads)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -152,10 +152,10 @@ func init() {
 		Summary:  "two-level hierarchical all-reduce: intra-host rings, one delegate per host",
 		Topology: registry.Torus,
 		Wire:     "4 B/elem float32 (hosts = rows, local ranks = cols)",
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				collective.HierarchicalAllReduce(c, o.Torus, grads)
-				return grads
+				return registry.Vecs(grads)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -173,10 +173,10 @@ func init() {
 		Topology: registry.PS,
 		Wire:     "4 B/elem float32 both ways",
 		Caps:     registry.Caps{PSFamily: true},
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				collective.PSAllReduce(c, grads)
-				return grads
+				return registry.Vecs(grads)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -193,10 +193,10 @@ func init() {
 		Topology: registry.PS,
 		Wire:     "1 bit/elem + norm both ways",
 		Caps:     registry.Caps{PSFamily: true},
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				collective.SignMajorityPS(c, grads)
-				return grads
+				return registry.Vecs(grads)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -213,11 +213,11 @@ func init() {
 		Topology: registry.PS,
 		Wire:     "1 bit/elem up, 4 B/elem down",
 		Caps:     registry.Caps{PSFamily: true, Streams: true},
-		NewSeq: func(o *registry.Opts) (registry.SeqRunner, error) {
+		NewSeq: func(o *registry.Opts) (registry.UpdateRunner, error) {
 			streams := o.AllStreams()
-			return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+			return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 				collective.SSDMPS(c, grads, streams)
-				return grads
+				return registry.Vecs(grads)
 			}, nil
 		},
 		NewRank: func(o *registry.Opts, rank int) (registry.RankRunner, error) {
@@ -250,10 +250,10 @@ func powerRankOrDefault(o *registry.Opts) int {
 // newAllReduceSeq and newAllReduceRank are the legs of both
 // full-precision all-reduces: TAR over o.Torus, which for "rar" is nil,
 // the flat ring.
-func newAllReduceSeq(o *registry.Opts) (registry.SeqRunner, error) {
-	return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+func newAllReduceSeq(o *registry.Opts) (registry.UpdateRunner, error) {
+	return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 		collective.TorusAllReduce(c, o.Torus, grads)
-		return grads
+		return registry.Vecs(grads)
 	}, nil
 }
 

@@ -44,9 +44,9 @@ import (
 // stochastic or error-corrected, into the rank's gradient, dead once
 // compressed. A majority is one bit per coordinate,
 // the same on every rank, so the per-rank leg returns it as bits and
-// the mean scale (registry.Update.Signs): the engine unpacks one vector
-// per consensus, as the sequential leg hands its one update to every
-// rank. Every rank is charged the packing and the decode, and the round
+// the mean scale (registry.Update.Signs), and registry.Dense unpacks one
+// vector per consensus, as the sequential leg hands its one decoded
+// update to every rank. Every rank is charged the packing and the decode, and the round
 // ends in a barrier.
 func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry.Descriptor {
 	ps := base.Topology == registry.PS
@@ -78,13 +78,13 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 		}
 	}
 
-	base.NewSeq = func(o *registry.Opts) (registry.SeqRunner, error) {
+	base.NewSeq = func(o *registry.Opts) (registry.UpdateRunner, error) {
 		n := o.Workers
 		compress := make([]func(tensor.Vec, []int64) float64, n)
 		for w := range compress {
 			compress[w] = compressor(o, w)
 		}
-		return func(c *netsim.Cluster, grads []tensor.Vec) []tensor.Vec {
+		return func(c *netsim.Cluster, grads []tensor.Vec) []registry.Update {
 			d := len(grads[0])
 			// Each worker votes into its own vector, where the sign-sum
 			// schedule then accumulates.
@@ -109,13 +109,11 @@ func SignVote(base registry.Descriptor, stochastic, errorFeedback bool) registry
 				sums, total := collective.SignSumTorus(c, o.Torus, votes, scales, o.Elias)
 				update = decode(sums, total, n)
 			}
-			outs := make([]tensor.Vec, n)
-			for w := range outs {
-				outs[w] = update
+			for w := range grads {
 				c.AddDecompress(w, d)
 			}
 			c.Barrier()
-			return outs
+			return registry.Consensus(registry.Update{Vec: update}, n)
 		}, nil
 	}
 	base.NewRank = func(o *registry.Opts, rank int) (registry.RankRunner, error) {

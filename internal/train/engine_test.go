@@ -220,3 +220,47 @@ func TestDefaultEngineApplies(t *testing.T) {
 		t.Fatal("bogus DefaultEngine accepted")
 	}
 }
+
+// TestMarsitOptionsEngineEquivalence pins the two Marsit options no
+// golden above covers — the compensation ablation and the learning-rate
+// decay at full-precision rounds — on both engines, ring and torus, at
+// K = 5 over 12 rounds. Each golden is the seriesHash of the sequential
+// run recorded while Marsit still had a second, Parallel form of its
+// own; both engines must reproduce it.
+func TestMarsitOptionsEngineEquivalence(t *testing.T) {
+	cases := []struct {
+		name   string
+		topo   Topo
+		noComp bool
+		decay  bool
+		golden string
+	}{
+		{name: "nocomp_ring", topo: TopoRing, noComp: true, golden: "daf39a5e5122a9ed"},
+		{name: "nocomp_torus", topo: TopoTorus, noComp: true, golden: "93b97ed6b7640146"},
+		{name: "decay_ring", topo: TopoRing, decay: true, golden: "573d6c075caeae3b"},
+		{name: "decay_torus", topo: TopoTorus, decay: true, golden: "6586cbd7b1ba66a3"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := quickCfg(MethodMarsit, tc.topo)
+			cfg.Rounds = 12
+			cfg.K = 5
+			cfg.MarsitNoCompensation = tc.noComp
+			cfg.DecayAtFullSync = tc.decay
+			for _, eng := range []Engine{EngineSeq, EnginePar} {
+				c := cfg
+				c.Engine = eng
+				res, err := Run(c)
+				if err != nil {
+					t.Fatalf("%s: %v", eng, err)
+				}
+				if gort.GOARCH != "amd64" {
+					continue // the hashes pin float bits; other targets fuse multiply-adds
+				}
+				if got := seriesHash(res); got != tc.golden {
+					t.Errorf("%s series hash %s, recorded %q", eng, got, tc.golden)
+				}
+			}
+		})
+	}
+}

@@ -20,13 +20,15 @@
 // Every method synchronizes through one path: Run resolves the method
 // to a registry descriptor (psgd, cascading and raw collectives map to
 // theirs one-to-one; the sign-vote family — signsgd, ef-signsgd, ssdm —
-// is runtime.SignVote around the topology's exchange collective) and
-// opens it once, on the engine Config.Engine names, through
-// core.OpenCollective: the lock-step leg, or the concurrent engine of
-// internal/runtime with one goroutine per worker.
-// marsit runs the stateful core.Marsit, whose Parallel form opens its
-// per-rank legs through the same helper. Both engines produce
-// bit-identical metric series; see EngineSeq and EnginePar.
+// is runtime.SignVote around the topology's exchange collective; marsit
+// is core.MarsitDescriptor, with or without its compensation) and opens
+// it once, on the engine Config.Engine names, through
+// core.OpenCollective: the lock-step leg — for marsit a stateful
+// core.Marsit — or the concurrent engine of internal/runtime with one
+// goroutine per worker. Either way a round's update arrives as the ranks
+// produced it (registry.Update): a one-bit consensus as its bits. Both
+// engines produce bit-identical metric series; see EngineSeq and
+// EnginePar.
 //
 // Under either engine a round runs on min(M, GOMAXPROCS) lanes
 // (tensor.ForLanes: the caller and one goroutine per further lane,
@@ -288,12 +290,18 @@ func MethodHelp() string {
 	return names + ", or a raw collective: " + registry.FlagHelp()
 }
 
-// methodDescriptor resolves a validated non-marsit method to the
+// methodDescriptor resolves a validated configuration's method to the
 // descriptor Run opens: the registered collective of CollectiveFor, with
 // runtime.SignVote re-building it around their own compression for the
-// two sign-vote methods that are not plain signSGD.
-func methodDescriptor(m Method, t Topo) (*registry.Descriptor, error) {
-	name, _ := CollectiveFor(m, t)
+// two sign-vote methods that are not plain signSGD, and marsit built by
+// core with or without its compensation.
+func methodDescriptor(cfg *Config) (*registry.Descriptor, error) {
+	m := cfg.Method
+	if m == MethodMarsit {
+		marsit := core.MarsitDescriptor(cfg.MarsitNoCompensation)
+		return &marsit, nil
+	}
+	name, _ := CollectiveFor(m, cfg.Topo)
 	desc, err := registry.Get(name)
 	if err != nil || (m != MethodEFSignSGD && m != MethodSSDM) {
 		return desc, err
@@ -425,70 +433,43 @@ func Run(cfg Config) (*Result, error) {
 		tor = topology.SquareTorus(cfg.Workers)
 	}
 
-	// Optimizer: Marsit's g_t already carries its step sizes, so its
-	// optimizer runs at lr = 1; baselines consume the raw mean gradient
-	// at lr = LocalLR.
-	optLR := cfg.LocalLR
+	// Marsit's g_t already carries its step sizes, so its optimizer runs
+	// at lr = 1 and its synchronizer takes η_l·g; baselines consume the
+	// raw mean gradient at lr = LocalLR. localLR is the factor the local
+	// pass applies (localScale). Marsit draws its transients from its own
+	// salt of the seed.
+	optLR, localLR, syncSeed := cfg.LocalLR, 1.0, cfg.Seed
 	if cfg.Method == MethodMarsit {
-		optLR = 1
+		optLR, localLR, syncSeed = 1, cfg.LocalLR, cfg.Seed^0x3a55
 	}
 	opt, err := optim.ByName(cfg.Optimizer, optLR, d)
 	if err != nil {
 		return nil, err
 	}
 
-	// One synchronizer for the whole run, opened up front so per-round
-	// state (compensation, SSDM streams, EF residuals) carries across
-	// rounds: it consumes the round's gradients — they are dead after it
-	// (trueMean is taken first, and every vector is zeroed at the top of
-	// the next round), so a synchronizer may scale or reduce them in
-	// place and may return one of them as the update every worker
-	// applies. fullSyncNext reports a Marsit full-precision round ahead
-	// (the learning-rate schedule). Marsit's synchronizer takes η_l·g,
-	// the others the mean gradient: localLR is the factor the local pass
-	// applies (localScale).
-	parallel := cfg.Engine == EnginePar
-	var syncGrads func(grads []tensor.Vec) registry.Update
-	fullSyncNext := func() bool { return false }
-	localLR := 1.0
-	if cfg.Method == MethodMarsit {
-		marsit, err := core.New(core.Config{
-			Workers:             cfg.Workers,
-			Dim:                 d,
-			K:                   cfg.K,
-			GlobalLR:            cfg.GlobalLR,
-			Torus:               tor,
-			Seed:                cfg.Seed ^ 0x3a55,
-			DisableCompensation: cfg.MarsitNoCompensation,
-			Parallel:            parallel,
-			Transport:           cfg.Transport,
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer marsit.Close()
-		fullSyncNext = marsit.FullPrecisionNext
-		localLR = cfg.LocalLR
-		syncGrads = func(scaled []tensor.Vec) registry.Update { return marsit.SyncUpdate(cluster, scaled) }
-	} else {
-		desc, err := methodDescriptor(cfg.Method, cfg.Topo)
-		if err != nil {
-			return nil, err
-		}
-		o := &registry.Opts{
-			Workers: cfg.Workers, Dim: d, Seed: cfg.Seed,
-			K: cfg.K, GlobalLR: cfg.GlobalLR, Torus: tor, Streams: ssdmRNGs,
-			// Elias applies only where the descriptor supports it, the
-			// trainer's historical leniency for full-precision methods.
-			Elias: cfg.UseElias && desc.Caps.Elias,
-		}
-		run, release, err := core.OpenCollective(desc, o, parallel, cfg.Transport)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		syncGrads = func(work []tensor.Vec) registry.Update { return registry.Update{Vec: run(cluster, work)[0]} }
+	// One synchronizer for the whole run, whatever the method, opened up
+	// front so per-round state (compensation, SSDM streams, EF residuals)
+	// carries across rounds: it consumes the round's gradients — they are
+	// dead after it (trueMean is taken first, and every vector is zeroed
+	// at the top of the next round), so a synchronizer may scale or reduce
+	// them in place and may return one of them as the update every worker
+	// applies.
+	desc, err := methodDescriptor(&cfg)
+	if err != nil {
+		return nil, err
 	}
+	o := &registry.Opts{
+		Workers: cfg.Workers, Dim: d, Seed: syncSeed,
+		K: cfg.K, GlobalLR: cfg.GlobalLR, Torus: tor, Streams: ssdmRNGs,
+		// Elias applies only where the descriptor supports it, the
+		// trainer's historical leniency for full-precision methods.
+		Elias: cfg.UseElias && desc.Caps.Elias,
+	}
+	run, release, err := core.OpenCollective(desc, o, cfg.Engine == EnginePar, cfg.Transport)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
 
 	res := &Result{Config: cfg, Params: d}
 	trueMean, step := tensor.New(d), tensor.New(d)
@@ -526,12 +507,14 @@ func Run(cfg Config) (*Result, error) {
 		roundLoss /= float64(samplesPerRound)
 		trueMeanPass(lanes, grads, trueMean, 1/float64(cfg.Batch), localLR)
 
-		// Synchronize. A one-bit update reaches the metric as bits and is
-		// unpacked for the optimizer into the run's one step vector.
-		fullSync := fullSyncNext()
-		update := syncGrads(grads)
+		// Synchronize. The update is a consensus, so rank 0's stands for
+		// every worker; a one-bit update reaches the metric as bits and is
+		// unpacked for the optimizer into the run's one step vector. The
+		// decay follows Marsit's full-precision rounds, which the round
+		// counter names by the one K rule.
+		update := run(cluster, grads)[0]
 		match, finite := tail.run(update, trueMean, step, opt, model.Params())
-		if cfg.DecayAtFullSync && fullSync && round > 0 {
+		if cfg.DecayAtFullSync && cfg.Method == MethodMarsit && round > 0 && core.FullPrecisionRound(cfg.K, round) {
 			opt.SetLR(opt.LR() * 0.1)
 		}
 

@@ -45,8 +45,8 @@
 //     substrate. Deterministic virtual time; the mode the paper figures
 //     use. Marsit's one-bit rounds split their per-worker and
 //     per-segment work across min(M, GOMAXPROCS) lanes, bit-identically.
-//   - Parallel (EnginePar, Config.Parallel, or marsit.NewEngine for
-//     direct engine access): the concurrent execution engine of
+//   - Parallel (EnginePar, or marsit.NewEngine for direct engine
+//     access): the concurrent execution engine of
 //     internal/runtime runs one goroutine per worker, each owning its
 //     shard and exchanging messages through a pluggable Transport
 //     (internal/transport). Four fabric backends exist: the in-process
@@ -64,9 +64,11 @@
 // arithmetic (lines 1 and 9–13 — the scaled gradient plus carry, the
 // update, the compensation, the K-periodic reset) lives once, in the
 // per-worker synchronizer a marsit-node process hosts, and a Marsit
-// holds one per worker in either mode; only the schedule of the one-bit
+// holds one per worker; only the schedule of the one-bit
 // synchronization in between (lines 4–8) is stated per engine — in lock
-// step for the figures, or per rank on an engine with Config.Parallel.
+// step by a Marsit for the figures, or per rank by the "marsit"
+// collective opened on an engine, whose Collective keeps every rank's
+// state across rounds.
 //
 // The parallel engine charges the same α–β costs as the sequential one
 // (each packet carries the sender's virtual clock, reproducing netsim's
@@ -78,7 +80,9 @@
 //
 // Run executes stateless one-shot rounds. For the paper's full
 // Algorithm 1 across rounds (global compensation, the K-periodic
-// full-precision schedule), use the stateful Marsit type:
+// full-precision schedule), use the stateful Marsit type (on the
+// concurrent engine, keep one Collective of "marsit" open for the run
+// instead):
 //
 //	sync := marsit.MustNew(marsit.Config{
 //	    Workers: 8, Dim: d, K: 100, GlobalLR: 0.005,
@@ -291,7 +295,7 @@ func Run(name string, grads []Vec, opts ...RunOption) ([]Vec, error) {
 		return nil, err
 	}
 	defer release()
-	return run(c, grads), nil
+	return registry.Dense(run(c, grads)), nil
 }
 
 // CollectiveInfo describes one registered collective.

@@ -106,8 +106,8 @@ func requireSameOutputs(t *testing.T, want, got []marsit.Vec) {
 }
 
 // TestEngineFacade exercises marsit.NewEngine through the public API and
-// cross-checks it against the sequential collective, plus the Parallel
-// facade configuration.
+// cross-checks it against the sequential collective, plus a stateful
+// Marsit opened on the same engine.
 func TestEngineFacade(t *testing.T) {
 	const workers, dim = 4, 513
 	r := rng.New(29)
@@ -145,11 +145,19 @@ func TestEngineFacade(t *testing.T) {
 		t.Fatalf("bytes: seq %d, par %d", seqC.TotalBytes(), parC.TotalBytes())
 	}
 
-	sync := marsit.MustNew(marsit.Config{Workers: workers, Dim: dim, K: 2, GlobalLR: 0.05, Seed: 4, Parallel: true})
-	defer sync.Close()
+	// Stateful Marsit on the engine: the opened collective keeps every
+	// rank's compensation across Run calls.
+	mars, err := registry.Get("marsit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync, err := eng.Open(mars, &registry.Opts{Dim: dim, K: 2, GlobalLR: 0.05, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cluster := marsit.NewCluster(workers)
 	for round := 0; round < 4; round++ {
-		if gt := sync.Sync(cluster, base); len(gt) != dim {
+		if gt := sync.Run(cluster, base)[0]; len(gt) != dim {
 			t.Fatalf("round %d: g_t dim %d", round, len(gt))
 		}
 	}
